@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DimensionMismatchError, DomainMismatchError, SingularMatrixError
-from .graphs import Domain, Graph, GraphSignal
+from .graphs import Domain, Graph, GraphSignal, _atomic_write
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
 from .spectral import SpectralBasis, spectral_shift
 
@@ -247,7 +247,7 @@ def write_filter(filt: PolynomialFilter, path) -> None:
         "shift_domain": filt.shift_domain.value,
         "coeffs": [[float(z.real), float(z.imag)] for z in filt.coeffs],
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _atomic_write(Path(path), json.dumps(doc) + "\n")
 
 
 def read_filter(path) -> PolynomialFilter:

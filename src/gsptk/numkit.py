@@ -5,14 +5,17 @@ operations on dense complex matrices: Gauss-Jordan row reduction with
 pivot/free-column tracking, linear solves, and a full eigendecomposition of
 a general (non-symmetric, possibly complex) square matrix.
 
-Pivoting is partial pivoting by largest magnitude with ties broken by the
-lowest row index, so reductions are reproducible bit-for-bit on identical
-inputs. Entries are treated as zero when their magnitude is at or below
-``tol * max(|initial entries|)``.
+Row reduction is kept for callers whose result is the pivot pattern itself
+(the sampling sets); its pivoting is by largest magnitude with ties broken by
+the lowest row index, so reductions are reproducible bit-for-bit on
+identical inputs. Solves, whose result is only the solution, use LAPACK's
+partially pivoted LU. Both treat a pivot as zero when its magnitude is at or
+below ``tol * max(|initial entries|)``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,40 +115,43 @@ def row_reduce(a, tol: float = 1e-10) -> RowReduction:
         r[row, col] = 1.0
         pivot_cols.append(col)
         row += 1
-    free_cols = tuple(c for c in range(n) if c not in set(pivot_cols))
+    pivots = set(pivot_cols)
+    free_cols = tuple(c for c in range(n) if c not in pivots)
     return RowReduction(r, tuple(pivot_cols), free_cols, len(pivot_cols))
 
 
 def solve(a, b, tol: float = 1e-10):
-    """Solve ``a @ x = b`` by Gauss-Jordan elimination on the augmented matrix.
+    """Solve ``a @ x = b`` by LU factorization with partial pivoting (LAPACK).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
-    has the matching shape. Raises SingularMatrixError when the coefficient
-    matrix has rank < n at the working tolerance (including inconsistent
-    systems).
+    has the matching shape. Raises SingularMatrixError when a pivot of the
+    factorization is at or below ``tol * max(|a|)``, the cutoff ``row_reduce``
+    applies.
     """
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    rhs = np.array(b, dtype=np.complex128)
+    rhs = np.asarray(b)
     vector_rhs = rhs.ndim == 1
-    if vector_rhs:
-        rhs = rhs[:, None]
+    rhs = as_cmatrix(rhs[:, None] if vector_rhs else rhs, "rhs")
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
-    # pivot cutoff must scale with the coefficient matrix, not the rhs
-    a_max = float(np.max(np.abs(a))) if a.size else 0.0
-    aug = np.hstack([a, rhs])
-    aug_max = float(np.max(np.abs(aug))) if aug.size else 0.0
-    eff_tol = tol * (a_max / aug_max) if aug_max > 0.0 else tol
-    red = row_reduce(aug, eff_tol)
-    if red.pivot_cols != tuple(range(n)):
-        rank_a = sum(1 for c in red.pivot_cols if c < n)
-        raise SingularMatrixError(
-            f"matrix is singular at tolerance {tol:.1e} (rank {rank_a} of {n})"
-        )
-    x = red.rref[:, n:]
+    if n == 0:
+        x = rhs
+    else:
+        with warnings.catch_warnings():
+            # an exactly zero pivot is reported below as SingularMatrixError
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        pivots = np.abs(np.diagonal(lu))
+        thresh = tol * float(np.max(np.abs(a)))
+        if pivots.min() <= thresh:
+            rank = int(np.count_nonzero(pivots > thresh))
+            raise SingularMatrixError(
+                f"matrix is singular at tolerance {tol:.1e} (rank {rank} of {n})"
+            )
+        x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     return x[:, 0] if vector_rhs else x
 
 

@@ -1,19 +1,22 @@
 """Sampling-set selection and perfect recovery of bandlimited graph signals.
 
-Two exact routes are provided for a signal whose spectrum is supported on a
-band of K indices.
+Two routes choose a sampling set for a signal whose spectrum is supported
+on a band of K indices.
 
 Vertex route: the out-of-band rows of the GFT annihilate the signal; Gauss-
 Jordan elimination of that (N-K) x N block designates K free variables (the
-sampling set) and expresses each pivot variable as a row of ``S`` times the
-free ones, so the signal is rebuilt from its K kept samples by one matrix
-multiply.
+sampling set).
 
 Spectral route: sampling in the vertex domain is spectral filtering by
 P(M) = gft diag(delta) igft. Choosing K linearly independent rows of the
 band columns of the inverse GFT guarantees the band block P(M)_K has K
-linearly independent rows; inverting that K x K block recovers the in-band
-spectrum from the transform of the zero-filled sampled signal.
+linearly independent rows; that K x K block ``pmkk`` is kept as a diagnostic.
+
+For a given sampling set both routes recover through the same linear map
+(the interpolation operator of Chen, Varma, Sandryhaila & Kovacevic, IEEE
+TSP 2015): the (N-K) x K block ``S`` with ``x[dropped] = S @ x[kept]``,
+solved from the out-of-band GFT rows. Every plan carries ``S``, plan files
+store it, and recovery is one matrix multiply and a scatter.
 
 Both selections use deterministic Gauss pivoting (largest magnitude, lowest
 index) so plans are reproducible; a caller-forced sampling indicator is
@@ -23,6 +26,7 @@ accepted for reproducing published selections.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +38,11 @@ from .errors import (
     InfeasibleError,
     NotBandlimitedError,
     ParseError,
+    ReconstructionMismatchError,
     SizeMismatchError,
 )
-from .graphs import Domain, Graph, GraphSignal
-from .spectral import SpectralBasis, basis_explicit, gft_apply, igft_apply
+from .graphs import Domain, Graph, GraphSignal, _atomic_write
+from .spectral import SpectralBasis
 
 __all__ = [
     "BandSpec",
@@ -83,24 +88,23 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """A sampling indicator plus the precomputed recovery data.
+    """A sampling indicator plus the map that recovers the unsampled nodes.
 
-    Vertex plans carry ``S`` with ``free_idx``/``pivot_idx``; spectral plans
-    carry the invertible block ``pmkk`` with the ``selected_rows`` it was cut
-    from, plus the basis needed to transform the zero-filled samples. ``cond``
-    is the condition number of the recovery matrix (diagnostic only).
+    ``S`` is (N-K) x K: the samples at the free (kept) nodes, in ascending
+    index order, times ``S`` give the values at the pivot (dropped) nodes.
+    ``cond`` is a diagnostic: the condition number of the out-of-band block
+    at the dropped nodes (vertex plans) or of ``pmkk`` (spectral plans). A
+    spectral plan built in memory also carries the invertible band block
+    ``pmkk`` of P(M) with the ``selected_rows`` it was cut from.
     """
 
     domain: Domain
     delta: np.ndarray
     band: BandSpec
-    free_idx: tuple[int, ...] = ()
-    pivot_idx: tuple[int, ...] = ()
-    S: np.ndarray | None = None
+    S: np.ndarray
+    cond: float
     selected_rows: tuple[int, ...] = ()
     pmkk: np.ndarray | None = None
-    basis: SpectralBasis | None = None
-    cond: float = 1.0
 
     @property
     def n(self) -> int:
@@ -109,6 +113,14 @@ class SamplingPlan:
     @property
     def k(self) -> int:
         return self.band.k
+
+    @property
+    def free_idx(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.delta))
+
+    @property
+    def pivot_idx(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.delta == 0))
 
 
 def band_project(signal: GraphSignal, band: BandSpec, tol: float = 1e-8) -> np.ndarray:
@@ -133,6 +145,16 @@ def _delta_from(idx, n: int) -> np.ndarray:
     delta = np.zeros(n, dtype=np.int64)
     delta[list(idx)] = 1
     return delta
+
+
+def _recovery_map(g_out: np.ndarray, delta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The block S with ``x[delta == 0] = S @ x[delta == 1]`` for every signal
+    that the out-of-band GFT rows ``g_out`` annihilate."""
+    kept = delta != 0
+    try:
+        return -numkit.solve(g_out[:, ~kept], g_out[:, kept], tol)
+    except numkit.SingularMatrixError as exc:
+        raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
 
 
 def _validate_forced_delta(forced_delta, n: int, k: int) -> tuple[int, ...]:
@@ -169,28 +191,24 @@ def vertex_plan(
             raise InfeasibleError(
                 f"out-of-band GFT rows are rank deficient ({red.rank} < {n - k})"
             )
-        pivot_idx, free_idx = red.pivot_cols, red.free_cols
-        s = -red.rref[:, list(free_idx)]
+        free_idx = red.free_cols
     else:
         free_idx = _validate_forced_delta(forced_delta, n, k)
-        pivot_idx = tuple(i for i in range(n) if i not in set(free_idx))
-        try:
-            s = -numkit.solve(g_out[:, list(pivot_idx)], g_out[:, list(free_idx)], tol)
-        except numkit.SingularMatrixError as exc:
-            raise InfeasibleError(
-                f"forced sampling set is not valid for this band: {exc}"
-            ) from exc
-    cond = float(np.linalg.cond(g_out[:, list(pivot_idx)])) if n - k else 1.0
-    return SamplingPlan(
-        domain=Domain.VERTEX,
-        delta=_delta_from(free_idx, n),
-        band=band,
-        free_idx=free_idx,
-        pivot_idx=pivot_idx,
-        S=s,
-        basis=basis,
-        cond=cond,
-    )
+    delta = _delta_from(free_idx, n)
+    s = _recovery_map(g_out, delta, tol)
+    cond = float(np.linalg.cond(g_out[:, delta == 0])) if n - k else 1.0
+    return SamplingPlan(domain=Domain.VERTEX, delta=delta, band=band, S=s, cond=cond)
+
+
+def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
+    x_s = numkit.as_cvector(x_s, "samples")
+    if x_s.shape[0] != plan.k:
+        raise SizeMismatchError(f"expected {plan.k} samples, got {x_s.shape[0]}")
+    kept = plan.delta != 0
+    x = np.empty(plan.n, dtype=np.complex128)
+    x[kept] = x_s
+    x[~kept] = plan.S @ x_s
+    return GraphSignal(x, Domain.VERTEX)
 
 
 def vertex_recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -199,16 +217,7 @@ def vertex_recover(plan: SamplingPlan, x_s) -> GraphSignal:
     ``x_s`` lists the samples at the plan's free indices in ascending index
     order; pivot entries are S @ x_s, scattered back into place.
     """
-    if plan.domain is not Domain.VERTEX:
-        raise ValueError("plan is not a vertex-domain plan")
-    x_s = numkit.as_cvector(x_s, "samples")
-    if x_s.shape[0] != plan.k:
-        raise SizeMismatchError(f"expected {plan.k} samples, got {x_s.shape[0]}")
-    x = np.zeros(plan.n, dtype=np.complex128)
-    x[list(plan.free_idx)] = x_s
-    if plan.pivot_idx:
-        x[list(plan.pivot_idx)] = plan.S @ x_s
-    return GraphSignal(x, Domain.VERTEX)
+    return _recover(plan, x_s)
 
 
 def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
@@ -226,17 +235,17 @@ def spectral_plan(
     columns of the inverse GFT, and precompute the invertible recovery block.
 
     Such rows always exist (the band columns have full column rank). The
-    recovery block rows are taken at the sampled nodes themselves whenever
+    block rows of ``pmkk`` are taken at the sampled nodes themselves whenever
     that square block is invertible, falling back to deterministic Gauss
-    pivoting on the band block of P(M) otherwise.
+    pivoting on the band block of P(M) otherwise. A forced indicator is
+    honored when its sampled nodes give independent rows.
     """
     n = basis.n
     _check_band(band, n)
     k = band.k
     band_cols = list(band.support)
-    igft_k = basis.igft[:, band_cols]
     if forced_delta is None:
-        red = numkit.row_reduce(igft_k.T, tol)
+        red = numkit.row_reduce(basis.igft[:, band_cols].T, tol)
         chosen = red.pivot_cols
         if len(chosen) < k:
             raise InfeasibleError(
@@ -244,11 +253,10 @@ def spectral_plan(
             )
     else:
         chosen = _validate_forced_delta(forced_delta, n, k)
-        if numkit.row_reduce(igft_k[list(chosen), :], tol).rank < k:
-            raise InfeasibleError(
-                "forced sampling set does not give independent rows of the band columns"
-            )
     delta = _delta_from(chosen, n)
+    # independent kept rows of the band columns <=> an invertible dropped
+    # block of the out-of-band rows (complementary minors of gft and igft)
+    s = _recovery_map(basis.gft[list(band.complement(n)), :], delta, tol)
     pm_k = sampling_operator(basis, delta)[:, band_cols]
     rows = chosen
     if numkit.row_reduce(pm_k[list(rows), :], tol).rank < k:
@@ -259,31 +267,21 @@ def spectral_plan(
         domain=Domain.SPECTRAL,
         delta=delta,
         band=band,
+        S=s,
+        cond=float(np.linalg.cond(pmkk)),
         selected_rows=tuple(rows),
         pmkk=pmkk,
-        basis=basis,
-        cond=float(np.linalg.cond(pmkk)),
     )
 
 
 def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
-    """Recover the vertex signal through the spectral route.
+    """Recover the vertex signal of a plan made by the spectral route.
 
-    Zero-fill the samples, transform, keep the plan's selected rows, solve
-    the K x K block for the in-band spectrum, scatter it into the band, and
-    inverse transform.
+    The same map as ``vertex_recover``: the in-band signal that matches the
+    samples, which is what solving ``pmkk`` for the in-band spectrum of the
+    zero-filled samples gives.
     """
-    if plan.domain is not Domain.SPECTRAL:
-        raise ValueError("plan is not a spectral-domain plan")
-    x_s = numkit.as_cvector(x_s, "samples")
-    if x_s.shape[0] != plan.k:
-        raise SizeMismatchError(f"expected {plan.k} samples, got {x_s.shape[0]}")
-    x_spl = upsample(x_s, plan.delta)
-    xhat_spl = gft_apply(plan.basis, x_spl).values
-    xhat_k = numkit.solve(plan.pmkk, xhat_spl[list(plan.selected_rows)])
-    xhat = np.zeros(plan.n, dtype=np.complex128)
-    xhat[list(plan.band.support)] = xhat_k
-    return igft_apply(plan.basis, GraphSignal(xhat, Domain.SPECTRAL))
+    return _recover(plan, x_s)
 
 
 def sample(signal: GraphSignal, delta) -> np.ndarray:
@@ -323,8 +321,8 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e
     d = np.asarray(delta)
     if d.shape != (n,):
         raise DimensionMismatchError(f"delta must have length {n}")
-    keep = tuple(int(i) for i in np.flatnonzero(d))
-    drop = tuple(i for i in range(n) if i not in set(keep))
+    keep = np.flatnonzero(d)
+    drop = np.flatnonzero(d == 0)
     out = band.complement(n)
     k = band.k
     if len(keep) != k:
@@ -334,10 +332,10 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e
     if n - k == 0:
         vertex_ok = True
     else:
-        block = basis.gft[list(out), :][:, list(drop)]
+        block = basis.gft[list(out), :][:, drop]
         vertex_ok = numkit.row_reduce(block, tol).rank == n - k
     spectral_ok = (
-        numkit.row_reduce(basis.igft[list(keep), :][:, list(band.support)], tol).rank == k
+        numkit.row_reduce(basis.igft[keep, :][:, list(band.support)], tol).rank == k
     )
     return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
 
@@ -346,71 +344,111 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e
 # plan file IO
 
 
+PLAN_VERSION = 2
+
+# ``read_plan(path, graph)`` accepts the graph when the plan's recovery map
+# has an A-invariant range: ||A R - R (A R)[kept]|| <= tol ||A|| ||R|| in the
+# infinity norm, with R = [I; S] scattered into N x K.
+_INVARIANCE_TOL = 1e-8
+
+
 def _matrix_doc(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _matrix_from_doc(doc, rows: int, cols: int) -> np.ndarray:
-    flat = [complex(re, im) for row in doc for re, im in row]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+def _matrix_from_doc(doc, rows: int, cols: int, what: str) -> np.ndarray:
+    """Parse a rows x cols matrix of [re, im] pairs, all finite."""
+    try:
+        pairs = np.array(doc)
+    except ValueError as exc:
+        raise ParseError(f"{what} is not a rectangular array: {exc}") from exc
+    if pairs.size == 0 and rows * cols == 0:
+        return np.zeros((rows, cols), dtype=np.complex128)
+    if pairs.shape != (rows, cols, 2) or pairs.dtype.kind not in "iuf":
+        raise ParseError(f"{what} must be a {rows} x {cols} array of [re, im] number pairs")
+    if not np.all(np.isfinite(pairs)):
+        raise ParseError(f"{what} has non-finite entries")
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def write_plan(plan: SamplingPlan, path) -> None:
     doc = {
+        "version": PLAN_VERSION,
         "domain": plan.domain.value,
         "delta": [int(v) for v in plan.delta],
         "band": list(plan.band.support),
+        "S": _matrix_doc(plan.S),
+        "cond": plan.cond,
     }
-    if plan.domain is Domain.VERTEX:
-        doc["S"] = _matrix_doc(plan.S)
-    else:
-        doc["pmkk"] = _matrix_doc(plan.pmkk)
-        doc["selected_rows"] = list(plan.selected_rows)
-        doc["gft"] = _matrix_doc(plan.basis.gft)
-        doc["lambda"] = [[float(z.real), float(z.imag)] for z in plan.basis.lam]
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _atomic_write(Path(path), json.dumps(doc) + "\n")
 
 
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
-    """Load a plan file. Spectral plans rebuild their basis from the stored
-    transform; ``graph`` (when given) validates the basis against its shift."""
+    """Load and check a plan file; ParseError names what is malformed.
+
+    Files without a ``version`` (written before version 2) are read too:
+    vertex files already hold ``S``, and spectral files get it from their
+    stored ``gft``. Neither recorded ``cond``, so it reads as NaN. With
+    ``graph``, raises ReconstructionMismatchError unless the range of the
+    plan's recovery map is invariant under the graph's shift, as the span of
+    the band's eigenvectors is.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a plan must be a JSON object")
+    version = doc.get("version", 1)
+    if version not in (1, PLAN_VERSION):
+        raise ParseError(f"{path}: unsupported plan version {version!r}")
+    old_spectral = version == 1 and doc.get("domain") == Domain.SPECTRAL.value
+    need = ("domain", "delta", "band", "gft" if old_spectral else "S")
+    missing = [key for key in need + (("cond",) if version != 1 else ()) if key not in doc]
+    if missing:
+        raise ParseError(f"{path}: plan is missing {', '.join(missing)}")
     try:
         domain = Domain(doc["domain"])
-        delta = np.array(doc["delta"], dtype=np.int64)
         band = BandSpec(tuple(doc["band"]))
-    except (KeyError, ValueError, TypeError) as exc:
+        delta = np.array(doc["delta"])
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: malformed plan: {exc}") from exc
-    n = delta.shape[0]
-    free_idx = tuple(int(i) for i in np.flatnonzero(delta))
-    if domain is Domain.VERTEX:
-        pivot_idx = tuple(i for i in range(n) if i not in set(free_idx))
-        return SamplingPlan(
-            domain=domain,
-            delta=delta,
-            band=band,
-            free_idx=free_idx,
-            pivot_idx=pivot_idx,
-            S=_matrix_from_doc(doc["S"], n - band.k, band.k),
-        )
-    gft = _matrix_from_doc(doc["gft"], n, n)
-    lam = np.array([complex(re, im) for re, im in doc["lambda"]])
-    if graph is not None:
-        basis = basis_explicit(gft, lam, graph)
+    n, k = delta.shape[0] if delta.ndim == 1 else 0, band.k
+    if delta.dtype.kind != "i" or n == 0 or not np.isin(delta, (0, 1)).all() or delta.sum() != k:
+        raise ParseError(f"{path}: delta must be a 0/1 list with {k} ones, one per band index")
+    if band.support[-1] >= n:
+        raise ParseError(f"{path}: band index {band.support[-1]} out of range for size {n}")
+    if old_spectral:
+        gft = _matrix_from_doc(doc["gft"], n, n, f"{path}: gft")
+        s = _recovery_map(gft[list(band.complement(n)), :], delta)
     else:
-        igft = numkit.solve(gft, np.eye(n, dtype=np.complex128))
-        from .spectral import BasisSource, SpectralBasis as _SB
+        s = _matrix_from_doc(doc["S"], n - k, k, f"{path}: S")
+    if version == 1:
+        cond = float("nan")
+    elif isinstance(doc["cond"], (int, float)) and math.isfinite(doc["cond"]):
+        cond = float(doc["cond"])
+    else:
+        raise ParseError(f"{path}: cond must be a finite number, got {doc['cond']!r}")
+    plan = SamplingPlan(domain, delta.astype(np.int64), band, s, cond)
+    if graph is not None:
+        _check_invariant(plan, graph, path)
+    return plan
 
-        basis = _SB(gft, igft, lam, BasisSource.EXPLICIT)
-    return SamplingPlan(
-        domain=domain,
-        delta=delta,
-        band=band,
-        selected_rows=tuple(doc["selected_rows"]),
-        pmkk=_matrix_from_doc(doc["pmkk"], band.k, band.k),
-        basis=basis,
-        cond=1.0,
-    )
+
+def _check_invariant(plan: SamplingPlan, graph: Graph, path) -> None:
+    if graph.n != plan.n:
+        raise ReconstructionMismatchError(
+            f"{path}: plan has {plan.n} nodes but the graph has {graph.n}"
+        )
+    kept = plan.delta != 0
+    r = np.zeros((plan.n, plan.k), dtype=np.complex128)
+    r[kept] = np.eye(plan.k)
+    r[~kept] = plan.S
+    ar = graph.adjacency @ r
+    resid = np.linalg.norm(ar - r @ ar[kept], np.inf)
+    limit = _INVARIANCE_TOL * np.linalg.norm(graph.adjacency, np.inf) * np.linalg.norm(r, np.inf)
+    if resid > limit:
+        raise ReconstructionMismatchError(
+            f"{path}: plan does not fit this graph: its band is not invariant under the "
+            f"shift (residual {resid:.3e} > {limit:.3e})"
+        )

@@ -30,7 +30,7 @@ from .errors import (
     RepeatedEigenvaluesError,
     ZeroScaleError,
 )
-from .graphs import Domain, Graph, GraphSignal
+from .graphs import Domain, Graph, GraphSignal, _atomic_write
 
 __all__ = [
     "BasisSource",
@@ -222,7 +222,7 @@ def save_basis(basis: SpectralBasis, path) -> None:
         "lambda": [[z.real, z.imag] for z in basis.lam],
         "gft": [[[z.real, z.imag] for z in row] for row in basis.gft],
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _atomic_write(Path(path), json.dumps(doc) + "\n")
 
 
 def load_basis(path, graph: Graph, tol: float = 1e-10) -> SpectralBasis:

@@ -253,3 +253,64 @@ class TestTransformCommands:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert run(["gft", tmp_path / "none.json", tmp_path / "x.json",
                     "--out", tmp_path / "o.json"]) == 2
+
+
+def _sample_example4(tmp_path, domain):
+    graph_path, sig_path = _write_example4_inputs(tmp_path)
+    assert run(
+        ["sample", graph_path, sig_path, "--domain", domain, "--band", "0,1",
+         "--delta", "0,1,0,1", "--basis", _bundled_basis_file(tmp_path),
+         "--out", tmp_path / "run"]
+    ) == 0
+    return tmp_path / "run.plan.json", tmp_path / "run.samples.json"
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _with_first_entry(value):
+    return lambda doc: {**doc, "S": [[value] + doc["S"][0][1:]] + doc["S"][1:]}
+
+
+_BROKEN_PLANS = {
+    "missing S": _without("S"),
+    "missing cond": _without("cond"),
+    "missing delta": _without("delta"),
+    "delta not 0/1": _with("delta", [0, 2, 0, 1]),
+    "delta count differs from band": _with("delta", [1, 1, 0, 1]),
+    "S of the wrong shape": _with("S", [[[1.0, 0.0], [2.0, 0.0]]]),
+    "entry not a pair": _with_first_entry([1.0]),
+    "entry not a number": _with_first_entry(["1.0", "0.0"]),
+    "non-finite entry": _with_first_entry([float("nan"), 0.0]),
+    "non-finite cond": _with("cond", float("inf")),
+    "not an object": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_PLANS))
+def test_recover_rejects_a_malformed_plan(tmp_path, capsys, case):
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    plan_path.write_text(json.dumps(_BROKEN_PLANS[case](json.loads(plan_path.read_text()))))
+    capsys.readouterr()
+    assert run(["recover", plan_path, samples_path, "--out", tmp_path / "rec.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", ["vertex", "spectral"])
+def test_recover_checks_the_plan_against_the_graph(tmp_path, capsys, domain):
+    plan_path, samples_path = _sample_example4(tmp_path, domain)
+    own = tmp_path / "g.json"
+    assert run(["recover", plan_path, samples_path, "--graph", own,
+                "--out", tmp_path / "rec.json"]) == 0
+    other = tmp_path / "ring.json"
+    write_graph(build(GraphKind.RING, 4), other)
+    capsys.readouterr()
+    assert run(["recover", plan_path, samples_path, "--graph", other,
+                "--out", tmp_path / "rec.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,19 +1,29 @@
+import os
+
 import numpy as np
 import pytest
 
 from gsptk import (
     BadSizeError,
+    BandSpec,
     Domain,
     Graph,
     GraphKind,
     GraphSignal,
     ParseError,
+    PolynomialFilter,
+    ShiftDomain,
     build,
+    bundled_basis,
+    save_basis,
+    vertex_plan,
     read_graph,
     read_signal,
     write_graph,
+    write_plan,
     write_signal,
 )
+from gsptk.filters import write_filter
 
 
 class TestBuild:
@@ -143,6 +153,33 @@ class TestSignalIO:
         path = tmp_path / "x.json"
         write_signal(sig, path)
         assert np.array_equal(read_signal(path).values, sig.values)
+
+
+def _example4_basis():
+    return bundled_basis("example4", build(GraphKind.EXAMPLE4, 4))
+
+
+_WRITERS = {
+    "plan": lambda path: write_plan(vertex_plan(_example4_basis(), BandSpec((0, 1))), path),
+    "filter": lambda path: write_filter(
+        PolynomialFilter(np.array([1.0, 2.0]), ShiftDomain.VERTEX_A), path
+    ),
+    "basis": lambda path: save_basis(_example4_basis(), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(b"previous contents\n")
+
+    def failing_fsync(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        _WRITERS[name](path)
+    assert path.read_bytes() == b"previous contents\n"
 
 
 class TestSignalType:

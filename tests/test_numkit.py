@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,19 @@ class TestSolve:
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
             solve(a, np.array([1.0, 0.0]))
+
+    def test_exactly_singular_reports_rank_without_a_warning(self):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=r"\(rank 2 of 3\)"):
+                solve(a, np.ones(3))
+
+    def test_pivot_cutoff_scales_with_the_matrix(self):
+        a = np.diag([1.0, 1e-11])
+        with pytest.raises(SingularMatrixError):
+            solve(a, np.ones(2))
+        assert np.allclose(solve(1e-12 * np.eye(2), np.ones(2)), 1e12)
 
     def test_matrix_rhs_inverts(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from gsptk import (
     Graph,
     GraphKind,
     GraphSignal,
+    InfeasibleError,
     NotBandlimitedError,
     SizeMismatchError,
     band_project,
@@ -291,6 +294,10 @@ class TestPlanEquivalent:
                 assert out["vertex_ok"] == out["spectral_ok"]
 
 
+def pairs(values):
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 class TestPlanIO:
     def test_vertex_roundtrip(self, tmp_path):
         _, basis = example4()
@@ -301,6 +308,8 @@ class TestPlanIO:
         assert back.domain is Domain.VERTEX
         assert np.array_equal(back.delta, plan.delta)
         assert back.free_idx == plan.free_idx
+        assert back.cond == plan.cond
+        assert np.array_equal(back.S, plan.S)
         rec = vertex_recover(back, np.array([0.93, -0.577]))
         assert np.max(np.abs(rec.values - X4)) < 5e-3
 
@@ -309,9 +318,35 @@ class TestPlanIO:
         plan = spectral_plan(basis, BandSpec((0, 1)), forced_delta=DELTA4)
         path = tmp_path / "plan.json"
         write_plan(plan, path)
+        assert sorted(json.loads(path.read_text())) == [
+            "S", "band", "cond", "delta", "domain", "version"
+        ]
         back = read_plan(path, g)
+        assert back.cond == plan.cond
+        assert np.array_equal(back.S, plan.S)
         rec = spectral_recover(back, np.array([0.93, -0.577]))
         assert np.max(np.abs(rec.values - X4)) < 5e-3
+
+    def test_reads_a_spectral_plan_without_version(self, tmp_path):
+        # the layout spectral plan files had before version 2
+        g, basis = example4()
+        plan = spectral_plan(basis, BandSpec((0, 1)), forced_delta=DELTA4)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "domain": "spectral",
+            "delta": DELTA4.tolist(),
+            "band": [0, 1],
+            "pmkk": pairs(plan.pmkk),
+            "selected_rows": list(plan.selected_rows),
+            "gft": pairs(basis.gft),
+            "lambda": pairs(basis.lam),
+        }))
+        for back in (read_plan(path), read_plan(path, g)):
+            assert back.domain is Domain.SPECTRAL
+            assert math.isnan(back.cond)
+            assert np.max(np.abs(back.S - plan.S)) < 1e-12
+            rec = spectral_recover(back, np.array([0.93, -0.577]))
+            assert np.max(np.abs(rec.values - X4)) < 5e-3
 
     def test_malformed_plan(self, tmp_path):
         from gsptk import ParseError
@@ -320,6 +355,16 @@ class TestPlanIO:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             read_plan(path)
+
+
+class TestInfeasible:
+    @pytest.mark.parametrize("plan_fn", [vertex_plan, spectral_plan])
+    def test_dependent_forced_delta(self, plan_fn):
+        # node 1 carries none of frequency 0, so sampling only it cannot recover the band
+        g = Graph(np.diag([1.0, 2.0, 3.0]))
+        basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
+        with pytest.raises(InfeasibleError):
+            plan_fn(basis, BandSpec((0,)), forced_delta=np.array([0, 1, 0]))
 
 
 class TestDomainAgreement:
