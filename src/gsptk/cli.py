@@ -10,16 +10,15 @@ write is atomic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dspcompat, filters, sampling, spectral
+from . import dspcompat, filters, graphs, sampling, spectral
 from .errors import GsptkError
-from .graphs import Domain, Graph, GraphKind, GraphSignal, _atomic_write, _fmt_complex, build, read_graph, read_signal, write_signal
+from .graphs import Domain, Graph, GraphKind, GraphSignal, _atomic_write, _fmt_complex, _pairs, build, read_graph, read_signal, write_signal
 from .impulses import ImpulseKind, impulse_family
 
 DEMO_NAMES = (
@@ -81,16 +80,8 @@ class Checks:
         return None
 
 
-def _cvec_doc(values) -> list:
-    return [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(values)]
-
-
-def _cmat_doc(m) -> list:
-    return [_cvec_doc(row) for row in np.asarray(m)]
-
-
 def _write_json(path: Path, doc) -> None:
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    graphs._write_json(path, doc, indent=1, sort_keys=True)
 
 
 def _write_panel(path: Path, values) -> None:
@@ -125,7 +116,7 @@ def _demo_ring_shift(out: Path, n: int, seed: int, tol: float) -> Checks:
     _write_panel(out / "shifted.csv", shifted)
     _write_json(
         out / "report.json",
-        {"n": n, "original": _cvec_doc(x), "shifted": _cvec_doc(shifted),
+        {"n": n, "original": _pairs(x), "shifted": _pairs(shifted),
          "assertions": checks.results},
     )
     return checks
@@ -146,7 +137,7 @@ def _demo_star_m(out: Path, n: int, seed: int, tol: float) -> Checks:
     _write_matrix_csv(out / "m_matrix.csv", m)
     _write_json(
         out / "report.json",
-        {"m": _cmat_doc(m), "reconstruction_error": float(recon),
+        {"m": _pairs(m), "reconstruction_error": float(recon),
          "assertions": checks.results},
     )
     return checks
@@ -170,11 +161,11 @@ def _demo_example4_vertex(out: Path, n: int, seed: int, tol: float) -> Checks:
         out / "report.json",
         {
             "delta": [int(v) for v in plan.delta],
-            "S": _cmat_doc(plan.S),
+            "S": _pairs(plan.S),
             "free_idx": list(plan.free_idx),
             "pivot_idx": list(plan.pivot_idx),
             "condition": plan.cond,
-            "recovered": _cvec_doc(recovered.values),
+            "recovered": _pairs(recovered.values),
             "assertions": checks.results,
         },
     )
@@ -202,10 +193,10 @@ def _demo_example4_spectral(out: Path, n: int, seed: int, tol: float) -> Checks:
         {
             "delta": [int(v) for v in plan.delta],
             "selected_rows": list(plan.selected_rows),
-            "pmkk": _cmat_doc(plan.pmkk),
-            "in_band_spectrum": _cvec_doc(xhat_k),
+            "pmkk": _pairs(plan.pmkk),
+            "in_band_spectrum": _pairs(xhat_k),
             "condition": plan.cond,
-            "recovered": _cvec_doc(recovered.values),
+            "recovered": _pairs(recovered.values),
             "assertions": checks.results,
         },
     )
@@ -267,10 +258,10 @@ def _demo_replication_compare(out: Path, n: int, seed: int, tol: float) -> Check
     _write_json(
         out / "report.json",
         {
-            "input_spectrum": _cvec_doc(xhat.values),
-            "freq_sampled": _cvec_doc(rep.freq_sampled),
-            "vertex_image_via_gft": _cvec_doc(rep.vertex_image_via_gft),
-            "vertex_image_via_dft": _cvec_doc(rep.vertex_image_via_dft),
+            "input_spectrum": _pairs(xhat.values),
+            "freq_sampled": _pairs(rep.freq_sampled),
+            "vertex_image_via_gft": _pairs(rep.vertex_image_via_gft),
+            "vertex_image_via_dft": _pairs(rep.vertex_image_via_dft),
             "zero_count": rep.zero_count,
             "assertions": checks.results,
         },
@@ -358,8 +349,8 @@ def _demo_convolution(out: Path, n: int, seed: int, tol: float) -> Checks:
     _write_json(
         out / "report.json",
         {
-            "vertex_result": _cvec_doc(vert.values),
-            "spectral_result": _cvec_doc(spec.values),
+            "vertex_result": _pairs(vert.values),
+            "spectral_result": _pairs(spec.values),
             "assertions": checks.results,
         },
     )

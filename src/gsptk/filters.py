@@ -12,17 +12,15 @@ the other.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import numkit
-from .errors import DimensionMismatchError, DomainMismatchError, SingularMatrixError
-from .graphs import Domain, Graph, GraphSignal, _atomic_write
+from .errors import DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
+from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
-from .spectral import SpectralBasis, spectral_shift
+from .spectral import SpectralBasis, _check_length, spectral_shift
 
 __all__ = [
     "ShiftDomain",
@@ -85,8 +83,7 @@ def apply_filter(
     else:
         x = signal.require(Domain.SPECTRAL)
         shift = spectral_shift(basis)
-    if x.shape[0] != shift.shape[0]:
-        raise DimensionMismatchError("signal length does not match the graph size")
+    _check_length(x, shift.shape[0])
     coeffs = filt.coeffs
     acc = coeffs[-1] * x
     for c in coeffs[-2::-1]:
@@ -186,6 +183,7 @@ def fit_filter(
     else:
         rhs = target.require(own)
         system = fam.D
+    _check_length(rhs, system.shape[0])
     if method is FitMethod.L1:
         if gamma is None:
             gamma = 1e-3 * float(np.max(np.abs(system.conj().T @ rhs)))
@@ -194,12 +192,12 @@ def fit_filter(
         try:
             coeffs = numkit.solve(system, rhs, tol)
         except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{exc}; {_diagnose(fam)}") from exc
+            raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
     domain = ShiftDomain.VERTEX_A if fits_vertex_shift else ShiftDomain.SPECTRAL_M
     return PolynomialFilter(coeffs, domain)
 
 
-def _diagnose(fam: ImpulseFamily) -> str:
+def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
     if fam.kind is ImpulseKind.VERTEX_IMPULSIVE:
         min_y0 = float(np.min(np.abs(fam.y0)))
         if min_y0 <= 1e-8:
@@ -207,7 +205,18 @@ def _diagnose(fam: ImpulseFamily) -> str:
                 "the first GFT column has (near-)zero entries "
                 f"(min |y0| = {min_y0:.2e}), which this impulse convention cannot tolerate"
             )
-    return "the shift appears to have repeated eigenvalues"
+    # D_hat = diag(D_hat[:, 0]) @ [lam_i ** k]: its second column over its first
+    # gives the frequencies (conjugated for the families of the spectral shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = fam.D_hat[:, 1] / fam.D_hat[:, 0]
+    gap = numkit._min_gap(lam)
+    if not gap > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
+        return "the shift appears to have repeated eigenvalues"
+    return (
+        f"the eigenvalues are distinct (smallest gap {gap:.2e}), but the impulse matrix "
+        f"has condition number {np.linalg.cond(system):.1e}: it is a Krylov (Vandermonde) "
+        "matrix in the frequencies, whose conditioning grows exponentially with N"
+    )
 
 
 def convolve(
@@ -243,14 +252,14 @@ def convolve(
 
 
 def write_filter(filt: PolynomialFilter, path) -> None:
-    doc = {
-        "shift_domain": filt.shift_domain.value,
-        "coeffs": [[float(z.real), float(z.imag)] for z in filt.coeffs],
-    }
-    _atomic_write(Path(path), json.dumps(doc) + "\n")
+    doc = {"shift_domain": filt.shift_domain.value, "coeffs": _pairs(filt.coeffs)}
+    _write_json(path, doc)
 
 
 def read_filter(path) -> PolynomialFilter:
-    doc = json.loads(Path(path).read_text())
-    coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-    return PolynomialFilter(coeffs, ShiftDomain(doc["shift_domain"]))
+    doc = _read_json(path, ("shift_domain", "coeffs"))
+    try:
+        shift_domain = ShiftDomain(doc["shift_domain"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return PolynomialFilter(_from_pairs(doc["coeffs"], (None,), f"{path}: coeffs"), shift_domain)

@@ -148,13 +148,10 @@ def write_graph(graph: Graph, path) -> None:
         ]
         _atomic_write(path, "\n".join(rows) + "\n")
         return
-    edges = [
-        [int(src), int(dst), float(np.real(w)), float(np.imag(w))]
-        for (dst, src), w in np.ndenumerate(graph.adjacency)
-        if w != 0
-    ]
-    edges.sort(key=lambda e: (e[0], e[1]))
-    _atomic_write(path, json.dumps({"n": graph.n, "edges": edges}, indent=1) + "\n")
+    dst, src = np.nonzero(graph.adjacency)
+    weights = _pairs(graph.adjacency[dst, src])
+    edges = sorted([int(s), int(d), *w] for s, d, w in zip(src, dst, weights))
+    _write_json(path, {"n": graph.n, "edges": edges}, indent=1)
 
 
 def read_graph(path) -> Graph:
@@ -162,25 +159,27 @@ def read_graph(path) -> Graph:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_graph_csv(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise ParseError(f"{path}: graph JSON needs 'n' and 'edges' keys")
-    n = doc["n"]
+    doc = _read_json(path, ("n", "edges"))
+    n, edges = doc["n"], doc["edges"]
     if not isinstance(n, int) or n <= 0:
         raise ParseError(f"{path}: 'n' must be a positive integer, got {n!r}")
-    a = np.zeros((n, n), dtype=np.complex128)
-    for i, edge in enumerate(doc["edges"]):
+    if not isinstance(edges, list):
+        raise ParseError(f"{path}: 'edges' must be a list of [src, dst, w_re, w_im]")
+    for i, edge in enumerate(edges):
         if not isinstance(edge, list) or len(edge) != 4:
             raise ParseError(f"{path}: edge {i} must be [src, dst, w_re, w_im]")
-        src, dst, w_re, w_im = edge
+        src, dst, _, _ = edge
         if not (isinstance(src, int) and isinstance(dst, int)):
             raise ParseError(f"{path}: edge {i}: endpoints must be integers")
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{path}: edge {i}: endpoint out of range 0..{n - 1}")
-        a[dst, src] = complex(w_re, w_im)
+    try:
+        table = np.array(edges).reshape(-1, 4)
+    except ValueError:  # a weight that is itself a list
+        raise ParseError(f"{path}: edge weights must be numbers") from None
+    weights = _from_pairs(table[:, 2:], (len(edges),), f"{path}: edge weights")
+    a = np.zeros((n, n), dtype=np.complex128)
+    a[table[:, 1].astype(np.intp), table[:, 0].astype(np.intp)] = weights
     return Graph(a)
 
 
@@ -206,36 +205,63 @@ def _read_graph_csv(path) -> Graph:
 
 
 def write_signal(signal: GraphSignal, path) -> None:
-    doc = {
-        "domain": signal.domain.value,
-        "values": [[float(z.real), float(z.imag)] for z in signal.values],
-    }
-    _atomic_write(Path(path), json.dumps(doc, indent=1) + "\n")
+    doc = {"domain": signal.domain.value, "values": _pairs(signal.values)}
+    _write_json(path, doc, indent=1)
 
 
 def read_signal(path) -> GraphSignal:
-    path = Path(path)
-    text = path.read_text()
-    if not text.strip():
-        raise ParseError(f"{path}: empty file")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "domain" not in doc or "values" not in doc:
-        raise ParseError(f"{path}: signal JSON needs 'domain' and 'values' keys")
+    doc = _read_json(path, ("domain", "values"))
     try:
         domain = Domain(doc["domain"])
-    except ValueError:
-        raise ParseError(
-            f"{path}: domain must be 'vertex' or 'spectral', got {doc['domain']!r}"
-        ) from None
-    values = []
-    for i, pair in enumerate(doc["values"]):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{path}: value {i} must be a [re, im] pair")
-        values.append(complex(pair[0], pair[1]))
-    return GraphSignal(np.array(values, dtype=np.complex128), domain)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return GraphSignal(_from_pairs(doc["values"], (None,), f"{path}: values"), domain)
+
+
+def _pairs(values) -> list:
+    """A complex array of any shape as nested lists of [re, im] pairs: the
+    layout every gsptk JSON file stores complex arrays in."""
+    v = np.asarray(values, dtype=np.complex128)
+    return np.stack((v.real, v.imag), -1).tolist()
+
+
+def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
+    """Decode ``_pairs`` output into a complex array of ``shape``.
+
+    A None in ``shape`` accepts any nonzero length on that axis. Raises
+    ParseError, naming ``what`` (the file and field), unless ``doc`` is a
+    rectangular array of finite [re, im] number pairs of that shape.
+    """
+    try:
+        pairs = np.array(doc)
+    except ValueError as exc:
+        raise ParseError(f"{what} is not a rectangular array: {exc}") from exc
+    if pairs.size == 0 and 0 in shape:  # an empty array is written as []
+        return np.zeros(shape, dtype=np.complex128)
+    want = tuple(got if s is None else s for s, got in zip(shape, pairs.shape)) + (2,)
+    if pairs.dtype.kind not in "iuf" or pairs.shape != want or not np.isfinite(pairs).all():
+        dims = " x ".join("N" if s is None else str(s) for s in shape)
+        raise ParseError(f"{what} must be an array of shape ({dims}) of finite [re, im] pairs")
+    # a view, not re + 1j * im, so that signed zeros survive the round trip
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _read_json(path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``; ParseError unless it has every key in ``keys``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or text
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ParseError(f"{path}: missing {', '.join(missing)}")
+    return doc
+
+
+def _write_json(path, doc, **options) -> None:
+    _atomic_write(Path(path), json.dumps(doc, **options) + "\n")
 
 
 def _atomic_write(path: Path, text: str) -> None:

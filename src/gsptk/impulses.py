@@ -126,12 +126,7 @@ def check_assumptions(basis: SpectralBasis, tol: float = 1e-8) -> AssumptionRepo
     y0_nonzero: every entry of the first GFT column exceeds the same cut.
     """
     lam = basis.lam
-    n = lam.shape[0]
-    if n >= 2:
-        diff = np.abs(lam[:, None] - lam[None, :])
-        min_gap = float(np.min(diff[~np.eye(n, dtype=bool)]))
-    else:
-        min_gap = float("inf")
+    min_gap = numkit._min_gap(lam)
     cut = tol * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     y0 = basis.gft[:, 0]
     min_abs_y0 = float(np.min(np.abs(y0)))

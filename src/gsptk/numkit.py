@@ -194,9 +194,13 @@ def eig(a, tol: float = 1e-9) -> EigPair:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e} * ||A||_inf"
         )
-    if n >= 2:
-        diff = np.abs(values[:, None] - values[None, :])
-        min_gap = float(np.min(diff[~np.eye(n, dtype=bool)]))
-    else:
-        min_gap = float("inf")
-    return EigPair(values, vectors, min_gap)
+    return EigPair(values, vectors, _min_gap(values))
+
+
+def _min_gap(values: np.ndarray) -> float:
+    """Smallest distance between two entries (inf for fewer than two)."""
+    n = values.shape[0]
+    if n < 2:
+        return float("inf")
+    diff = np.abs(values[:, None] - values[None, :])
+    return float(np.min(diff[~np.eye(n, dtype=bool)]))

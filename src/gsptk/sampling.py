@@ -25,10 +25,8 @@ accepted for reproducing published selections.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from .errors import (
     ReconstructionMismatchError,
     SizeMismatchError,
 )
-from .graphs import Domain, Graph, GraphSignal, _atomic_write
+from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -352,35 +350,16 @@ PLAN_VERSION = 2
 _INVARIANCE_TOL = 1e-8
 
 
-def _matrix_doc(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _matrix_from_doc(doc, rows: int, cols: int, what: str) -> np.ndarray:
-    """Parse a rows x cols matrix of [re, im] pairs, all finite."""
-    try:
-        pairs = np.array(doc)
-    except ValueError as exc:
-        raise ParseError(f"{what} is not a rectangular array: {exc}") from exc
-    if pairs.size == 0 and rows * cols == 0:
-        return np.zeros((rows, cols), dtype=np.complex128)
-    if pairs.shape != (rows, cols, 2) or pairs.dtype.kind not in "iuf":
-        raise ParseError(f"{what} must be a {rows} x {cols} array of [re, im] number pairs")
-    if not np.all(np.isfinite(pairs)):
-        raise ParseError(f"{what} has non-finite entries")
-    return pairs[..., 0] + 1j * pairs[..., 1]
-
-
 def write_plan(plan: SamplingPlan, path) -> None:
     doc = {
         "version": PLAN_VERSION,
         "domain": plan.domain.value,
         "delta": [int(v) for v in plan.delta],
         "band": list(plan.band.support),
-        "S": _matrix_doc(plan.S),
+        "S": _pairs(plan.S),
         "cond": plan.cond,
     }
-    _atomic_write(Path(path), json.dumps(doc) + "\n")
+    _write_json(path, doc)
 
 
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
@@ -393,20 +372,11 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     plan's recovery map is invariant under the graph's shift, as the span of
     the band's eigenvectors is.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a plan must be a JSON object")
+    doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
     if version not in (1, PLAN_VERSION):
         raise ParseError(f"{path}: unsupported plan version {version!r}")
-    old_spectral = version == 1 and doc.get("domain") == Domain.SPECTRAL.value
-    need = ("domain", "delta", "band", "gft" if old_spectral else "S")
-    missing = [key for key in need + (("cond",) if version != 1 else ()) if key not in doc]
-    if missing:
-        raise ParseError(f"{path}: plan is missing {', '.join(missing)}")
+    old_spectral = version == 1 and doc["domain"] == Domain.SPECTRAL.value
     try:
         domain = Domain(doc["domain"])
         band = BandSpec(tuple(doc["band"]))
@@ -419,16 +389,16 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     if band.support[-1] >= n:
         raise ParseError(f"{path}: band index {band.support[-1]} out of range for size {n}")
     if old_spectral:
-        gft = _matrix_from_doc(doc["gft"], n, n, f"{path}: gft")
+        gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
         s = _recovery_map(gft[list(band.complement(n)), :], delta)
     else:
-        s = _matrix_from_doc(doc["S"], n - k, k, f"{path}: S")
+        s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
     if version == 1:
         cond = float("nan")
-    elif isinstance(doc["cond"], (int, float)) and math.isfinite(doc["cond"]):
+    elif isinstance(doc.get("cond"), (int, float)) and math.isfinite(doc["cond"]):
         cond = float(doc["cond"])
     else:
-        raise ParseError(f"{path}: cond must be a finite number, got {doc['cond']!r}")
+        raise ParseError(f"{path}: cond must be a finite number, got {doc.get('cond')!r}")
     plan = SamplingPlan(domain, delta.astype(np.int64), band, s, cond)
     if graph is not None:
         _check_invariant(plan, graph, path)

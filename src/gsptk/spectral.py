@@ -16,10 +16,8 @@ eigenvectors.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .errors import (
     RepeatedEigenvaluesError,
     ZeroScaleError,
 )
-from .graphs import Domain, Graph, GraphSignal, _atomic_write
+from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 
 __all__ = [
     "BasisSource",
@@ -151,14 +149,22 @@ def basis_explicit(gft, lam, graph: Graph, tol: float = 1e-10) -> SpectralBasis:
 
 def gft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
     """Forward transform a vertex-domain signal into the spectral domain."""
-    x = signal.require(Domain.VERTEX)
+    x = _check_length(signal.require(Domain.VERTEX), basis.n)
     return GraphSignal(basis.gft @ x, Domain.SPECTRAL)
 
 
 def igft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
     """Inverse transform a spectral-domain signal back to the vertex domain."""
-    xhat = signal.require(Domain.SPECTRAL)
+    xhat = _check_length(signal.require(Domain.SPECTRAL), basis.n)
     return GraphSignal(basis.igft @ xhat, Domain.VERTEX)
+
+
+def _check_length(values: np.ndarray, n: int) -> np.ndarray:
+    if values.shape[0] != n:
+        raise DimensionMismatchError(
+            f"signal length {values.shape[0]} does not match the graph size {n}"
+        )
+    return values
 
 
 def spectral_shift(basis: SpectralBasis) -> np.ndarray:
@@ -218,18 +224,15 @@ def structural_equal(m1, m2, tol: float | None = None) -> bool:
 
 
 def save_basis(basis: SpectralBasis, path) -> None:
-    doc = {
-        "lambda": [[z.real, z.imag] for z in basis.lam],
-        "gft": [[[z.real, z.imag] for z in row] for row in basis.gft],
-    }
-    _atomic_write(Path(path), json.dumps(doc) + "\n")
+    doc = {"lambda": _pairs(basis.lam), "gft": _pairs(basis.gft)}
+    _write_json(path, doc)
 
 
 def load_basis(path, graph: Graph, tol: float = 1e-10) -> SpectralBasis:
     """Load an explicit-basis JSON file and validate it against ``graph``."""
-    doc = json.loads(Path(path).read_text())
-    lam = np.array([complex(re, im) for re, im in doc["lambda"]])
-    gft = np.array([[complex(re, im) for re, im in row] for row in doc["gft"]])
+    doc = _read_json(path, ("lambda", "gft"))
+    lam = _from_pairs(doc["lambda"], (None,), f"{path}: lambda")
+    gft = _from_pairs(doc["gft"], (None, None), f"{path}: gft")
     return basis_explicit(gft, lam, graph, tol)
 
 

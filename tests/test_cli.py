@@ -35,12 +35,16 @@ def test_demo_exit_code_via_subprocess(tmp_path):
     assert "all 4 assertions passed" in proc.stdout
 
 
-def test_demo_reports_are_deterministic(tmp_path):
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_reports_are_deterministic(tmp_path, name):
+    size = ["--n", "40"] if name == "path_signals" else []
     for d in ("a", "b"):
-        assert run(["--out-dir", tmp_path / d, "demo", "example4_spectral"]) == 0
-    assert (tmp_path / "a" / "example4_spectral" / "report.json").read_bytes() == (
-        tmp_path / "b" / "example4_spectral" / "report.json"
-    ).read_bytes()
+        assert run(["--out-dir", tmp_path / d, "demo", name] + size) == 0
+    first, second = tmp_path / "a" / name, tmp_path / "b" / name
+    files = sorted(p.name for p in first.iterdir())
+    assert "report.json" in files and files == sorted(p.name for p in second.iterdir())
+    for f in files:
+        assert (first / f).read_bytes() == (second / f).read_bytes(), f
 
 
 def test_plot_csv_format(tmp_path):
@@ -273,8 +277,18 @@ def _with(key, value):
     return lambda doc: {**doc, key: value}
 
 
-def _with_first_entry(value):
-    return lambda doc: {**doc, "S": [[value] + doc["S"][0][1:]] + doc["S"][1:]}
+def _replace(key, index, value):
+    """An edit that sets ``doc[key][index[0]][index[1]]...`` to ``value`` in a copy."""
+
+    def edit(doc):
+        doc = json.loads(json.dumps(doc))
+        node = doc[key]
+        for i in index[:-1]:
+            node = node[i]
+        node[index[-1]] = value
+        return doc
+
+    return edit
 
 
 _BROKEN_PLANS = {
@@ -284,9 +298,9 @@ _BROKEN_PLANS = {
     "delta not 0/1": _with("delta", [0, 2, 0, 1]),
     "delta count differs from band": _with("delta", [1, 1, 0, 1]),
     "S of the wrong shape": _with("S", [[[1.0, 0.0], [2.0, 0.0]]]),
-    "entry not a pair": _with_first_entry([1.0]),
-    "entry not a number": _with_first_entry(["1.0", "0.0"]),
-    "non-finite entry": _with_first_entry([float("nan"), 0.0]),
+    "entry not a pair": _replace("S", (0, 0), [1.0]),
+    "entry not a number": _replace("S", (0, 0), ["1.0", "0.0"]),
+    "non-finite entry": _replace("S", (0, 0), [float("nan"), 0.0]),
     "non-finite cond": _with("cond", float("inf")),
     "not an object": lambda doc: [doc],
 }
@@ -314,3 +328,61 @@ def test_recover_checks_the_plan_against_the_graph(tmp_path, capsys, domain):
     assert run(["recover", plan_path, samples_path, "--graph", other,
                 "--out", tmp_path / "rec.json"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# gft reads all three kinds of input; each edit breaks one of them
+_BROKEN_INPUTS = {
+    ("graph", "invalid JSON"): "{not json",
+    ("graph", "not an object"): lambda doc: [doc],
+    ("graph", "missing edges"): _without("edges"),
+    ("graph", "edges not a list"): _with("edges", 5),
+    ("graph", "edge not four entries"): _replace("edges", (0,), [0, 1, 1.0]),
+    ("graph", "non-numeric weight"): _replace("edges", (0, 2), "a"),
+    ("graph", "weight a list"): _replace("edges", (0, 2), [1.0]),
+    ("graph", "non-finite weight"): _replace("edges", (0, 3), float("inf")),
+    ("signal", "invalid JSON"): "",
+    ("signal", "not an object"): lambda doc: [doc],
+    ("signal", "missing values"): _without("values"),
+    ("signal", "values not a list"): _with("values", 3.0),
+    ("signal", "entry not a pair"): _replace("values", (0,), [1.0]),
+    ("signal", "non-numeric pair"): _replace("values", (0,), ["1.0", "0.0"]),
+    ("signal", "non-finite entry"): _replace("values", (0, 0), float("nan")),
+    ("signal", "values of the wrong shape"): _with("values", [[[1.0, 0.0]]] * 4),
+    ("basis", "invalid JSON"): '{"lambda": [[1.0, 0.0]',
+    ("basis", "not an object"): lambda doc: [doc],
+    ("basis", "missing gft"): _without("gft"),
+    ("basis", "entry not a pair"): _replace("gft", (0, 0), [1.0]),
+    ("basis", "non-numeric entry"): _replace("gft", (0, 0), ["1.0", "0.0"]),
+    ("basis", "non-finite entry"): _replace("lambda", (0, 1), float("nan")),
+    ("basis", "gft of the wrong shape"): lambda doc: {**doc, "gft": doc["gft"][:-1]},
+}
+
+
+@pytest.mark.parametrize("kind, case", sorted(_BROKEN_INPUTS))
+def test_gft_rejects_a_malformed_input(tmp_path, capsys, kind, case):
+    paths = dict(zip(("graph", "signal"), _write_example4_inputs(tmp_path)))
+    paths["basis"] = _bundled_basis_file(tmp_path)
+    edit = _BROKEN_INPUTS[kind, case]
+    path = paths[kind]
+    path.write_text(edit if isinstance(edit, str) else json.dumps(edit(json.loads(path.read_text()))))
+    assert run(["gft", paths["graph"], paths["signal"], "--basis", paths["basis"],
+                "--out", tmp_path / "xhat.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gft", "gft --inverse", "convolve"])
+def test_a_signal_of_the_wrong_length_is_an_error(tmp_path, capsys, command):
+    graph_path = tmp_path / "ring.json"
+    write_graph(build(GraphKind.RING, 4), graph_path)
+    domain = Domain.SPECTRAL if "--inverse" in command else Domain.VERTEX
+    full, short = tmp_path / "full.json", tmp_path / "short.json"
+    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), domain), full)
+    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0]), domain), short)
+    if command == "convolve":
+        args = ["convolve", graph_path, full, short, "--out", tmp_path / "conv"]
+    else:
+        args = command.split() + [graph_path, short, "--out", tmp_path / "out.json"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not match the graph size 4" in err

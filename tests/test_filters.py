@@ -8,6 +8,7 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     ImpulseKind,
+    ParseError,
     PolynomialFilter,
     ResponseDirection,
     ShiftDomain,
@@ -231,6 +232,26 @@ class TestFitFilter:
             fit_filter(vertex([1.0, 1.0, 1.0]), fam)
         assert "y0" in str(err.value)
 
+    @pytest.mark.parametrize("case", ["repeated", "distinct"])
+    def test_singular_fit_blames_repeated_eigenvalues_only_when_repeated(self, case):
+        if case == "repeated":
+            # star5 has the eigenvalue 0 three times
+            g = build(GraphKind.STAR, 5)
+            basis, kind = bundled_basis("star5", g), ImpulseKind.SPECTRAL_FLAT
+        else:
+            # smallest eigenvalue gap 0.32, min |y0| 0.18, cond(D) 4.0e15
+            g, basis = random_basis_graph(np.random.default_rng(16), 16, need_y0=True)
+            kind = ImpulseKind.VERTEX_IMPULSIVE
+        fam = impulse_family(g, basis, kind)
+        with pytest.raises(SingularMatrixError) as err:
+            fit_filter(GraphSignal(fam.D[:, -1], Domain.VERTEX), fam)
+        msg = str(err.value)
+        if case == "repeated":
+            assert "repeated eigenvalues" in msg
+        else:
+            assert "repeated" not in msg and "Krylov (Vandermonde)" in msg
+            assert "condition number 4.0e+15" in msg
+
     def test_l1_approaches_dense_solution(self):
         g, basis = ring4()
         fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
@@ -334,7 +355,24 @@ class TestDualities:
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 
+_BROKEN_FILTERS = {
+    "invalid JSON": "{not json",
+    "missing coeffs": '{"shift_domain": "A"}',
+    "unknown shift domain": '{"shift_domain": "B", "coeffs": [[1.0, 0.0]]}',
+    "non-numeric entry": '{"shift_domain": "A", "coeffs": [[1.0, "x"]]}',
+    "entries not pairs": '{"shift_domain": "A", "coeffs": [1.0, 0.0]}',
+    "no coefficients": '{"shift_domain": "A", "coeffs": []}',
+}
+
+
 class TestFilterIO:
+    @pytest.mark.parametrize("case", sorted(_BROKEN_FILTERS))
+    def test_malformed_file(self, tmp_path, case):
+        path = tmp_path / "f.json"
+        path.write_text(_BROKEN_FILTERS[case])
+        with pytest.raises(ParseError):
+            read_filter(path)
+
     def test_roundtrip(self, tmp_path):
         filt = PolynomialFilter([1.0, -2.0 + 0.5j], ShiftDomain.SPECTRAL_M)
         path = tmp_path / "f.json"
