@@ -11,6 +11,7 @@ from .errors import (
     DomainMismatchError,
     GsptkError,
     InfeasibleError,
+    NonFiniteError,
     NotBandlimitedError,
     NotConvergedError,
     NotDivisibleError,

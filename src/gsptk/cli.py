@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dspcompat, filters, graphs, sampling, spectral
-from .errors import GsptkError
+from .errors import GsptkError, SizeMismatchError
 from .graphs import Domain, Graph, GraphKind, GraphSignal, _atomic_write, _fmt_complex, _pairs, build, read_graph, read_signal, write_signal
 from .impulses import ImpulseKind, impulse_family
 
@@ -431,15 +431,19 @@ def _cmd_recover(args) -> int:
     graph = read_graph(args.graph) if args.graph else None
     plan = sampling.read_plan(args.plan, graph)
     x_s = read_signal(args.samples).values
+    truth = read_signal(args.truth).values if args.truth else None
+    if truth is not None and truth.shape[0] != plan.n:
+        raise SizeMismatchError(
+            f"truth signal has length {truth.shape[0]} but the plan has {plan.n} nodes"
+        )
     if plan.domain is Domain.VERTEX:
         recovered = sampling.vertex_recover(plan, x_s)
     else:
         recovered = sampling.spectral_recover(plan, x_s)
     write_signal(recovered, args.out)
     print(f"wrote {args.out}")
-    if args.truth:
-        truth = read_signal(args.truth)
-        resid = float(np.max(np.abs(recovered.values - truth.values)))
+    if truth is not None:
+        resid = float(np.max(np.abs(recovered.values - truth)))
         print(f"max residual vs truth: {resid:.6e}")
     return 0
 

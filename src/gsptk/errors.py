@@ -48,6 +48,10 @@ class DimensionMismatchError(GsptkError, ValueError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteError(GsptkError, ValueError):
+    """An array that must be finite holds a NaN or an infinity."""
+
+
 class NotBandlimitedError(GsptkError):
     """A spectral signal has out-of-band energy above the tolerance."""
 

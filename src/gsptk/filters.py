@@ -198,15 +198,18 @@ def fit_filter(
 
 
 def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
-    if fam.kind is ImpulseKind.VERTEX_IMPULSIVE:
-        min_y0 = float(np.min(np.abs(fam.y0)))
-        if min_y0 <= 1e-8:
-            return (
-                "the first GFT column has (near-)zero entries "
-                f"(min |y0| = {min_y0:.2e}), which this impulse convention cannot tolerate"
-            )
-    # D_hat = diag(D_hat[:, 0]) @ [lam_i ** k]: its second column over its first
-    # gives the frequencies (conjugated for the families of the spectral shift)
+    # D_hat = diag(D_hat[:, 0]) @ [lam_i ** k]. Its first column is gft[:, 0]
+    # (y0) for the vertex-impulsive family, igft[:, 0] for the spectral-domain
+    # impulsive one and flat for the other two; its second column over its
+    # first gives the frequencies (conjugated for the families of M)
+    min_first = float(np.min(np.abs(fam.D_hat[:, 0])))
+    if min_first <= 1e-8:
+        vertex = fam.kind.lives_in_vertex_domain
+        column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
+        return (
+            f"the first {column} column has (near-)zero entries "
+            f"(min |{name}| = {min_first:.2e}), which this impulse convention cannot tolerate"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = fam.D_hat[:, 1] / fam.D_hat[:, 0]
     gap = numkit._min_gap(lam)

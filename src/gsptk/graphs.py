@@ -7,6 +7,7 @@ of node i. On the directed cycle this shifts sample ``x[n]`` to node ``n+1``.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
 import os
@@ -132,11 +133,14 @@ def _fmt_complex(z: complex) -> str:
 
 def _parse_complex(token: str, path, line_no: int, field: int) -> complex:
     try:
-        return complex(token.strip())
+        z = complex(token.strip())
+        if cmath.isfinite(z):
+            return z
     except ValueError:
-        raise ParseError(
-            f"{path}: line {line_no}, field {field}: cannot parse complex value {token!r}"
-        ) from None
+        pass
+    raise ParseError(
+        f"{path}: line {line_no}, field {field}: cannot parse finite complex value {token!r}"
+    )
 
 
 def write_graph(graph: Graph, path) -> None:

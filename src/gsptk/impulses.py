@@ -88,22 +88,23 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
     e0 = np.zeros(n, dtype=np.complex128)
     e0[0] = 1.0
     flat = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
-    if kind is ImpulseKind.VERTEX_IMPULSIVE:
-        d = _shift_stack(graph.adjacency, e0)
-        d_hat = basis.gft @ d
-    elif kind is ImpulseKind.SPECTRAL_FLAT:
-        # column k is (1/sqrt(N)) * igft @ lam^k, equal to repeated A-shifts
-        powers = basis.lam[:, None] ** np.arange(n)[None, :]
-        d = basis.igft @ powers / np.sqrt(n)
-        d_hat = basis.gft @ d
-    elif kind is ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE:
-        d = _shift_stack(spectral_shift(basis), e0)
-        d_hat = basis.igft @ d
-    elif kind is ImpulseKind.SPECTRAL_DOMAIN_FLAT:
-        d = _shift_stack(spectral_shift(basis), basis.gft @ flat)
-        d_hat = basis.igft @ d
-    else:  # pragma: no cover
-        raise ValueError(f"unknown impulse kind {kind!r}")
+    # powers of a shift whose spectral radius exceeds 1 overflow on large
+    # graphs; as_cmatrix turns that into a typed error naming D
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is ImpulseKind.VERTEX_IMPULSIVE:
+            d = _shift_stack(graph.adjacency, e0)
+        elif kind is ImpulseKind.SPECTRAL_FLAT:
+            # column k is (1/sqrt(N)) * igft @ lam^k, equal to repeated A-shifts
+            powers = basis.lam[:, None] ** np.arange(n)[None, :]
+            d = basis.igft @ powers / np.sqrt(n)
+        elif kind is ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE:
+            d = _shift_stack(spectral_shift(basis), e0)
+        elif kind is ImpulseKind.SPECTRAL_DOMAIN_FLAT:
+            d = _shift_stack(spectral_shift(basis), basis.gft @ flat)
+        else:  # pragma: no cover
+            raise ValueError(f"unknown impulse kind {kind!r}")
+    d = numkit.as_cmatrix(d, "impulse matrix")
+    d_hat = (basis.gft if kind.lives_in_vertex_domain else basis.igft) @ d
     return ImpulseFamily(kind, d, d_hat, basis.gft[:, 0].copy())
 
 

@@ -1,13 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (bases, filters, sampling plans) reduces to three
-operations on dense complex matrices: Gauss-Jordan row reduction with
-pivot/free-column tracking, linear solves, and a full eigendecomposition of
-a general (non-symmetric, possibly complex) square matrix.
+operations on dense complex matrices: the pivot pattern of Gauss
+elimination, linear solves, and a full eigendecomposition of a general
+(non-symmetric, possibly complex) square matrix.
 
-Row reduction is kept for callers whose result is the pivot pattern itself
+Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
-the lowest row index, so reductions are reproducible bit-for-bit on
+the lowest row index, so pivot patterns are reproducible bit-for-bit on
 identical inputs. Solves, whose result is only the solution, use LAPACK's
 partially pivoted LU. Both treat a pivot as zero when its magnitude is at or
 below ``tol * max(|initial entries|)``.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotConvergedError, SingularMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, NotConvergedError, SingularMatrixError
 
 __all__ = [
     "RowReduction",
@@ -38,31 +38,29 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and copy an array-like into a finite complex128 2-D array."""
     m = np.array(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+        raise DimensionMismatchError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 
 def as_cvector(v, name: str = "vector") -> np.ndarray:
     m = np.array(v, dtype=np.complex128)
     if m.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {m.shape}")
+        raise DimensionMismatchError(f"{name} must be 1-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 
 @dataclass(frozen=True)
 class RowReduction:
-    """Reduced row echelon form plus the pivot/free column bookkeeping.
+    """The pivot pattern of Gauss elimination.
 
     ``pivot_cols`` and ``free_cols`` are ascending and partition the column
-    index set; ``rank == len(pivot_cols)``. Each pivot column of ``rref`` is
-    exactly a distinct unit vector.
+    index set; ``rank == len(pivot_cols)``.
     """
 
-    rref: np.ndarray
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
     rank: int
@@ -83,12 +81,14 @@ class EigPair:
 
 
 def row_reduce(a, tol: float = 1e-10) -> RowReduction:
-    """Gauss-Jordan elimination to reduced row echelon form.
+    """Forward Gauss elimination, keeping only the pivot pattern.
 
     Partial pivoting by largest magnitude (ties to the lowest row index);
     a candidate pivot with magnitude <= tol * max(|initial entries|) is
     treated as zero and its column becomes free. A zero (or empty) matrix
-    has rank 0 with every column free.
+    has rank 0 with every column free. Only the block below and right of
+    each pivot is eliminated: the rows above a pivot are never searched
+    again, so they cannot change the pattern.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -106,18 +106,13 @@ def row_reduce(a, tol: float = 1e-10) -> RowReduction:
             continue
         piv = row + local
         if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] / r[row, col]
-        others = np.arange(m) != row
-        r[others] -= np.outer(r[others, col], r[row])
-        # force the pivot column to an exact unit vector
-        r[:, col] = 0.0
-        r[row, col] = 1.0
+            r[[row, piv], col:] = r[[piv, row], col:]
+        r[row + 1:, col + 1:] -= np.outer(r[row + 1:, col], r[row, col + 1:] / r[row, col])
         pivot_cols.append(col)
         row += 1
     pivots = set(pivot_cols)
     free_cols = tuple(c for c in range(n) if c not in pivots)
-    return RowReduction(r, tuple(pivot_cols), free_cols, len(pivot_cols))
+    return RowReduction(tuple(pivot_cols), free_cols, len(pivot_cols))
 
 
 def solve(a, b, tol: float = 1e-10):

@@ -3,9 +3,9 @@
 Two routes choose a sampling set for a signal whose spectrum is supported
 on a band of K indices.
 
-Vertex route: the out-of-band rows of the GFT annihilate the signal; Gauss-
-Jordan elimination of that (N-K) x N block designates K free variables (the
-sampling set).
+Vertex route: the out-of-band rows of the GFT annihilate the signal; the
+pivot pattern of Gauss elimination of that (N-K) x N block designates K free
+variables (the sampling set).
 
 Spectral route: sampling in the vertex domain is spectral filtering by
 P(M) = gft diag(delta) igft. Choosing K linearly independent rows of the
@@ -172,7 +172,7 @@ def vertex_plan(
 ) -> SamplingPlan:
     """Choose a vertex-domain sampling set and its pivot-from-free map.
 
-    Row reduces the out-of-band GFT rows; the free columns become the
+    Eliminates the out-of-band GFT rows; the free columns become the
     sampling set and ``S`` reads off each pivot variable as a combination of
     free variables. With a full band (K = N) every node is kept and ``S`` is
     empty. A forced indicator is honored when its complement indexes an

@@ -5,6 +5,7 @@ import pytest
 
 from gsptk import Domain, GraphKind, GraphSignal, build, read_signal, write_graph, write_signal
 from gsptk.cli import DEMO_NAMES, main
+from util import er_digraph
 
 
 def run(args):
@@ -23,13 +24,21 @@ def test_every_demo_passes(tmp_path, name):
 
 def test_demo_exit_code_via_subprocess(tmp_path):
     # the exit-code contract through a real shell-out, not an in-process call
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import gsptk
+
+    # the child imports the same gsptk as this process, installed or not
+    src = str(Path(gsptk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "gsptk.cli", "--out-dir", str(tmp_path), "demo", "convolution"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "all 4 assertions passed" in proc.stdout
@@ -386,3 +395,26 @@ def test_a_signal_of_the_wrong_length_is_an_error(tmp_path, capsys, command):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "does not match the graph size 4" in err
+
+
+def test_recover_checks_the_truth_length_before_writing(tmp_path, capsys):
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    truth, out = tmp_path / "short.json", tmp_path / "rec.json"
+    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0]), Domain.VERTEX), truth)
+    capsys.readouterr()
+    assert run(["recover", plan_path, samples_path, "--truth", truth, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truth signal has length 3" in err
+    assert not out.exists()
+
+
+def test_convolve_names_an_overflowing_impulse_matrix(tmp_path, capsys):
+    # the powers of this adjacency (spectral radius about 220) overflow
+    graph_path, x_path = tmp_path / "g.json", tmp_path / "x.json"
+    write_graph(er_digraph(np.random.default_rng(1), 400), graph_path)
+    write_signal(GraphSignal(np.random.default_rng(2).normal(size=400), Domain.VERTEX), x_path)
+    out = tmp_path / "conv"
+    assert run(["convolve", graph_path, x_path, x_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "impulse matrix contains non-finite entries" in err
+    assert not out.with_suffix(".signal.json").exists()

@@ -225,12 +225,18 @@ class TestFitFilter:
         assert np.max(np.abs(dense.coeffs - spectral_fit.coeffs)) < 1e-6
 
     def test_singular_fit_names_the_broken_assumption(self):
+        # distinct frequencies, but gft[:, 0] = igft[:, 0] = e_0 has zeros
         g = Graph(np.diag([1.0, 2.0, 3.0]))
         basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        with pytest.raises(SingularMatrixError) as err:
-            fit_filter(vertex([1.0, 1.0, 1.0]), fam)
-        assert "y0" in str(err.value)
+        for kind, domain, column in (
+            (ImpulseKind.VERTEX_IMPULSIVE, Domain.VERTEX, "y0"),
+            (ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE, Domain.SPECTRAL, "igft[:, 0]"),
+        ):
+            fam = impulse_family(g, basis, kind)
+            with pytest.raises(SingularMatrixError) as err:
+                fit_filter(GraphSignal(np.ones(3), domain), fam)
+            msg = str(err.value)
+            assert f"min |{column}| = 0.00e+00" in msg and "repeated" not in msg
 
     @pytest.mark.parametrize("case", ["repeated", "distinct"])
     def test_singular_fit_blames_repeated_eigenvalues_only_when_repeated(self, case):

@@ -115,10 +115,11 @@ class TestGraphIO:
 
     def test_bad_token_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("0,xyz\n1,0\n")
-        with pytest.raises(ParseError) as err:
-            read_graph(path)
-        assert "field 2" in str(err.value)
+        for token in ("xyz", "nan", "inf", "1-infj"):
+            path.write_text(f"0,{token}\n1,0\n")
+            with pytest.raises(ParseError) as err:
+                read_graph(path)
+            assert "line 1, field 2" in str(err.value)
 
 
 class TestSignalIO:

@@ -3,8 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gsptk import SingularMatrixError, build, GraphKind, bundled_basis
-from gsptk.numkit import eig, row_reduce, solve
+from gsptk import (
+    DimensionMismatchError,
+    GraphKind,
+    NonFiniteError,
+    SingularMatrixError,
+    build,
+    bundled_basis,
+)
+from gsptk.numkit import as_cmatrix, as_cvector, eig, row_reduce, solve
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -15,34 +22,50 @@ def _example4_out_rows():
     return basis.gft[2:, :]
 
 
+def _planted(rng, m, n):
+    """A complex m x n matrix whose columns are, at random, fresh, zero, or
+    combinations of earlier columns (dependent on their prefix)."""
+    a = np.zeros((m, n), dtype=np.complex128)
+    for j in range(n):
+        u = rng.random()
+        if j and u < 0.4:
+            a[:, j] = a[:, :j] @ (rng.normal(size=j) + 1j * rng.normal(size=j))
+        elif u < 0.9:
+            a[:, j] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return a
+
+
 class TestRowReduce:
     def test_showcase_out_of_band_rows(self):
+        # the published reduced block [I | -S] is pinned through plan.S
+        # (tests/test_acceptance.py and S4 in tests/test_sampling.py)
         red = row_reduce(_example4_out_rows())
-        expected = np.array([[1, 1, 0, -1.839], [0, 0, 1, -0.544]])
         assert red.pivot_cols == (0, 2)
         assert red.free_cols == (1, 3)
         assert red.rank == 2
-        assert np.max(np.abs(red.rref - expected)) < 5e-3
 
     def test_identity(self):
         red = row_reduce(np.eye(3))
-        assert np.array_equal(red.rref, np.eye(3))
         assert red.pivot_cols == (0, 1, 2)
         assert red.free_cols == ()
+        assert red.rank == 3
 
     def test_zero_row(self):
         red = row_reduce(np.zeros((1, 3)))
         assert red.rank == 0
         assert red.free_cols == (0, 1, 2)
 
-    def test_pivot_columns_are_unit_vectors(self):
+    def test_pivot_columns_are_where_the_prefix_rank_grows(self):
         rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-        red = row_reduce(m)
-        for r, c in enumerate(red.pivot_cols):
-            col = np.zeros(3)
-            col[r] = 1.0
-            assert np.array_equal(red.rref[:, c], col)
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(1, 13, size=2))
+            a = _planted(rng, m, n)
+            ranks = [np.linalg.matrix_rank(a[:, : j + 1]) for j in range(n)]
+            grows = tuple(j for j in range(n) if ranks[j] > (ranks[j - 1] if j else 0))
+            red = row_reduce(a)
+            assert red.pivot_cols == grows
+            assert red.free_cols == tuple(j for j in range(n) if j not in grows)
+            assert red.rank == ranks[-1]
 
     def test_random_invertible_has_no_free_columns(self):
         rng = np.random.default_rng(11)
@@ -60,13 +83,24 @@ class TestRowReduce:
         m = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
         first = row_reduce(m.copy())
         second = row_reduce(m.copy())
-        assert first.pivot_cols == second.pivot_cols
-        assert first.free_cols == second.free_cols
-        assert first.rref.tobytes() == second.rref.tobytes()
+        assert first == second
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             row_reduce(np.array([[np.nan, 1.0]]))
+
+
+def test_validation_errors_are_typed_value_errors():
+    with pytest.raises(NonFiniteError, match="impulse matrix contains non-finite"):
+        as_cmatrix([[1.0, np.inf]], "impulse matrix")
+    with pytest.raises(NonFiniteError, match="lam contains non-finite"):
+        as_cvector([complex(0.0, -np.inf), 1.0], "lam")
+    with pytest.raises(DimensionMismatchError, match="must be 2-D"):
+        as_cmatrix(np.ones(3))
+    with pytest.raises(DimensionMismatchError, match="must be 1-D"):
+        as_cvector(np.ones((2, 2)))
+    assert issubclass(NonFiniteError, ValueError)
+    assert issubclass(DimensionMismatchError, ValueError)
 
 
 class TestSolve:
