@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dspcompat, filters, graphs, sampling, spectral
-from .errors import GsptkError, SizeMismatchError
+from . import dspcompat, filters, graphs, numkit, sampling, spectral
+from .errors import BadSizeError, GsptkError, SizeMismatchError
 from .graphs import Domain, Graph, GraphKind, GraphSignal, _atomic_write, _fmt_complex, _pairs, build, read_graph, read_signal, write_signal
 from .impulses import ImpulseKind, impulse_family
 
@@ -105,7 +105,7 @@ def _example4() -> tuple[Graph, spectral.SpectralBasis]:
 # demos
 
 
-def _demo_ring_shift(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_ring_shift(out: Path, n: int, seed: int) -> Checks:
     n = n or 4
     graph = build(GraphKind.RING, n)
     x = np.arange(1, n + 1, dtype=np.complex128)
@@ -122,7 +122,7 @@ def _demo_ring_shift(out: Path, n: int, seed: int, tol: float) -> Checks:
     return checks
 
 
-def _demo_star_m(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_star_m(out: Path, n: int, seed: int) -> Checks:
     graph = build(GraphKind.STAR, 5)
     basis = spectral.bundled_basis("star5", graph)
     m = spectral.spectral_shift(basis)
@@ -143,7 +143,7 @@ def _demo_star_m(out: Path, n: int, seed: int, tol: float) -> Checks:
     return checks
 
 
-def _demo_example4_vertex(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_example4_vertex(out: Path, n: int, seed: int) -> Checks:
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.vertex_plan(basis, band)
@@ -172,7 +172,7 @@ def _demo_example4_vertex(out: Path, n: int, seed: int, tol: float) -> Checks:
     return checks
 
 
-def _demo_example4_spectral(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_example4_spectral(out: Path, n: int, seed: int) -> Checks:
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.spectral_plan(basis, band, forced_delta=_REF4_DELTA)
@@ -203,8 +203,10 @@ def _demo_example4_spectral(out: Path, n: int, seed: int, tol: float) -> Checks:
     return checks
 
 
-def _demo_dsp_block_sampling(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_dsp_block_sampling(out: Path, n: int, seed: int) -> Checks:
     n = n or 12
+    if n < 1:
+        raise BadSizeError(f"dsp_block_sampling needs n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     checks = Checks()
     divisors = [k for k in range(1, n + 1) if n % k == 0]
@@ -227,7 +229,7 @@ def _demo_dsp_block_sampling(out: Path, n: int, seed: int, tol: float) -> Checks
     return checks
 
 
-def _demo_replication_compare(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_replication_compare(out: Path, n: int, seed: int) -> Checks:
     graph, basis = _example4()
     xhat = GraphSignal(np.array([1.0, 2.0, 0.0, 0.0]), Domain.SPECTRAL)
     rep = dspcompat.replication_compare(basis, xhat, 2)
@@ -269,7 +271,7 @@ def _demo_replication_compare(out: Path, n: int, seed: int, tol: float) -> Check
     return checks
 
 
-def _demo_path_signals(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_path_signals(out: Path, n: int, seed: int) -> Checks:
     n = n or 100
     if n % 2:
         raise GsptkError("path demo needs an even node count")
@@ -309,7 +311,7 @@ def _demo_path_signals(out: Path, n: int, seed: int, tol: float) -> Checks:
     return checks
 
 
-def _demo_convolution(out: Path, n: int, seed: int, tol: float) -> Checks:
+def _demo_convolution(out: Path, n: int, seed: int) -> Checks:
     n = 4
     graph = build(GraphKind.RING, n)
     basis = dspcompat.dft_basis(n)
@@ -410,8 +412,7 @@ def _cmd_sample(args) -> int:
     else:
         x = signal
         xhat = spectral.gft_apply(basis, signal)
-    # bandlimitedness guard scaled for reference data stored at print precision
-    band_tol = max(args.tol, 5e-3 * float(np.max(np.abs(xhat.values))))
+    band_tol = max(args.tol, numkit.BAND_GUARD_REL * float(np.max(np.abs(xhat.values))))
     sampling.band_project(xhat, band, tol=band_tol)
     forced = _parse_delta(args.delta, graph.n) if args.delta else None
     if args.domain == "vertex":
@@ -430,8 +431,8 @@ def _cmd_sample(args) -> int:
 def _cmd_recover(args) -> int:
     graph = read_graph(args.graph) if args.graph else None
     plan = sampling.read_plan(args.plan, graph)
-    x_s = read_signal(args.samples).values
-    truth = read_signal(args.truth).values if args.truth else None
+    x_s = read_signal(args.samples).require(Domain.VERTEX)
+    truth = read_signal(args.truth).require(Domain.VERTEX) if args.truth else None
     if truth is not None and truth.shape[0] != plan.n:
         raise SizeMismatchError(
             f"truth signal has length {truth.shape[0]} but the plan has {plan.n} nodes"
@@ -505,7 +506,7 @@ def _cmd_demo(args) -> int:
     name = args.name
     out = out_root / name
     out.mkdir(parents=True, exist_ok=True)
-    checks = _DEMOS[name](out, args.n, args.seed, args.tol)
+    checks = _DEMOS[name](out, args.n, args.seed)
     for r in checks.results:
         state = "PASS" if r["passed"] else "FAIL"
         print(f"[{state}] {name}: {r['name']}")
@@ -522,7 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gsptk",
         description="Graph signal processing toolkit: transforms, filters, sampling.",
     )
-    parser.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=numkit.CLI_TOL,
+        help="eigenvalue-gap cut of a computed basis and floor of the sample band guard",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     parser.add_argument(
         "--out-dir",

@@ -52,17 +52,17 @@ class RingShiftReport:
     variant_is_transpose: bool
 
 
-def verify_ring(n: int, tol: float = 1e-10) -> RingShiftReport:
+def verify_ring(n: int) -> RingShiftReport:
     """Check that on the cycle the spectral shift equals the adjacency and
     the non-conjugated variant equals its transpose (the reversed cycle)."""
     a = build(GraphKind.RING, n).adjacency
     basis = dft_basis(n)
     m_dev = float(np.max(np.abs(spectral_shift(basis) - a)))
     var_dev = float(np.max(np.abs(spectral_shift_variant(basis) - a.T)))
-    return RingShiftReport(m_dev, var_dev, var_dev <= tol)
+    return RingShiftReport(m_dev, var_dev, var_dev <= numkit.CLOSED_FORM_TOL)
 
 
-def dsp_sampling_operator(n: int, k: int, tol: float = 1e-10) -> np.ndarray:
+def dsp_sampling_operator(n: int, k: int) -> np.ndarray:
     """P(M) of the even k-of-n delta train, verified against its closed form.
 
     The train keeps every (n/k)-th node. The resulting operator is
@@ -77,7 +77,7 @@ def dsp_sampling_operator(n: int, k: int, tol: float = 1e-10) -> np.ndarray:
     pm = basis.gft @ (delta[:, None] * basis.igft)
     blocks = (k / n) * np.kron(np.ones((n // k, n // k)), np.eye(k))
     dev = float(np.max(np.abs(pm - blocks)))
-    if dev > tol:
+    if dev > numkit.CLOSED_FORM_TOL:
         raise AssertionError(
             f"even-train operator deviates from its block form by {dev:.3e}"
         )
@@ -129,7 +129,7 @@ def replication_compare(
     blocks, no decimation) tiles the leading n/factor spectral entries. Its
     inverse DFT is a genuinely decimated time signal; its inverse GFT on a
     non-cycle graph generally has no zeros at all, which ``zero_count``
-    (entries below 1e-6 of the peak) makes visible.
+    (entries below ``numkit.REPLICATION_ZERO_TOL`` of the peak) makes visible.
     """
     vec = xhat.require(Domain.SPECTRAL)
     n = vec.shape[0]
@@ -140,5 +140,5 @@ def replication_compare(
     via_gft = basis.igft @ replicated
     via_dft = dft_basis(n).igft @ replicated
     peak = max(float(np.max(np.abs(via_gft))), np.finfo(float).tiny)
-    zero_count = int(np.sum(np.abs(via_gft) < 1e-6 * peak))
+    zero_count = int(np.sum(np.abs(via_gft) < numkit.REPLICATION_ZERO_TOL * peak))
     return ReplicationReport(replicated, via_gft, via_dft, zero_count)

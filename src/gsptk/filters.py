@@ -133,8 +133,7 @@ def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:
     return GraphSignal(a.values * b.values, a.domain)
 
 
-def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000,
-          stop: float = 1e-10) -> np.ndarray:
+def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -> np.ndarray:
     """Proximal gradient for min_z ||y - D z||_2^2 + gamma * |z|_1.
 
     Runs on the equivalent scaled objective (1/2)||y - D z||^2 + (gamma/2)|z|_1
@@ -149,7 +148,7 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000,
         mag = np.abs(w)
         shrink = np.maximum(mag - thresh, 0.0)
         z_new = w * (shrink / np.maximum(mag, np.finfo(float).tiny))
-        if np.max(np.abs(z_new - z)) < stop:
+        if np.max(np.abs(z_new - z)) < numkit.ISTA_STOP:
             return z_new
         z = z_new
     return z
@@ -164,7 +163,6 @@ def fit_filter(
     fam: ImpulseFamily,
     method: FitMethod = FitMethod.DENSE,
     gamma: float | None = None,
-    tol: float = 1e-10,
 ) -> PolynomialFilter:
     """Fit polynomial coefficients whose impulse response is ``target``.
 
@@ -190,7 +188,7 @@ def fit_filter(
         coeffs = _ista(system, rhs, gamma)
     else:
         try:
-            coeffs = numkit.solve(system, rhs, tol)
+            coeffs = numkit.solve(system, rhs)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
     domain = ShiftDomain.VERTEX_A if fits_vertex_shift else ShiftDomain.SPECTRAL_M
@@ -203,7 +201,7 @@ def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
     # impulsive one and flat for the other two; its second column over its
     # first gives the frequencies (conjugated for the families of M)
     min_first = float(np.min(np.abs(fam.D_hat[:, 0])))
-    if min_first <= 1e-8:
+    if min_first <= numkit.FIRST_COLUMN_TOL:
         vertex = fam.kind.lives_in_vertex_domain
         column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
         return (
@@ -213,7 +211,7 @@ def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = fam.D_hat[:, 1] / fam.D_hat[:, 0]
     gap = numkit._min_gap(lam)
-    if not gap > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
+    if not gap > numkit._gap_cut(lam):
         return "the shift appears to have repeated eigenvalues"
     return (
         f"the eigenvalues are distinct (smallest gap {gap:.2e}), but the impulse matrix "

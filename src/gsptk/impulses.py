@@ -120,15 +120,15 @@ def vandermonde(lam) -> np.ndarray:
     return (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
 
 
-def check_assumptions(basis: SpectralBasis, tol: float = 1e-8) -> AssumptionReport:
+def check_assumptions(basis: SpectralBasis) -> AssumptionReport:
     """Report whether the two invertibility assumptions hold for ``basis``.
 
-    distinct: all eigenvalue gaps exceed tol * max(1, |lam|_max);
+    distinct: all eigenvalue gaps exceed numkit.GAP_TOL * max(1, |lam|_max);
     y0_nonzero: every entry of the first GFT column exceeds the same cut.
     """
     lam = basis.lam
     min_gap = numkit._min_gap(lam)
-    cut = tol * max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    cut = numkit._gap_cut(lam)
     y0 = basis.gft[:, 0]
     min_abs_y0 = float(np.min(np.abs(y0)))
     return AssumptionReport(

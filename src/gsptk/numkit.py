@@ -10,7 +10,10 @@ Elimination is kept for callers whose result is the pivot pattern itself
 the lowest row index, so pivot patterns are reproducible bit-for-bit on
 identical inputs. Solves, whose result is only the solution, use LAPACK's
 partially pivoted LU. Both treat a pivot as zero when its magnitude is at or
-below ``tol * max(|initial entries|)``.
+below ``PIVOT_TOL * max(|initial entries|)``.
+
+Every tolerance the library and the CLI commands apply is stated once, in
+the table below; the demos' own assertion tolerances stay with the demos.
 """
 
 from __future__ import annotations
@@ -22,6 +25,49 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, NonFiniteError, NotConvergedError, SingularMatrixError
+
+# ---------------------------------------------------------------------------
+# tolerances: each names the quantity it cuts and the scale it multiplies
+
+# row_reduce, solve: a pivot is zero at or below PIVOT_TOL * max|a|
+PIVOT_TOL = 1e-10
+# eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
+EIG_RESIDUAL_TOL = 1e-9
+# distinct frequencies: every eigenvalue gap exceeds GAP_TOL * max(1, max|lam|)
+# (``_gap_cut``); the default of basis_from_graph, the cut of check_assumptions
+# (which also holds |y0| to it) and of the fit_filter diagnosis
+GAP_TOL = 1e-8
+# eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
+LEAD_TOL = 1e-8
+# computed bases: max|gft @ igft - I| <= IDENTITY_TOL, and the shift is
+# reconstructed to IDENTITY_TOL * max(1, max|A|)
+IDENTITY_TOL = 1e-8
+# explicit bases: the shift is reconstructed to EXPLICIT_RECON_TOL * max|A|
+EXPLICIT_RECON_TOL = 1e-6
+# read_plan with a graph: the recovery map R = [I; S] (scattered to N x K) has
+# an A-invariant range, ||A R - R (A R)[kept]||_inf <= INVARIANCE_TOL *
+# ||A||_inf * ||R||_inf
+INVARIANCE_TOL = 1e-8
+# band_project default: out-of-band magnitudes must not exceed BAND_TOL (absolute)
+BAND_TOL = 1e-8
+# cli sample: the band guard is max(--tol, BAND_GUARD_REL * max|xhat|), loose
+# enough for reference data stored at print precision
+BAND_GUARD_REL = 5e-3
+# cli: the default of --tol, the gap cut of a computed basis and the floor of
+# the sample band guard
+CLI_TOL = 1e-10
+# fit_filter diagnosis: min|D_hat[:, 0]| at or below FIRST_COLUMN_TOL (absolute)
+# reads as a zero first GFT (or inverse GFT) column
+FIRST_COLUMN_TOL = 1e-8
+# structural_equal: |m_ij| > STRUCTURAL_TOL * max|m| is an edge
+STRUCTURAL_TOL = 1e-9
+# dspcompat closed forms on the cycle: max deviation <= CLOSED_FORM_TOL (absolute)
+CLOSED_FORM_TOL = 1e-10
+# replication_compare: an entry below REPLICATION_ZERO_TOL * max|entry| counts as zero
+REPLICATION_ZERO_TOL = 1e-6
+# fit_filter L1 (ISTA): stop when max|z_new - z| < ISTA_STOP (absolute)
+ISTA_STOP = 1e-10
+
 
 __all__ = [
     "RowReduction",
@@ -80,21 +126,19 @@ class EigPair:
     min_gap: float
 
 
-def row_reduce(a, tol: float = 1e-10) -> RowReduction:
+def row_reduce(a) -> RowReduction:
     """Forward Gauss elimination, keeping only the pivot pattern.
 
     Partial pivoting by largest magnitude (ties to the lowest row index);
-    a candidate pivot with magnitude <= tol * max(|initial entries|) is
+    a candidate pivot with magnitude <= PIVOT_TOL * max(|initial entries|) is
     treated as zero and its column becomes free. A zero (or empty) matrix
     has rank 0 with every column free. Only the block below and right of
     each pivot is eliminated: the rows above a pivot are never searched
     again, so they cannot change the pattern.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     r = as_cmatrix(a)
     m, n = r.shape
-    thresh = tol * (np.max(np.abs(r)) if r.size else 0.0)
+    thresh = PIVOT_TOL * (np.max(np.abs(r)) if r.size else 0.0)
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
@@ -115,12 +159,12 @@ def row_reduce(a, tol: float = 1e-10) -> RowReduction:
     return RowReduction(tuple(pivot_cols), free_cols, len(pivot_cols))
 
 
-def solve(a, b, tol: float = 1e-10):
+def solve(a, b):
     """Solve ``a @ x = b`` by LU factorization with partial pivoting (LAPACK).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
     has the matching shape. Raises SingularMatrixError when a pivot of the
-    factorization is at or below ``tol * max(|a|)``, the cutoff ``row_reduce``
+    factorization is at or below ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce``
     applies.
     """
     a = as_cmatrix(a)
@@ -140,11 +184,11 @@ def solve(a, b, tol: float = 1e-10):
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
         pivots = np.abs(np.diagonal(lu))
-        thresh = tol * float(np.max(np.abs(a)))
+        thresh = PIVOT_TOL * float(np.max(np.abs(a)))
         if pivots.min() <= thresh:
             rank = int(np.count_nonzero(pivots > thresh))
             raise SingularMatrixError(
-                f"matrix is singular at tolerance {tol:.1e} (rank {rank} of {n})"
+                f"matrix is singular at tolerance {PIVOT_TOL:.1e} (rank {rank} of {n})"
             )
         x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     return x[:, 0] if vector_rhs else x
@@ -159,19 +203,19 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
             continue
         col = col / nrm
         mags = np.abs(col)
-        lead = int(np.argmax(mags >= 1e-8 * mags.max()))
+        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
         phase = col[lead] / abs(col[lead])
         v[:, k] = col / phase
     return v
 
 
-def eig(a, tol: float = 1e-9) -> EigPair:
+def eig(a) -> EigPair:
     """Full right eigendecomposition of a general square matrix.
 
     Delegates to LAPACK (Hessenberg + shifted QR) via scipy, then normalizes
     each eigenvector to unit norm with its first significant entry rotated to
     the positive real axis. The residual contract
-    ``max_k ||A v_k - w_k v_k||_inf <= tol * ||A||_inf`` is enforced.
+    ``max_k ||A v_k - w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced.
     """
     a = as_cmatrix(a)
     n, n2 = a.shape
@@ -185,9 +229,9 @@ def eig(a, tol: float = 1e-9) -> EigPair:
     values = values.astype(np.complex128)
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
     residual = np.max(np.abs(a @ vectors - vectors * values)) if n else 0.0
-    if residual > tol * scale:
+    if residual > EIG_RESIDUAL_TOL * scale:
         raise NotConvergedError(
-            f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e} * ||A||_inf"
+            f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
     return EigPair(values, vectors, _min_gap(values))
 
@@ -199,3 +243,8 @@ def _min_gap(values: np.ndarray) -> float:
         return float("inf")
     diff = np.abs(values[:, None] - values[None, :])
     return float(np.min(diff[~np.eye(n, dtype=bool)]))
+
+
+def _gap_cut(values: np.ndarray, tol: float = GAP_TOL) -> float:
+    """The distinctness cut ``tol * max(1, max|values|)`` for eigenvalue gaps."""
+    return tol * max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)

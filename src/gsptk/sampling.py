@@ -68,11 +68,11 @@ class BandSpec:
     def __post_init__(self):
         sup = tuple(int(i) for i in self.support)
         if len(sup) == 0:
-            raise ValueError("band support must be nonempty")
+            raise DimensionMismatchError("band support must be nonempty")
         if sorted(set(sup)) != list(sup):
-            raise ValueError("band support must be strictly ascending and unique")
+            raise DimensionMismatchError("band support must be strictly ascending and unique")
         if sup[0] < 0:
-            raise ValueError("band indices must be nonnegative")
+            raise DimensionMismatchError("band indices must be nonnegative")
         object.__setattr__(self, "support", sup)
 
     @property
@@ -121,7 +121,7 @@ class SamplingPlan:
         return tuple(int(i) for i in np.flatnonzero(self.delta == 0))
 
 
-def band_project(signal: GraphSignal, band: BandSpec, tol: float = 1e-8) -> np.ndarray:
+def band_project(signal: GraphSignal, band: BandSpec, tol: float = numkit.BAND_TOL) -> np.ndarray:
     """Extract the K in-band entries, verifying the rest are (near) zero."""
     xhat = signal.require(Domain.SPECTRAL)
     _check_band(band, xhat.shape[0])
@@ -145,12 +145,12 @@ def _delta_from(idx, n: int) -> np.ndarray:
     return delta
 
 
-def _recovery_map(g_out: np.ndarray, delta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _recovery_map(g_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """The block S with ``x[delta == 0] = S @ x[delta == 1]`` for every signal
     that the out-of-band GFT rows ``g_out`` annihilate."""
     kept = delta != 0
     try:
-        return -numkit.solve(g_out[:, ~kept], g_out[:, kept], tol)
+        return -numkit.solve(g_out[:, ~kept], g_out[:, kept])
     except numkit.SingularMatrixError as exc:
         raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
 
@@ -167,9 +167,7 @@ def _validate_forced_delta(forced_delta, n: int, k: int) -> tuple[int, ...]:
     return chosen
 
 
-def vertex_plan(
-    basis: SpectralBasis, band: BandSpec, forced_delta=None, tol: float = 1e-10
-) -> SamplingPlan:
+def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
     """Choose a vertex-domain sampling set and its pivot-from-free map.
 
     Eliminates the out-of-band GFT rows; the free columns become the
@@ -184,7 +182,7 @@ def vertex_plan(
     out = band.complement(n)
     g_out = basis.gft[list(out), :]
     if forced_delta is None:
-        red = numkit.row_reduce(g_out, tol)
+        red = numkit.row_reduce(g_out)
         if red.rank < n - k:
             raise InfeasibleError(
                 f"out-of-band GFT rows are rank deficient ({red.rank} < {n - k})"
@@ -193,7 +191,7 @@ def vertex_plan(
     else:
         free_idx = _validate_forced_delta(forced_delta, n, k)
     delta = _delta_from(free_idx, n)
-    s = _recovery_map(g_out, delta, tol)
+    s = _recovery_map(g_out, delta)
     cond = float(np.linalg.cond(g_out[:, delta == 0])) if n - k else 1.0
     return SamplingPlan(domain=Domain.VERTEX, delta=delta, band=band, S=s, cond=cond)
 
@@ -226,9 +224,7 @@ def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
     return basis.gft @ (d[:, None] * basis.igft)
 
 
-def spectral_plan(
-    basis: SpectralBasis, band: BandSpec, forced_delta=None, tol: float = 1e-10
-) -> SamplingPlan:
+def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
     """Choose a sampling set by picking K independent rows of the band
     columns of the inverse GFT, and precompute the invertible recovery block.
 
@@ -243,7 +239,7 @@ def spectral_plan(
     k = band.k
     band_cols = list(band.support)
     if forced_delta is None:
-        red = numkit.row_reduce(basis.igft[:, band_cols].T, tol)
+        red = numkit.row_reduce(basis.igft[:, band_cols].T)
         chosen = red.pivot_cols
         if len(chosen) < k:
             raise InfeasibleError(
@@ -254,11 +250,11 @@ def spectral_plan(
     delta = _delta_from(chosen, n)
     # independent kept rows of the band columns <=> an invertible dropped
     # block of the out-of-band rows (complementary minors of gft and igft)
-    s = _recovery_map(basis.gft[list(band.complement(n)), :], delta, tol)
+    s = _recovery_map(basis.gft[list(band.complement(n)), :], delta)
     pm_k = sampling_operator(basis, delta)[:, band_cols]
     rows = chosen
-    if numkit.row_reduce(pm_k[list(rows), :], tol).rank < k:
-        red = numkit.row_reduce(pm_k.T, tol)
+    if numkit.row_reduce(pm_k[list(rows), :]).rank < k:
+        red = numkit.row_reduce(pm_k.T)
         rows = red.pivot_cols
     pmkk = pm_k[list(rows), :]
     return SamplingPlan(
@@ -283,9 +279,10 @@ def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
 
 
 def sample(signal: GraphSignal, delta) -> np.ndarray:
-    """Decimate: keep the entries where the indicator is one, in index order."""
+    """Decimate a vertex-domain signal: keep the entries where the indicator
+    is one, in index order."""
     d = np.asarray(delta)
-    x = signal.values
+    x = signal.require(Domain.VERTEX)
     if d.shape != x.shape:
         raise SizeMismatchError("indicator and signal lengths differ")
     return x[d != 0]
@@ -305,7 +302,7 @@ def upsample(x_s, delta) -> GraphSignal:
     return GraphSignal(x, Domain.VERTEX)
 
 
-def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e-10) -> dict:
+def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
     """Test one indicator against both selection rules.
 
     vertex_ok: the unsampled nodes index an invertible square block of the
@@ -331,10 +328,8 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e
         vertex_ok = True
     else:
         block = basis.gft[list(out), :][:, drop]
-        vertex_ok = numkit.row_reduce(block, tol).rank == n - k
-    spectral_ok = (
-        numkit.row_reduce(basis.igft[keep, :][:, list(band.support)], tol).rank == k
-    )
+        vertex_ok = numkit.row_reduce(block).rank == n - k
+    spectral_ok = numkit.row_reduce(basis.igft[keep, :][:, list(band.support)]).rank == k
     return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
 
 
@@ -343,11 +338,6 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec, tol: float = 1e
 
 
 PLAN_VERSION = 2
-
-# ``read_plan(path, graph)`` accepts the graph when the plan's recovery map
-# has an A-invariant range: ||A R - R (A R)[kept]|| <= tol ||A|| ||R|| in the
-# infinity norm, with R = [I; S] scattered into N x K.
-_INVARIANCE_TOL = 1e-8
 
 
 def write_plan(plan: SamplingPlan, path) -> None:
@@ -416,7 +406,7 @@ def _check_invariant(plan: SamplingPlan, graph: Graph, path) -> None:
     r[~kept] = plan.S
     ar = graph.adjacency @ r
     resid = np.linalg.norm(ar - r @ ar[kept], np.inf)
-    limit = _INVARIANCE_TOL * np.linalg.norm(graph.adjacency, np.inf) * np.linalg.norm(r, np.inf)
+    limit = numkit.INVARIANCE_TOL * np.linalg.norm(graph.adjacency, np.inf) * np.linalg.norm(r, np.inf)
     if resid > limit:
         raise ReconstructionMismatchError(
             f"{path}: plan does not fit this graph: its band is not invariant under the "

@@ -44,11 +44,7 @@ __all__ = [
     "load_basis",
     "save_basis",
     "bundled_basis",
-    "bundled_graph_name",
 ]
-
-_IDENTITY_TOL = 1e-8
-_EXPLICIT_RECON_TOL = 1e-6
 
 
 class BasisSource(enum.Enum):
@@ -83,13 +79,13 @@ def _default_order(lam: np.ndarray) -> np.ndarray:
 def _check_identity(gft: np.ndarray, igft: np.ndarray) -> None:
     n = gft.shape[0]
     err = np.max(np.abs(gft @ igft - np.eye(n)))
-    if err > _IDENTITY_TOL:
+    if err > numkit.IDENTITY_TOL:
         raise ReconstructionMismatchError(
             f"gft @ igft deviates from the identity by {err:.3e}"
         )
 
 
-def basis_from_graph(graph: Graph, ordering=None, tol: float = 1e-8) -> SpectralBasis:
+def basis_from_graph(graph: Graph, ordering=None, tol: float = numkit.GAP_TOL) -> SpectralBasis:
     """Diagonalize the shift of ``graph`` into a spectral basis.
 
     ``ordering`` may be an explicit permutation of the raw eigensolver order;
@@ -99,7 +95,7 @@ def basis_from_graph(graph: Graph, ordering=None, tol: float = 1e-8) -> Spectral
     useful basis exists without distinct frequencies.
     """
     pair = numkit.eig(graph.adjacency)
-    gap_tol = tol * max(1.0, float(np.max(np.abs(pair.values))) if pair.values.size else 1.0)
+    gap_tol = numkit._gap_cut(pair.values, tol)
     if pair.min_gap <= gap_tol:
         raise RepeatedEigenvaluesError(pair.min_gap, gap_tol)
     if ordering is None:
@@ -114,14 +110,14 @@ def basis_from_graph(graph: Graph, ordering=None, tol: float = 1e-8) -> Spectral
     basis = SpectralBasis(gft, igft, lam, BasisSource.COMPUTED, tuple(int(p) for p in perm))
     _check_identity(gft, igft)
     recon = np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
-    if recon > _IDENTITY_TOL * max(1.0, np.max(np.abs(graph.adjacency))):
+    if recon > numkit.IDENTITY_TOL * max(1.0, np.max(np.abs(graph.adjacency))):
         raise ReconstructionMismatchError(
             f"computed basis fails to reconstruct the shift (error {recon:.3e})"
         )
     return basis
 
 
-def basis_explicit(gft, lam, graph: Graph, tol: float = 1e-10) -> SpectralBasis:
+def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
     """Build a basis from a user-supplied GFT matrix and frequency list.
 
     The inverse transform is obtained by a linear solve, and the
@@ -137,9 +133,9 @@ def basis_explicit(gft, lam, graph: Graph, tol: float = 1e-10) -> SpectralBasis:
         raise DimensionMismatchError(
             f"gft {gft.shape} / lam {lam.shape} do not match graph size {n}"
         )
-    igft = numkit.solve(gft, np.eye(n, dtype=np.complex128), tol)
+    igft = numkit.solve(gft, np.eye(n, dtype=np.complex128))
     recon = np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
-    limit = _EXPLICIT_RECON_TOL * max(np.max(np.abs(graph.adjacency)), np.finfo(float).tiny)
+    limit = numkit.EXPLICIT_RECON_TOL * max(np.max(np.abs(graph.adjacency)), np.finfo(float).tiny)
     if recon > limit:
         raise ReconstructionMismatchError(
             f"explicit basis does not reconstruct the shift: error {recon:.3e} > {limit:.3e}"
@@ -202,18 +198,16 @@ def rescale_basis(basis: SpectralBasis, c) -> SpectralBasis:
     )
 
 
-def structural_equal(m1, m2, tol: float | None = None) -> bool:
-    """Compare zero/nonzero patterns: |entry| > tol counts as an edge.
-
-    ``tol`` defaults to 1e-9 times each matrix's own largest magnitude.
-    """
+def structural_equal(m1, m2) -> bool:
+    """Compare zero/nonzero patterns: an entry above ``numkit.STRUCTURAL_TOL``
+    times its own matrix's largest magnitude counts as an edge."""
     m1 = numkit.as_cmatrix(m1, "m1")
     m2 = numkit.as_cmatrix(m2, "m2")
     if m1.shape != m2.shape:
         raise DimensionMismatchError(f"shape mismatch {m1.shape} vs {m2.shape}")
 
     def pattern(m):
-        cut = tol if tol is not None else 1e-9 * max(np.max(np.abs(m)), np.finfo(float).tiny)
+        cut = numkit.STRUCTURAL_TOL * max(np.max(np.abs(m)), np.finfo(float).tiny)
         return np.abs(m) > cut
 
     return bool(np.array_equal(pattern(m1), pattern(m2)))
@@ -228,24 +222,18 @@ def save_basis(basis: SpectralBasis, path) -> None:
     _write_json(path, doc)
 
 
-def load_basis(path, graph: Graph, tol: float = 1e-10) -> SpectralBasis:
+def load_basis(path, graph: Graph) -> SpectralBasis:
     """Load an explicit-basis JSON file and validate it against ``graph``."""
     doc = _read_json(path, ("lambda", "gft"))
     lam = _from_pairs(doc["lambda"], (None,), f"{path}: lambda")
     gft = _from_pairs(doc["gft"], (None, None), f"{path}: gft")
-    return basis_explicit(gft, lam, graph, tol)
+    return basis_explicit(gft, lam, graph)
 
 
 _BUNDLED = {
-    "star5": ("star5_basis.json", "star", 5),
-    "example4": ("example4_basis.json", "example4", 4),
+    "star5": "star5_basis.json",
+    "example4": "example4_basis.json",
 }
-
-
-def bundled_graph_name(name: str) -> tuple[str, int]:
-    """(graph kind value, size) that a bundled basis belongs to."""
-    _, kind, n = _BUNDLED[name]
-    return kind, n
 
 
 def bundled_basis(name: str, graph: Graph) -> SpectralBasis:
@@ -258,7 +246,7 @@ def bundled_basis(name: str, graph: Graph) -> SpectralBasis:
     its reference values use.
     """
     try:
-        fname = _BUNDLED[name][0]
+        fname = _BUNDLED[name]
     except KeyError:
         raise KeyError(f"unknown bundled basis {name!r}; have {sorted(_BUNDLED)}") from None
     ref = resources.files("gsptk._data").joinpath(fname)

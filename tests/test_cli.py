@@ -311,6 +311,7 @@ _BROKEN_PLANS = {
     "entry not a number": _replace("S", (0, 0), ["1.0", "0.0"]),
     "non-finite entry": _replace("S", (0, 0), [float("nan"), 0.0]),
     "non-finite cond": _with("cond", float("inf")),
+    "band not ascending": _with("band", [1, 0]),
     "not an object": lambda doc: [doc],
 }
 
@@ -418,3 +419,47 @@ def test_convolve_names_an_overflowing_impulse_matrix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "impulse matrix contains non-finite entries" in err
     assert not out.with_suffix(".signal.json").exists()
+
+
+def _recover_with_a_spectral(tmp_path, which):
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    truth_path = tmp_path / "x.json"
+    path = {"samples": samples_path, "truth": truth_path}[which]
+    write_signal(GraphSignal(read_signal(path).values, Domain.SPECTRAL), path)
+    return ["recover", plan_path, samples_path, "--truth", truth_path, "--out", tmp_path / "rec.json"]
+
+
+def _sample_with_band(tmp_path, band):
+    graph_path, sig_path = _write_example4_inputs(tmp_path)
+    return ["sample", graph_path, sig_path, "--domain", "vertex", f"--band={band}",
+            "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run"]
+
+
+_BAD_ARGUMENTS = {
+    "spectral samples": (
+        lambda p: _recover_with_a_spectral(p, "samples"),
+        "expected a vertex-domain signal, got spectral",
+    ),
+    "spectral truth": (
+        lambda p: _recover_with_a_spectral(p, "truth"),
+        "expected a vertex-domain signal, got spectral",
+    ),
+    "negative band index": (lambda p: _sample_with_band(p, "-1,0"), "must be nonnegative"),
+    "repeated band index": (lambda p: _sample_with_band(p, "0,0"), "strictly ascending and unique"),
+    "empty band": (lambda p: _sample_with_band(p, ","), "must be nonempty"),
+    "negative demo size": (
+        lambda p: ["--out-dir", p, "demo", "dsp_block_sampling", "--n", "-3"],
+        "needs n >= 1, got -3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_a_bad_argument_is_an_error_not_a_traceback(tmp_path, capsys, case):
+    make_args, message = _BAD_ARGUMENTS[case]
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "rec.json").exists()

@@ -159,7 +159,7 @@ class TestAssumptions:
                 basis = basis_from_graph(Graph(a), tol=1e-9)
             except Exception:
                 continue
-            report = check_assumptions(basis, tol=1e-9)
+            report = check_assumptions(basis)
             if report.distinct:
                 assert report.y0_nonzero
                 return

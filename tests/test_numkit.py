@@ -189,7 +189,7 @@ class TestEig:
         for _ in range(200):
             n = int(rng.integers(2, 17))
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            pair = eig(a, tol=1e-9)  # raises NotConvergedError on violation
+            pair = eig(a)  # raises NotConvergedError on violation
             resid = np.max(np.abs(a @ pair.vectors - pair.vectors * pair.values))
             assert resid <= 1e-9 * np.max(np.sum(np.abs(a), axis=1))
 

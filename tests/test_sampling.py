@@ -7,7 +7,9 @@ import pytest
 
 from gsptk import (
     BandSpec,
+    DimensionMismatchError,
     Domain,
+    DomainMismatchError,
     Graph,
     GraphKind,
     GraphSignal,
@@ -53,6 +55,12 @@ def lowpass_signal(rng, basis, band):
     coeffs = rng.normal(size=band.k) + 1j * rng.normal(size=band.k)
     xhat[list(band.support)] = coeffs
     return igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL)), xhat
+
+
+@pytest.mark.parametrize("support", [(), (-1, 0), (0, 0), (1, 0)])
+def test_band_spec_rejects_a_bad_support_with_a_typed_error(support):
+    with pytest.raises(DimensionMismatchError):
+        BandSpec(support)
 
 
 class TestBandProject:
@@ -259,6 +267,10 @@ class TestSampleUpsample:
         delta = np.array([1, 0, 1, 1, 0, 0, 1])
         up = upsample(sample(x, delta), delta).values
         assert np.array_equal(up[delta == 1], x.values[delta == 1])
+
+    def test_sample_requires_a_vertex_signal(self):
+        with pytest.raises(DomainMismatchError):
+            sample(GraphSignal(X4, Domain.SPECTRAL), DELTA4)
 
 
 class TestPlanEquivalent:
