@@ -504,8 +504,7 @@ def _cmd_spectral_shift(args) -> int:
 def _cmd_demo(args) -> int:
     out_root = Path(args.out_dir)
     name = args.name
-    out = out_root / name
-    out.mkdir(parents=True, exist_ok=True)
+    out = out_root / name  # created by the first file a demo writes
     checks = _DEMOS[name](out, args.n, args.seed)
     for r in checks.results:
         state = "PASS" if r["passed"] else "FAIL"

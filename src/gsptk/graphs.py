@@ -7,9 +7,11 @@ of node i. On the directed cycle this shifts sample ``x[n]`` to node ``n+1``.
 
 from __future__ import annotations
 
+import base64
 import cmath
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,7 +226,8 @@ def read_signal(path) -> GraphSignal:
 
 def _pairs(values) -> list:
     """A complex array of any shape as nested lists of [re, im] pairs: the
-    layout every gsptk JSON file stores complex arrays in."""
+    layout gsptk JSON files store complex arrays in (plan files pack ``S``
+    with ``_packed`` instead)."""
     v = np.asarray(values, dtype=np.complex128)
     return np.stack((v.real, v.imag), -1).tolist()
 
@@ -248,6 +251,35 @@ def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
         raise ParseError(f"{what} must be an array of shape ({dims}) of finite [re, im] pairs")
     # a view, not re + 1j * im, so that signed zeros survive the round trip
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _packed(values) -> str:
+    """A complex array as base64 of its row-major little-endian complex128
+    bytes: the compact layout for a large array inside a JSON file."""
+    data = np.ascontiguousarray(values, dtype="<c16").tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def _from_packed(text, shape: tuple, what: str) -> np.ndarray:
+    """Decode ``_packed`` output into a writable complex array of ``shape``.
+
+    Raises ParseError, naming ``what`` (the file and field), unless ``text``
+    is valid base64 of exactly that many finite complex128 values.
+    """
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ParseError(f"{what} must be a base64 string: {exc}") from None
+    count = math.prod(shape)
+    if len(data) != 16 * count:
+        dims = " x ".join(str(s) for s in shape)
+        raise ParseError(
+            f"{what} holds {len(data)} bytes, not the {16 * count} of a ({dims}) complex128 array"
+        )
+    values = np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ParseError(f"{what} contains non-finite entries")
+    return values
 
 
 def _read_json(path, keys: tuple[str, ...]) -> dict:

@@ -26,6 +26,7 @@ accepted for reproducing published selections.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,16 @@ from .errors import (
     ReconstructionMismatchError,
     SizeMismatchError,
 )
-from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
+from .graphs import (
+    Domain,
+    Graph,
+    GraphSignal,
+    _from_packed,
+    _from_pairs,
+    _packed,
+    _read_json,
+    _write_json,
+)
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -66,7 +76,10 @@ class BandSpec:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        sup = tuple(int(i) for i in self.support)
+        try:  # operator.index, not int(), so that 0.7 is refused, not truncated
+            sup = tuple(operator.index(i) for i in self.support)
+        except TypeError as exc:
+            raise DimensionMismatchError(f"band indices must be integers: {exc}") from None
         if len(sup) == 0:
             raise DimensionMismatchError("band support must be nonempty")
         if sorted(set(sup)) != list(sup):
@@ -337,7 +350,7 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
 # plan file IO
 
 
-PLAN_VERSION = 2
+PLAN_VERSION = 3
 
 
 def write_plan(plan: SamplingPlan, path) -> None:
@@ -346,7 +359,7 @@ def write_plan(plan: SamplingPlan, path) -> None:
         "domain": plan.domain.value,
         "delta": [int(v) for v in plan.delta],
         "band": list(plan.band.support),
-        "S": _pairs(plan.S),
+        "S": _packed(plan.S),
         "cond": plan.cond,
     }
     _write_json(path, doc)
@@ -355,16 +368,19 @@ def write_plan(plan: SamplingPlan, path) -> None:
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     """Load and check a plan file; ParseError names what is malformed.
 
-    Files without a ``version`` (written before version 2) are read too:
-    vertex files already hold ``S``, and spectral files get it from their
-    stored ``gft``. Neither recorded ``cond``, so it reads as NaN. With
+    Version 3 stores ``S`` as base64 of its little-endian complex128 bytes.
+    Older files are read too: version 2 stores ``S`` as [re, im] pairs.
+    Files without a ``version`` (version 1) hold ``S`` that way if they are
+    vertex plans, and spectral ones get it from their stored ``gft``;
+    neither recorded ``cond``, so it reads as NaN. With
     ``graph``, raises ReconstructionMismatchError unless the range of the
     plan's recovery map is invariant under the graph's shift, as the span of
     the band's eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
-    if version not in (1, PLAN_VERSION):
+    # a bool or a float is not a version, although True == 1 and 2.0 == 2
+    if type(version) is not int or version not in (1, 2, PLAN_VERSION):
         raise ParseError(f"{path}: unsupported plan version {version!r}")
     old_spectral = version == 1 and doc["domain"] == Domain.SPECTRAL.value
     try:
@@ -381,6 +397,8 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
         s = _recovery_map(gft[list(band.complement(n)), :], delta)
+    elif version == PLAN_VERSION:
+        s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S")
     else:
         s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
     if version == 1:

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -300,18 +301,59 @@ def _replace(key, index, value):
     return edit
 
 
+def _unpacked(doc):
+    """The (N-K) x K map ``S`` of a version-3 plan document."""
+    n, k = len(doc["delta"]), len(doc["band"])
+    return np.frombuffer(base64.b64decode(doc["S"]), dtype="<c16").reshape(n - k, k)
+
+
+def _version2(edit=lambda doc: doc):
+    """``edit`` applied to the plan rewritten as a version-2 file, whose ``S``
+    is nested [re, im] pairs."""
+
+    def apply(doc):
+        s = _unpacked(doc)
+        return edit({**doc, "version": 2, "S": np.stack((s.real, s.imag), -1).tolist()})
+
+    return apply
+
+
+def _packed_s(first=None, drop_last=False):
+    """An edit that repacks ``S`` with its first value replaced, or its last dropped."""
+
+    def edit(doc):
+        s = _unpacked(doc).ravel().copy()
+        if first is not None:
+            s[0] = first
+        s = s[:-1] if drop_last else s
+        return {**doc, "S": base64.b64encode(s.astype("<c16").tobytes()).decode()}
+
+    return edit
+
+
 _BROKEN_PLANS = {
     "missing S": _without("S"),
     "missing cond": _without("cond"),
     "missing delta": _without("delta"),
     "delta not 0/1": _with("delta", [0, 2, 0, 1]),
     "delta count differs from band": _with("delta", [1, 1, 0, 1]),
-    "S of the wrong shape": _with("S", [[[1.0, 0.0], [2.0, 0.0]]]),
-    "entry not a pair": _replace("S", (0, 0), [1.0]),
-    "entry not a number": _replace("S", (0, 0), ["1.0", "0.0"]),
-    "non-finite entry": _replace("S", (0, 0), [float("nan"), 0.0]),
+    # version 2: S as [re, im] pairs
+    "S of the wrong shape": _version2(_with("S", [[[1.0, 0.0], [2.0, 0.0]]])),
+    "entry not a pair": _version2(_replace("S", (0, 0), [1.0])),
+    "entry not a number": _version2(_replace("S", (0, 0), ["1.0", "0.0"])),
+    "non-finite entry": _version2(_replace("S", (0, 0), [float("nan"), 0.0])),
+    # version 3: S packed as base64 of complex128 bytes
+    "S not a string": lambda doc: {**doc, "S": _version2()(doc)["S"]},
+    # without validation, b64decode would skip the four stars and decode the rest
+    "S with non-base64 characters": lambda doc: {**doc, "S": "****" + doc["S"]},
+    "S one complex value short": _packed_s(drop_last=True),
+    "S with a NaN first value": _packed_s(first=complex(float("nan"), 0.0)),
+    "S with an infinite first value": _packed_s(first=complex(float("inf"), 0.0)),
     "non-finite cond": _with("cond", float("inf")),
     "band not ascending": _with("band", [1, 0]),
+    "band not integers": _with("band", [0.7, 1.2]),
+    "version true": _version2(_with("version", True)),
+    "version 2.0": _version2(_with("version", 2.0)),
     "not an object": lambda doc: [doc],
 }
 
@@ -324,6 +366,16 @@ def test_recover_rejects_a_malformed_plan(tmp_path, capsys, case):
     assert run(["recover", plan_path, samples_path, "--out", tmp_path / "rec.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_recover_reads_a_version_2_plan_to_the_same_signal(tmp_path):
+    # the edits above to a version-2 file fail for their own reason, not its layout
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    old = tmp_path / "old.plan.json"
+    old.write_text(json.dumps(_version2()(json.loads(plan_path.read_text()))))
+    for path, out in ((plan_path, "new.json"), (old, "old.json")):
+        assert run(["recover", path, samples_path, "--out", tmp_path / out]) == 0
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 @pytest.mark.parametrize("domain", ["vertex", "spectral"])
@@ -452,6 +504,15 @@ _BAD_ARGUMENTS = {
         "needs n >= 1, got -3",
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "name, size", [("ring_shift", "1"), ("path_signals", "3"), ("dsp_block_sampling", "-3")]
+)
+def test_a_rejected_demo_leaves_no_directory(tmp_path, capsys, name, size):
+    assert run(["--out-dir", tmp_path / "out", "demo", name, "--n", size]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))

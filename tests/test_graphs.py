@@ -25,7 +25,7 @@ from gsptk import (
     write_signal,
 )
 from gsptk.filters import write_filter
-from gsptk.graphs import _from_pairs, _pairs
+from gsptk.graphs import _from_packed, _from_pairs, _packed, _pairs
 
 
 class TestBuild:
@@ -169,6 +169,30 @@ def test_pair_codec_matches_a_per_value_loop():
     assert json.dumps(_pairs(m[0])) == json.dumps(loop[0])
     back = _from_pairs(json.loads(json.dumps(loop)), (5, None), "m")
     assert back.tobytes() == m.tobytes()
+
+
+def test_packed_codec_is_bit_exact():
+    # signed zeros and subnormals in both parts, and an empty (0 x K) array
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, -0.0), complex(5e-324, -2.5e-310), complex(-0.0, 1.5)
+    for a in (m, np.zeros((0, 3), dtype=np.complex128)):
+        back = _from_packed(_packed(a), a.shape, "m")
+        assert back.shape == a.shape and back.dtype == np.complex128
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.writeable
+    assert _packed(m.T) == _packed(np.ascontiguousarray(m.T))  # row-major
+
+
+@pytest.mark.parametrize(
+    "text",
+    [[[1.0, 0.0]], None, "****" + _packed(np.ones(6)), _packed(np.ones(5)), _packed(np.ones(7)),
+     _packed([np.nan, 0, 0, 0, 0, 0])],
+    ids=["a list", "None", "non-base64", "one value short", "one value long", "NaN"],
+)
+def test_packed_decoder_names_the_field(text):
+    with pytest.raises(ParseError, match="^m.S "):
+        _from_packed(text, (2, 3), "m.S")
 
 
 def _example4_basis():

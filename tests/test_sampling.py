@@ -18,6 +18,7 @@ from gsptk import (
     SizeMismatchError,
     band_project,
     basis_explicit,
+    basis_from_graph,
     build,
     bundled_basis,
     dft_basis,
@@ -36,7 +37,7 @@ from gsptk import (
     write_plan,
 )
 
-from util import random_basis_graph
+from util import er_digraph, random_basis_graph
 
 X4 = np.array([-1.992, 0.93, -0.314, -0.577])
 DELTA4 = np.array([0, 1, 0, 1])
@@ -61,6 +62,14 @@ def lowpass_signal(rng, basis, band):
 def test_band_spec_rejects_a_bad_support_with_a_typed_error(support):
     with pytest.raises(DimensionMismatchError):
         BandSpec(support)
+
+
+def test_band_spec_refuses_non_integers_instead_of_truncating():
+    with pytest.raises(DimensionMismatchError, match="must be integers"):
+        BandSpec((0.7, 1.2))
+    with pytest.raises(DimensionMismatchError):
+        BandSpec((np.float64(0.0),))
+    assert BandSpec((np.int64(0), np.int32(2))).support == (0, 2)
 
 
 class TestBandProject:
@@ -359,6 +368,30 @@ class TestPlanIO:
             assert np.max(np.abs(back.S - plan.S)) < 1e-12
             rec = spectral_recover(back, np.array([0.93, -0.577]))
             assert np.max(np.abs(rec.values - X4)) < 5e-3
+
+    def test_version_2_and_3_files_read_the_same_plan(self, tmp_path):
+        basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
+        plan = vertex_plan(basis, BandSpec(tuple(range(30))))
+        new, old = tmp_path / "v3.json", tmp_path / "v2.json"
+        write_plan(plan, new)
+        doc = json.loads(new.read_text())
+        assert doc["version"] == 3
+        # base64 of 16 bytes per complex value, (N - K) * K of them
+        assert len(doc["S"]) == 4 * math.ceil(16 * 30 * 30 / 3)
+        old.write_text(json.dumps({**doc, "version": 2, "S": pairs(plan.S)}))
+        a, b = read_plan(new), read_plan(old)
+        assert a.S.tobytes() == b.S.tobytes() == plan.S.tobytes()
+        assert np.array_equal(a.delta, b.delta) and a.cond == b.cond == plan.cond
+
+    def test_full_band_plan_has_an_empty_map(self, tmp_path):
+        _, basis = example4()
+        plan = vertex_plan(basis, BandSpec((0, 1, 2, 3)))
+        path = tmp_path / "plan.json"
+        write_plan(plan, path)
+        assert json.loads(path.read_text())["S"] == ""
+        back = read_plan(path)
+        assert back.S.shape == (0, 4)
+        assert np.array_equal(vertex_recover(back, X4).values, X4)
 
     def test_malformed_plan(self, tmp_path):
         from gsptk import ParseError
