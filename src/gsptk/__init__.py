@@ -34,7 +34,6 @@ from .graphs import (
     write_signal,
 )
 from .spectral import (
-    BasisSource,
     SpectralBasis,
     basis_explicit,
     basis_from_graph,

@@ -17,7 +17,8 @@ import numpy as np
 from . import numkit
 from .errors import NotDivisibleError
 from .graphs import Domain, GraphKind, GraphSignal, build
-from .spectral import BasisSource, SpectralBasis, spectral_shift, spectral_shift_variant
+from .sampling import sampling_operator
+from .spectral import SpectralBasis, spectral_shift, spectral_shift_variant
 
 __all__ = [
     "RingShiftReport",
@@ -42,7 +43,7 @@ def dft_basis(n: int) -> SpectralBasis:
     grid = np.outer(np.arange(n), np.arange(n))
     gft = np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
     lam = np.exp(-2j * np.pi * np.arange(n) / n)
-    return SpectralBasis(gft, gft.conj().T, lam, BasisSource.EXPLICIT)
+    return SpectralBasis(gft, gft.conj().T, lam)
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,9 @@ def dsp_sampling_operator(n: int, k: int) -> np.ndarray:
     """
     if k < 1 or n < 1 or n % k:
         raise NotDivisibleError(f"k must divide n, got n={n} k={k}")
-    basis = dft_basis(n)
     delta = np.zeros(n, dtype=np.complex128)
     delta[:: n // k] = 1.0
-    pm = basis.gft @ (delta[:, None] * basis.igft)
+    pm = sampling_operator(dft_basis(n), delta)
     blocks = (k / n) * np.kron(np.ones((n // k, n // k)), np.eye(k))
     dev = float(np.max(np.abs(pm - blocks)))
     if dev > numkit.CLOSED_FORM_TOL:

@@ -154,9 +154,9 @@ def write_graph(graph: Graph, path) -> None:
         ]
         _atomic_write(path, "\n".join(rows) + "\n")
         return
-    dst, src = np.nonzero(graph.adjacency)
+    src, dst = np.nonzero(graph.adjacency.T)  # row-major: ascending (src, dst)
     weights = _pairs(graph.adjacency[dst, src])
-    edges = sorted([int(s), int(d), *w] for s, d, w in zip(src, dst, weights))
+    edges = [[s, d, *w] for s, d, w in zip(src.tolist(), dst.tolist(), weights)]
     _write_json(path, {"n": graph.n, "edges": edges}, indent=1)
 
 
@@ -167,7 +167,8 @@ def read_graph(path) -> Graph:
         return _read_graph_csv(path)
     doc = _read_json(path, ("n", "edges"))
     n, edges = doc["n"], doc["edges"]
-    if not isinstance(n, int) or n <= 0:
+    # type(), not isinstance(): a JSON true is not the integer 1
+    if type(n) is not int or n <= 0:
         raise ParseError(f"{path}: 'n' must be a positive integer, got {n!r}")
     if not isinstance(edges, list):
         raise ParseError(f"{path}: 'edges' must be a list of [src, dst, w_re, w_im]")
@@ -175,7 +176,7 @@ def read_graph(path) -> Graph:
         if not isinstance(edge, list) or len(edge) != 4:
             raise ParseError(f"{path}: edge {i} must be [src, dst, w_re, w_im]")
         src, dst, _, _ = edge
-        if not (isinstance(src, int) and isinstance(dst, int)):
+        if not (type(src) is int and type(dst) is int):
             raise ParseError(f"{path}: edge {i}: endpoints must be integers")
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{path}: edge {i}: endpoint out of range 0..{n - 1}")

@@ -80,6 +80,8 @@ class BandSpec:
             sup = tuple(operator.index(i) for i in self.support)
         except TypeError as exc:
             raise DimensionMismatchError(f"band indices must be integers: {exc}") from None
+        if any(isinstance(i, bool) for i in self.support):  # True == 1, but is no index
+            raise DimensionMismatchError("band indices must be integers, not booleans")
         if len(sup) == 0:
             raise DimensionMismatchError("band support must be nonempty")
         if sorted(set(sup)) != list(sup):
@@ -152,12 +154,6 @@ def _check_band(band: BandSpec, n: int) -> None:
         )
 
 
-def _delta_from(idx, n: int) -> np.ndarray:
-    delta = np.zeros(n, dtype=np.int64)
-    delta[list(idx)] = 1
-    return delta
-
-
 def _recovery_map(g_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """The block S with ``x[delta == 0] = S @ x[delta == 1]`` for every signal
     that the out-of-band GFT rows ``g_out`` annihilate."""
@@ -168,16 +164,34 @@ def _recovery_map(g_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
         raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
 
 
-def _validate_forced_delta(forced_delta, n: int, k: int) -> tuple[int, ...]:
-    d = np.asarray(forced_delta)
-    if d.shape != (n,) or not np.all(np.isin(d, (0, 1))):
-        raise SizeMismatchError(f"forced delta must be a 0/1 vector of length {n}")
-    chosen = tuple(int(i) for i in np.flatnonzero(d))
-    if len(chosen) != k:
-        raise SizeMismatchError(
-            f"forced delta selects {len(chosen)} nodes but the band has size {k}"
-        )
-    return chosen
+def _indicator(delta, n: int, k: int) -> np.ndarray:
+    """``delta`` as an int64 vector; SizeMismatchError unless it is a 0/1
+    vector of length ``n`` with ``k`` ones, one per band index."""
+    d = np.asarray(delta)
+    if d.shape != (n,) or not np.isin(d, (0, 1)).all() or np.count_nonzero(d) != k:
+        raise SizeMismatchError(f"delta must be a 0/1 vector of length {n} with {k} ones")
+    return (d != 0).astype(np.int64)
+
+
+def _plan(basis: SpectralBasis, band: BandSpec, forced_delta, select=None):
+    """The steps both routes share: the checked indicator (forced, or the
+    nodes ``select(g_out)`` keeps), the out-of-band GFT rows ``g_out`` and the
+    recovery map ``S``, whose InfeasibleError is the one validity test."""
+    n = basis.n
+    _check_band(band, n)
+    g_out = basis.gft[list(band.complement(n)), :]
+    if forced_delta is None:
+        forced_delta = np.isin(np.arange(n), select(g_out))
+    delta = _indicator(forced_delta, n, band.k)
+    return delta, g_out, _recovery_map(g_out, delta)
+
+
+def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
+    """The Gauss pivot pattern of ``m``; InfeasibleError unless its rows are independent."""
+    red = numkit.row_reduce(m)
+    if red.rank < m.shape[0]:
+        raise InfeasibleError(f"{what} are rank deficient ({red.rank} < {m.shape[0]})")
+    return red
 
 
 def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
@@ -189,23 +203,9 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
     empty. A forced indicator is honored when its complement indexes an
     invertible square block of the out-of-band rows.
     """
-    n = basis.n
-    _check_band(band, n)
-    k = band.k
-    out = band.complement(n)
-    g_out = basis.gft[list(out), :]
-    if forced_delta is None:
-        red = numkit.row_reduce(g_out)
-        if red.rank < n - k:
-            raise InfeasibleError(
-                f"out-of-band GFT rows are rank deficient ({red.rank} < {n - k})"
-            )
-        free_idx = red.free_cols
-    else:
-        free_idx = _validate_forced_delta(forced_delta, n, k)
-    delta = _delta_from(free_idx, n)
-    s = _recovery_map(g_out, delta)
-    cond = float(np.linalg.cond(g_out[:, delta == 0])) if n - k else 1.0
+    delta, g_out, s = _plan(basis, band, forced_delta, lambda g: _full_rank(
+        g, "out-of-band GFT rows").free_cols)
+    cond = float(np.linalg.cond(g_out[:, delta == 0])) if g_out.shape[0] else 1.0
     return SamplingPlan(domain=Domain.VERTEX, delta=delta, band=band, S=s, cond=cond)
 
 
@@ -247,28 +247,12 @@ def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Sa
     pivoting on the band block of P(M) otherwise. A forced indicator is
     honored when its sampled nodes give independent rows.
     """
-    n = basis.n
-    _check_band(band, n)
-    k = band.k
-    band_cols = list(band.support)
-    if forced_delta is None:
-        red = numkit.row_reduce(basis.igft[:, band_cols].T)
-        chosen = red.pivot_cols
-        if len(chosen) < k:
-            raise InfeasibleError(
-                f"band columns of the inverse GFT are rank deficient ({red.rank} < {k})"
-            )
-    else:
-        chosen = _validate_forced_delta(forced_delta, n, k)
-    delta = _delta_from(chosen, n)
-    # independent kept rows of the band columns <=> an invertible dropped
-    # block of the out-of-band rows (complementary minors of gft and igft)
-    s = _recovery_map(basis.gft[list(band.complement(n)), :], delta)
-    pm_k = sampling_operator(basis, delta)[:, band_cols]
-    rows = chosen
-    if numkit.row_reduce(pm_k[list(rows), :]).rank < k:
-        red = numkit.row_reduce(pm_k.T)
-        rows = red.pivot_cols
+    delta, _, s = _plan(basis, band, forced_delta, lambda _: _full_rank(
+        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols)
+    pm_k = sampling_operator(basis, delta)[:, list(band.support)]
+    rows = tuple(int(i) for i in np.flatnonzero(delta))
+    if numkit.row_reduce(pm_k[list(rows), :]).rank < band.k:
+        rows = numkit.row_reduce(pm_k.T).pivot_cols
     pmkk = pm_k[list(rows), :]
     return SamplingPlan(
         domain=Domain.SPECTRAL,
@@ -276,7 +260,7 @@ def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Sa
         band=band,
         S=s,
         cond=float(np.linalg.cond(pmkk)),
-        selected_rows=tuple(rows),
+        selected_rows=rows,
         pmkk=pmkk,
     )
 
@@ -318,31 +302,20 @@ def upsample(x_s, delta) -> GraphSignal:
 def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
     """Test one indicator against both selection rules.
 
-    vertex_ok: the unsampled nodes index an invertible square block of the
-    out-of-band GFT rows (valid free-variable choice). spectral_ok: the
-    sampled nodes index independent rows of the band columns of the inverse
-    GFT. The two verdicts agree for every indicator (complementary minors of
-    a matrix and its inverse vanish together).
+    vertex_ok: the indicator makes a plan (its unsampled nodes index an
+    invertible square block of the out-of-band GFT rows). spectral_ok: Gauss
+    elimination finds its sampled nodes' rows of the band columns of the
+    inverse GFT independent. The two verdicts agree for every indicator
+    (complementary minors of a matrix and its inverse vanish together).
     """
-    n = basis.n
-    _check_band(band, n)
     d = np.asarray(delta)
-    if d.shape != (n,):
-        raise DimensionMismatchError(f"delta must have length {n}")
-    keep = np.flatnonzero(d)
-    drop = np.flatnonzero(d == 0)
-    out = band.complement(n)
-    k = band.k
-    if len(keep) != k:
-        raise DimensionMismatchError(
-            f"indicator keeps {len(keep)} nodes but the band has size {k}"
-        )
-    if n - k == 0:
+    try:
+        _plan(basis, band, d)
         vertex_ok = True
-    else:
-        block = basis.gft[list(out), :][:, drop]
-        vertex_ok = numkit.row_reduce(block).rank == n - k
-    spectral_ok = numkit.row_reduce(basis.igft[keep, :][:, list(band.support)]).rank == k
+    except InfeasibleError:  # raised only after d passed the indicator check
+        vertex_ok = False
+    keep = np.flatnonzero(d)
+    spectral_ok = numkit.row_reduce(basis.igft[keep, :][:, list(band.support)]).rank == band.k
     return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
 
 
@@ -386,14 +359,15 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     try:
         domain = Domain(doc["domain"])
         band = BandSpec(tuple(doc["band"]))
-        delta = np.array(doc["delta"])
+        entries = doc["delta"]
+        # type(), not isinstance(): a JSON true is not the integer 1
+        if not isinstance(entries, list) or any(type(v) is not int for v in entries):
+            raise TypeError("delta must be a list of integers")
+        delta = _indicator(entries, len(entries), band.k)
+        _check_band(band, len(entries))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: malformed plan: {exc}") from exc
-    n, k = delta.shape[0] if delta.ndim == 1 else 0, band.k
-    if delta.dtype.kind != "i" or n == 0 or not np.isin(delta, (0, 1)).all() or delta.sum() != k:
-        raise ParseError(f"{path}: delta must be a 0/1 list with {k} ones, one per band index")
-    if band.support[-1] >= n:
-        raise ParseError(f"{path}: band index {band.support[-1]} out of range for size {n}")
+    n, k = delta.shape[0], band.k
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
         s = _recovery_map(gft[list(band.complement(n)), :], delta)
@@ -403,11 +377,11 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
         s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
     if version == 1:
         cond = float("nan")
-    elif isinstance(doc.get("cond"), (int, float)) and math.isfinite(doc["cond"]):
+    elif type(doc.get("cond")) in (int, float) and math.isfinite(doc["cond"]):
         cond = float(doc["cond"])
     else:
         raise ParseError(f"{path}: cond must be a finite number, got {doc.get('cond')!r}")
-    plan = SamplingPlan(domain, delta.astype(np.int64), band, s, cond)
+    plan = SamplingPlan(domain, delta, band, s, cond)
     if graph is not None:
         _check_invariant(plan, graph, path)
     return plan

@@ -15,7 +15,6 @@ eigenvectors.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,7 +30,6 @@ from .errors import (
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 
 __all__ = [
-    "BasisSource",
     "SpectralBasis",
     "basis_from_graph",
     "basis_explicit",
@@ -47,24 +45,13 @@ __all__ = [
 ]
 
 
-class BasisSource(enum.Enum):
-    COMPUTED = "computed"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
-    """A GFT/inverse-GFT pair with its eigenvalue list.
-
-    ``ordering`` records the permutation applied to the raw eigensolver
-    output (empty tuple for explicit bases).
-    """
+    """A GFT/inverse-GFT pair with its eigenvalue list."""
 
     gft: np.ndarray
     igft: np.ndarray
     lam: np.ndarray
-    source: BasisSource
-    ordering: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -107,7 +94,7 @@ def basis_from_graph(graph: Graph, ordering=None, tol: float = numkit.GAP_TOL) -
     lam = pair.values[perm]
     igft = pair.vectors[:, perm]
     gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
-    basis = SpectralBasis(gft, igft, lam, BasisSource.COMPUTED, tuple(int(p) for p in perm))
+    basis = SpectralBasis(gft, igft, lam)
     _check_identity(gft, igft)
     recon = np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
     if recon > numkit.IDENTITY_TOL * max(1.0, np.max(np.abs(graph.adjacency))):
@@ -140,7 +127,7 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
         raise ReconstructionMismatchError(
             f"explicit basis does not reconstruct the shift: error {recon:.3e} > {limit:.3e}"
         )
-    return SpectralBasis(gft, igft, lam, BasisSource.EXPLICIT)
+    return SpectralBasis(gft, igft, lam)
 
 
 def gft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
@@ -189,13 +176,7 @@ def rescale_basis(basis: SpectralBasis, c) -> SpectralBasis:
         raise DimensionMismatchError(f"scale length {c.shape[0]} != basis size {basis.n}")
     if np.any(np.abs(c) == 0.0):
         raise ZeroScaleError("all scale entries must be nonzero")
-    return SpectralBasis(
-        basis.gft / c[:, None],
-        basis.igft * c[None, :],
-        basis.lam.copy(),
-        basis.source,
-        basis.ordering,
-    )
+    return SpectralBasis(basis.gft / c[:, None], basis.igft * c[None, :], basis.lam.copy())
 
 
 def structural_equal(m1, m2) -> bool:

@@ -352,6 +352,9 @@ _BROKEN_PLANS = {
     "non-finite cond": _with("cond", float("inf")),
     "band not ascending": _with("band", [1, 0]),
     "band not integers": _with("band", [0.7, 1.2]),
+    "band booleans": _with("band", [False, True]),
+    "delta with a boolean": _with("delta", [0, True, 0, 1]),
+    "cond a boolean": _with("cond", True),
     "version true": _version2(_with("version", True)),
     "version 2.0": _version2(_with("version", 2.0)),
     "not an object": lambda doc: [doc],
@@ -402,6 +405,9 @@ _BROKEN_INPUTS = {
     ("graph", "non-numeric weight"): _replace("edges", (0, 2), "a"),
     ("graph", "weight a list"): _replace("edges", (0, 2), [1.0]),
     ("graph", "non-finite weight"): _replace("edges", (0, 3), float("inf")),
+    # edge 2 is [1, 0, 1.0, 0.0]: with true for 1 it would read as the same graph
+    ("graph", "boolean endpoint"): _replace("edges", (2, 0), True),
+    ("graph", "n a boolean"): lambda doc: {"n": True, "edges": []},
     ("signal", "invalid JSON"): "",
     ("signal", "not an object"): lambda doc: [doc],
     ("signal", "missing values"): _without("values"),
@@ -481,10 +487,10 @@ def _recover_with_a_spectral(tmp_path, which):
     return ["recover", plan_path, samples_path, "--truth", truth_path, "--out", tmp_path / "rec.json"]
 
 
-def _sample_with_band(tmp_path, band):
+def _sample_with_band(tmp_path, band, *extra):
     graph_path, sig_path = _write_example4_inputs(tmp_path)
     return ["sample", graph_path, sig_path, "--domain", "vertex", f"--band={band}",
-            "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run"]
+            "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run", *extra]
 
 
 _BAD_ARGUMENTS = {
@@ -499,6 +505,14 @@ _BAD_ARGUMENTS = {
     "negative band index": (lambda p: _sample_with_band(p, "-1,0"), "must be nonnegative"),
     "repeated band index": (lambda p: _sample_with_band(p, "0,0"), "strictly ascending and unique"),
     "empty band": (lambda p: _sample_with_band(p, ","), "must be nonempty"),
+    "short delta": (
+        lambda p: _sample_with_band(p, "0,1", "--delta", "0,1,0"),
+        "delta must be a 0/1 vector of length 4",
+    ),
+    "delta not 0/1": (
+        lambda p: _sample_with_band(p, "0,1", "--delta", "0,2,0,1"),
+        "delta must be a 0/1 vector of length 4",
+    ),
     "negative demo size": (
         lambda p: ["--out-dir", p, "demo", "dsp_block_sampling", "--n", "-3"],
         "needs n >= 1, got -3",

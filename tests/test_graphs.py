@@ -84,6 +84,15 @@ class TestGraphIO:
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(g.adjacency, g2.adjacency)
 
+    def test_json_edges_in_src_dst_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.5)
+        path = tmp_path / "g.json"
+        write_graph(Graph(a), path)
+        edges = json.loads(path.read_text())["edges"]
+        assert [e[:2] for e in edges] == sorted([s, d] for d, s in zip(*np.nonzero(a)))
+        assert [e[2] for e in edges] == [a[d, s] for s, d, *_ in edges]
+
     def test_csv_roundtrip_complex_weights(self, tmp_path):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

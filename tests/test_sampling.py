@@ -58,7 +58,7 @@ def lowpass_signal(rng, basis, band):
     return igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL)), xhat
 
 
-@pytest.mark.parametrize("support", [(), (-1, 0), (0, 0), (1, 0)])
+@pytest.mark.parametrize("support", [(), (-1, 0), (0, 0), (1, 0), (False, True)])
 def test_band_spec_rejects_a_bad_support_with_a_typed_error(support):
     with pytest.raises(DimensionMismatchError):
         BandSpec(support)
@@ -282,6 +282,14 @@ class TestSampleUpsample:
             sample(GraphSignal(X4, Domain.SPECTRAL), DELTA4)
 
 
+def makes_a_plan(basis, band, delta):
+    try:
+        vertex_plan(basis, band, forced_delta=delta)
+    except InfeasibleError:
+        return False
+    return True
+
+
 class TestPlanEquivalent:
     def test_showcase_indicator_valid_both_ways(self):
         _, basis = example4()
@@ -294,6 +302,12 @@ class TestPlanEquivalent:
         out = plan_equivalent(basis, np.array([0, 1, 0]), BandSpec((0,)))
         assert out == {"vertex_ok": False, "spectral_ok": False}
 
+    @pytest.mark.parametrize("delta", [[0, 2, 0, 1], [0, 1, 0], [1, 1, 0, 1], None])
+    def test_a_non_indicator_is_refused(self, delta):
+        _, basis = example4()
+        with pytest.raises(SizeMismatchError):
+            plan_equivalent(basis, delta, BandSpec((0, 1)))
+
     def test_ring6_exhaustive_agreement(self):
         basis = dft_basis(6)
         band = BandSpec((0, 1, 2))
@@ -301,7 +315,7 @@ class TestPlanEquivalent:
             delta = np.zeros(6, dtype=int)
             delta[list(subset)] = 1
             out = plan_equivalent(basis, delta, band)
-            assert out["vertex_ok"] == out["spectral_ok"]
+            assert out["vertex_ok"] == out["spectral_ok"] == makes_a_plan(basis, band, delta)
 
     def test_random_graph_exhaustive_agreement(self):
         rng = np.random.default_rng(7)
@@ -312,7 +326,7 @@ class TestPlanEquivalent:
                 delta = np.zeros(6, dtype=int)
                 delta[list(subset)] = 1
                 out = plan_equivalent(basis, delta, band)
-                assert out["vertex_ok"] == out["spectral_ok"]
+                assert out["vertex_ok"] == out["spectral_ok"] == makes_a_plan(basis, band, delta)
 
 
 def pairs(values):
