@@ -2,9 +2,10 @@
 
 Subcommands: demo, sample, recover, convolve, gft, spectral-shift. Demos
 re-run the toolkit's built-in showcase computations, write a JSON report
-plus CSV plot data (header ``index,re,im,abs``), and exit 0 only if every
-embedded assertion passes. All randomness sits behind --seed and every file
-write is atomic, so repeated runs are byte-identical.
+plus CSV plot data (a vector as an ``index,re,im,abs`` panel, a matrix as
+dense complex CSV), and exit 0 only if every embedded assertion passes. All
+randomness sits behind --seed and every file write is atomic, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,19 +19,8 @@ import numpy as np
 
 from . import dspcompat, filters, graphs, numkit, sampling, spectral
 from .errors import BadSizeError, GsptkError, SizeMismatchError
-from .graphs import Domain, Graph, GraphKind, GraphSignal, _atomic_write, _fmt_complex, _pairs, build, read_graph, read_signal, write_signal
+from .graphs import Domain, Graph, GraphKind, GraphSignal, _pairs, build, read_graph, read_signal, write_signal
 from .impulses import ImpulseKind, impulse_family
-
-DEMO_NAMES = (
-    "ring_shift",
-    "star_m",
-    "example4_vertex",
-    "example4_spectral",
-    "dsp_block_sampling",
-    "replication_compare",
-    "path_signals",
-    "convolution",
-)
 
 # Reference vectors for the 4-node showcase pipelines (3-digit values; all
 # comparisons against them use the 5e-3 print tolerance).
@@ -72,29 +62,6 @@ class Checks:
     def ok(self, name: str, cond: bool, detail: str = "") -> None:
         self.results.append({"name": name, "passed": bool(cond), "detail": detail})
 
-    @property
-    def first_failure(self):
-        for r in self.results:
-            if not r["passed"]:
-                return r["name"]
-        return None
-
-
-def _write_json(path: Path, doc) -> None:
-    graphs._write_json(path, doc, indent=1, sort_keys=True)
-
-
-def _write_panel(path: Path, values) -> None:
-    lines = ["index,re,im,abs"]
-    for i, z in enumerate(np.asarray(values, dtype=np.complex128)):
-        lines.append(f"{i},{z.real!r},{z.imag!r},{abs(z)!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_matrix_csv(path: Path, m) -> None:
-    rows = [",".join(_fmt_complex(z) for z in row) for row in np.asarray(m)]
-    _atomic_write(path, "\n".join(rows) + "\n")
-
 
 def _example4() -> tuple[Graph, spectral.SpectralBasis]:
     graph = build(GraphKind.EXAMPLE4, 4)
@@ -103,26 +70,23 @@ def _example4() -> tuple[Graph, spectral.SpectralBasis]:
 
 # ---------------------------------------------------------------------------
 # demos
+#
+# Each demo returns its assertions, its report fields and its arrays to plot
+# by file stem. _cmd_demo writes every file, so a demo that raises leaves none.
 
 
-def _demo_ring_shift(out: Path, n: int, seed: int) -> Checks:
+def _demo_ring_shift(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 4
     graph = build(GraphKind.RING, n)
     x = np.arange(1, n + 1, dtype=np.complex128)
     shifted = graph.adjacency @ x
     checks = Checks()
     checks.close("cyclic_shift_moves_each_sample_forward", shifted, np.roll(x, 1), 1e-12)
-    _write_panel(out / "original.csv", x)
-    _write_panel(out / "shifted.csv", shifted)
-    _write_json(
-        out / "report.json",
-        {"n": n, "original": _pairs(x), "shifted": _pairs(shifted),
-         "assertions": checks.results},
-    )
-    return checks
+    report = {"n": n, "original": _pairs(x), "shifted": _pairs(shifted)}
+    return checks, report, {"original": x, "shifted": shifted}
 
 
-def _demo_star_m(out: Path, n: int, seed: int) -> Checks:
+def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
     graph = build(GraphKind.STAR, 5)
     basis = spectral.bundled_basis("star5", graph)
     m = spectral.spectral_shift(basis)
@@ -134,16 +98,11 @@ def _demo_star_m(out: Path, n: int, seed: int) -> Checks:
         "spectral_graph_is_fully_connected",
         bool(np.all(np.abs(m) > 1e-9 * np.max(np.abs(m)))),
     )
-    _write_matrix_csv(out / "m_matrix.csv", m)
-    _write_json(
-        out / "report.json",
-        {"m": _pairs(m), "reconstruction_error": float(recon),
-         "assertions": checks.results},
-    )
-    return checks
+    report = {"m": _pairs(m), "reconstruction_error": float(recon)}
+    return checks, report, {"m_matrix": m}
 
 
-def _demo_example4_vertex(out: Path, n: int, seed: int) -> Checks:
+def _demo_example4_vertex(n: int, seed: int) -> tuple[Checks, dict, dict]:
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.vertex_plan(basis, band)
@@ -154,25 +113,19 @@ def _demo_example4_vertex(out: Path, n: int, seed: int) -> Checks:
     checks.close("sampling_indicator", plan.delta, _REF4_DELTA, 0)
     checks.close("pivot_from_free_matrix", plan.S, _REF4_S, _REF_TOL)
     checks.close("recovered_signal", recovered.values, _REF4_X, _REF_TOL)
-    _write_panel(out / "original.csv", x.values)
-    _write_panel(out / "samples.csv", x_s)
-    _write_panel(out / "recovered.csv", recovered.values)
-    _write_json(
-        out / "report.json",
-        {
-            "delta": [int(v) for v in plan.delta],
-            "S": _pairs(plan.S),
-            "free_idx": list(plan.free_idx),
-            "pivot_idx": list(plan.pivot_idx),
-            "condition": plan.cond,
-            "recovered": _pairs(recovered.values),
-            "assertions": checks.results,
-        },
-    )
-    return checks
+    report = {
+        "delta": [int(v) for v in plan.delta],
+        "S": _pairs(plan.S),
+        "free_idx": list(plan.free_idx),
+        "pivot_idx": list(plan.pivot_idx),
+        "condition": plan.cond,
+        "recovered": _pairs(recovered.values),
+    }
+    arrays = {"original": x.values, "samples": x_s, "recovered": recovered.values}
+    return checks, report, arrays
 
 
-def _demo_example4_spectral(out: Path, n: int, seed: int) -> Checks:
+def _demo_example4_spectral(n: int, seed: int) -> tuple[Checks, dict, dict]:
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.spectral_plan(basis, band, forced_delta=_REF4_DELTA)
@@ -186,24 +139,18 @@ def _demo_example4_spectral(out: Path, n: int, seed: int) -> Checks:
     checks.close("recovery_block", plan.pmkk, _REF4_PMKK, _REF_TOL)
     checks.close("in_band_spectrum", xhat_k, np.array([1.0, 2.0]), _REF_TOL)
     checks.close("recovered_signal", recovered.values, _REF4_X, _REF_TOL)
-    _write_panel(out / "sampled_spectrum.csv", xhat_spl)
-    _write_panel(out / "recovered.csv", recovered.values)
-    _write_json(
-        out / "report.json",
-        {
-            "delta": [int(v) for v in plan.delta],
-            "selected_rows": list(plan.selected_rows),
-            "pmkk": _pairs(plan.pmkk),
-            "in_band_spectrum": _pairs(xhat_k),
-            "condition": plan.cond,
-            "recovered": _pairs(recovered.values),
-            "assertions": checks.results,
-        },
-    )
-    return checks
+    report = {
+        "delta": [int(v) for v in plan.delta],
+        "selected_rows": list(plan.selected_rows),
+        "pmkk": _pairs(plan.pmkk),
+        "in_band_spectrum": _pairs(xhat_k),
+        "condition": plan.cond,
+        "recovered": _pairs(recovered.values),
+    }
+    return checks, report, {"sampled_spectrum": xhat_spl, "recovered": recovered.values}
 
 
-def _demo_dsp_block_sampling(out: Path, n: int, seed: int) -> Checks:
+def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 12
     if n < 1:
         raise BadSizeError(f"dsp_block_sampling needs n >= 1, got {n}")
@@ -218,18 +165,12 @@ def _demo_dsp_block_sampling(out: Path, n: int, seed: int) -> Checks:
         xhat[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
         rec = dspcompat.nyquist_recover(GraphSignal(pm @ xhat, Domain.SPECTRAL), k)
         checks.close(f"lowpass_recovery_n{n}_k{k}", rec.values, xhat, 1e-10)
-    _write_matrix_csv(
-        out / f"operator_n{n}_k{divisors[len(divisors) // 2]}.csv",
-        dspcompat.dsp_sampling_operator(n, divisors[len(divisors) // 2]),
-    )
-    _write_json(
-        out / "report.json",
-        {"n": n, "divisors": divisors, "assertions": checks.results},
-    )
-    return checks
+    k = divisors[len(divisors) // 2]
+    report = {"n": n, "divisors": divisors}
+    return checks, report, {f"operator_n{n}_k{k}": dspcompat.dsp_sampling_operator(n, k)}
 
 
-def _demo_replication_compare(out: Path, n: int, seed: int) -> Checks:
+def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
     graph, basis = _example4()
     xhat = GraphSignal(np.array([1.0, 2.0, 0.0, 0.0]), Domain.SPECTRAL)
     rep = dspcompat.replication_compare(basis, xhat, 2)
@@ -250,28 +191,22 @@ def _demo_replication_compare(out: Path, n: int, seed: int) -> Checks:
         ring_rep.zero_count == ring_n // 2,
         f"zero_count={ring_rep.zero_count}",
     )
-    for name, vec in (
-        ("input_spectrum", xhat.values),
-        ("replicated", rep.freq_sampled),
-        ("via_gft", rep.vertex_image_via_gft),
-        ("via_dft", rep.vertex_image_via_dft),
-    ):
-        _write_panel(out / f"{name}.csv", vec)
-    _write_json(
-        out / "report.json",
-        {
-            "input_spectrum": _pairs(xhat.values),
-            "freq_sampled": _pairs(rep.freq_sampled),
-            "vertex_image_via_gft": _pairs(rep.vertex_image_via_gft),
-            "vertex_image_via_dft": _pairs(rep.vertex_image_via_dft),
-            "zero_count": rep.zero_count,
-            "assertions": checks.results,
-        },
-    )
-    return checks
+    report = {
+        "input_spectrum": _pairs(xhat.values),
+        "freq_sampled": _pairs(rep.freq_sampled),
+        "vertex_image_via_gft": _pairs(rep.vertex_image_via_gft),
+        "vertex_image_via_dft": _pairs(rep.vertex_image_via_dft),
+        "zero_count": rep.zero_count,
+    }
+    return checks, report, {
+        "input_spectrum": xhat.values,
+        "replicated": rep.freq_sampled,
+        "via_gft": rep.vertex_image_via_gft,
+        "via_dft": rep.vertex_image_via_dft,
+    }
 
 
-def _demo_path_signals(out: Path, n: int, seed: int) -> Checks:
+def _demo_path_signals(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 100
     if n % 2:
         raise GsptkError("path demo needs an even node count")
@@ -292,7 +227,8 @@ def _demo_path_signals(out: Path, n: int, seed: int) -> Checks:
     checks.close(
         "block_operator_equals_sampled_spectrum", pm_xhat, sampled_hat.values, 1e-8
     )
-    panels = {
+    report = {"n": n, "replication_zero_count": rep.zero_count}
+    return checks, report, {
         "original_vertex": x.values,
         "original_spectral": xhat,
         "sampled_vertex": sampled.values,
@@ -302,16 +238,9 @@ def _demo_path_signals(out: Path, n: int, seed: int) -> Checks:
         "replication_vertex": rep.vertex_image_via_gft,
         "replication_spectral": rep.freq_sampled,
     }
-    for name, vec in panels.items():
-        _write_panel(out / f"{name}.csv", vec)
-    _write_json(
-        out / "report.json",
-        {"n": n, "replication_zero_count": rep.zero_count, "assertions": checks.results},
-    )
-    return checks
 
 
-def _demo_convolution(out: Path, n: int, seed: int) -> Checks:
+def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = 4
     graph = build(GraphKind.RING, n)
     basis = dspcompat.dft_basis(n)
@@ -346,17 +275,8 @@ def _demo_convolution(out: Path, n: int, seed: int) -> Checks:
         ).values
         worst = max(worst, float(np.max(np.abs(got - dspcompat.circulant_convolve(a, b)))))
     checks.ok("random_pairs_match_oracle", worst <= 1e-8, f"worst {worst:.2e}")
-    _write_panel(out / "vertex_result.csv", vert.values)
-    _write_panel(out / "spectral_result.csv", spec.values)
-    _write_json(
-        out / "report.json",
-        {
-            "vertex_result": _pairs(vert.values),
-            "spectral_result": _pairs(spec.values),
-            "assertions": checks.results,
-        },
-    )
-    return checks
+    report = {"vertex_result": _pairs(vert.values), "spectral_result": _pairs(spec.values)}
+    return checks, report, {"vertex_result": vert.values, "spectral_result": spec.values}
 
 
 _DEMOS = {
@@ -369,6 +289,7 @@ _DEMOS = {
     "path_signals": _demo_path_signals,
     "convolution": _demo_convolution,
 }
+DEMO_NAMES = tuple(_DEMOS)
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +414,26 @@ def _cmd_spectral_shift(args) -> int:
         if args.variant
         else spectral.spectral_shift(basis)
     )
-    _write_matrix_csv(Path(args.out), m)
+    graphs._write_csv(args.out, m)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_demo(args) -> int:
-    out_root = Path(args.out_dir)
     name = args.name
-    out = out_root / name  # created by the first file a demo writes
-    checks = _DEMOS[name](out, args.n, args.seed)
+    out = Path(args.out_dir) / name
+    checks, report, arrays = _DEMOS[name](args.n, args.seed)
+    for stem, values in arrays.items():
+        graphs._write_csv(out / f"{stem}.csv", values)
+    graphs._write_json(
+        out / "report.json", {**report, "assertions": checks.results}, indent=1, sort_keys=True
+    )
     for r in checks.results:
         state = "PASS" if r["passed"] else "FAIL"
         print(f"[{state}] {name}: {r['name']}")
-    failure = checks.first_failure
-    if failure is not None:
-        print(f"demo {name} failed at assertion: {failure}", file=sys.stderr)
+    failed = [r["name"] for r in checks.results if not r["passed"]]
+    if failed:
+        print(f"demo {name} failed at assertion: {failed[0]}", file=sys.stderr)
         return 1
     print(f"demo {name}: all {len(checks.results)} assertions passed; reports in {out}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import NotDivisibleError
+from .errors import BadSizeError, DimensionMismatchError, NotDivisibleError
 from .graphs import Domain, GraphKind, GraphSignal, build
 from .sampling import sampling_operator
 from .spectral import SpectralBasis, spectral_shift, spectral_shift_variant
@@ -39,7 +39,7 @@ def dft_basis(n: int) -> SpectralBasis:
     order k = 0..n-1; the inverse transform is the conjugate transpose.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadSizeError("n must be positive")
     grid = np.outer(np.arange(n), np.arange(n))
     gft = np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
     lam = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -106,7 +106,7 @@ def circulant_convolve(x, y) -> np.ndarray:
     x = numkit.as_cvector(x, "x")
     y = numkit.as_cvector(y, "y")
     if x.shape != y.shape:
-        raise ValueError("operands must have equal length")
+        raise DimensionMismatchError("operands must have equal length")
     n = x.shape[0]
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return y[idx] @ x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
+from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
 from .spectral import SpectralBasis, _check_length, spectral_shift
@@ -64,7 +64,7 @@ class PolynomialFilter:
     def __post_init__(self):
         c = numkit.as_cvector(self.coeffs, "coeffs")
         if c.size < 1:
-            raise ValueError("a filter needs at least one coefficient")
+            raise BadSizeError("a filter needs at least one coefficient")
         object.__setattr__(self, "coeffs", c)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import cmath
 import enum
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadSizeError, DomainMismatchError, ParseError
+from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError
 from .numkit import as_cmatrix, as_cvector
 
 __all__ = [
@@ -55,7 +56,7 @@ class Graph:
     def __post_init__(self):
         a = as_cmatrix(self.adjacency, "adjacency")
         if a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got {a.shape}")
+            raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
         object.__setattr__(self, "adjacency", a)
 
     @property
@@ -133,6 +134,18 @@ def _fmt_complex(z: complex) -> str:
     return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
 
 
+def _write_csv(path, values) -> None:
+    """Write a complex matrix as dense CSV, one ``_fmt_complex`` field per
+    entry, or a vector as the ``index,re,im,abs`` plot panel."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.ndim == 2:
+        lines = [",".join(_fmt_complex(z) for z in row) for row in v.tolist()]
+    else:
+        lines = ["index,re,im,abs"]
+        lines += [f"{i},{z.real!r},{z.imag!r},{abs(z)!r}" for i, z in enumerate(v.tolist())]
+    _atomic_write(Path(path), "\n".join(lines) + "\n")
+
+
 def _parse_complex(token: str, path, line_no: int, field: int) -> complex:
     try:
         z = complex(token.strip())
@@ -149,10 +162,7 @@ def write_graph(graph: Graph, path) -> None:
     """Write a graph as canonical edge-list JSON or dense CSV (by extension)."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        rows = [
-            ",".join(_fmt_complex(z) for z in row) for row in graph.adjacency
-        ]
-        _atomic_write(path, "\n".join(rows) + "\n")
+        _write_csv(path, graph.adjacency)
         return
     src, dst = np.nonzero(graph.adjacency.T)  # row-major: ascending (src, dst)
     weights = _pairs(graph.adjacency[dst, src])
@@ -175,9 +185,11 @@ def read_graph(path) -> Graph:
     for i, edge in enumerate(edges):
         if not isinstance(edge, list) or len(edge) != 4:
             raise ParseError(f"{path}: edge {i} must be [src, dst, w_re, w_im]")
-        src, dst, _, _ = edge
+        src, dst, w_re, w_im = edge
         if not (type(src) is int and type(dst) is int):
             raise ParseError(f"{path}: edge {i}: endpoints must be integers")
+        if type(w_re) is bool or type(w_im) is bool:
+            raise ParseError(f"{path}: edge {i}: weights must be numbers, not booleans")
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{path}: edge {i}: endpoint out of range 0..{n - 1}")
     try:
@@ -238,7 +250,8 @@ def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
 
     A None in ``shape`` accepts any nonzero length on that axis. Raises
     ParseError, naming ``what`` (the file and field), unless ``doc`` is a
-    rectangular array of finite [re, im] number pairs of that shape.
+    rectangular array of finite [re, im] number pairs of that shape. A JSON
+    true or false is not a number here.
     """
     try:
         pairs = np.array(doc)
@@ -247,11 +260,22 @@ def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
     if pairs.size == 0 and 0 in shape:  # an empty array is written as []
         return np.zeros(shape, dtype=np.complex128)
     want = tuple(got if s is None else s for s, got in zip(shape, pairs.shape)) + (2,)
-    if pairs.dtype.kind not in "iuf" or pairs.shape != want or not np.isfinite(pairs).all():
+    bad = pairs.dtype.kind not in "iuf" or pairs.shape != want
+    if bad or not np.isfinite(pairs).all() or _holds_bool(doc, pairs.ndim):
         dims = " x ".join("N" if s is None else str(s) for s in shape)
         raise ParseError(f"{what} must be an array of shape ({dims}) of finite [re, im] pairs")
     # a view, not re + 1j * im, so that signed zeros survive the round trip
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _holds_bool(doc, depth: int) -> bool:
+    """Whether rectangular nested lists ``depth`` deep hold a JSON true or
+    false, which np.array turns into 1 or 0 when numbers surround it."""
+    if not isinstance(doc, list):  # an array has no JSON booleans left to find
+        return False
+    for _ in range(depth - 1):
+        doc = itertools.chain.from_iterable(doc)
+    return bool in set(map(type, doc))
 
 
 def _packed(values) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
+from .errors import BadSizeError
 from .graphs import Graph
 from .spectral import SpectralBasis, spectral_shift
 
@@ -115,7 +116,7 @@ def vandermonde(lam) -> np.ndarray:
     """
     lam = numkit.as_cvector(lam, "lam")
     if lam.size == 0:
-        raise ValueError("lam must be nonempty")
+        raise BadSizeError("lam must be nonempty")
     n = lam.shape[0]
     return (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
 

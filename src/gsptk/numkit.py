@@ -170,12 +170,12 @@ def solve(a, b):
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
+        raise DimensionMismatchError(f"coefficient matrix must be square, got {a.shape}")
     rhs = np.asarray(b)
     vector_rhs = rhs.ndim == 1
     rhs = as_cmatrix(rhs[:, None] if vector_rhs else rhs, "rhs")
     if rhs.shape[0] != n:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
+        raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
     if n == 0:
         x = rhs
     else:
@@ -220,7 +220,7 @@ def eig(a) -> EigPair:
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
-        raise ValueError(f"matrix must be square, got {a.shape}")
+        raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     try:
         values, vectors = scipy.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare

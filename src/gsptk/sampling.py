@@ -333,7 +333,8 @@ def write_plan(plan: SamplingPlan, path) -> None:
         "delta": [int(v) for v in plan.delta],
         "band": list(plan.band.support),
         "S": _packed(plan.S),
-        "cond": plan.cond,
+        # NaN is not JSON: a version-1 plan's unknown cond is written as null
+        "cond": plan.cond if math.isfinite(plan.cond) else None,
     }
     _write_json(path, doc)
 
@@ -345,10 +346,10 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     Older files are read too: version 2 stores ``S`` as [re, im] pairs.
     Files without a ``version`` (version 1) hold ``S`` that way if they are
     vertex plans, and spectral ones get it from their stored ``gft``;
-    neither recorded ``cond``, so it reads as NaN. With
-    ``graph``, raises ReconstructionMismatchError unless the range of the
-    plan's recovery map is invariant under the graph's shift, as the span of
-    the band's eigenvectors is.
+    neither recorded ``cond``, so it reads as NaN, which ``write_plan``
+    stores as null. With ``graph``, raises ReconstructionMismatchError unless
+    the range of the plan's recovery map is invariant under the graph's
+    shift, as the span of the band's eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
@@ -375,12 +376,13 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
         s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S")
     else:
         s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
-    if version == 1:
+    cond = doc.get("cond", "missing") if version > 1 else None
+    if cond is None:
         cond = float("nan")
-    elif type(doc.get("cond")) in (int, float) and math.isfinite(doc["cond"]):
-        cond = float(doc["cond"])
+    elif type(cond) in (int, float) and math.isfinite(cond):
+        cond = float(cond)
     else:
-        raise ParseError(f"{path}: cond must be a finite number, got {doc.get('cond')!r}")
+        raise ParseError(f"{path}: cond must be a finite number or null, got {cond!r}")
     plan = SamplingPlan(domain, delta, band, s, cond)
     if graph is not None:
         _check_invariant(plan, graph, path)

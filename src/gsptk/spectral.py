@@ -90,7 +90,7 @@ def basis_from_graph(graph: Graph, ordering=None, tol: float = numkit.GAP_TOL) -
     else:
         perm = np.asarray(ordering, dtype=int)
         if sorted(perm.tolist()) != list(range(graph.n)):
-            raise ValueError("ordering must be a permutation of 0..n-1")
+            raise DimensionMismatchError("ordering must be a permutation of 0..n-1")
     lam = pair.values[perm]
     igft = pair.vectors[:, perm]
     gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))

@@ -63,6 +63,25 @@ def test_plot_csv_format(tmp_path):
     assert lines[0] == "index,re,im,abs"
     assert lines[1].startswith("0,")
     assert len(lines) == 5
+    # every CSV of every demo holds numbers: a vector as a panel of floats, a
+    # matrix as complex fields
+    panels, matrices = 0, []
+    for name in DEMO_NAMES:
+        size = ["--n", "40"] if name == "path_signals" else []
+        assert run(["--out-dir", tmp_path, "demo", name] + size) == 0
+        for path in sorted((tmp_path / name).glob("*.csv")):
+            lines = path.read_text().splitlines()
+            if lines[0] == "index,re,im,abs":
+                panels += 1
+                for i, line in enumerate(lines[1:]):
+                    index, *fields = line.split(",")
+                    assert int(index) == i and len(fields) == 3, (path, line)
+                    [float(f) for f in fields]
+            else:
+                matrices.append(path.name)
+                for line in lines:
+                    [complex(f) for f in line.split(",")]
+    assert panels == 21 and matrices == ["m_matrix.csv", "operator_n12_k4.csv"]
 
 
 def _write_example4_inputs(tmp_path):
@@ -342,6 +361,7 @@ _BROKEN_PLANS = {
     "entry not a pair": _version2(_replace("S", (0, 0), [1.0])),
     "entry not a number": _version2(_replace("S", (0, 0), ["1.0", "0.0"])),
     "non-finite entry": _version2(_replace("S", (0, 0), [float("nan"), 0.0])),
+    "entry with a boolean": _version2(_replace("S", (0, 0), [True, 0.0])),
     # version 3: S packed as base64 of complex128 bytes
     "S not a string": lambda doc: {**doc, "S": _version2()(doc)["S"]},
     # without validation, b64decode would skip the four stars and decode the rest
@@ -408,6 +428,8 @@ _BROKEN_INPUTS = {
     # edge 2 is [1, 0, 1.0, 0.0]: with true for 1 it would read as the same graph
     ("graph", "boolean endpoint"): _replace("edges", (2, 0), True),
     ("graph", "n a boolean"): lambda doc: {"n": True, "edges": []},
+    # each boolean below replaces an equal number: read as one, it gives the same input
+    ("graph", "boolean weight"): _replace("edges", (2, 2), True),
     ("signal", "invalid JSON"): "",
     ("signal", "not an object"): lambda doc: [doc],
     ("signal", "missing values"): _without("values"),
@@ -415,6 +437,7 @@ _BROKEN_INPUTS = {
     ("signal", "entry not a pair"): _replace("values", (0,), [1.0]),
     ("signal", "non-numeric pair"): _replace("values", (0,), ["1.0", "0.0"]),
     ("signal", "non-finite entry"): _replace("values", (0, 0), float("nan")),
+    ("signal", "boolean in a pair"): _replace("values", (0, 1), False),
     ("signal", "values of the wrong shape"): _with("values", [[[1.0, 0.0]]] * 4),
     ("basis", "invalid JSON"): '{"lambda": [[1.0, 0.0]',
     ("basis", "not an object"): lambda doc: [doc],
@@ -422,6 +445,7 @@ _BROKEN_INPUTS = {
     ("basis", "entry not a pair"): _replace("gft", (0, 0), [1.0]),
     ("basis", "non-numeric entry"): _replace("gft", (0, 0), ["1.0", "0.0"]),
     ("basis", "non-finite entry"): _replace("lambda", (0, 1), float("nan")),
+    ("basis", "boolean in a pair"): _replace("gft", (0, 0, 1), False),
     ("basis", "gft of the wrong shape"): lambda doc: {**doc, "gft": doc["gft"][:-1]},
 }
 

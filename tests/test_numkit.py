@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from gsptk import (
+    BadSizeError,
     DimensionMismatchError,
+    Graph,
     GraphKind,
     NonFiniteError,
+    PolynomialFilter,
+    ShiftDomain,
     SingularMatrixError,
+    basis_from_graph,
     build,
     bundled_basis,
+    circulant_convolve,
+    dft_basis,
+    vandermonde,
 )
 from gsptk.numkit import as_cmatrix, as_cvector, eig, row_reduce, solve
 
@@ -99,8 +107,27 @@ def test_validation_errors_are_typed_value_errors():
         as_cmatrix(np.ones(3))
     with pytest.raises(DimensionMismatchError, match="must be 1-D"):
         as_cvector(np.ones((2, 2)))
+    with pytest.raises(DimensionMismatchError, match="adjacency must be square"):
+        Graph(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="coefficient matrix must be square"):
+        solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(DimensionMismatchError, match="rhs length 3 does not match"):
+        solve(np.eye(2), np.ones(3))
+    with pytest.raises(DimensionMismatchError, match="matrix must be square"):
+        eig(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="ordering must be a permutation"):
+        basis_from_graph(build(GraphKind.RING, 4), ordering=[0, 0, 1, 2])
+    with pytest.raises(DimensionMismatchError, match="operands must have equal length"):
+        circulant_convolve([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(BadSizeError, match="lam must be nonempty"):
+        vandermonde([])
+    with pytest.raises(BadSizeError, match="n must be positive"):
+        dft_basis(0)
+    with pytest.raises(BadSizeError, match="at least one coefficient"):
+        PolynomialFilter([], ShiftDomain.VERTEX_A)
     assert issubclass(NonFiniteError, ValueError)
     assert issubclass(DimensionMismatchError, ValueError)
+    assert issubclass(BadSizeError, ValueError)
 
 
 class TestSolve:

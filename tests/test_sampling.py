@@ -382,6 +382,14 @@ class TestPlanIO:
             assert np.max(np.abs(back.S - plan.S)) < 1e-12
             rec = spectral_recover(back, np.array([0.93, -0.577]))
             assert np.max(np.abs(rec.values - X4)) < 5e-3
+        # its unknown cond is written back as null, not as the non-JSON NaN
+        again = tmp_path / "again.json"
+        write_plan(back, again)
+        assert json.loads(again.read_text())["cond"] is None
+        reread = read_plan(again, g)
+        assert np.array_equal(reread.delta, back.delta) and reread.band == back.band
+        assert reread.S.tobytes() == back.S.tobytes()
+        assert math.isnan(reread.cond)
 
     def test_version_2_and_3_files_read_the_same_plan(self, tmp_path):
         basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
