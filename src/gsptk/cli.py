@@ -167,7 +167,7 @@ def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
         checks.close(f"lowpass_recovery_n{n}_k{k}", rec.values, xhat, 1e-10)
     k = divisors[len(divisors) // 2]
     report = {"n": n, "divisors": divisors}
-    return checks, report, {f"operator_n{n}_k{k}": dspcompat.dsp_sampling_operator(n, k)}
+    return checks, report, {"operator": dspcompat.dsp_sampling_operator(n, k)}
 
 
 def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
@@ -514,10 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GsptkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GsptkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,24 +64,16 @@ def verify_ring(n: int) -> RingShiftReport:
 
 
 def dsp_sampling_operator(n: int, k: int) -> np.ndarray:
-    """P(M) of the even k-of-n delta train, verified against its closed form.
+    """P(M) of the even k-of-n delta train on the n-node directed cycle.
 
     The train keeps every (n/k)-th node. The resulting operator is
-    (k/n) times an (n/k) x (n/k) grid of k x k identity blocks; the
-    construction asserts that equality before returning.
+    (k/n) times an (n/k) x (n/k) grid of k x k identity blocks.
     """
     if k < 1 or n < 1 or n % k:
         raise NotDivisibleError(f"k must divide n, got n={n} k={k}")
     delta = np.zeros(n, dtype=np.complex128)
     delta[:: n // k] = 1.0
-    pm = sampling_operator(dft_basis(n), delta)
-    blocks = (k / n) * np.kron(np.ones((n // k, n // k)), np.eye(k))
-    dev = float(np.max(np.abs(pm - blocks)))
-    if dev > numkit.CLOSED_FORM_TOL:
-        raise AssertionError(
-            f"even-train operator deviates from its block form by {dev:.3e}"
-        )
-    return pm
+    return sampling_operator(dft_basis(n), delta)
 
 
 def nyquist_recover(x_spl_hat: GraphSignal, k: int) -> GraphSignal:

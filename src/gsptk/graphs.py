@@ -197,17 +197,16 @@ def read_graph(path) -> Graph:
     except ValueError:  # a weight that is itself a list
         raise ParseError(f"{path}: edge weights must be numbers") from None
     weights = _from_pairs(table[:, 2:], (len(edges),), f"{path}: edge weights")
-    a = np.zeros((n, n), dtype=np.complex128)
+    try:
+        a = np.zeros((n, n), dtype=np.complex128)
+    except (ValueError, MemoryError):  # too large for numpy or for this host
+        raise ParseError(f"{path}: 'n' = {n} is too large for a dense adjacency") from None
     a[table[:, 1].astype(np.intp), table[:, 0].astype(np.intp)] = weights
     return Graph(a)
 
 
 def _read_graph_csv(path) -> Graph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
     n = len(lines)

@@ -81,31 +81,25 @@ def _shift_stack(shift: np.ndarray, start: np.ndarray) -> np.ndarray:
 def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> ImpulseFamily:
     """Build the impulse matrix D and its transform for one delta convention.
 
-    Vertex-domain families are generated by repeated adjacency shifts (no
-    eigendecomposition enters D itself); spectral-domain families by repeated
-    applications of the spectral shift M.
+    Every family is a delta and its N-1 shifts: by the adjacency in the
+    vertex domain, by the spectral shift M in the spectral domain. The
+    eigenbasis enters D only through the flat deltas.
     """
     n = graph.n
-    e0 = np.zeros(n, dtype=np.complex128)
-    e0[0] = 1.0
-    flat = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
+    vertex = kind.lives_in_vertex_domain
+    if kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE):
+        start = np.zeros(n, dtype=np.complex128)
+        start[0] = 1.0
+    else:  # the delta whose transform into the other domain is flat
+        flat = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
+        start = (basis.igft if vertex else basis.gft) @ flat
+    shift = graph.adjacency if vertex else spectral_shift(basis)
     # powers of a shift whose spectral radius exceeds 1 overflow on large
     # graphs; as_cmatrix turns that into a typed error naming D
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind is ImpulseKind.VERTEX_IMPULSIVE:
-            d = _shift_stack(graph.adjacency, e0)
-        elif kind is ImpulseKind.SPECTRAL_FLAT:
-            # column k is (1/sqrt(N)) * igft @ lam^k, equal to repeated A-shifts
-            powers = basis.lam[:, None] ** np.arange(n)[None, :]
-            d = basis.igft @ powers / np.sqrt(n)
-        elif kind is ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE:
-            d = _shift_stack(spectral_shift(basis), e0)
-        elif kind is ImpulseKind.SPECTRAL_DOMAIN_FLAT:
-            d = _shift_stack(spectral_shift(basis), basis.gft @ flat)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown impulse kind {kind!r}")
+        d = _shift_stack(shift, start)
     d = numkit.as_cmatrix(d, "impulse matrix")
-    d_hat = (basis.gft if kind.lives_in_vertex_domain else basis.igft) @ d
+    d_hat = (basis.gft if vertex else basis.igft) @ d
     return ImpulseFamily(kind, d, d_hat, basis.gft[:, 0].copy())
 
 

@@ -81,7 +81,7 @@ def test_plot_csv_format(tmp_path):
                 matrices.append(path.name)
                 for line in lines:
                     [complex(f) for f in line.split(",")]
-    assert panels == 21 and matrices == ["m_matrix.csv", "operator_n12_k4.csv"]
+    assert panels == 21 and matrices == ["m_matrix.csv", "operator.csv"]
 
 
 def _write_example4_inputs(tmp_path):
@@ -232,6 +232,39 @@ class TestConvolveCommand:
         ) == 0
         result = read_signal(tmp_path / "out.signal.json")
         assert np.max(np.abs(result.values - np.array([5.0, -1.0, 2.0, 0.5]))) < 1e-9
+
+    @pytest.mark.parametrize("domain", ["vertex", "spectral"])
+    @pytest.mark.parametrize("impulse", ["vertex", "flat"])
+    def test_every_convention_on_the_cycle(self, tmp_path, domain, impulse):
+        # on the cycle with its computed basis the four conventions agree with
+        # the transform-product identity: circular convolution in the vertex
+        # domain, gft((igft yhat / igft[:, 0]) * igft xhat) in the spectral one
+        from gsptk import basis_from_graph
+        from gsptk.dspcompat import circulant_convolve
+
+        n = 8
+        graph = build(GraphKind.RING, n)
+        basis = basis_from_graph(graph)
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        paths = [tmp_path / "ring.json", tmp_path / "x.json", tmp_path / "y.json"]
+        write_graph(graph, paths[0])
+        for values, path in zip((x, y), paths[1:]):
+            write_signal(GraphSignal(values, Domain(domain)), path)
+        if domain == "vertex":
+            want = circulant_convolve(x, y)
+        else:
+            igft = basis.igft
+            want = basis.gft @ ((igft @ y / igft[:, 0]) * (igft @ x))
+        got = {}
+        for method in ("dense", "l1"):
+            assert run(["convolve", *paths, "--domain", domain, "--impulse", impulse,
+                        "--method", method, "--out", tmp_path / method]) == 0
+            got[method] = read_signal(tmp_path / f"{method}.signal.json").values
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got["dense"] - want)) <= 100 * n * np.finfo(float).eps * scale
+        # the l1 fit carries the bias of its default gamma
+        assert np.max(np.abs(got["l1"] - got["dense"])) <= 1e-2 * scale
 
 
 class TestTransformCommands:
@@ -428,6 +461,9 @@ _BROKEN_INPUTS = {
     # edge 2 is [1, 0, 1.0, 0.0]: with true for 1 it would read as the same graph
     ("graph", "boolean endpoint"): _replace("edges", (2, 0), True),
     ("graph", "n a boolean"): lambda doc: {"n": True, "edges": []},
+    # numpy refuses this size without allocating; never test with an n whose
+    # adjacency could actually be allocated
+    ("graph", "n too large to allocate"): _with("n", 10**12),
     # each boolean below replaces an equal number: read as one, it gives the same input
     ("graph", "boolean weight"): _replace("edges", (2, 2), True),
     ("signal", "invalid JSON"): "",
@@ -517,6 +553,19 @@ def _sample_with_band(tmp_path, band, *extra):
             "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run", *extra]
 
 
+def _out_dir_is_a_file(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("")
+    return ["--out-dir", path, "demo", "ring_shift"]
+
+
+def _csv_graph_is_a_directory(tmp_path):
+    _, sig_path = _write_example4_inputs(tmp_path)
+    graph_path = tmp_path / "g.csv"
+    graph_path.mkdir()
+    return ["gft", graph_path, sig_path, "--out", tmp_path / "xhat.json"]
+
+
 _BAD_ARGUMENTS = {
     "spectral samples": (
         lambda p: _recover_with_a_spectral(p, "samples"),
@@ -541,6 +590,16 @@ _BAD_ARGUMENTS = {
         lambda p: ["--out-dir", p, "demo", "dsp_block_sampling", "--n", "-3"],
         "needs n >= 1, got -3",
     ),
+    "plan is a directory": (
+        lambda p: ["recover", p, p / "samples.json", "--out", p / "rec.json"],
+        "Is a directory",
+    ),
+    "out under a file": (
+        lambda p: ["gft", *_write_example4_inputs(p), "--out", p / "g.json" / "xhat.json"],
+        "File exists",
+    ),
+    "out-dir is a file": (_out_dir_is_a_file, "Not a directory"),
+    "csv graph is a directory": (_csv_graph_is_a_directory, "Is a directory"),
 }
 
 

@@ -303,16 +303,18 @@ class TestConvolve:
         assert np.max(np.abs(out.values - want)) < 1e-6
 
     def test_each_convention_reproduces_its_own_impulse_response(self):
-        # the two delta conventions yield different filters on a generic
-        # graph (they only coincide on the cycle); each fit must make the
-        # second operand the response to its own delta
+        # the delta conventions yield different filters on a generic graph
+        # (they only coincide on the cycle); each fit must make the second
+        # operand the response to its own delta, in the family's own domain
         rng = np.random.default_rng(8)
         g, basis = random_basis_graph(rng, 6, need_y0=True)
-        y = vertex(rng.normal(size=6) + 1j * rng.normal(size=6))
-        for kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_FLAT):
+        values = rng.normal(size=6) + 1j * rng.normal(size=6)
+        for kind in ImpulseKind:
+            own = Domain.VERTEX if kind.lives_in_vertex_domain else Domain.SPECTRAL
+            y = GraphSignal(values, own)
             fam = impulse_family(g, basis, kind)
             filt = fit_filter(y, fam, FitMethod.DENSE)
-            delta0 = GraphSignal(fam.D[:, 0], Domain.VERTEX)
+            delta0 = GraphSignal(fam.D[:, 0], own)
             out = apply_filter(filt, g, basis, delta0)
             scale = max(1.0, np.max(np.abs(y.values)))
             assert np.max(np.abs(out.values - y.values)) < 1e-7 * scale

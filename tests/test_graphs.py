@@ -130,6 +130,19 @@ class TestGraphIO:
                 read_graph(path)
             assert "line 1, field 2" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["none.csv", "none.json"])
+    def test_missing_file_is_file_not_found(self, tmp_path, name):
+        with pytest.raises(FileNotFoundError):
+            read_graph(tmp_path / name)
+
+    def test_too_large_to_allocate(self, tmp_path):
+        # numpy refuses this size without allocating; never test with an n
+        # whose adjacency could actually be allocated
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1000000000000, "edges": []}')
+        with pytest.raises(ParseError, match="'n' = 1000000000000"):
+            read_graph(path)
+
 
 class TestSignalIO:
     def test_roundtrip_showcase_signal(self, tmp_path):
@@ -239,3 +252,12 @@ class TestSignalType:
 
         with pytest.raises(DomainMismatchError):
             sig.require(Domain.SPECTRAL)
+
+
+def test_the_package_exports_every_public_name():
+    import gsptk
+    from gsptk import dspcompat, filters, graphs, impulses, sampling, spectral
+
+    for module in (graphs, spectral, impulses, filters, sampling, dspcompat):
+        missing = [n for n in module.__all__ if getattr(gsptk, n, None) is not getattr(module, n)]
+        assert not missing, (module.__name__, missing)
