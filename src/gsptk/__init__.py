@@ -68,6 +68,7 @@ from .sampling import (
     band_project,
     plan_equivalent,
     read_plan,
+    recovery_block,
     sample,
     sampling_operator,
     spectral_plan,

@@ -159,7 +159,10 @@ def _parse_complex(token: str, path, line_no: int, field: int) -> complex:
 
 
 def write_graph(graph: Graph, path) -> None:
-    """Write a graph as canonical edge-list JSON or dense CSV (by extension)."""
+    """Write a graph as canonical edge-list JSON or dense CSV (by extension).
+
+    The edge list holds each nonzero entry once, so no (src, dst) pair repeats.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         _write_csv(path, graph.adjacency)
@@ -171,7 +174,10 @@ def write_graph(graph: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Read a graph from edge-list JSON or dense CSV (dispatch on extension)."""
+    """Read a graph from edge-list JSON or dense CSV (dispatch on extension).
+
+    ParseError names the first (src, dst) pair an edge list repeats.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_graph_csv(path)
@@ -201,7 +207,16 @@ def read_graph(path) -> Graph:
         a = np.zeros((n, n), dtype=np.complex128)
     except (ValueError, MemoryError):  # too large for numpy or for this host
         raise ParseError(f"{path}: 'n' = {n} is too large for a dense adjacency") from None
-    a[table[:, 1].astype(np.intp), table[:, 0].astype(np.intp)] = weights
+    src, dst = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+    key = dst * n + src
+    seen = np.zeros(n * n, dtype=bool)
+    seen[key] = True
+    if np.count_nonzero(seen) < key.shape[0]:
+        repeat = np.ones(key.shape[0], dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        i = int(np.argmax(repeat))
+        raise ParseError(f"{path}: edge {i} repeats the pair src={src[i]}, dst={dst[i]}")
+    a[dst, src] = weights
     return Graph(a)
 
 

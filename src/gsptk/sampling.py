@@ -10,13 +10,13 @@ variables (the sampling set).
 Spectral route: sampling in the vertex domain is spectral filtering by
 P(M) = gft diag(delta) igft. Choosing K linearly independent rows of the
 band columns of the inverse GFT guarantees the band block P(M)_K has K
-linearly independent rows; that K x K block ``pmkk`` is kept as a diagnostic.
+linearly independent rows; ``recovery_block`` cuts that K x K block.
 
 For a given sampling set both routes recover through the same linear map
 (the interpolation operator of Chen, Varma, Sandryhaila & Kovacevic, IEEE
 TSP 2015): the (N-K) x K block ``S`` with ``x[dropped] = S @ x[kept]``,
-solved from the out-of-band GFT rows. Every plan carries ``S``, plan files
-store it, and recovery is one matrix multiply and a scatter.
+solved from the out-of-band GFT rows at the dropped nodes. The routes differ
+only in their selection rule, and recovery is one multiply and a scatter.
 
 Both selections use deterministic Gauss pivoting (largest magnitude, lowest
 index) so plans are reproducible; a caller-forced sampling indicator is
@@ -61,6 +61,7 @@ __all__ = [
     "spectral_plan",
     "spectral_recover",
     "sampling_operator",
+    "recovery_block",
     "sample",
     "upsample",
     "plan_equivalent",
@@ -105,10 +106,10 @@ class SamplingPlan:
 
     ``S`` is (N-K) x K: the samples at the free (kept) nodes, in ascending
     index order, times ``S`` give the values at the pivot (dropped) nodes.
-    ``cond`` is a diagnostic: the condition number of the out-of-band block
-    at the dropped nodes (vertex plans) or of ``pmkk`` (spectral plans). A
-    spectral plan built in memory also carries the invertible band block
-    ``pmkk`` of P(M) with the ``selected_rows`` it was cut from.
+    ``cond`` is a diagnostic of either route: the 2-norm condition number of
+    the block ``S`` is solved from, the out-of-band GFT rows at the dropped
+    nodes (1.0 for a full band). These five fields are what a plan file
+    stores.
     """
 
     domain: Domain
@@ -116,8 +117,6 @@ class SamplingPlan:
     band: BandSpec
     S: np.ndarray
     cond: float
-    selected_rows: tuple[int, ...] = ()
-    pmkk: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -154,16 +153,6 @@ def _check_band(band: BandSpec, n: int) -> None:
         )
 
 
-def _recovery_map(g_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """The block S with ``x[delta == 0] = S @ x[delta == 1]`` for every signal
-    that the out-of-band GFT rows ``g_out`` annihilate."""
-    kept = delta != 0
-    try:
-        return -numkit.solve(g_out[:, ~kept], g_out[:, kept])
-    except numkit.SingularMatrixError as exc:
-        raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
-
-
 def _indicator(delta, n: int, k: int) -> np.ndarray:
     """``delta`` as an int64 vector; SizeMismatchError unless it is a 0/1
     vector of length ``n`` with ``k`` ones, one per band index."""
@@ -173,17 +162,30 @@ def _indicator(delta, n: int, k: int) -> np.ndarray:
     return (d != 0).astype(np.int64)
 
 
-def _plan(basis: SpectralBasis, band: BandSpec, forced_delta, select=None):
-    """The steps both routes share: the checked indicator (forced, or the
-    nodes ``select(g_out)`` keeps), the out-of-band GFT rows ``g_out`` and the
-    recovery map ``S``, whose InfeasibleError is the one validity test."""
-    n = basis.n
+def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select) -> SamplingPlan:
+    """The plan of either route: the checked indicator (forced, or the nodes
+    ``select(g_out)`` keeps) and the map ``S`` with ``x[dropped] = S @
+    x[kept]`` for every signal the out-of-band GFT rows ``g_out`` annihilate.
+    InfeasibleError unless the block ``g_out[:, dropped]`` has a smallest
+    singular value above PIVOT_TOL * max|g_out|; ``cond`` is its condition."""
+    n = gft.shape[0]
     _check_band(band, n)
-    g_out = basis.gft[list(band.complement(n)), :]
+    g_out = gft[list(band.complement(n)), :]
     if forced_delta is None:
         forced_delta = np.isin(np.arange(n), select(g_out))
     delta = _indicator(forced_delta, n, band.k)
-    return delta, g_out, _recovery_map(g_out, delta)
+    kept, cond = delta != 0, 1.0
+    try:
+        if g_out.shape[0]:
+            sv = np.linalg.svd(g_out[:, ~kept], compute_uv=False)
+            if not sv[-1] > numkit.PIVOT_TOL * np.max(np.abs(g_out)):
+                raise numkit.SingularMatrixError(f"smallest singular value {sv[-1]:.3e} <= "
+                                                 f"{numkit.PIVOT_TOL:.1e} * max|out-of-band rows|")
+            cond = float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
+        s = -numkit.solve(g_out[:, ~kept], g_out[:, kept])
+    except numkit.SingularMatrixError as exc:
+        raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
+    return SamplingPlan(domain, delta, band, s, cond)
 
 
 def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
@@ -203,10 +205,8 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
     empty. A forced indicator is honored when its complement indexes an
     invertible square block of the out-of-band rows.
     """
-    delta, g_out, s = _plan(basis, band, forced_delta, lambda g: _full_rank(
+    return _plan(basis.gft, band, forced_delta, Domain.VERTEX, lambda g: _full_rank(
         g, "out-of-band GFT rows").free_cols)
-    cond = float(np.linalg.cond(g_out[:, delta == 0])) if g_out.shape[0] else 1.0
-    return SamplingPlan(domain=Domain.VERTEX, delta=delta, band=band, S=s, cond=cond)
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -237,40 +237,38 @@ def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
     return basis.gft @ (d[:, None] * basis.igft)
 
 
-def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
-    """Choose a sampling set by picking K independent rows of the band
-    columns of the inverse GFT, and precompute the invertible recovery block.
-
-    Such rows always exist (the band columns have full column rank). The
-    block rows of ``pmkk`` are taken at the sampled nodes themselves whenever
-    that square block is invertible, falling back to deterministic Gauss
-    pivoting on the band block of P(M) otherwise. A forced indicator is
-    honored when its sampled nodes give independent rows.
-    """
-    delta, _, s = _plan(basis, band, forced_delta, lambda _: _full_rank(
-        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols)
+def recovery_block(basis: SpectralBasis, delta, band: BandSpec) -> tuple[tuple[int, ...], np.ndarray]:
+    """The paper's K x K recovery block P(M)_K of an indicator, with the rows
+    of P(M) = ``sampling_operator(basis, delta)`` it keeps: the sampled nodes
+    when their band block is invertible, else the Gauss pivot rows of the
+    band columns. It maps the in-band spectrum to those rows of the spectrum
+    of the zero-filled samples."""
+    _check_band(band, basis.n)
+    delta = _indicator(delta, basis.n, band.k)
     pm_k = sampling_operator(basis, delta)[:, list(band.support)]
     rows = tuple(int(i) for i in np.flatnonzero(delta))
     if numkit.row_reduce(pm_k[list(rows), :]).rank < band.k:
-        rows = numkit.row_reduce(pm_k.T).pivot_cols
-    pmkk = pm_k[list(rows), :]
-    return SamplingPlan(
-        domain=Domain.SPECTRAL,
-        delta=delta,
-        band=band,
-        S=s,
-        cond=float(np.linalg.cond(pmkk)),
-        selected_rows=rows,
-        pmkk=pmkk,
-    )
+        rows = _full_rank(pm_k.T, "band columns of P(M)").pivot_cols
+    return rows, pm_k[list(rows), :]
+
+
+def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
+    """Choose a sampling set by picking K independent rows of the band
+    columns of the inverse GFT (such rows always exist), and make the plan
+    ``vertex_plan`` makes for that indicator; ``recovery_block`` gives its
+    K x K block of P(M). A forced indicator is honored when its sampled
+    nodes give independent rows.
+    """
+    return _plan(basis.gft, band, forced_delta, Domain.SPECTRAL, lambda _: _full_rank(
+        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols)
 
 
 def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
     """Recover the vertex signal of a plan made by the spectral route.
 
     The same map as ``vertex_recover``: the in-band signal that matches the
-    samples, which is what solving ``pmkk`` for the in-band spectrum of the
-    zero-filled samples gives.
+    samples, which is what solving ``recovery_block`` for the in-band
+    spectrum of the zero-filled samples gives.
     """
     return _recover(plan, x_s)
 
@@ -302,20 +300,21 @@ def upsample(x_s, delta) -> GraphSignal:
 def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
     """Test one indicator against both selection rules.
 
-    vertex_ok: the indicator makes a plan (its unsampled nodes index an
-    invertible square block of the out-of-band GFT rows). spectral_ok: Gauss
-    elimination finds its sampled nodes' rows of the band columns of the
-    inverse GFT independent. The two verdicts agree for every indicator
-    (complementary minors of a matrix and its inverse vanish together).
+    vertex_ok: ``vertex_plan`` accepts the indicator. spectral_ok: its sampled
+    nodes' rows of the band columns of the inverse GFT pass the same test,
+    a smallest singular value above PIVOT_TOL times the largest entry of
+    those columns. The verdicts agree in exact arithmetic (complementary
+    minors of a matrix and its inverse vanish together).
     """
     d = np.asarray(delta)
     try:
-        _plan(basis, band, d)
+        vertex_plan(basis, band, d)
         vertex_ok = True
     except InfeasibleError:  # raised only after d passed the indicator check
         vertex_ok = False
-    keep = np.flatnonzero(d)
-    spectral_ok = numkit.row_reduce(basis.igft[keep, :][:, list(band.support)]).rank == band.k
+    cols = basis.igft[:, list(band.support)]
+    smallest = np.linalg.svd(cols[np.flatnonzero(d)], compute_uv=False)[-1]
+    spectral_ok = bool(smallest > numkit.PIVOT_TOL * np.max(np.abs(cols)))
     return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
 
 
@@ -371,7 +370,7 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     n, k = delta.shape[0], band.k
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
-        s = _recovery_map(gft[list(band.complement(n)), :], delta)
+        s = _plan(gft, band, delta, domain, None).S
     elif version == PLAN_VERSION:
         s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S")
     else:

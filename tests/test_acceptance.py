@@ -17,7 +17,7 @@ the relation it actually satisfies:
 * criterion 12: the stated recovery block for even cycle sampling is the
   identity. The block the program builds equals it up to two documented
   conventions: the even-train gain K/N pinned by criterion 05, and the
-  kept-row order of ``spectral_plan`` (rows at the sampled nodes), which
+  kept-row order of ``recovery_block`` (rows at the sampled nodes), which
   permutes the block rows. With K = N neither applies and the identity holds
   literally.
 """
@@ -45,6 +45,7 @@ from gsptk import (
     igft_apply,
     nyquist_recover,
     plan_equivalent,
+    recovery_block,
     response,
     sample,
     spectral_plan,
@@ -99,8 +100,9 @@ def test_criterion02_spectral_pipeline():
     want_spl = np.array([-0.259, -0.817, 1.116 + 0.305j, 1.116 - 0.305j])
     ok = np.max(np.abs(xhat_spl - want_spl)) < 5e-3
     want_pmkk = np.array([[-0.817, 0.0], [0.296 + 0.106j, 0.41 - 0.205j]])
-    ok &= np.max(np.abs(plan.pmkk - want_pmkk)) < 5e-3
-    xhat_k = np.linalg.solve(plan.pmkk, xhat_spl[list(plan.selected_rows)])
+    ok &= np.max(np.abs(recovery_block(basis, plan.delta, plan.band)[1] - want_pmkk)) < 5e-3
+    xhat_k = np.linalg.solve(recovery_block(basis, plan.delta, plan.band)[1],
+                             xhat_spl[list(recovery_block(basis, plan.delta, plan.band)[0])])
     ok &= np.max(np.abs(xhat_k - np.array([1.0, 2.0]))) < 5e-3
     assert report(2, bool(ok), "spectral pipeline on the 4-node showcase")
 
@@ -378,9 +380,9 @@ def test_criterion12_nyquist_equivalence():
         # the block form pinned by criterion 05 makes the recovery block
         # (K/N) times identity rows (reordered by the kept-row choice), so
         # recovery never needs a general inversion
-        rows_mod = [r % k for r in plan.selected_rows]
+        rows_mod = [r % k for r in recovery_block(basis, plan.delta, plan.band)[0]]
         closed_form = (k / n) * np.eye(k)[rows_mod, :]
-        ok &= np.max(np.abs(plan.pmkk - closed_form)) <= 1e-10
+        ok &= np.max(np.abs(recovery_block(basis, plan.delta, plan.band)[1] - closed_form)) <= 1e-10
     ok &= worst <= 1e-10
     assert report(
         12, bool(ok), f"low-pass and block recoveries coincide (worst {worst:.2e})"
@@ -395,10 +397,12 @@ def test_criterion12_recovery_block_as_stated():
     * gain: the even-train operator pinned by criterion 05 carries K/N in
       every entry (the DSP sampling theorem; ``nyquist_recover`` undoes it
       with N/K);
-    * row order: ``spectral_plan`` keeps the block rows at the sampled nodes
-      whenever that block is invertible, and sampled node r carries
+    * row order: ``recovery_block`` keeps the block rows at the sampled
+      nodes whenever that block is invertible, and sampled node r carries
       frequency r mod K, so for (N, K) = (12, 4) the rows (0, 3, 6, 9) give
       the frequencies (0, 3, 2, 1) and the block is a permuted identity.
+      For (4, 2) the sampled nodes 0 and 2 both carry frequency 0, so the
+      block keeps the Gauss pivot rows (0, 1) instead.
 
     The selected rows must cover every frequency once; in frequency order and
     scaled by N/K the block is the identity, and with K = N it is the
@@ -407,11 +411,11 @@ def test_criterion12_recovery_block_as_stated():
     rng = np.random.default_rng(13)
     ok = True
     for n, k in ((4, 2), (12, 4)):
-        _, _, _, _, plan = _nyquist_setup(rng, n, k)
-        freqs = [r % k for r in plan.selected_rows]
+        basis, _, _, _, plan = _nyquist_setup(rng, n, k)
+        freqs = [r % k for r in recovery_block(basis, plan.delta, plan.band)[0]]
         ok &= sorted(freqs) == list(range(k))
-        block = (n / k) * plan.pmkk[np.argsort(freqs), :]
+        block = (n / k) * recovery_block(basis, plan.delta, plan.band)[1][np.argsort(freqs), :]
         ok &= np.max(np.abs(block - np.eye(k))) <= 1e-10
-    _, _, _, _, plan = _nyquist_setup(rng, 6, 6)
-    ok &= np.max(np.abs(plan.pmkk - np.eye(6))) <= 1e-10
+    basis, _, _, _, plan = _nyquist_setup(rng, 6, 6)
+    ok &= np.max(np.abs(recovery_block(basis, plan.delta, plan.band)[1] - np.eye(6))) <= 1e-10
     assert report(12, bool(ok), "recovery block equals the identity (as stated)")

@@ -4,7 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from gsptk import Domain, GraphKind, GraphSignal, build, read_signal, write_graph, write_signal
+from gsptk import (
+    Domain,
+    GraphKind,
+    GraphSignal,
+    basis_from_graph,
+    build,
+    igft_apply,
+    read_signal,
+    write_graph,
+    write_signal,
+)
 from gsptk.cli import DEMO_NAMES, main
 from util import er_digraph
 
@@ -466,6 +476,7 @@ _BROKEN_INPUTS = {
     ("graph", "n too large to allocate"): _with("n", 10**12),
     # each boolean below replaces an equal number: read as one, it gives the same input
     ("graph", "boolean weight"): _replace("edges", (2, 2), True),
+    ("graph", "repeated edge"): lambda doc: {**doc, "edges": doc["edges"] + doc["edges"][:1]},
     ("signal", "invalid JSON"): "",
     ("signal", "not an object"): lambda doc: [doc],
     ("signal", "missing values"): _without("values"),
@@ -553,6 +564,18 @@ def _sample_with_band(tmp_path, band, *extra):
             "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run", *extra]
 
 
+def _sample_on_a_noise_block(tmp_path):
+    # an out-of-band GFT row of this graph is [4.7e-16, 7.9e-17, 1.41, 1.41, 1.41, 1.41],
+    # so the block at the one dropped node 1 is rounding noise
+    graph = er_digraph(np.random.default_rng(15), 6)
+    xhat = np.append(np.arange(1.0, 6.0), 0.0)
+    graph_path, sig_path = tmp_path / "g.json", tmp_path / "x.json"
+    write_graph(graph, graph_path)
+    write_signal(igft_apply(basis_from_graph(graph), GraphSignal(xhat, Domain.SPECTRAL)), sig_path)
+    return ["sample", graph_path, sig_path, "--domain", "vertex", "--band", "0,1,2,3,4",
+            "--delta", "1,0,1,1,1,1", "--out", tmp_path / "run"]
+
+
 def _out_dir_is_a_file(tmp_path):
     path = tmp_path / "out"
     path.write_text("")
@@ -586,6 +609,9 @@ _BAD_ARGUMENTS = {
         lambda p: _sample_with_band(p, "0,1", "--delta", "0,2,0,1"),
         "delta must be a 0/1 vector of length 4",
     ),
+    "delta drops a noise block": (
+        _sample_on_a_noise_block, "sampling set is not valid for this band: smallest singular value"
+    ),
     "negative demo size": (
         lambda p: ["--out-dir", p, "demo", "dsp_block_sampling", "--n", "-3"],
         "needs n >= 1, got -3",
@@ -601,6 +627,16 @@ _BAD_ARGUMENTS = {
     "out-dir is a file": (_out_dir_is_a_file, "Not a directory"),
     "csv graph is a directory": (_csv_graph_is_a_directory, "Is a directory"),
 }
+
+
+def test_gsp_out_dir_is_read_when_a_demo_runs(tmp_path, monkeypatch):
+    # the parser is built once per process, so the variable must be read per call
+    for root in ("a", "b"):
+        monkeypatch.setenv("GSP_OUT_DIR", str(tmp_path / root))
+        assert run(["demo", "ring_shift"]) == 0
+        assert (tmp_path / root / "ring_shift" / "report.json").exists()
+    assert run(["--out-dir", tmp_path / "c", "demo", "ring_shift"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize(
