@@ -51,7 +51,6 @@ from .impulses import AssumptionReport, ImpulseFamily, ImpulseKind, check_assump
 from .filters import (
     FitMethod,
     PolynomialFilter,
-    ResponseDirection,
     ShiftDomain,
     apply_filter,
     convolve,

@@ -248,10 +248,10 @@ def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
     basis = dspcompat.dft_basis(n)
     x = GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain.VERTEX)
     y = GraphSignal(np.array([-1.0, 1.0, 2.0, 4.0]), Domain.VERTEX)
-    vert = filters.convolve(x, y, graph, basis, Domain.VERTEX)
+    vert = filters.convolve(x, y, graph, basis)
     xhat = GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain.SPECTRAL)
     yhat = GraphSignal(np.array([6.0, -3 + 3j, -4.0, -3 - 3j]), Domain.SPECTRAL)
-    spec = filters.convolve(xhat, yhat, graph, basis, Domain.SPECTRAL)
+    spec = filters.convolve(xhat, yhat, graph, basis)
     checks = Checks()
     checks.close("vertex_convolution", vert.values, _REF_CONV_VERTEX, 1e-6)
     checks.close(
@@ -272,8 +272,7 @@ def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = filters.convolve(
-            GraphSignal(a, Domain.VERTEX), GraphSignal(b, Domain.VERTEX),
-            graph, basis, Domain.VERTEX,
+            GraphSignal(a, Domain.VERTEX), GraphSignal(b, Domain.VERTEX), graph, basis
         ).values
         worst = max(worst, float(np.max(np.abs(got - dspcompat.circulant_convolve(a, b)))))
     checks.ok("random_pairs_match_oracle", worst <= 1e-8, f"worst {worst:.2e}")
@@ -302,6 +301,14 @@ def _load_basis_for(graph: Graph, args) -> spectral.SpectralBasis:
     if getattr(args, "basis", None):
         return spectral.load_basis(args.basis, graph)
     return spectral.basis_from_graph(graph, tol=args.tol)
+
+
+def _with_suffixes(prefix: str, *suffixes: str) -> list[Path]:
+    """Append each suffix to the whole ``--out`` prefix, dots included."""
+    out = Path(prefix)
+    if not out.name:
+        raise GsptkError(f"--out {prefix!r} names a directory, not a file prefix")
+    return [out.with_name(out.name + suffix) for suffix in suffixes]
 
 
 def _parse_band(text: str, n: int) -> sampling.BandSpec:
@@ -340,11 +347,11 @@ def _cmd_sample(args) -> int:
     else:
         plan = sampling.spectral_plan(basis, band, forced_delta=forced)
     x_s = sampling.sample(x, plan.delta)
-    out = Path(args.out)
-    sampling.write_plan(plan, out.with_suffix(".plan.json"))
-    write_signal(GraphSignal(x_s, Domain.VERTEX), out.with_suffix(".samples.json"))
+    plan_path, samples_path = _with_suffixes(args.out, ".plan.json", ".samples.json")
+    sampling.write_plan(plan, plan_path)
+    write_signal(GraphSignal(x_s, Domain.VERTEX), samples_path)
     print(f"K={plan.k} delta={''.join(str(int(v)) for v in plan.delta)} cond={plan.cond:.3e}")
-    print(f"wrote {out.with_suffix('.plan.json')} and {out.with_suffix('.samples.json')}")
+    print(f"wrote {plan_path} and {samples_path}")
     return 0
 
 
@@ -382,16 +389,15 @@ def _cmd_convolve(args) -> int:
     x = read_signal(args.x)
     y = read_signal(args.y)
     basis = _load_basis_for(graph, args)
-    domain = Domain(args.domain)
     kind = _IMPULSE_CHOICES[(args.domain, args.impulse)]
     method = filters.FitMethod.L1 if args.method == "l1" else filters.FitMethod.DENSE
     fam = impulse_family(graph, basis, kind)
     filt = filters.fit_filter(y, fam, method)
     result = filters.apply_filter(filt, graph, basis, x)
-    out = Path(args.out)
-    write_signal(result, out.with_suffix(".signal.json"))
-    filters.write_filter(filt, out.with_suffix(".filter.json"))
-    print(f"wrote {out.with_suffix('.signal.json')} and {out.with_suffix('.filter.json')}")
+    signal_path, filter_path = _with_suffixes(args.out, ".signal.json", ".filter.json")
+    write_signal(result, signal_path)
+    filters.write_filter(filt, filter_path)
+    print(f"wrote {signal_path} and {filter_path}")
     return 0
 
 
@@ -399,11 +405,8 @@ def _cmd_gft(args) -> int:
     graph = read_graph(args.graph)
     signal = read_signal(args.signal)
     basis = _load_basis_for(graph, args)
-    if args.inverse:
-        result = spectral.igft_apply(basis, signal)
-    else:
-        result = spectral.gft_apply(basis, signal)
-    write_signal(result, args.out)
+    transform = spectral.gft_apply if signal.domain is Domain.VERTEX else spectral.igft_apply
+    write_signal(transform(basis, signal), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -416,7 +419,7 @@ def _cmd_spectral_shift(args) -> int:
         if args.variant
         else spectral.spectral_shift(basis)
     )
-    graphs._write_csv(args.out, m)
+    graphs.write_graph(Graph(m), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -473,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", required=True, help="comma-separated spectral indices or 'all'")
     p.add_argument("--delta", help="forced 0/1 sampling indicator")
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
-    p.add_argument("--out", required=True, help="output prefix for plan/samples")
+    p.add_argument("--out", required=True, help="prefix; .plan.json and .samples.json are appended")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("recover", help="rebuild a signal from plan + samples")
@@ -492,13 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impulse", choices=["vertex", "flat"], default="vertex")
     p.add_argument("--method", choices=["dense", "l1"], default="dense")
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
-    p.add_argument("--out", required=True, help="output prefix")
+    p.add_argument("--out", required=True, help="prefix; .signal.json and .filter.json are appended")
     p.set_defaults(func=_cmd_convolve)
 
-    p = sub.add_parser("gft", help="transform a signal between domains")
+    p = sub.add_parser("gft", help="transform a vertex signal forward or a spectral signal back")
     p.add_argument("graph")
     p.add_argument("signal")
-    p.add_argument("--inverse", action="store_true")
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gft)
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--variant", action="store_true", help="use lam instead of conj(lam)")
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="graph file: dense CSV if .csv, else edge-list JSON")
     p.set_defaults(func=_cmd_spectral_shift)
 
     return parser

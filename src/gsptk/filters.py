@@ -6,7 +6,10 @@ domain; filtering with a polynomial in the spectral shift M acts in the
 spectral domain and is modulation by its vertex response. Convolution of two
 arbitrary signals is realized by fitting filter coefficients so that one
 signal becomes the filter's impulse response, then applying the filter to
-the other.
+the other. Every signal carries its domain, so no function here asks for it
+again: a response's domain picks P(A) or P(M), a fit target's domain picks
+the impulse matrix or its transform, and a convolution runs in the domain
+of its first operand.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
+from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, NotConvergedError, ParseError, SingularMatrixError
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
 from .spectral import SpectralBasis, _check_length, spectral_shift
 
 __all__ = [
     "ShiftDomain",
-    "ResponseDirection",
     "FitMethod",
     "PolynomialFilter",
     "apply_filter",
@@ -43,14 +45,8 @@ class ShiftDomain(enum.Enum):
     SPECTRAL_M = "M"
 
 
-class ResponseDirection(enum.Enum):
-    FREQ_RESPONSE_TO_PA = "freq_response_to_pa"
-    VERTEX_RESPONSE_TO_PM = "vertex_response_to_pm"
-
-
 class FitMethod(enum.Enum):
     DENSE = "dense"
-    DENSE_SPECTRAL = "dense_spectral"
     L1 = "l1"
 
 
@@ -104,22 +100,17 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     return GraphSignal(np.polyval(hi_first, np.conj(basis.lam)), Domain.VERTEX)
 
 
-def matrix_from_response(
-    basis: SpectralBasis, resp: GraphSignal, direction: ResponseDirection
-) -> np.ndarray:
+def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
     """Assemble the full filter matrix directly from a response vector.
 
-    FREQ_RESPONSE_TO_PA:   P(A) = igft @ diag(resp) @ gft   (resp spectral)
-    VERTEX_RESPONSE_TO_PM: P(M) = gft @ diag(resp) @ igft   (resp vertex)
-
-    No polynomial coefficients are involved; this is the matrix whose action
-    equals modulation by ``resp`` in the opposite domain.
+    A spectral ``resp`` gives P(A) = igft @ diag(resp) @ gft, and a vertex
+    ``resp`` gives P(M) = gft @ diag(resp) @ igft. No polynomial coefficients
+    are involved; this is the matrix whose action on a signal of the
+    opposite domain equals modulation by ``resp``.
     """
-    if direction is ResponseDirection.FREQ_RESPONSE_TO_PA:
-        r = resp.require(Domain.SPECTRAL)
-        return basis.igft @ (r[:, None] * basis.gft)
-    r = resp.require(Domain.VERTEX)
-    return basis.gft @ (r[:, None] * basis.igft)
+    if resp.domain is Domain.SPECTRAL:
+        return basis.igft @ (resp.values[:, None] * basis.gft)
+    return basis.gft @ (resp.values[:, None] * basis.igft)
 
 
 def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:
@@ -138,7 +129,8 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -
 
     Runs on the equivalent scaled objective (1/2)||y - D z||^2 + (gamma/2)|z|_1
     so the step 1 / sigma_max(D)^2 sits exactly at the convergence boundary.
-    Soft thresholding acts on complex magnitudes.
+    Soft thresholding acts on complex magnitudes. Raises NotConvergedError
+    when ``max_iter`` steps leave the coefficients still moving.
     """
     step = 1.0 / max(np.linalg.norm(d, 2) ** 2, np.finfo(float).tiny)
     thresh = 0.5 * gamma * step
@@ -148,14 +140,14 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -
         mag = np.abs(w)
         shrink = np.maximum(mag - thresh, 0.0)
         z_new = w * (shrink / np.maximum(mag, np.finfo(float).tiny))
-        if np.max(np.abs(z_new - z)) < numkit.ISTA_STOP:
+        change = float(np.max(np.abs(z_new - z)))
+        if change < numkit.ISTA_STOP:
             return z_new
         z = z_new
-    return z
-
-
-def _family_domain(kind: ImpulseKind) -> Domain:
-    return Domain.VERTEX if kind.lives_in_vertex_domain else Domain.SPECTRAL
+    raise NotConvergedError(
+        f"l1 fit did not converge in {max_iter} iterations: the last step moved the "
+        f"coefficients by {change:.1e}, above the stop rule {numkit.ISTA_STOP:.0e}"
+    )
 
 
 def fit_filter(
@@ -166,22 +158,16 @@ def fit_filter(
 ) -> PolynomialFilter:
     """Fit polynomial coefficients whose impulse response is ``target``.
 
-    DENSE solves D p = target in the family's own domain; DENSE_SPECTRAL
-    solves the transformed system D_hat p = target with the target supplied
-    in the opposite domain; L1 runs ISTA on the dense system and tolerates
-    singular impulse matrices. The singular error message names which
-    invertibility assumption failed.
+    The target's domain picks the system: D p = target when it lives in the
+    family's domain, the transformed D_hat p = target when it lives in the
+    opposite one; both give the same filter, a polynomial in A for a vertex
+    family and in M for a spectral one. DENSE solves the square system and
+    names the invertibility assumption that failed when it is singular. L1
+    runs ISTA on it, tolerates singular impulse matrices, and raises
+    NotConvergedError when it runs out of iterations.
     """
-    own = _family_domain(fam.kind)
-    fits_vertex_shift = fam.kind.lives_in_vertex_domain
-    if method is FitMethod.DENSE_SPECTRAL:
-        other = Domain.SPECTRAL if own is Domain.VERTEX else Domain.VERTEX
-        rhs = target.require(other)
-        system = fam.D_hat
-    else:
-        rhs = target.require(own)
-        system = fam.D
-    _check_length(rhs, system.shape[0])
+    system = fam.D if target.domain is fam.kind.domain else fam.D_hat
+    rhs = _check_length(target.values, system.shape[0])
     if method is FitMethod.L1:
         if gamma is None:
             gamma = 1e-3 * float(np.max(np.abs(system.conj().T @ rhs)))
@@ -191,8 +177,8 @@ def fit_filter(
             coeffs = numkit.solve(system, rhs)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
-    domain = ShiftDomain.VERTEX_A if fits_vertex_shift else ShiftDomain.SPECTRAL_M
-    return PolynomialFilter(coeffs, domain)
+    vertex = fam.kind.domain is Domain.VERTEX
+    return PolynomialFilter(coeffs, ShiftDomain.VERTEX_A if vertex else ShiftDomain.SPECTRAL_M)
 
 
 def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
@@ -202,7 +188,7 @@ def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
     # first gives the frequencies (conjugated for the families of M)
     min_first = float(np.min(np.abs(fam.D_hat[:, 0])))
     if min_first <= numkit.FIRST_COLUMN_TOL:
-        vertex = fam.kind.lives_in_vertex_domain
+        vertex = fam.kind.domain is Domain.VERTEX
         column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
         return (
             f"the first {column} column has (near-)zero entries "
@@ -225,31 +211,29 @@ def convolve(
     y: GraphSignal,
     graph: Graph,
     basis: SpectralBasis,
-    domain: Domain,
+    *,
     fam_kind: ImpulseKind | None = None,
-    method: FitMethod = FitMethod.DENSE,
 ) -> GraphSignal:
-    """Convolve two graph signals by filtering.
+    """Convolve two graph signals by filtering, in the domain of ``x``.
 
     In the vertex domain, y * x = P(A) x where P(A) has impulse response y;
     in the spectral domain, yhat * xhat = P(M) xhat where P(M) has spectral
-    impulse response yhat. Both signals must live in ``domain``.
+    impulse response yhat. ``y`` may be given in either domain, since
+    fit_filter reads its tag. ``fam_kind`` defaults to the impulsive delta
+    e_0 of x's domain and must live in that domain.
     """
     if fam_kind is None:
         fam_kind = (
             ImpulseKind.VERTEX_IMPULSIVE
-            if domain is Domain.VERTEX
+            if x.domain is Domain.VERTEX
             else ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE
         )
-    if _family_domain(fam_kind) is not domain:
+    if fam_kind.domain is not x.domain:
         raise DomainMismatchError(
-            f"impulse kind {fam_kind.value} does not live in the {domain.value} domain"
+            f"impulse kind {fam_kind.value} does not live in the {x.domain.value} domain"
         )
-    x.require(domain)
-    y.require(domain)
     fam = impulse_family(graph, basis, fam_kind)
-    filt = fit_filter(y, fam, method)
-    return apply_filter(filt, graph, basis, x)
+    return apply_filter(fit_filter(y, fam), graph, basis, x)
 
 
 def write_filter(filt: PolynomialFilter, path) -> None:

@@ -9,7 +9,9 @@ across frequencies, so two conventions coexist:
 Stacking a delta and its N-1 shifts column-wise gives the impulse matrix D
 used to fit polynomial filter coefficients from an impulse response. The
 same construction in the frequency domain (shifting by the spectral shift M)
-yields the impulse matrices for spectral-domain filter fitting.
+yields the impulse matrices for spectral-domain filter fitting. Each
+``ImpulseKind`` states its domain once, as ``ImpulseKind.domain``; the
+family's transform ``D_hat`` covers the opposite domain.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import numkit
 from .errors import BadSizeError
-from .graphs import Graph
+from .graphs import Domain, Graph
 from .spectral import SpectralBasis, spectral_shift
 
 __all__ = [
@@ -41,24 +43,23 @@ class ImpulseKind(enum.Enum):
     SPECTRAL_DOMAIN_FLAT = "spectral_domain_flat"
 
     @property
-    def lives_in_vertex_domain(self) -> bool:
-        return self in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_FLAT)
+    def domain(self) -> Domain:
+        """The domain the family's deltas and their shifts live in."""
+        vertex = self in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_FLAT)
+        return Domain.VERTEX if vertex else Domain.SPECTRAL
 
 
 @dataclass(frozen=True)
 class ImpulseFamily:
     """A delta convention together with its N shifted copies.
 
-    ``D`` holds the shifted impulses column-wise in the domain where the
-    family lives; ``D_hat`` is its transform into the opposite domain.
-    ``y0`` caches the first column of the GFT, whose zero entries are exactly
-    what breaks invertibility of the vertex-impulsive family.
+    ``D`` holds the shifted impulses column-wise in ``kind.domain``;
+    ``D_hat`` is its transform into the opposite domain.
     """
 
     kind: ImpulseKind
     D: np.ndarray
     D_hat: np.ndarray
-    y0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
     eigenbasis enters D only through the flat deltas.
     """
     n = graph.n
-    vertex = kind.lives_in_vertex_domain
+    vertex = kind.domain is Domain.VERTEX
     if kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE):
         start = np.zeros(n, dtype=np.complex128)
         start[0] = 1.0
@@ -100,7 +101,7 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
         d = _shift_stack(shift, start)
     d = numkit.as_cmatrix(d, "impulse matrix")
     d_hat = (basis.gft if vertex else basis.igft) @ d
-    return ImpulseFamily(kind, d, d_hat, basis.gft[:, 0].copy())
+    return ImpulseFamily(kind, d, d_hat)
 
 
 def vandermonde(lam) -> np.ndarray:

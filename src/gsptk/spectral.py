@@ -72,25 +72,19 @@ def _check_identity(gft: np.ndarray, igft: np.ndarray) -> None:
         )
 
 
-def basis_from_graph(graph: Graph, ordering=None, tol: float = numkit.GAP_TOL) -> SpectralBasis:
+def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
     """Diagonalize the shift of ``graph`` into a spectral basis.
 
-    ``ordering`` may be an explicit permutation of the raw eigensolver order;
-    by default frequencies are sorted by descending real part (ties by
-    descending imaginary part). Raises RepeatedEigenvaluesError when the
-    smallest eigenvalue gap is within ``tol * max(1, |lam|_max)``, since no
-    useful basis exists without distinct frequencies.
+    Frequencies are sorted by descending real part (ties by descending
+    imaginary part). Raises RepeatedEigenvaluesError when the smallest
+    eigenvalue gap is within ``tol * max(1, |lam|_max)``, since no useful
+    basis exists without distinct frequencies.
     """
     pair = numkit.eig(graph.adjacency)
     gap_tol = numkit._gap_cut(pair.values, tol)
     if pair.min_gap <= gap_tol:
         raise RepeatedEigenvaluesError(pair.min_gap, gap_tol)
-    if ordering is None:
-        perm = _default_order(pair.values)
-    else:
-        perm = np.asarray(ordering, dtype=int)
-        if sorted(perm.tolist()) != list(range(graph.n)):
-            raise DimensionMismatchError("ordering must be a permutation of 0..n-1")
+    perm = _default_order(pair.values)
     lam = pair.values[perm]
     igft = pair.vectors[:, perm]
     gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))

@@ -164,7 +164,7 @@ def test_criterion06_convolution_vertex_and_oracle():
     basis = dft_basis(4)
     x = GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain.VERTEX)
     y = GraphSignal(np.array([-1.0, 1.0, 2.0, 4.0]), Domain.VERTEX)
-    out = convolve(x, y, g, basis, Domain.VERTEX)
+    out = convolve(x, y, g, basis)
     ok = np.max(np.abs(out.values - np.array([17.0, 19.0, 17.0, 7.0]))) < 1e-6
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -172,13 +172,11 @@ def test_criterion06_convolution_vertex_and_oracle():
         a = rng.normal(size=4) + 1j * rng.normal(size=4)
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
         got = convolve(
-            GraphSignal(a, Domain.VERTEX), GraphSignal(b, Domain.VERTEX),
-            g, basis, Domain.VERTEX,
+            GraphSignal(a, Domain.VERTEX), GraphSignal(b, Domain.VERTEX), g, basis
         ).values
         worst = max(worst, float(np.max(np.abs(got - circulant_convolve(a, b)))))
         got_s = convolve(
-            GraphSignal(a, Domain.SPECTRAL), GraphSignal(b, Domain.SPECTRAL),
-            g, basis, Domain.SPECTRAL,
+            GraphSignal(a, Domain.SPECTRAL), GraphSignal(b, Domain.SPECTRAL), g, basis
         ).values
         worst = max(worst, float(np.max(np.abs(got_s - circulant_convolve(a, b)))))
     ok &= worst <= 1e-8
@@ -192,7 +190,7 @@ def test_criterion06_spectral_value_consistent():
     independent oracles (brute-force circular convolution and the transform
     product theorem)."""
     g, basis, xhat, yhat = _spectral_showcase_inputs()
-    out = convolve(xhat, yhat, g, basis, Domain.SPECTRAL)
+    out = convolve(xhat, yhat, g, basis)
     oracle = circulant_convolve(xhat.values, yhat.values)
     product = 2 * basis.gft @ ((basis.igft @ xhat.values) * (basis.igft @ yhat.values))
     want = np.array([-24 + 6j, -16 - 6j, -4 - 6j, 4 + 6j])
@@ -214,8 +212,8 @@ def test_criterion06_spectral_value_as_stated():
     g, basis, xhat, yhat = _spectral_showcase_inputs()
     stated = np.array([-24 - 6j, -16 + 6j, -4 + 6j, 4 - 6j])
     yhat_rev = GraphSignal(yhat.values[(-np.arange(4)) % 4], Domain.SPECTRAL)
-    out = convolve(xhat, yhat, g, basis, Domain.SPECTRAL).values
-    correlation = convolve(xhat, yhat_rev, g, basis, Domain.SPECTRAL).values
+    out = convolve(xhat, yhat, g, basis).values
+    correlation = convolve(xhat, yhat_rev, g, basis).values
     ok = np.max(np.abs(circulant_convolve(xhat.values, yhat_rev.values) - stated)) < 1e-6
     ok &= np.max(np.abs(correlation - stated)) < 1e-6
     ok &= np.max(np.abs(np.conj(out) - stated)) < 1e-6

@@ -1,5 +1,8 @@
 import base64
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from gsptk import (
     write_graph,
     write_signal,
 )
-from gsptk.cli import DEMO_NAMES, main
+from gsptk.cli import DEMO_NAMES, build_parser, main
 from util import er_digraph
 
 
@@ -199,6 +202,19 @@ class TestSampleRecover:
              "--out", tmp_path / "r"]
         ) == 0
 
+    def test_a_dotted_prefix_keeps_its_dots(self, tmp_path):
+        graph_path, sig_path = _write_example4_inputs(tmp_path)
+        basis_path = _bundled_basis_file(tmp_path)
+        for domain in ("vertex", "spectral"):
+            assert run(
+                ["sample", graph_path, sig_path, "--domain", domain, "--band", "0,1",
+                 "--basis", basis_path, "--out", tmp_path / f"run.{domain}"]
+            ) == 0
+        assert sorted(p.name for p in tmp_path.glob("run.*")) == [
+            "run.spectral.plan.json", "run.spectral.samples.json",
+            "run.vertex.plan.json", "run.vertex.samples.json",
+        ]
+
     def test_not_bandlimited_error(self, tmp_path, capsys):
         graph_path, _ = _write_example4_inputs(tmp_path)
         sig_path = tmp_path / "bad.json"
@@ -229,6 +245,26 @@ class TestConvolveCommand:
         filt_doc = json.loads((tmp_path / "conv.filter.json").read_text())
         got = [complex(re, im) for re, im in filt_doc["coeffs"]]
         assert np.max(np.abs(np.array(got) - np.array([-1, 1, 2, 4]))) < 1e-9
+
+    def test_y_in_either_domain_gives_one_signal(self, tmp_path):
+        # the y file's own tag picks the system it is fitted against
+        n = 8
+        graph = build(GraphKind.RING, n)
+        rng = np.random.default_rng(22)
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        yhat = basis_from_graph(graph).gft @ y
+        paths = [tmp_path / name for name in ("ring.json", "x.json", "y.json", "yhat.json")]
+        write_graph(graph, paths[0])
+        for values, domain, path in zip((x, y, yhat), ("vertex", "vertex", "spectral"), paths[1:]):
+            write_signal(GraphSignal(values, Domain(domain)), path)
+        got = []
+        for y_path, prefix in ((paths[2], "conv.y"), (paths[3], "conv.yhat")):
+            assert run(["convolve", paths[0], paths[1], y_path, "--domain", "vertex",
+                        "--out", tmp_path / prefix]) == 0
+            got.append(read_signal(tmp_path / f"{prefix}.signal.json"))
+            assert (tmp_path / f"{prefix}.filter.json").exists()
+        assert got[0].domain is got[1].domain is Domain.VERTEX
+        assert np.max(np.abs(got[0].values - got[1].values)) <= 1e-9 * np.max(np.abs(got[0].values))
 
     def test_delta_echoes_input(self, tmp_path):
         graph_path = tmp_path / "ring.json"
@@ -290,8 +326,7 @@ class TestTransformCommands:
         assert np.max(np.abs(xhat.values - np.array([1, 2, 0, 0]))) < 5e-3
         back_path = tmp_path / "back.json"
         assert run(
-            ["gft", graph_path, spec_path, "--inverse", "--basis", basis_path,
-             "--out", back_path]
+            ["gft", graph_path, spec_path, "--basis", basis_path, "--out", back_path]
         ) == 0
         back = read_signal(back_path)
         assert np.max(np.abs(back.values - np.array([-1.992, 0.93, -0.314, -0.577]))) < 1e-9
@@ -325,6 +360,19 @@ class TestTransformCommands:
                     "--out", out_path]) == 0
         mv = read_graph(out_path).adjacency
         assert np.max(np.abs(mv - build(GraphKind.RING, 4).adjacency.T)) < 1e-9
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_spectral_shift_reads_back_as_a_graph(self, tmp_path, suffix):
+        from gsptk import read_graph, spectral_shift
+        from gsptk.spectral import load_basis
+
+        graph_path, _ = _write_example4_inputs(tmp_path)
+        basis_path = _bundled_basis_file(tmp_path)
+        out_path = tmp_path / f"m{suffix}"
+        assert run(["spectral-shift", graph_path, "--basis", basis_path,
+                    "--out", out_path]) == 0
+        m = spectral_shift(load_basis(basis_path, build(GraphKind.EXAMPLE4, 4)))
+        assert np.array_equal(read_graph(out_path).adjacency, m)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert run(["gft", tmp_path / "none.json", tmp_path / "x.json",
@@ -510,18 +558,18 @@ def test_gft_rejects_a_malformed_input(tmp_path, capsys, kind, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["gft", "gft --inverse", "convolve"])
-def test_a_signal_of_the_wrong_length_is_an_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["gft", "convolve"])
+@pytest.mark.parametrize("domain", ["vertex", "spectral"])
+def test_a_signal_of_the_wrong_length_is_an_error(tmp_path, capsys, domain, command):
     graph_path = tmp_path / "ring.json"
     write_graph(build(GraphKind.RING, 4), graph_path)
-    domain = Domain.SPECTRAL if "--inverse" in command else Domain.VERTEX
     full, short = tmp_path / "full.json", tmp_path / "short.json"
-    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), domain), full)
-    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0]), domain), short)
+    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain(domain)), full)
+    write_signal(GraphSignal(np.array([1.0, 2.0, 3.0]), Domain(domain)), short)
     if command == "convolve":
-        args = ["convolve", graph_path, full, short, "--out", tmp_path / "conv"]
+        args = ["convolve", graph_path, full, short, "--domain", domain, "--out", tmp_path / "conv"]
     else:
-        args = command.split() + [graph_path, short, "--out", tmp_path / "out.json"]
+        args = ["gft", graph_path, short, "--out", tmp_path / "out.json"]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "does not match the graph size 4" in err
@@ -625,6 +673,9 @@ _BAD_ARGUMENTS = {
         "File exists",
     ),
     "out-dir is a file": (_out_dir_is_a_file, "Not a directory"),
+    "out prefix is a directory": (
+        lambda p: _sample_with_band(p, "0,1", "--out", "."), "names a directory, not a file prefix"
+    ),
     "csv graph is a directory": (_csv_graph_is_a_directory, "Is a directory"),
 }
 
@@ -657,3 +708,20 @@ def test_a_bad_argument_is_an_error_not_a_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "rec.json").exists()
+
+
+def test_readme_command_lines_parse():
+    # every example in README's sh blocks must stay a valid command line
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("gsptk ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -8,9 +8,9 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     ImpulseKind,
+    NotConvergedError,
     ParseError,
     PolynomialFilter,
-    ResponseDirection,
     ShiftDomain,
     SingularMatrixError,
     apply_filter,
@@ -28,7 +28,7 @@ from gsptk import (
     modulate,
     response,
 )
-from gsptk.filters import read_filter, write_filter
+from gsptk.filters import _ista, read_filter, write_filter
 
 from util import random_basis_graph
 
@@ -117,15 +117,13 @@ class TestResponse:
 class TestMatrixFromResponse:
     def test_all_ones_is_identity(self):
         _, basis = ring4()
-        m = matrix_from_response(basis, spectral(np.ones(4)), ResponseDirection.FREQ_RESPONSE_TO_PA)
+        m = matrix_from_response(basis, spectral(np.ones(4)))
         assert np.max(np.abs(m - np.eye(4))) < 1e-12
 
     def test_showcase_sampling_filter_columns(self):
         graph = build(GraphKind.EXAMPLE4, 4)
         basis = bundled_basis("example4", graph)
-        pm = matrix_from_response(
-            basis, vertex([0.0, 1.0, 0.0, 1.0]), ResponseDirection.VERTEX_RESPONSE_TO_PM
-        )
+        pm = matrix_from_response(basis, vertex([0.0, 1.0, 0.0, 1.0]))
         want = np.array(
             [
                 [0.564, -0.412],
@@ -138,7 +136,7 @@ class TestMatrixFromResponse:
 
     def test_ring_circulant_from_response(self):
         _, basis = ring4()
-        pa = matrix_from_response(basis, spectral(Y4_RESPONSE), ResponseDirection.FREQ_RESPONSE_TO_PA)
+        pa = matrix_from_response(basis, spectral(Y4_RESPONSE))
         want = np.array(
             [[-1, 4, 2, 1], [1, -1, 4, 2], [2, 1, -1, 4], [4, 2, 1, -1]], dtype=float
         )
@@ -149,7 +147,7 @@ class TestMatrixFromResponse:
         g, basis = random_basis_graph(rng, 7)
         p = rng.normal(size=7) + 1j * rng.normal(size=7)
         filt = PolynomialFilter(p, ShiftDomain.VERTEX_A)
-        dense = matrix_from_response(basis, response(filt, basis), ResponseDirection.FREQ_RESPONSE_TO_PA)
+        dense = matrix_from_response(basis, response(filt, basis))
         horner = np.column_stack(
             [
                 apply_filter(filt, g, basis, vertex(np.eye(7)[:, k])).values
@@ -215,14 +213,17 @@ class TestFitFilter:
                 assert np.max(np.abs(got.coeffs - p_true)) < 1e-6
 
     def test_dense_and_spectral_routes_agree(self):
+        # a target in the other domain is fitted against D_hat, not D
         rng = np.random.default_rng(7)
         g, basis = random_basis_graph(rng, 6, need_y0=True)
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        y = vertex(rng.normal(size=6) + 1j * rng.normal(size=6))
-        dense = fit_filter(y, fam, FitMethod.DENSE)
-        yhat = gft_apply(basis, y)
-        spectral_fit = fit_filter(yhat, fam, FitMethod.DENSE_SPECTRAL)
-        assert np.max(np.abs(dense.coeffs - spectral_fit.coeffs)) < 1e-6
+        values = rng.normal(size=6) + 1j * rng.normal(size=6)
+        for kind in ImpulseKind:
+            fam = impulse_family(g, basis, kind)
+            y = GraphSignal(values, kind.domain)
+            other = gft_apply(basis, y) if kind.domain is Domain.VERTEX else igft_apply(basis, y)
+            dense = fit_filter(y, fam, FitMethod.DENSE)
+            other_fit = fit_filter(other, fam)
+            assert np.max(np.abs(dense.coeffs - other_fit.coeffs)) < 1e-6
 
     def test_singular_fit_names_the_broken_assumption(self):
         # distinct frequencies, but gft[:, 0] = igft[:, 0] = e_0 has zeros
@@ -275,24 +276,34 @@ class TestFitFilter:
         resid = np.max(np.abs(fam.D @ filt.coeffs - target.values))
         assert resid < 1e-6
 
+    def test_l1_raises_when_it_runs_out_of_iterations(self):
+        # this system reaches the stop rule only after about 330,000 steps
+        g, basis = random_basis_graph(np.random.default_rng(6), 6, need_y0=True)
+        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
+        rng = np.random.default_rng(0)
+        _, y = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        gamma = 1e-3 * float(np.max(np.abs(fam.D.conj().T @ y)))
+        with pytest.raises(NotConvergedError, match="did not converge in 1000 iterations"):
+            _ista(fam.D, y, gamma, max_iter=1000)
+
 
 class TestConvolve:
     def test_delta_is_identity(self):
         g, basis = ring4()
         delta = vertex([1.0, 0.0, 0.0, 0.0])
-        out = convolve(vertex(X4), delta, g, basis, Domain.VERTEX)
+        out = convolve(vertex(X4), delta, g, basis)
         assert np.max(np.abs(out.values - np.array(X4))) < 1e-12
 
     def test_vertex_showcase(self):
         g, basis = ring4()
-        out = convolve(vertex(X4), vertex(Y4), g, basis, Domain.VERTEX)
+        out = convolve(vertex(X4), vertex(Y4), g, basis)
         assert np.max(np.abs(out.values - np.array([17, 19, 17, 7]))) < 1e-6
 
     def test_spectral_showcase_matches_brute_force(self):
         # Three independent routes agree: the fitted spectral filter, the
         # circular-convolution oracle, and the transform-product theorem.
         g, basis = ring4()
-        out = convolve(spectral(X4), spectral(Y4_RESPONSE), g, basis, Domain.SPECTRAL)
+        out = convolve(spectral(X4), spectral(Y4_RESPONSE), g, basis)
         oracle = circulant_convolve(np.array(X4, dtype=complex), np.array(Y4_RESPONSE))
         product = 2 * basis.gft @ (
             (basis.igft @ np.array(X4)) * (basis.igft @ np.array(Y4_RESPONSE))
@@ -310,7 +321,7 @@ class TestConvolve:
         g, basis = random_basis_graph(rng, 6, need_y0=True)
         values = rng.normal(size=6) + 1j * rng.normal(size=6)
         for kind in ImpulseKind:
-            own = Domain.VERTEX if kind.lives_in_vertex_domain else Domain.SPECTRAL
+            own = kind.domain
             y = GraphSignal(values, own)
             fam = impulse_family(g, basis, kind)
             filt = fit_filter(y, fam, FitMethod.DENSE)
@@ -324,17 +335,19 @@ class TestConvolve:
         g, basis = ring4()
         x = vertex(rng.normal(size=4) + 1j * rng.normal(size=4))
         y = vertex(rng.normal(size=4) + 1j * rng.normal(size=4))
-        via_impulsive = convolve(x, y, g, basis, Domain.VERTEX, ImpulseKind.VERTEX_IMPULSIVE)
-        via_flat = convolve(x, y, g, basis, Domain.VERTEX, ImpulseKind.SPECTRAL_FLAT)
+        via_impulsive = convolve(x, y, g, basis, fam_kind=ImpulseKind.VERTEX_IMPULSIVE)
+        via_flat = convolve(x, y, g, basis, fam_kind=ImpulseKind.SPECTRAL_FLAT)
+        via_yhat = convolve(x, gft_apply(basis, y), g, basis)
         assert np.max(np.abs(via_impulsive.values - via_flat.values)) < 1e-9
+        assert np.max(np.abs(via_impulsive.values - via_yhat.values)) < 1e-9
 
     def test_mismatched_family_rejected(self):
         from gsptk import DomainMismatchError
 
         g, basis = ring4()
         with pytest.raises(DomainMismatchError):
-            convolve(vertex(X4), vertex(Y4), g, basis, Domain.VERTEX,
-                     ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
+            convolve(vertex(X4), vertex(Y4), g, basis,
+                     fam_kind=ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
 
 
 class TestDualities:

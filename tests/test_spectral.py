@@ -9,6 +9,7 @@ from gsptk import (
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
+    SpectralBasis,
     ZeroScaleError,
     basis_explicit,
     basis_from_graph,
@@ -50,10 +51,10 @@ def star5():
 class TestBasisFromGraph:
     def test_ring4_matches_analytic_dft_up_to_scale(self):
         g = build(GraphKind.RING, 4)
-        raw = eig(g.adjacency)
+        computed = basis_from_graph(g)
         dft_order = [1, -1j, -1, 1j]
-        perm = [int(np.argmin(np.abs(raw.values - t))) for t in dft_order]
-        basis = basis_from_graph(g, ordering=perm)
+        perm = [int(np.argmin(np.abs(computed.lam - t))) for t in dft_order]
+        basis = SpectralBasis(computed.gft[perm], computed.igft[:, perm], computed.lam[perm])
         assert np.max(np.abs(basis.lam - np.array(dft_order))) < 1e-10
         analytic = dft_basis(4)
         for k in range(4):
