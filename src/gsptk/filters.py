@@ -108,9 +108,10 @@ def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
     are involved; this is the matrix whose action on a signal of the
     opposite domain equals modulation by ``resp``.
     """
+    values = _check_length(resp.values, basis.n)
     if resp.domain is Domain.SPECTRAL:
-        return basis.igft @ (resp.values[:, None] * basis.gft)
-    return basis.gft @ (resp.values[:, None] * basis.igft)
+        return basis.igft @ (values[:, None] * basis.gft)
+    return basis.gft @ (values[:, None] * basis.igft)
 
 
 def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:

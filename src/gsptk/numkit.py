@@ -3,7 +3,10 @@
 Everything downstream (bases, filters, sampling plans) reduces to three
 operations on dense complex matrices: the pivot pattern of Gauss
 elimination, linear solves, and a full eigendecomposition of a general
-(non-symmetric, possibly complex) square matrix.
+(non-symmetric) square matrix. The eigendecomposition runs in real
+arithmetic when the matrix has no imaginary part, as the shift of a real
+weighted graph has, and in complex arithmetic otherwise; its result is
+complex either way.
 
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
@@ -216,13 +219,19 @@ def eig(a) -> EigPair:
     each eigenvector to unit norm with its first significant entry rotated to
     the positive real axis. The residual contract
     ``max_k ||A v_k - w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced.
+
+    A matrix with no imaginary part goes to the real solver (``dgeev``),
+    which is faster than the complex one (``zgeev``). It returns each complex
+    eigenvalue and its eigenvector as an exactly conjugate pair, and each
+    real eigenvalue with imaginary part exactly 0; the normalization keeps
+    both properties bit for bit. The result is complex128 on either path.
     """
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     try:
-        values, vectors = scipy.linalg.eig(a)
+        values, vectors = scipy.linalg.eig(a if a.imag.any() else a.real)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
         raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
     vectors = _normalize_columns(vectors.astype(np.complex128))

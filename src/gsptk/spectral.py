@@ -59,7 +59,11 @@ class SpectralBasis:
 
 
 def _default_order(lam: np.ndarray) -> np.ndarray:
-    """Descending real part, ties by descending imaginary part."""
+    """Descending real part, ties by descending imaginary part.
+
+    On a real shift ``numkit.eig`` returns exact conjugate pairs, so each pair
+    ties on its real part and sorts adjacent, positive imaginary part first.
+    """
     return np.lexsort((-lam.imag, -lam.real))
 
 

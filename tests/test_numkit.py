@@ -6,8 +6,10 @@ import pytest
 from gsptk import (
     BadSizeError,
     DimensionMismatchError,
+    Domain,
     Graph,
     GraphKind,
+    GraphSignal,
     NonFiniteError,
     PolynomialFilter,
     ShiftDomain,
@@ -16,6 +18,7 @@ from gsptk import (
     bundled_basis,
     circulant_convolve,
     dft_basis,
+    matrix_from_response,
     vandermonde,
 )
 from gsptk.numkit import as_cmatrix, as_cvector, eig, row_reduce, solve
@@ -114,6 +117,8 @@ def test_validation_errors_are_typed_value_errors():
         solve(np.eye(2), np.ones(3))
     with pytest.raises(DimensionMismatchError, match="matrix must be square"):
         eig(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="signal length 3 does not match the graph size 4"):
+        matrix_from_response(dft_basis(4), GraphSignal(np.ones(3), Domain.SPECTRAL))
     with pytest.raises(DimensionMismatchError, match="operands must have equal length"):
         circulant_convolve([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(BadSizeError, match="lam must be nonempty"):

@@ -25,7 +25,7 @@ from gsptk import (
 )
 from gsptk.numkit import eig
 
-from util import random_basis_graph
+from util import er_digraph, random_basis_graph
 
 STAR_M_REFERENCE = 0.5 * np.array(
     [
@@ -70,6 +70,34 @@ class TestBasisFromGraph:
         basis = basis_from_graph(Graph(np.diag([3.0, 1.0, 2.0])))
         assert np.allclose(basis.lam, [3.0, 2.0, 1.0])
         assert np.allclose(np.abs(basis.igft), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
+
+    def test_conjugate_pairs_follow_the_tie_rule_on_a_real_graph(self):
+        basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
+        lam = basis.lam
+        complex_idx = np.flatnonzero(lam.imag)
+        assert complex_idx.size and complex_idx.size < lam.size
+        first, second = complex_idx[0::2], complex_idx[1::2]
+        assert np.array_equal(second, first + 1)
+        assert np.all(lam[first].imag > 0)
+        assert np.array_equal(lam[second], np.conj(lam[first]))
+        assert np.array_equal(basis.igft[:, second], np.conj(basis.igft[:, first]))
+        # a real eigenvalue carries no rounding residue in its imaginary part
+        assert np.all((lam.imag == 0) | (np.abs(lam.imag) > 1e-8))
+
+    def test_a_shift_with_an_imaginary_entry_still_decomposes(self):
+        a = er_digraph(np.random.default_rng(1), 12).adjacency
+        a[0, 1] += 0.5j
+        pair = eig(a)
+        assert pair.vectors.dtype == np.complex128
+        assert np.max(np.abs(a @ pair.vectors - pair.vectors * pair.values)) < 1e-10
+        basis = basis_from_graph(Graph(a))
+        assert np.max(np.abs(basis.igft @ (basis.lam[:, None] * basis.gft) - a)) < 1e-8
+
+    def test_a_real_symmetric_shift_gives_complex_eigenvectors(self):
+        pair = eig(build(GraphKind.PATH, 6).adjacency)
+        assert pair.values.dtype == np.complex128
+        assert pair.vectors.dtype == np.complex128
+        assert np.all(pair.values.imag == 0)
 
     def test_reconstruction_invariants(self):
         rng = np.random.default_rng(4)
