@@ -39,7 +39,6 @@ from .spectral import (
     basis_from_graph,
     bundled_basis,
     gft_apply,
-    igft_apply,
     load_basis,
     rescale_basis,
     save_basis,

@@ -2,14 +2,15 @@
 
 Filtering with a polynomial in the adjacency shift acts in the vertex
 domain and is modulation by the filter's frequency response in the spectral
-domain; filtering with a polynomial in the spectral shift M acts in the
-spectral domain and is modulation by its vertex response. Convolution of two
-arbitrary signals is realized by fitting filter coefficients so that one
-signal becomes the filter's impulse response, then applying the filter to
-the other. Every signal carries its domain, so no function here asks for it
-again: a response's domain picks P(A) or P(M), a fit target's domain picks
-the impulse matrix or its transform, and a convolution runs in the domain
-of its first operand.
+domain. A polynomial in the spectral shift M is a polynomial in the
+adjacency of the spectral graph G_s, so each spectral-domain operation here
+is its vertex-domain twin on G_s: the same code on ``basis.dual``.
+Convolution of two arbitrary signals is realized by fitting filter
+coefficients so that one signal becomes the filter's impulse response, then
+applying the filter to the other. Every signal carries its domain, so no
+function here asks for it again: a response's domain picks P(A) or P(M), a
+fit target's domain picks the impulse matrix or its transform, and a
+convolution runs in the domain of its first operand.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import numkit
 from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, NotConvergedError, ParseError, SingularMatrixError
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
-from .spectral import SpectralBasis, _check_length, spectral_shift
+from .spectral import SpectralBasis, _check_length, _diag, spectral_shift
 
 __all__ = [
     "ShiftDomain",
@@ -70,15 +71,12 @@ def apply_filter(
     """Apply P(shift) to a signal by Horner-style repeated shifting.
 
     Vertex filters act on vertex-domain signals through the adjacency;
-    spectral filters act on spectral-domain signals through M. The full
-    filter matrix is never formed.
+    spectral filters act on spectral-domain signals through M, the
+    adjacency of G_s. The full filter matrix is never formed.
     """
-    if filt.shift_domain is ShiftDomain.VERTEX_A:
-        x = signal.require(Domain.VERTEX)
-        shift = graph.adjacency
-    else:
-        x = signal.require(Domain.SPECTRAL)
-        shift = spectral_shift(basis)
+    vertex = filt.shift_domain is ShiftDomain.VERTEX_A
+    x = signal.require(Domain.VERTEX if vertex else Domain.SPECTRAL)
+    shift = graph.adjacency if vertex else spectral_shift(basis)
     _check_length(x, shift.shape[0])
     coeffs = filt.coeffs
     acc = coeffs[-1] * x
@@ -91,13 +89,13 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     """Evaluate the filter polynomial on the frequencies.
 
     A vertex filter has the spectral response P(lam); a spectral filter has
-    the vertex response P(conj(lam)). Modulating by the response in the
-    opposite domain is equivalent to applying the filter.
+    the vertex response P(conj(lam)), P on the frequencies of G_s. Modulating
+    by the response in the opposite domain is equivalent to applying it.
     """
     hi_first = filt.coeffs[::-1]
-    if filt.shift_domain is ShiftDomain.VERTEX_A:
-        return GraphSignal(np.polyval(hi_first, basis.lam), Domain.SPECTRAL)
-    return GraphSignal(np.polyval(hi_first, np.conj(basis.lam)), Domain.VERTEX)
+    vertex = filt.shift_domain is ShiftDomain.VERTEX_A
+    b = basis if vertex else basis.dual
+    return GraphSignal(np.polyval(hi_first, b.lam), Domain.SPECTRAL if vertex else Domain.VERTEX)
 
 
 def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
@@ -108,10 +106,8 @@ def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
     are involved; this is the matrix whose action on a signal of the
     opposite domain equals modulation by ``resp``.
     """
-    values = _check_length(resp.values, basis.n)
-    if resp.domain is Domain.SPECTRAL:
-        return basis.igft @ (values[:, None] * basis.gft)
-    return basis.gft @ (values[:, None] * basis.igft)
+    b = basis if resp.domain is Domain.SPECTRAL else basis.dual
+    return _diag(b, _check_length(resp.values, b.n))
 
 
 def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:

@@ -7,11 +7,12 @@ across frequencies, so two conventions coexist:
 * spectral-flat: gft(delta_0) = (1/sqrt(N)) * ones, shifted likewise.
 
 Stacking a delta and its N-1 shifts column-wise gives the impulse matrix D
-used to fit polynomial filter coefficients from an impulse response. The
-same construction in the frequency domain (shifting by the spectral shift M)
-yields the impulse matrices for spectral-domain filter fitting. Each
-``ImpulseKind`` states its domain once, as ``ImpulseKind.domain``; the
-family's transform ``D_hat`` covers the opposite domain.
+used to fit polynomial filter coefficients from an impulse response. A
+spectral-domain family is the same construction on the spectral graph G_s:
+its deltas are shifted by the spectral shift M and transformed with
+``basis.dual``. Each ``ImpulseKind`` states its domain once, as
+``ImpulseKind.domain``; the family's transform ``D_hat`` covers the opposite
+domain.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BadSizeError
+from .errors import BadSizeError, DimensionMismatchError
 from .graphs import Domain, Graph
 from .spectral import SpectralBasis, spectral_shift
 
@@ -87,21 +88,22 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
     eigenbasis enters D only through the flat deltas.
     """
     n = graph.n
+    if basis.n != n:
+        raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {n}")
     vertex = kind.domain is Domain.VERTEX
+    b = basis if vertex else basis.dual
     if kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE):
         start = np.zeros(n, dtype=np.complex128)
         start[0] = 1.0
     else:  # the delta whose transform into the other domain is flat
-        flat = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
-        start = (basis.igft if vertex else basis.gft) @ flat
+        start = b.igft @ np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
     shift = graph.adjacency if vertex else spectral_shift(basis)
     # powers of a shift whose spectral radius exceeds 1 overflow on large
     # graphs; as_cmatrix turns that into a typed error naming D
     with np.errstate(over="ignore", invalid="ignore"):
         d = _shift_stack(shift, start)
     d = numkit.as_cmatrix(d, "impulse matrix")
-    d_hat = (basis.gft if vertex else basis.igft) @ d
-    return ImpulseFamily(kind, d, d_hat)
+    return ImpulseFamily(kind, d, b.gft @ d)
 
 
 def vandermonde(lam) -> np.ndarray:

@@ -50,7 +50,7 @@ from .graphs import (
     _read_json,
     _write_json,
 )
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _diag
 
 __all__ = [
     "BandSpec",
@@ -234,7 +234,7 @@ def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
     d = np.asarray(delta, dtype=np.complex128)
     if d.shape != (basis.n,):
         raise DimensionMismatchError(f"delta must have length {basis.n}")
-    return basis.gft @ (d[:, None] * basis.igft)
+    return _diag(basis.dual, d)
 
 
 def recovery_block(basis: SpectralBasis, delta, band: BandSpec) -> tuple[tuple[int, ...], np.ndarray]:

@@ -1,16 +1,19 @@
-"""Graph Fourier basis and the spectral shift.
+"""Graph Fourier basis, the spectral graph, and the spectral shift.
 
 A ``SpectralBasis`` packages the analysis transform ``gft``, its inverse
 ``igft`` (whose columns are the spectral components), and the graph
 frequencies ``lam`` so that ``igft @ diag(lam) @ gft`` reproduces the shift.
-From it we derive the spectral shift
+Every graph G has a spectral graph G_s whose vertices are the frequencies of
+G. Its basis is ``SpectralBasis.dual``: the two transforms trade places and
+the frequencies are conjugated, so the GFT of G_s is the inverse GFT of G,
+and the shift of G_s is the spectral shift
 
     M = gft @ diag(conj(lam)) @ igft
 
 which delays a signal in the graph frequency domain exactly the way the
 adjacency shift delays it in the vertex domain, and whose nonzero pattern
-(the spectral graph) is invariant under the scaling freedom of the
-eigenvectors.
+is invariant under the scaling freedom of the eigenvectors. A
+spectral-domain operation is its vertex-domain twin run on G_s.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "basis_from_graph",
     "basis_explicit",
     "gft_apply",
-    "igft_apply",
     "spectral_shift",
     "spectral_shift_variant",
     "rescale_basis",
@@ -56,6 +58,16 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return self.lam.shape[0]
+
+    @property
+    def dual(self) -> SpectralBasis:
+        """The basis of the spectral graph G_s; the dual of the dual is this basis."""
+        return SpectralBasis(self.igft, self.gft, np.conj(self.lam))
+
+
+def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
+    """igft @ diag(v) @ gft: the filter of ``basis``'s graph with spectral response v."""
+    return basis.igft @ (v[:, None] * basis.gft)
 
 
 def _default_order(lam: np.ndarray) -> np.ndarray:
@@ -94,7 +106,7 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
     basis = SpectralBasis(gft, igft, lam)
     _check_identity(gft, igft)
-    recon = np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
+    recon = np.max(np.abs(_diag(basis, lam) - graph.adjacency))
     if recon > numkit.IDENTITY_TOL * max(1.0, np.max(np.abs(graph.adjacency))):
         raise ReconstructionMismatchError(
             f"computed basis fails to reconstruct the shift (error {recon:.3e})"
@@ -118,26 +130,23 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
         raise DimensionMismatchError(
             f"gft {gft.shape} / lam {lam.shape} do not match graph size {n}"
         )
-    igft = numkit.solve(gft, np.eye(n, dtype=np.complex128))
-    recon = np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
+    basis = SpectralBasis(gft, numkit.solve(gft, np.eye(n, dtype=np.complex128)), lam)
+    recon = np.max(np.abs(_diag(basis, lam) - graph.adjacency))
     limit = numkit.EXPLICIT_RECON_TOL * max(np.max(np.abs(graph.adjacency)), np.finfo(float).tiny)
     if recon > limit:
         raise ReconstructionMismatchError(
             f"explicit basis does not reconstruct the shift: error {recon:.3e} > {limit:.3e}"
         )
-    return SpectralBasis(gft, igft, lam)
+    return basis
 
 
 def gft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
-    """Forward transform a vertex-domain signal into the spectral domain."""
-    x = _check_length(signal.require(Domain.VERTEX), basis.n)
-    return GraphSignal(basis.gft @ x, Domain.SPECTRAL)
-
-
-def igft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
-    """Inverse transform a spectral-domain signal back to the vertex domain."""
-    xhat = _check_length(signal.require(Domain.SPECTRAL), basis.n)
-    return GraphSignal(basis.igft @ xhat, Domain.VERTEX)
+    """Transform a signal into the other domain, as its tag says: a vertex
+    signal forward, a spectral one back (the GFT of G_s)."""
+    vertex = signal.domain is Domain.VERTEX
+    b = basis if vertex else basis.dual
+    x = _check_length(signal.values, b.n)
+    return GraphSignal(b.gft @ x, Domain.SPECTRAL if vertex else Domain.VERTEX)
 
 
 def _check_length(values: np.ndarray, n: int) -> np.ndarray:
@@ -149,8 +158,8 @@ def _check_length(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def spectral_shift(basis: SpectralBasis) -> np.ndarray:
-    """The frequency-domain shift M = gft @ diag(conj(lam)) @ igft."""
-    return basis.gft @ (np.conj(basis.lam)[:, None] * basis.igft)
+    """The frequency-domain shift M = gft @ diag(conj(lam)) @ igft, the shift of G_s."""
+    return _diag(basis.dual, basis.dual.lam)
 
 
 def spectral_shift_variant(basis: SpectralBasis) -> np.ndarray:
@@ -160,7 +169,7 @@ def spectral_shift_variant(basis: SpectralBasis) -> np.ndarray:
     transpose of the adjacency), which is why the conjugated form is the
     default.
     """
-    return basis.gft @ (basis.lam[:, None] * basis.igft)
+    return _diag(basis.dual, basis.lam)
 
 
 def rescale_basis(basis: SpectralBasis, c) -> SpectralBasis:

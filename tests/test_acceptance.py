@@ -42,7 +42,6 @@ from gsptk import (
     dft_basis,
     dsp_sampling_operator,
     gft_apply,
-    igft_apply,
     nyquist_recover,
     plan_equivalent,
     recovery_block,
@@ -76,7 +75,7 @@ def example4():
 def lowpass(rng, basis, band):
     xhat = np.zeros(basis.n, dtype=complex)
     xhat[list(band.support)] = rng.normal(size=band.k) + 1j * rng.normal(size=band.k)
-    return igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
+    return gft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
 
 
 def test_criterion01_vertex_pipeline():
@@ -234,7 +233,7 @@ def test_criterion07_duality_suite():
         rhs = response(filt_a, basis).values * (basis.gft @ x)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
         filt_m = PolynomialFilter(p, ShiftDomain.SPECTRAL_M)
-        lhs = igft_apply(
+        lhs = gft_apply(
             basis, apply_filter(filt_m, g, basis, GraphSignal(x, Domain.SPECTRAL))
         ).values
         rhs = response(filt_m, basis).values * (basis.igft @ x)
@@ -356,7 +355,7 @@ def _nyquist_setup(rng, n, k):
     basis = dft_basis(n)
     xhat = np.zeros(n, dtype=complex)
     xhat[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
-    x = igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
+    x = gft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
     delta = np.zeros(n, dtype=int)
     delta[:: n // k] = 1
     plan = spectral_plan(basis, BandSpec(tuple(range(k))), forced_delta=delta)

@@ -13,7 +13,7 @@ from gsptk import (
     GraphSignal,
     basis_from_graph,
     build,
-    igft_apply,
+    gft_apply,
     read_signal,
     write_graph,
     write_signal,
@@ -278,6 +278,38 @@ class TestConvolveCommand:
         ) == 0
         result = read_signal(tmp_path / "out.signal.json")
         assert np.max(np.abs(result.values - np.array([5.0, -1.0, 2.0, 0.5]))) < 1e-9
+
+    def _ring_pair(self, tmp_path, domain):
+        paths = [tmp_path / name for name in ("ring.json", "x.json", "y.json")]
+        write_graph(build(GraphKind.RING, 4), paths[0])
+        write_signal(GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain(domain)), paths[1])
+        write_signal(GraphSignal(np.array([-1.0, 1.0, 2.0, 4.0]), Domain(domain)), paths[2])
+        return paths
+
+    @pytest.mark.parametrize("domain", ["vertex", "spectral"])
+    def test_domain_defaults_to_the_tag_of_x(self, tmp_path, domain):
+        paths = self._ring_pair(tmp_path, domain)
+        assert run(["convolve", *paths, "--out", tmp_path / "implicit"]) == 0
+        assert run(["convolve", *paths, "--domain", domain, "--out", tmp_path / "explicit"]) == 0
+        for suffix in (".signal.json", ".filter.json"):
+            implicit = (tmp_path / f"implicit{suffix}").read_bytes()
+            assert implicit == (tmp_path / f"explicit{suffix}").read_bytes()
+        assert read_signal(tmp_path / "implicit.signal.json").domain is Domain(domain)
+
+    @pytest.mark.parametrize("domain, other", [("vertex", "spectral"), ("spectral", "vertex")])
+    def test_a_domain_against_the_tag_of_x_is_refused_first(self, tmp_path, capsys, monkeypatch,
+                                                             domain, other):
+        import gsptk.cli as cli
+
+        def no_family(*args):
+            raise AssertionError("the impulse family was built")
+
+        monkeypatch.setattr(cli, "impulse_family", no_family)
+        paths = self._ring_pair(tmp_path, domain)
+        assert run(["convolve", *paths, "--domain", other, "--out", tmp_path / "conv"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: expected a {other}-domain signal, got {domain}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.json", "x.json", "y.json"]
 
     @pytest.mark.parametrize("domain", ["vertex", "spectral"])
     @pytest.mark.parametrize("impulse", ["vertex", "flat"])
@@ -619,7 +651,7 @@ def _sample_on_a_noise_block(tmp_path):
     xhat = np.append(np.arange(1.0, 6.0), 0.0)
     graph_path, sig_path = tmp_path / "g.json", tmp_path / "x.json"
     write_graph(graph, graph_path)
-    write_signal(igft_apply(basis_from_graph(graph), GraphSignal(xhat, Domain.SPECTRAL)), sig_path)
+    write_signal(gft_apply(basis_from_graph(graph), GraphSignal(xhat, Domain.SPECTRAL)), sig_path)
     return ["sample", graph_path, sig_path, "--domain", "vertex", "--band", "0,1,2,3,4",
             "--delta", "1,0,1,1,1,1", "--out", tmp_path / "run"]
 

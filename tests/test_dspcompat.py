@@ -12,7 +12,7 @@ from gsptk import (
     circulant_convolve,
     dft_basis,
     dsp_sampling_operator,
-    igft_apply,
+    gft_apply,
     nyquist_recover,
     replication_compare,
     sample,
@@ -105,13 +105,13 @@ class TestNyquistRecover:
         basis = dft_basis(n)
         xhat = np.zeros(n, dtype=complex)
         xhat[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
-        x = igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
+        x = gft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL))
         delta = np.zeros(n, dtype=int)
         delta[:: n // k] = 1
         plan = spectral_plan(basis, BandSpec(tuple(range(k))), forced_delta=delta)
         rec_plan = spectral_recover(plan, sample(x, delta))
         pm = dsp_sampling_operator(n, k)
-        rec_ny = igft_apply(
+        rec_ny = gft_apply(
             basis, nyquist_recover(GraphSignal(pm @ xhat, Domain.SPECTRAL), k)
         )
         assert np.max(np.abs(rec_ny.values - x.values)) < 1e-10

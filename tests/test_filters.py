@@ -22,7 +22,6 @@ from gsptk import (
     dft_basis,
     fit_filter,
     gft_apply,
-    igft_apply,
     impulse_family,
     matrix_from_response,
     modulate,
@@ -81,6 +80,20 @@ class TestApply:
         g, basis = ring4()
         with pytest.raises(DomainMismatchError):
             apply_filter(PolynomialFilter([1.0], ShiftDomain.VERTEX_A), g, basis, spectral(X4))
+
+    @pytest.mark.parametrize("shift_domain, signal, message", [
+        (ShiftDomain.SPECTRAL_M, vertex(X4), "expected a spectral-domain signal, got vertex"),
+        (ShiftDomain.VERTEX_A, spectral(X4), "expected a vertex-domain signal, got spectral"),
+    ])
+    def test_domain_guard_names_the_callers_domains(self, shift_domain, signal, message):
+        # a spectral filter runs as a vertex filter on the spectral graph, but
+        # the refusal speaks of the domains the caller used
+        from gsptk import DomainMismatchError
+
+        g, basis = ring4()
+        with pytest.raises(DomainMismatchError) as err:
+            apply_filter(PolynomialFilter([1.0, 2.0], shift_domain), g, basis, signal)
+        assert str(err.value) == message
 
 
 class TestResponse:
@@ -220,7 +233,7 @@ class TestFitFilter:
         for kind in ImpulseKind:
             fam = impulse_family(g, basis, kind)
             y = GraphSignal(values, kind.domain)
-            other = gft_apply(basis, y) if kind.domain is Domain.VERTEX else igft_apply(basis, y)
+            other = gft_apply(basis, y)
             dense = fit_filter(y, fam, FitMethod.DENSE)
             other_fit = fit_filter(other, fam)
             assert np.max(np.abs(dense.coeffs - other_fit.coeffs)) < 1e-6
@@ -349,6 +362,31 @@ class TestConvolve:
             convolve(vertex(X4), vertex(Y4), g, basis,
                      fam_kind=ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
 
+    @pytest.mark.parametrize("x, kind, message", [
+        (vertex(X4), ImpulseKind.SPECTRAL_DOMAIN_FLAT,
+         "impulse kind spectral_domain_flat does not live in the vertex domain"),
+        (spectral(X4), ImpulseKind.VERTEX_IMPULSIVE,
+         "impulse kind vertex_impulsive does not live in the spectral domain"),
+    ])
+    def test_mismatched_family_names_the_domain_of_x(self, x, kind, message):
+        from gsptk import DomainMismatchError
+
+        g, basis = ring4()
+        with pytest.raises(DomainMismatchError) as err:
+            convolve(x, GraphSignal(Y4, x.domain), g, basis, fam_kind=kind)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", list(ImpulseKind))
+    def test_a_basis_of_another_size_is_a_dimension_error(self, kind):
+        from gsptk import DimensionMismatchError
+
+        g = build(GraphKind.RING, 5)
+        x = GraphSignal(np.ones(5), kind.domain)
+        for call in (lambda: impulse_family(g, dft_basis(4), kind),
+                     lambda: convolve(x, x, g, dft_basis(4), fam_kind=kind)):
+            with pytest.raises(DimensionMismatchError, match="basis size 4 does not match the graph size 5"):
+                call()
+
 
 class TestDualities:
     def test_vertex_filtering_is_spectral_modulation(self):
@@ -371,8 +409,8 @@ class TestDualities:
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
             xhat = spectral(rng.normal(size=n) + 1j * rng.normal(size=n))
             filt = PolynomialFilter(p, ShiftDomain.SPECTRAL_M)
-            lhs = igft_apply(basis, apply_filter(filt, g, basis, xhat)).values
-            rhs = response(filt, basis).values * igft_apply(basis, xhat).values
+            lhs = gft_apply(basis, apply_filter(filt, g, basis, xhat)).values
+            rhs = response(filt, basis).values * gft_apply(basis, xhat).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 

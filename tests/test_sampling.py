@@ -24,7 +24,6 @@ from gsptk import (
     bundled_basis,
     dft_basis,
     gft_apply,
-    igft_apply,
     modulate,
     plan_equivalent,
     read_plan,
@@ -57,7 +56,7 @@ def lowpass_signal(rng, basis, band):
     xhat = np.zeros(basis.n, dtype=complex)
     coeffs = rng.normal(size=band.k) + 1j * rng.normal(size=band.k)
     xhat[list(band.support)] = coeffs
-    return igft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL)), xhat
+    return gft_apply(basis, GraphSignal(xhat, Domain.SPECTRAL)), xhat
 
 
 @pytest.mark.parametrize("support", [(), (-1, 0), (0, 0), (1, 0), (False, True)])

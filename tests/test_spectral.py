@@ -17,7 +17,6 @@ from gsptk import (
     bundled_basis,
     dft_basis,
     gft_apply,
-    igft_apply,
     rescale_basis,
     spectral_shift,
     spectral_shift_variant,
@@ -160,15 +159,19 @@ class TestTransforms:
         rng = np.random.default_rng(6)
         g, basis = random_basis_graph(rng, 7)
         x = GraphSignal(rng.normal(size=7) + 1j * rng.normal(size=7), Domain.VERTEX)
-        back = igft_apply(basis, gft_apply(basis, x))
+        back = gft_apply(basis, gft_apply(basis, x))
         assert np.max(np.abs(back.values - x.values)) < 1e-10
 
-    def test_domain_guard(self):
-        from gsptk import DomainMismatchError
-
+    def test_the_tag_directs_the_transform(self):
+        # a spectral signal goes back through igft, the GFT of the spectral graph
         _, basis = example4()
-        with pytest.raises(DomainMismatchError):
-            gft_apply(basis, GraphSignal(np.zeros(4), Domain.SPECTRAL))
+        xhat = GraphSignal(np.array([1.0, 2.0, 0.5j, -1.0]), Domain.SPECTRAL)
+        x = gft_apply(basis, xhat)
+        assert x.domain is Domain.VERTEX
+        assert np.array_equal(x.values, basis.igft @ xhat.values)
+        back = gft_apply(basis, x)
+        assert back.domain is Domain.SPECTRAL
+        assert np.max(np.abs(back.values - xhat.values)) < 1e-10
 
 
 class TestSpectralShift:
