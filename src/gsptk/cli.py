@@ -335,8 +335,7 @@ def _cmd_sample(args) -> int:
     band = _parse_band(args.band, graph.n)
     other = spectral.gft_apply(basis, signal)
     x, xhat = (signal, other) if signal.domain is Domain.VERTEX else (other, signal)
-    band_tol = max(args.tol, numkit.BAND_GUARD_REL * float(np.max(np.abs(xhat.values))))
-    sampling.band_project(xhat, band, tol=band_tol)
+    sampling.band_project(xhat, band, rel=numkit.BAND_GUARD_REL)
     forced = _parse_delta(args.delta) if args.delta else None
     if args.domain == "vertex":
         plan = sampling.vertex_plan(basis, band, forced_delta=forced)
@@ -451,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=numkit.CLI_TOL,
-        help="eigenvalue-gap cut of a computed basis and floor of the sample band guard",
+        default=numkit.GAP_TOL,
+        help="eigenvalue-gap cut of a computed basis, relative to max|lam|",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     parser.add_argument(

@@ -60,7 +60,7 @@ def verify_ring(n: int) -> RingShiftReport:
     basis = dft_basis(n)
     m_dev = float(np.max(np.abs(spectral_shift(basis) - a)))
     var_dev = float(np.max(np.abs(spectral_shift_variant(basis) - a.T)))
-    return RingShiftReport(m_dev, var_dev, var_dev <= numkit.CLOSED_FORM_TOL)
+    return RingShiftReport(m_dev, var_dev, var_dev <= numkit.CLOSED_FORM_TOL * np.max(np.abs(a)))
 
 
 def dsp_sampling_operator(n: int, k: int) -> np.ndarray:

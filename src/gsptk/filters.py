@@ -126,8 +126,9 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -
 
     Runs on the equivalent scaled objective (1/2)||y - D z||^2 + (gamma/2)|z|_1
     so the step 1 / sigma_max(D)^2 sits exactly at the convergence boundary.
-    Soft thresholding acts on complex magnitudes. Raises NotConvergedError
-    when ``max_iter`` steps leave the coefficients still moving.
+    Soft thresholding acts on complex magnitudes. Stops when a step moves the
+    coefficients by at most ISTA_STOP * max|z|; raises NotConvergedError when
+    ``max_iter`` steps leave them still moving.
     """
     step = 1.0 / max(np.linalg.norm(d, 2) ** 2, np.finfo(float).tiny)
     thresh = 0.5 * gamma * step
@@ -138,12 +139,12 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -
         shrink = np.maximum(mag - thresh, 0.0)
         z_new = w * (shrink / np.maximum(mag, np.finfo(float).tiny))
         change = float(np.max(np.abs(z_new - z)))
-        if change < numkit.ISTA_STOP:
+        if change <= numkit.ISTA_STOP * np.max(np.abs(z_new)):
             return z_new
         z = z_new
     raise NotConvergedError(
         f"l1 fit did not converge in {max_iter} iterations: the last step moved the "
-        f"coefficients by {change:.1e}, above the stop rule {numkit.ISTA_STOP:.0e}"
+        f"coefficients by {change:.1e}, above the stop rule {numkit.ISTA_STOP:.0e} * max|z|"
     )
 
 
@@ -184,7 +185,7 @@ def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
     # impulsive one and flat for the other two; its second column over its
     # first gives the frequencies (conjugated for the families of M)
     min_first = float(np.min(np.abs(fam.D_hat[:, 0])))
-    if min_first <= numkit.FIRST_COLUMN_TOL:
+    if min_first <= numkit._zero_cut(fam.D_hat[:, 0]):
         vertex = fam.kind.domain is Domain.VERTEX
         column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
         return (

@@ -121,17 +121,17 @@ def vandermonde(lam) -> np.ndarray:
 def check_assumptions(basis: SpectralBasis) -> AssumptionReport:
     """Report whether the two invertibility assumptions hold for ``basis``.
 
-    distinct: all eigenvalue gaps exceed numkit.GAP_TOL * max(1, |lam|_max);
-    y0_nonzero: every entry of the first GFT column exceeds the same cut.
+    distinct: every eigenvalue gap exceeds ``numkit.GAP_TOL * max|lam|``;
+    y0_nonzero: every entry of the first GFT column y0 exceeds
+    ``numkit.PIVOT_TOL * max|y0|``. Neither verdict depends on scale.
     """
     lam = basis.lam
     min_gap = numkit._min_gap(lam)
-    cut = numkit._gap_cut(lam)
     y0 = basis.gft[:, 0]
     min_abs_y0 = float(np.min(np.abs(y0)))
     return AssumptionReport(
-        distinct=min_gap > cut,
-        y0_nonzero=min_abs_y0 > cut,
+        distinct=min_gap > numkit._gap_cut(lam),
+        y0_nonzero=min_abs_y0 > numkit._zero_cut(y0),
         min_gap=min_gap,
         min_abs_y0=min_abs_y0,
     )

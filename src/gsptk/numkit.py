@@ -15,8 +15,9 @@ identical inputs. Solves, whose result is only the solution, use LAPACK's
 partially pivoted LU. Both treat a pivot as zero when its magnitude is at or
 below ``PIVOT_TOL * max(|initial entries|)``.
 
-Every tolerance the library and the CLI commands apply is stated once, in
-the table below; the demos' own assertion tolerances stay with the demos.
+Every cut the library and the CLI commands apply is stated once, in the
+table below, relative to a stated norm of what it guards, so scaling a graph
+or a signal changes no verdict. The demos' assertion tolerances stay there.
 """
 
 from __future__ import annotations
@@ -32,43 +33,32 @@ from .errors import DimensionMismatchError, NonFiniteError, NotConvergedError, S
 # ---------------------------------------------------------------------------
 # tolerances: each names the quantity it cuts and the scale it multiplies
 
-# row_reduce, solve: a pivot is zero at or below PIVOT_TOL * max|a|
+# zero (``_zero_cut``): a pivot, an entry or the smallest singular value of a
+# block, at or below PIVOT_TOL * max|a| for the matrix or vector a it is cut from
 PIVOT_TOL = 1e-10
 # eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
 EIG_RESIDUAL_TOL = 1e-9
-# distinct frequencies: every eigenvalue gap exceeds GAP_TOL * max(1, max|lam|)
-# (``_gap_cut``); the default of basis_from_graph, the cut of check_assumptions
-# (which also holds |y0| to it) and of the fit_filter diagnosis
+# distinct frequencies (``_gap_cut``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
+# the default of basis_from_graph and --tol, and the cut of check_assumptions and _diagnose
 GAP_TOL = 1e-8
 # eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
 LEAD_TOL = 1e-8
-# computed bases: max|gft @ igft - I| <= IDENTITY_TOL, and the shift is
-# reconstructed to IDENTITY_TOL * max(1, max|A|)
+# computed bases reconstruct I to IDENTITY_TOL * max|I| and A to IDENTITY_TOL *
+# max|A|; read_plan with a graph: R = [I; S] (scattered to N x K) has an
+# A-invariant range, ||A R - R (A R)[kept]||_inf <= IDENTITY_TOL * ||A||_inf * ||R||_inf
 IDENTITY_TOL = 1e-8
 # explicit bases: the shift is reconstructed to EXPLICIT_RECON_TOL * max|A|
 EXPLICIT_RECON_TOL = 1e-6
-# read_plan with a graph: the recovery map R = [I; S] (scattered to N x K) has
-# an A-invariant range, ||A R - R (A R)[kept]||_inf <= INVARIANCE_TOL *
-# ||A||_inf * ||R||_inf
-INVARIANCE_TOL = 1e-8
-# band_project default: out-of-band magnitudes must not exceed BAND_TOL (absolute)
+# band_project default: out-of-band magnitudes must not exceed BAND_TOL * max|xhat|
 BAND_TOL = 1e-8
-# cli sample: the band guard is max(--tol, BAND_GUARD_REL * max|xhat|), loose
-# enough for reference data stored at print precision
+# cli sample: the band guard is BAND_GUARD_REL * max|xhat|, loose enough for
+# reference data stored at print precision
 BAND_GUARD_REL = 5e-3
-# cli: the default of --tol, the gap cut of a computed basis and the floor of
-# the sample band guard
-CLI_TOL = 1e-10
-# fit_filter diagnosis: min|D_hat[:, 0]| at or below FIRST_COLUMN_TOL (absolute)
-# reads as a zero first GFT (or inverse GFT) column
-FIRST_COLUMN_TOL = 1e-8
-# structural_equal: |m_ij| > STRUCTURAL_TOL * max|m| is an edge
-STRUCTURAL_TOL = 1e-9
-# dspcompat closed forms on the cycle: max deviation <= CLOSED_FORM_TOL (absolute)
+# dspcompat closed forms on the cycle: max deviation <= CLOSED_FORM_TOL * max|A| (= 1)
 CLOSED_FORM_TOL = 1e-10
 # replication_compare: an entry below REPLICATION_ZERO_TOL * max|entry| counts as zero
 REPLICATION_ZERO_TOL = 1e-6
-# fit_filter L1 (ISTA): stop when max|z_new - z| < ISTA_STOP (absolute)
+# fit_filter L1 (ISTA): stop when max|z_new - z| <= ISTA_STOP * max|z_new|
 ISTA_STOP = 1e-10
 
 
@@ -141,7 +131,7 @@ def row_reduce(a) -> RowReduction:
     """
     r = as_cmatrix(a)
     m, n = r.shape
-    thresh = PIVOT_TOL * (np.max(np.abs(r)) if r.size else 0.0)
+    thresh = _zero_cut(r)
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
@@ -187,7 +177,7 @@ def solve(a, b):
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
         pivots = np.abs(np.diagonal(lu))
-        thresh = PIVOT_TOL * float(np.max(np.abs(a)))
+        thresh = _zero_cut(a)
         if pivots.min() <= thresh:
             rank = int(np.count_nonzero(pivots > thresh))
             raise SingularMatrixError(
@@ -255,5 +245,10 @@ def _min_gap(values: np.ndarray) -> float:
 
 
 def _gap_cut(values: np.ndarray, tol: float = GAP_TOL) -> float:
-    """The distinctness cut ``tol * max(1, max|values|)`` for eigenvalue gaps."""
-    return tol * max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+    """The distinctness cut ``tol * max|values|`` for eigenvalue gaps."""
+    return tol * float(np.max(np.abs(values), initial=0.0))
+
+
+def _zero_cut(a) -> float:
+    """``PIVOT_TOL * max|a|``: an entry, pivot or singular value at or below it is zero."""
+    return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))

@@ -135,14 +135,17 @@ class SamplingPlan:
         return tuple(int(i) for i in np.flatnonzero(self.delta == 0))
 
 
-def band_project(signal: GraphSignal, band: BandSpec, tol: float = numkit.BAND_TOL) -> np.ndarray:
-    """Extract the K in-band entries, verifying the rest are (near) zero."""
+def band_project(signal: GraphSignal, band: BandSpec, rel: float = numkit.BAND_TOL) -> np.ndarray:
+    """Extract the K in-band entries of ``xhat``; NotBandlimitedError when an
+    out-of-band magnitude exceeds ``rel * max|xhat|`` (``sample`` passes
+    ``numkit.BAND_GUARD_REL``)."""
     xhat = signal.require(Domain.SPECTRAL)
     _check_band(band, xhat.shape[0])
     outside = band.complement(xhat.shape[0])
-    worst = float(np.max(np.abs(xhat[list(outside)]))) if outside else 0.0
-    if worst > tol:
-        raise NotBandlimitedError(worst, tol)
+    worst = float(np.max(np.abs(xhat[list(outside)]), initial=0.0))
+    limit = rel * float(np.max(np.abs(xhat)))
+    if worst > limit:
+        raise NotBandlimitedError(worst, limit)
     return xhat[list(band.support)]
 
 
@@ -162,26 +165,34 @@ def _indicator(delta, n: int, k: int) -> np.ndarray:
     return (d != 0).astype(np.int64)
 
 
+def _invertible(block: np.ndarray, whole: np.ndarray, what: str) -> float:
+    """The 2-norm condition number of ``block``, a square block cut from
+    ``whole`` (1.0 when empty); InfeasibleError unless its smallest singular
+    value exceeds PIVOT_TOL * max|whole|. Every block sampling inverts."""
+    if not block.size:
+        return 1.0
+    sv = np.linalg.svd(block, compute_uv=False)
+    if not sv[-1] > numkit._zero_cut(whole):
+        raise InfeasibleError(f"sampling set is not valid for this band: smallest singular value "
+                              f"{sv[-1]:.3e} <= {numkit.PIVOT_TOL:.1e} * max|{what}|")
+    return float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
+
+
 def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select) -> SamplingPlan:
     """The plan of either route: the checked indicator (forced, or the nodes
     ``select(g_out)`` keeps) and the map ``S`` with ``x[dropped] = S @
     x[kept]`` for every signal the out-of-band GFT rows ``g_out`` annihilate.
-    InfeasibleError unless the block ``g_out[:, dropped]`` has a smallest
-    singular value above PIVOT_TOL * max|g_out|; ``cond`` is its condition."""
+    InfeasibleError unless ``_invertible`` accepts the block
+    ``g_out[:, dropped]``; ``cond`` is its condition."""
     n = gft.shape[0]
     _check_band(band, n)
     g_out = gft[list(band.complement(n)), :]
     if forced_delta is None:
         forced_delta = np.isin(np.arange(n), select(g_out))
     delta = _indicator(forced_delta, n, band.k)
-    kept, cond = delta != 0, 1.0
+    kept = delta != 0
+    cond = _invertible(g_out[:, ~kept], g_out, "out-of-band rows")
     try:
-        if g_out.shape[0]:
-            sv = np.linalg.svd(g_out[:, ~kept], compute_uv=False)
-            if not sv[-1] > numkit.PIVOT_TOL * np.max(np.abs(g_out)):
-                raise numkit.SingularMatrixError(f"smallest singular value {sv[-1]:.3e} <= "
-                                                 f"{numkit.PIVOT_TOL:.1e} * max|out-of-band rows|")
-            cond = float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
         s = -numkit.solve(g_out[:, ~kept], g_out[:, kept])
     except numkit.SingularMatrixError as exc:
         raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
@@ -240,14 +251,16 @@ def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
 def recovery_block(basis: SpectralBasis, delta, band: BandSpec) -> tuple[tuple[int, ...], np.ndarray]:
     """The paper's K x K recovery block P(M)_K of an indicator, with the rows
     of P(M) = ``sampling_operator(basis, delta)`` it keeps: the sampled nodes
-    when their band block is invertible, else the Gauss pivot rows of the
-    band columns. It maps the in-band spectrum to those rows of the spectrum
-    of the zero-filled samples."""
+    when ``_invertible`` accepts their band block, else the Gauss pivot rows
+    of the band columns. It maps the in-band spectrum to those rows of the
+    spectrum of the zero-filled samples."""
     _check_band(band, basis.n)
     delta = _indicator(delta, basis.n, band.k)
     pm_k = sampling_operator(basis, delta)[:, list(band.support)]
     rows = tuple(int(i) for i in np.flatnonzero(delta))
-    if numkit.row_reduce(pm_k[list(rows), :]).rank < band.k:
+    try:
+        _invertible(pm_k[list(rows), :], pm_k, "band columns of P(M)")
+    except InfeasibleError:
         rows = _full_rank(pm_k.T, "band columns of P(M)").pivot_cols
     return rows, pm_k[list(rows), :]
 
@@ -274,26 +287,19 @@ def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
 
 
 def sample(signal: GraphSignal, delta) -> np.ndarray:
-    """Decimate a vertex-domain signal: keep the entries where the indicator
-    is one, in index order."""
-    d = np.asarray(delta)
+    """Decimate a vertex-domain signal: keep the entries, in index order, where
+    ``delta``, a 0/1 vector as long as the signal (else SizeMismatchError), is one."""
     x = signal.require(Domain.VERTEX)
-    if d.shape != x.shape:
-        raise SizeMismatchError("indicator and signal lengths differ")
-    return x[d != 0]
+    return x[_indicator(delta, x.shape[0], np.count_nonzero(delta)) != 0]
 
 
 def upsample(x_s, delta) -> GraphSignal:
-    """Scatter samples back to the indicator's support, zero-filling the rest."""
-    d = np.asarray(delta)
+    """Scatter samples back to the indicator's support, zero-filling the rest.
+    SizeMismatchError unless ``delta`` is a 0/1 vector with one 1 per sample."""
     x_s = numkit.as_cvector(x_s, "samples")
-    idx = np.flatnonzero(d)
-    if idx.shape[0] != x_s.shape[0]:
-        raise SizeMismatchError(
-            f"indicator keeps {idx.shape[0]} entries but {x_s.shape[0]} samples given"
-        )
+    d = _indicator(delta, np.size(delta), x_s.shape[0])
     x = np.zeros(d.shape[0], dtype=np.complex128)
-    x[idx] = x_s
+    x[d != 0] = x_s
     return GraphSignal(x, Domain.VERTEX)
 
 
@@ -302,9 +308,9 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
 
     vertex_ok: ``vertex_plan`` accepts the indicator. spectral_ok: its sampled
     nodes' rows of the band columns of the inverse GFT pass the same test,
-    a smallest singular value above PIVOT_TOL times the largest entry of
-    those columns. The verdicts agree in exact arithmetic (complementary
-    minors of a matrix and its inverse vanish together).
+    ``_invertible`` with those columns as the whole. The verdicts agree in
+    exact arithmetic (complementary minors of a matrix and its inverse
+    vanish together).
     """
     d = np.asarray(delta)
     try:
@@ -313,8 +319,11 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
     except InfeasibleError:  # raised only after d passed the indicator check
         vertex_ok = False
     cols = basis.igft[:, list(band.support)]
-    smallest = np.linalg.svd(cols[np.flatnonzero(d)], compute_uv=False)[-1]
-    spectral_ok = bool(smallest > numkit.PIVOT_TOL * np.max(np.abs(cols)))
+    try:
+        _invertible(cols[np.flatnonzero(d)], cols, "band columns")
+        spectral_ok = True
+    except InfeasibleError:
+        spectral_ok = False
     return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
 
 
@@ -399,7 +408,7 @@ def _check_invariant(plan: SamplingPlan, graph: Graph, path) -> None:
     r[~kept] = plan.S
     ar = graph.adjacency @ r
     resid = np.linalg.norm(ar - r @ ar[kept], np.inf)
-    limit = numkit.INVARIANCE_TOL * np.linalg.norm(graph.adjacency, np.inf) * np.linalg.norm(r, np.inf)
+    limit = numkit.IDENTITY_TOL * np.linalg.norm(graph.adjacency, np.inf) * np.linalg.norm(r, np.inf)
     if resid > limit:
         raise ReconstructionMismatchError(
             f"{path}: plan does not fit this graph: its band is not invariant under the "

@@ -26,6 +26,7 @@ import numpy as np
 from . import numkit
 from .errors import (
     DimensionMismatchError,
+    GsptkError,
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     ZeroScaleError,
@@ -79,13 +80,13 @@ def _default_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real))
 
 
-def _check_identity(gft: np.ndarray, igft: np.ndarray) -> None:
-    n = gft.shape[0]
-    err = np.max(np.abs(gft @ igft - np.eye(n)))
-    if err > numkit.IDENTITY_TOL:
-        raise ReconstructionMismatchError(
-            f"gft @ igft deviates from the identity by {err:.3e}"
-        )
+def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str) -> None:
+    """The reconstruction check of every basis: ReconstructionMismatchError
+    unless ``got`` reproduces ``want`` (the shift A, or I) to ``tol * max|want|``."""
+    err = np.max(np.abs(got - want))
+    limit = tol * np.max(np.abs(want))
+    if err > limit:
+        raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
 
 
 def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
@@ -93,8 +94,8 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
 
     Frequencies are sorted by descending real part (ties by descending
     imaginary part). Raises RepeatedEigenvaluesError when the smallest
-    eigenvalue gap is within ``tol * max(1, |lam|_max)``, since no useful
-    basis exists without distinct frequencies.
+    eigenvalue gap is within ``tol * |lam|_max``, since no useful basis
+    exists without distinct frequencies.
     """
     pair = numkit.eig(graph.adjacency)
     gap_tol = numkit._gap_cut(pair.values, tol)
@@ -105,12 +106,10 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     igft = pair.vectors[:, perm]
     gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
     basis = SpectralBasis(gft, igft, lam)
-    _check_identity(gft, igft)
-    recon = np.max(np.abs(_diag(basis, lam) - graph.adjacency))
-    if recon > numkit.IDENTITY_TOL * max(1.0, np.max(np.abs(graph.adjacency))):
-        raise ReconstructionMismatchError(
-            f"computed basis fails to reconstruct the shift (error {recon:.3e})"
-        )
+    _check_close(gft @ igft, np.eye(graph.n), numkit.IDENTITY_TOL,
+                 "gft @ igft deviates from the identity")
+    _check_close(_diag(basis, lam), graph.adjacency, numkit.IDENTITY_TOL,
+                 "computed basis does not reconstruct the shift")
     return basis
 
 
@@ -131,12 +130,8 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
             f"gft {gft.shape} / lam {lam.shape} do not match graph size {n}"
         )
     basis = SpectralBasis(gft, numkit.solve(gft, np.eye(n, dtype=np.complex128)), lam)
-    recon = np.max(np.abs(_diag(basis, lam) - graph.adjacency))
-    limit = numkit.EXPLICIT_RECON_TOL * max(np.max(np.abs(graph.adjacency)), np.finfo(float).tiny)
-    if recon > limit:
-        raise ReconstructionMismatchError(
-            f"explicit basis does not reconstruct the shift: error {recon:.3e} > {limit:.3e}"
-        )
+    _check_close(_diag(basis, lam), graph.adjacency, numkit.EXPLICIT_RECON_TOL,
+                 "explicit basis does not reconstruct the shift")
     return basis
 
 
@@ -187,7 +182,7 @@ def rescale_basis(basis: SpectralBasis, c) -> SpectralBasis:
 
 
 def structural_equal(m1, m2) -> bool:
-    """Compare zero/nonzero patterns: an entry above ``numkit.STRUCTURAL_TOL``
+    """Compare zero/nonzero patterns: an entry above ``numkit.PIVOT_TOL``
     times its own matrix's largest magnitude counts as an edge."""
     m1 = numkit.as_cmatrix(m1, "m1")
     m2 = numkit.as_cmatrix(m2, "m2")
@@ -195,8 +190,7 @@ def structural_equal(m1, m2) -> bool:
         raise DimensionMismatchError(f"shape mismatch {m1.shape} vs {m2.shape}")
 
     def pattern(m):
-        cut = numkit.STRUCTURAL_TOL * max(np.max(np.abs(m)), np.finfo(float).tiny)
-        return np.abs(m) > cut
+        return np.abs(m) > numkit._zero_cut(m)
 
     return bool(np.array_equal(pattern(m1), pattern(m2)))
 
@@ -236,7 +230,7 @@ def bundled_basis(name: str, graph: Graph) -> SpectralBasis:
     try:
         fname = _BUNDLED[name]
     except KeyError:
-        raise KeyError(f"unknown bundled basis {name!r}; have {sorted(_BUNDLED)}") from None
+        raise GsptkError(f"unknown bundled basis {name!r}; have {sorted(_BUNDLED)}") from None
     ref = resources.files("gsptk._data").joinpath(fname)
     with resources.as_file(ref) as p:
         return load_basis(p, graph)

@@ -290,7 +290,7 @@ class TestFitFilter:
         assert resid < 1e-6
 
     def test_l1_raises_when_it_runs_out_of_iterations(self):
-        # this system reaches the stop rule only after about 330,000 steps
+        # this system reaches the stop rule only after about 300,000 steps
         g, basis = random_basis_graph(np.random.default_rng(6), 6, need_y0=True)
         fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
         rng = np.random.default_rng(0)

@@ -87,7 +87,7 @@ class TestBandProject:
     def test_violation_reports_worst_entry(self):
         sig = GraphSignal(np.array([1, 2, 0.5, 0], dtype=complex), Domain.SPECTRAL)
         with pytest.raises(NotBandlimitedError) as err:
-            band_project(sig, BandSpec((0, 1)), tol=1e-6)
+            band_project(sig, BandSpec((0, 1)), rel=1e-6)
         assert err.value.worst == 0.5
 
 
@@ -282,6 +282,16 @@ class TestSampleUpsample:
     def test_sample_requires_a_vertex_signal(self):
         with pytest.raises(DomainMismatchError):
             sample(GraphSignal(X4, Domain.SPECTRAL), DELTA4)
+
+    @pytest.mark.parametrize("delta", ([2, 0, -1, 0], [0.5, 1, 0, 1], [1, 0, 1], [[1, 0], [1, 0]]))
+    def test_sample_refuses_an_indicator_that_is_not_0_1_of_the_signal_length(self, delta):
+        with pytest.raises(SizeMismatchError, match="delta must be a 0/1 vector of length 4"):
+            sample(GraphSignal(X4, Domain.VERTEX), delta)
+
+    @pytest.mark.parametrize("delta", ([0, 3, 0, 1.5], [0, 1, 0, 0], [0, 1, 1, 1], [[0, 1], [0, 1]]))
+    def test_upsample_refuses_an_indicator_that_is_not_0_1_with_one_1_per_sample(self, delta):
+        with pytest.raises(SizeMismatchError, match="delta must be a 0/1 vector"):
+            upsample([5.0, 6.0], delta)
 
 
 def makes_a_plan(basis, band, delta):

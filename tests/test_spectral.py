@@ -6,6 +6,7 @@ from gsptk import (
     Graph,
     GraphKind,
     GraphSignal,
+    GsptkError,
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
@@ -22,7 +23,7 @@ from gsptk import (
     spectral_shift_variant,
     structural_equal,
 )
-from gsptk.numkit import eig
+from gsptk.numkit import PIVOT_TOL, eig
 
 from util import er_digraph, random_basis_graph
 
@@ -138,6 +139,10 @@ class TestBasisExplicit:
         g = Graph(np.diag([1.0, 2.0]))
         with pytest.raises(SingularMatrixError):
             basis_explicit(np.ones((2, 2)), [1.0, 2.0], g)
+
+    def test_an_unknown_bundled_basis_is_a_toolkit_error_naming_the_known_ones(self):
+        with pytest.raises(GsptkError, match=r"unknown bundled basis 'ring4'; have \['example4', 'star5'\]"):
+            bundled_basis("ring4", build(GraphKind.RING, 4))
 
 
 class TestTransforms:
@@ -261,7 +266,7 @@ class TestStructuralEqual:
             n = int(rng.integers(3, 10))
             _, basis = random_basis_graph(rng, n)
             m = spectral_shift(basis)
-            cutoff = 1e-9 * np.max(np.abs(m))
+            cutoff = PIVOT_TOL * np.max(np.abs(m))
             mags = np.abs(m)
             # skip patterns with entries too close to the cutoff to classify
             if np.any((mags > 0.1 * cutoff) & (mags < 10 * cutoff)):
