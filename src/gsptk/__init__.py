@@ -50,7 +50,6 @@ from .impulses import AssumptionReport, ImpulseFamily, ImpulseKind, check_assump
 from .filters import (
     FitMethod,
     PolynomialFilter,
-    ShiftDomain,
     apply_filter,
     convolve,
     fit_filter,
@@ -78,13 +77,11 @@ from .sampling import (
 )
 from .dspcompat import (
     ReplicationReport,
-    RingShiftReport,
     circulant_convolve,
     dft_basis,
     dsp_sampling_operator,
     nyquist_recover,
     replication_compare,
-    verify_ring,
 )
 
 __version__ = "0.1.0"

@@ -387,9 +387,8 @@ def _cmd_convolve(args) -> int:
         x.require(Domain(args.domain))
     basis = _load_basis_for(graph, args)
     kind = _IMPULSE_CHOICES[(x.domain.value, args.impulse)]
-    method = filters.FitMethod.L1 if args.method == "l1" else filters.FitMethod.DENSE
     fam = impulse_family(graph, basis, kind)
-    filt = filters.fit_filter(y, fam, method)
+    filt = filters.fit_filter(y, fam, filters.FitMethod(args.method))
     result = filters.apply_filter(filt, graph, basis, x)
     signal_path, filter_path = _with_suffixes(args.out, ".signal.json", ".filter.json")
     write_signal(result, signal_path)
@@ -468,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="plan a sampling set and decimate a signal")
     p.add_argument("graph")
     p.add_argument("signal")
-    p.add_argument("--domain", choices=["vertex", "spectral"], required=True)
+    p.add_argument("--domain", choices=[d.value for d in Domain], required=True)
     p.add_argument("--band", required=True, help="comma-separated spectral indices or 'all'")
     p.add_argument("--delta", help="forced 0/1 sampling indicator")
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
@@ -487,9 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--domain", choices=["vertex", "spectral"], help="default: the domain tag of x")
+    p.add_argument("--domain", choices=[d.value for d in Domain], help="default: the domain tag of x")
     p.add_argument("--impulse", choices=["vertex", "flat"], default="vertex")
-    p.add_argument("--method", choices=["dense", "l1"], default="dense")
+    p.add_argument("--method", choices=[m.value for m in filters.FitMethod],
+                   default=filters.FitMethod.DENSE.value)
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True, help="prefix; .signal.json and .filter.json are appended")
     p.set_defaults(func=_cmd_convolve)

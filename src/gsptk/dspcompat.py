@@ -1,11 +1,11 @@
 """The classical-DSP specialization and cross-checking oracles.
 
-On the directed cycle the analytic DFT diagonalizes the shift, the spectral
-shift M coincides with the adjacency, and even sampling produces the
-block-identity operator whose recovery is plain low-pass filtering. This
-module provides those closed forms plus the brute-force circular convolution
-oracle, and the frequency-replication comparison showing why low-pass
-recovery does not transfer to arbitrary graphs.
+On the directed cycle the analytic DFT diagonalizes the shift, and even
+sampling produces the block-identity operator whose recovery is plain
+low-pass filtering. This module provides the DFT basis and that closed form
+plus the brute-force circular convolution oracle, and the
+frequency-replication comparison showing why low-pass recovery does not
+transfer to arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ import numpy as np
 
 from . import numkit
 from .errors import BadSizeError, DimensionMismatchError, NotDivisibleError
-from .graphs import Domain, GraphKind, GraphSignal, build
+from .graphs import Domain, GraphSignal
 from .sampling import sampling_operator
-from .spectral import SpectralBasis, spectral_shift, spectral_shift_variant
+from .spectral import SpectralBasis
 
 __all__ = [
-    "RingShiftReport",
     "ReplicationReport",
     "dft_basis",
-    "verify_ring",
     "dsp_sampling_operator",
     "nyquist_recover",
     "circulant_convolve",
@@ -44,23 +42,6 @@ def dft_basis(n: int) -> SpectralBasis:
     gft = np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
     lam = np.exp(-2j * np.pi * np.arange(n) / n)
     return SpectralBasis(gft, gft.conj().T, lam)
-
-
-@dataclass(frozen=True)
-class RingShiftReport:
-    m_deviation: float
-    variant_deviation: float
-    variant_is_transpose: bool
-
-
-def verify_ring(n: int) -> RingShiftReport:
-    """Check that on the cycle the spectral shift equals the adjacency and
-    the non-conjugated variant equals its transpose (the reversed cycle)."""
-    a = build(GraphKind.RING, n).adjacency
-    basis = dft_basis(n)
-    m_dev = float(np.max(np.abs(spectral_shift(basis) - a)))
-    var_dev = float(np.max(np.abs(spectral_shift_variant(basis) - a.T)))
-    return RingShiftReport(m_dev, var_dev, var_dev <= numkit.CLOSED_FORM_TOL * np.max(np.abs(a)))
 
 
 def dsp_sampling_operator(n: int, k: int) -> np.ndarray:

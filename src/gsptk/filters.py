@@ -4,7 +4,10 @@ Filtering with a polynomial in the adjacency shift acts in the vertex
 domain and is modulation by the filter's frequency response in the spectral
 domain. A polynomial in the spectral shift M is a polynomial in the
 adjacency of the spectral graph G_s, so each spectral-domain operation here
-is its vertex-domain twin on G_s: the same code on ``basis.dual``.
+is its vertex-domain twin on G_s: the same code on ``basis.dual``. A
+filter's shift is therefore named by the ``Domain`` it acts in: VERTEX for
+a polynomial in A, SPECTRAL for one in M. Only filter files spell the shift
+as ``"A"`` or ``"M"``.
 Convolution of two arbitrary signals is realized by fitting filter
 coefficients so that one signal becomes the filter's impulse response, then
 applying the filter to the other. Every signal carries its domain, so no
@@ -27,7 +30,6 @@ from .impulses import ImpulseFamily, ImpulseKind, impulse_family
 from .spectral import SpectralBasis, _check_length, _diag, spectral_shift
 
 __all__ = [
-    "ShiftDomain",
     "FitMethod",
     "PolynomialFilter",
     "apply_filter",
@@ -41,11 +43,6 @@ __all__ = [
 ]
 
 
-class ShiftDomain(enum.Enum):
-    VERTEX_A = "A"
-    SPECTRAL_M = "M"
-
-
 class FitMethod(enum.Enum):
     DENSE = "dense"
     L1 = "l1"
@@ -53,10 +50,11 @@ class FitMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PolynomialFilter:
-    """Coefficients p_0..p_d of a polynomial in a graph shift."""
+    """Coefficients p_0..p_d of a polynomial in a graph shift: the adjacency
+    A when ``shift_domain`` is VERTEX, the spectral shift M when SPECTRAL."""
 
     coeffs: np.ndarray
-    shift_domain: ShiftDomain
+    shift_domain: Domain
 
     def __post_init__(self):
         c = numkit.as_cvector(self.coeffs, "coeffs")
@@ -74,9 +72,8 @@ def apply_filter(
     spectral filters act on spectral-domain signals through M, the
     adjacency of G_s. The full filter matrix is never formed.
     """
-    vertex = filt.shift_domain is ShiftDomain.VERTEX_A
-    x = signal.require(Domain.VERTEX if vertex else Domain.SPECTRAL)
-    shift = graph.adjacency if vertex else spectral_shift(basis)
+    x = signal.require(filt.shift_domain)
+    shift = graph.adjacency if filt.shift_domain is Domain.VERTEX else spectral_shift(basis)
     _check_length(x, shift.shape[0])
     coeffs = filt.coeffs
     acc = coeffs[-1] * x
@@ -93,7 +90,7 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     by the response in the opposite domain is equivalent to applying it.
     """
     hi_first = filt.coeffs[::-1]
-    vertex = filt.shift_domain is ShiftDomain.VERTEX_A
+    vertex = filt.shift_domain is Domain.VERTEX
     b = basis if vertex else basis.dual
     return GraphSignal(np.polyval(hi_first, b.lam), Domain.SPECTRAL if vertex else Domain.VERTEX)
 
@@ -133,6 +130,7 @@ def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -
     step = 1.0 / max(np.linalg.norm(d, 2) ** 2, np.finfo(float).tiny)
     thresh = 0.5 * gamma * step
     z = np.zeros(d.shape[1], dtype=np.complex128)
+    change = np.inf  # no step taken yet
     for _ in range(max_iter):
         w = z - step * (d.conj().T @ (d @ z - y))
         mag = np.abs(w)
@@ -175,8 +173,7 @@ def fit_filter(
             coeffs = numkit.solve(system, rhs)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
-    vertex = fam.kind.domain is Domain.VERTEX
-    return PolynomialFilter(coeffs, ShiftDomain.VERTEX_A if vertex else ShiftDomain.SPECTRAL_M)
+    return PolynomialFilter(coeffs, fam.kind.domain)
 
 
 def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
@@ -235,14 +232,14 @@ def convolve(
 
 
 def write_filter(filt: PolynomialFilter, path) -> None:
-    doc = {"shift_domain": filt.shift_domain.value, "coeffs": _pairs(filt.coeffs)}
-    _write_json(path, doc)
+    shift = "A" if filt.shift_domain is Domain.VERTEX else "M"
+    _write_json(path, {"shift_domain": shift, "coeffs": _pairs(filt.coeffs)})
 
 
 def read_filter(path) -> PolynomialFilter:
     doc = _read_json(path, ("shift_domain", "coeffs"))
-    try:
-        shift_domain = ShiftDomain(doc["shift_domain"])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return PolynomialFilter(_from_pairs(doc["coeffs"], (None,), f"{path}: coeffs"), shift_domain)
+    shift = doc["shift_domain"]
+    if shift not in ("A", "M"):
+        raise ParseError(f"{path}: shift_domain must be 'A' or 'M', got {shift!r}")
+    domain = Domain.VERTEX if shift == "A" else Domain.SPECTRAL
+    return PolynomialFilter(_from_pairs(doc["coeffs"], (None,), f"{path}: coeffs"), domain)

@@ -54,8 +54,6 @@ BAND_TOL = 1e-8
 # cli sample: the band guard is BAND_GUARD_REL * max|xhat|, loose enough for
 # reference data stored at print precision
 BAND_GUARD_REL = 5e-3
-# dspcompat closed forms on the cycle: max deviation <= CLOSED_FORM_TOL * max|A| (= 1)
-CLOSED_FORM_TOL = 1e-10
 # replication_compare: an entry below REPLICATION_ZERO_TOL * max|entry| counts as zero
 REPLICATION_ZERO_TOL = 1e-6
 # fit_filter L1 (ISTA): stop when max|z_new - z| <= ISTA_STOP * max|z_new|

@@ -241,11 +241,9 @@ def vertex_recover(plan: SamplingPlan, x_s) -> GraphSignal:
 
 
 def sampling_operator(basis: SpectralBasis, delta) -> np.ndarray:
-    """The spectral filter P(M) = gft @ diag(delta) @ igft of a 0/1 indicator."""
-    d = np.asarray(delta, dtype=np.complex128)
-    if d.shape != (basis.n,):
-        raise DimensionMismatchError(f"delta must have length {basis.n}")
-    return _diag(basis.dual, d)
+    """The spectral filter P(M) = gft @ diag(delta) @ igft of a 0/1 indicator
+    (SizeMismatchError unless ``delta`` is a 0/1 vector of length N)."""
+    return _diag(basis.dual, _indicator(delta, basis.n, np.count_nonzero(delta)))
 
 
 def recovery_block(basis: SpectralBasis, delta, band: BandSpec) -> tuple[tuple[int, ...], np.ndarray]:

@@ -33,7 +33,6 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     PolynomialFilter,
-    ShiftDomain,
     apply_filter,
     build,
     bundled_basis,
@@ -228,11 +227,11 @@ def test_criterion07_duality_suite():
         g, basis = random_basis_graph(rng, n)
         p = rng.normal(size=n) + 1j * rng.normal(size=n)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        filt_a = PolynomialFilter(p, ShiftDomain.VERTEX_A)
+        filt_a = PolynomialFilter(p, Domain.VERTEX)
         lhs = gft_apply(basis, apply_filter(filt_a, g, basis, GraphSignal(x, Domain.VERTEX))).values
         rhs = response(filt_a, basis).values * (basis.gft @ x)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
-        filt_m = PolynomialFilter(p, ShiftDomain.SPECTRAL_M)
+        filt_m = PolynomialFilter(p, Domain.SPECTRAL)
         lhs = gft_apply(
             basis, apply_filter(filt_m, g, basis, GraphSignal(x, Domain.SPECTRAL))
         ).values

@@ -102,7 +102,7 @@ def _reads() -> set[str]:
 
 def test_every_constant_in_the_table_is_read():
     table = _table()
-    assert "PIVOT_TOL" in table and len(table) <= 11, table
+    assert "PIVOT_TOL" in table and len(table) <= 10, table
     assert sorted(set(table) - _reads()) == []
 
 

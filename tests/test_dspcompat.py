@@ -18,7 +18,6 @@ from gsptk import (
     sample,
     spectral_plan,
     spectral_recover,
-    verify_ring,
 )
 
 
@@ -46,15 +45,6 @@ class TestDftBasis:
         basis = dft_basis(n)
         recon = basis.igft @ (basis.lam[:, None] * basis.gft)
         assert np.max(np.abs(recon - a)) < 1e-12
-
-
-class TestVerifyRing:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
-    def test_shift_identity_and_variant(self, n):
-        report = verify_ring(n)
-        assert report.m_deviation <= 1e-10
-        assert report.variant_deviation <= 1e-10
-        assert report.variant_is_transpose
 
 
 class TestDspSamplingOperator:

@@ -14,7 +14,6 @@ from gsptk import (
     GsptkError,
     ImpulseKind,
     PolynomialFilter,
-    ShiftDomain,
     apply_filter,
     convolve,
     gft_apply,
@@ -69,8 +68,8 @@ def test_spectral_calls_equal_their_vertex_twins_on_the_spectral_graph(graph_bas
     xhat, yhat = (GraphSignal(v, Domain.SPECTRAL) for v in values)
     coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
 
-    filt_m = PolynomialFilter(coeffs, ShiftDomain.SPECTRAL_M)
-    filt_a = PolynomialFilter(coeffs, ShiftDomain.VERTEX_A)
+    filt_m = PolynomialFilter(coeffs, Domain.SPECTRAL)
+    filt_a = PolynomialFilter(coeffs, Domain.VERTEX)
     assert np.array_equal(
         apply_filter(filt_m, g, b, xhat).values,
         apply_filter(filt_a, dual_graph, dual, twin(xhat)).values,

@@ -11,7 +11,6 @@ from gsptk import (
     NotConvergedError,
     ParseError,
     PolynomialFilter,
-    ShiftDomain,
     SingularMatrixError,
     apply_filter,
     basis_explicit,
@@ -54,12 +53,12 @@ class TestApply:
     def test_degree_one_is_the_shift(self):
         g, basis = ring4()
         x = vertex(X4)
-        out = apply_filter(PolynomialFilter([0.0, 1.0], ShiftDomain.VERTEX_A), g, basis, x)
+        out = apply_filter(PolynomialFilter([0.0, 1.0], Domain.VERTEX), g, basis, x)
         assert np.allclose(out.values, np.roll(x.values, 1))
 
     def test_vertex_showcase(self):
         g, basis = ring4()
-        out = apply_filter(PolynomialFilter(Y4, ShiftDomain.VERTEX_A), g, basis, vertex(X4))
+        out = apply_filter(PolynomialFilter(Y4, Domain.VERTEX), g, basis, vertex(X4))
         assert np.max(np.abs(out.values - np.array([17, 19, 17, 7]))) < 1e-10
 
     def test_spectral_polynomial_acts_as_circular_convolution(self):
@@ -68,7 +67,7 @@ class TestApply:
         # pinned by the independent brute-force oracle.
         g, basis = ring4()
         out = apply_filter(
-            PolynomialFilter(Y4_RESPONSE, ShiftDomain.SPECTRAL_M), g, basis, spectral(X4)
+            PolynomialFilter(Y4_RESPONSE, Domain.SPECTRAL), g, basis, spectral(X4)
         )
         oracle = circulant_convolve(np.array(X4, dtype=complex), np.array(Y4_RESPONSE))
         assert np.max(np.abs(out.values - oracle)) < 1e-10
@@ -79,11 +78,11 @@ class TestApply:
 
         g, basis = ring4()
         with pytest.raises(DomainMismatchError):
-            apply_filter(PolynomialFilter([1.0], ShiftDomain.VERTEX_A), g, basis, spectral(X4))
+            apply_filter(PolynomialFilter([1.0], Domain.VERTEX), g, basis, spectral(X4))
 
     @pytest.mark.parametrize("shift_domain, signal, message", [
-        (ShiftDomain.SPECTRAL_M, vertex(X4), "expected a spectral-domain signal, got vertex"),
-        (ShiftDomain.VERTEX_A, spectral(X4), "expected a vertex-domain signal, got spectral"),
+        (Domain.SPECTRAL, vertex(X4), "expected a spectral-domain signal, got vertex"),
+        (Domain.VERTEX, spectral(X4), "expected a vertex-domain signal, got spectral"),
     ])
     def test_domain_guard_names_the_callers_domains(self, shift_domain, signal, message):
         # a spectral filter runs as a vertex filter on the spectral graph, but
@@ -99,20 +98,20 @@ class TestApply:
 class TestResponse:
     def test_degree_one_gives_frequencies(self):
         _, basis = ring4()
-        out = response(PolynomialFilter([0.0, 1.0], ShiftDomain.VERTEX_A), basis)
+        out = response(PolynomialFilter([0.0, 1.0], Domain.VERTEX), basis)
         assert out.domain is Domain.SPECTRAL
         assert np.allclose(out.values, basis.lam)
 
     def test_constant(self):
         _, basis = ring4()
-        out = response(PolynomialFilter([2.5j], ShiftDomain.SPECTRAL_M), basis)
+        out = response(PolynomialFilter([2.5j], Domain.SPECTRAL), basis)
         assert out.domain is Domain.VERTEX
         assert np.allclose(out.values, np.full(4, 2.5j))
 
     def test_ring_showcase_response(self):
         # oracle: evaluate the polynomial at each frequency directly
         _, basis = ring4()
-        got = response(PolynomialFilter(Y4, ShiftDomain.VERTEX_A), basis)
+        got = response(PolynomialFilter(Y4, Domain.VERTEX), basis)
         oracle = np.array([np.polyval(Y4[::-1], lam) for lam in basis.lam])
         assert np.max(np.abs(got.values - oracle)) < 1e-12
         assert np.max(np.abs(got.values - 2 * (basis.gft @ np.array(Y4)))) < 1e-12
@@ -122,7 +121,7 @@ class TestResponse:
         rng = np.random.default_rng(2)
         _, basis = random_basis_graph(rng, 6)
         p = rng.normal(size=4) + 1j * rng.normal(size=4)
-        got = response(PolynomialFilter(p, ShiftDomain.SPECTRAL_M), basis)
+        got = response(PolynomialFilter(p, Domain.SPECTRAL), basis)
         oracle = np.array([np.polyval(p[::-1], np.conj(lam)) for lam in basis.lam])
         assert np.max(np.abs(got.values - oracle)) < 1e-10
 
@@ -159,7 +158,7 @@ class TestMatrixFromResponse:
         rng = np.random.default_rng(4)
         g, basis = random_basis_graph(rng, 7)
         p = rng.normal(size=7) + 1j * rng.normal(size=7)
-        filt = PolynomialFilter(p, ShiftDomain.VERTEX_A)
+        filt = PolynomialFilter(p, Domain.VERTEX)
         dense = matrix_from_response(basis, response(filt, basis))
         horner = np.column_stack(
             [
@@ -209,7 +208,7 @@ class TestFitFilter:
         rng = np.random.default_rng(6)
         g, basis = random_basis_graph(rng, 8, need_y0=True)
         p_true = rng.normal(size=8) + 1j * rng.normal(size=8)
-        filt = PolynomialFilter(p_true, ShiftDomain.VERTEX_A)
+        filt = PolynomialFilter(p_true, Domain.VERTEX)
         e0 = np.zeros(8)
         e0[0] = 1.0
         y = apply_filter(filt, g, basis, vertex(e0))
@@ -298,6 +297,10 @@ class TestFitFilter:
         gamma = 1e-3 * float(np.max(np.abs(fam.D.conj().T @ y)))
         with pytest.raises(NotConvergedError, match="did not converge in 1000 iterations"):
             _ista(fam.D, y, gamma, max_iter=1000)
+
+    def test_l1_with_no_steps_has_not_converged(self):
+        with pytest.raises(NotConvergedError, match="did not converge in 0 iterations"):
+            _ista(np.eye(2, dtype=complex), np.ones(2, dtype=complex), 0.1, max_iter=0)
 
 
 class TestConvolve:
@@ -396,7 +399,7 @@ class TestDualities:
             g, basis = random_basis_graph(rng, n)
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
             x = vertex(rng.normal(size=n) + 1j * rng.normal(size=n))
-            filt = PolynomialFilter(p, ShiftDomain.VERTEX_A)
+            filt = PolynomialFilter(p, Domain.VERTEX)
             lhs = gft_apply(basis, apply_filter(filt, g, basis, x)).values
             rhs = response(filt, basis).values * gft_apply(basis, x).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
@@ -408,7 +411,7 @@ class TestDualities:
             g, basis = random_basis_graph(rng, n)
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
             xhat = spectral(rng.normal(size=n) + 1j * rng.normal(size=n))
-            filt = PolynomialFilter(p, ShiftDomain.SPECTRAL_M)
+            filt = PolynomialFilter(p, Domain.SPECTRAL)
             lhs = gft_apply(basis, apply_filter(filt, g, basis, xhat)).values
             rhs = response(filt, basis).values * gft_apply(basis, xhat).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
@@ -418,6 +421,8 @@ _BROKEN_FILTERS = {
     "invalid JSON": "{not json",
     "missing coeffs": '{"shift_domain": "A"}',
     "unknown shift domain": '{"shift_domain": "B", "coeffs": [[1.0, 0.0]]}',
+    "shift domain in a list": '{"shift_domain": ["A"], "coeffs": [[1.0, 0.0]]}',
+    "shift domain an object": '{"shift_domain": {}, "coeffs": [[1.0, 0.0]]}',
     "non-numeric entry": '{"shift_domain": "A", "coeffs": [[1.0, "x"]]}',
     "entries not pairs": '{"shift_domain": "A", "coeffs": [1.0, 0.0]}',
     "no coefficients": '{"shift_domain": "A", "coeffs": []}',
@@ -433,9 +438,9 @@ class TestFilterIO:
             read_filter(path)
 
     def test_roundtrip(self, tmp_path):
-        filt = PolynomialFilter([1.0, -2.0 + 0.5j], ShiftDomain.SPECTRAL_M)
+        filt = PolynomialFilter([1.0, -2.0 + 0.5j], Domain.SPECTRAL)
         path = tmp_path / "f.json"
         write_filter(filt, path)
         back = read_filter(path)
-        assert back.shift_domain is ShiftDomain.SPECTRAL_M
+        assert back.shift_domain is Domain.SPECTRAL
         assert np.array_equal(back.coeffs, filt.coeffs)

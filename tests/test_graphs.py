@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gsptk import (
     BadSizeError,
@@ -13,7 +14,6 @@ from gsptk import (
     GraphSignal,
     ParseError,
     PolynomialFilter,
-    ShiftDomain,
     build,
     bundled_basis,
     save_basis,
@@ -24,7 +24,7 @@ from gsptk import (
     write_plan,
     write_signal,
 )
-from gsptk.filters import write_filter
+from gsptk.filters import read_filter, write_filter
 from gsptk.graphs import _from_packed, _from_pairs, _packed, _pairs
 
 
@@ -180,6 +180,31 @@ class TestSignalIO:
         assert np.array_equal(read_signal(path).values, sig.values)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    values=st.lists(st.builds(complex, _FINITE, _FINITE), min_size=1, max_size=8),
+    domain=st.sampled_from(Domain),
+)
+@example(values=[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)], domain=Domain.SPECTRAL)
+def test_signal_and_filter_files_round_trip_bit_for_bit(tmp_path_factory, values, domain):
+    # a signal in either domain, and a filter in either shift (A for VERTEX,
+    # M for SPECTRAL), comes back with its domain and every bit of its values
+    path = tmp_path_factory.mktemp("roundtrip")
+    write_signal(GraphSignal(np.array(values), domain), path / "x.json")
+    sig = read_signal(path / "x.json")
+    assert sig.domain is domain and np.array_equal(_bits(sig.values), _bits(values))
+    write_filter(PolynomialFilter(values, domain), path / "p.json")
+    filt = read_filter(path / "p.json")
+    assert filt.shift_domain is domain and np.array_equal(_bits(filt.coeffs), _bits(values))
+
+
 def test_pair_codec_matches_a_per_value_loop():
     # the encoding every file uses, against the per-value loop it replaced,
     # byte for byte and with signed zeros in both parts
@@ -224,7 +249,7 @@ def _example4_basis():
 _WRITERS = {
     "plan": lambda path: write_plan(vertex_plan(_example4_basis(), BandSpec((0, 1))), path),
     "filter": lambda path: write_filter(
-        PolynomialFilter(np.array([1.0, 2.0]), ShiftDomain.VERTEX_A), path
+        PolynomialFilter(np.array([1.0, 2.0]), Domain.VERTEX), path
     ),
     "basis": lambda path: save_basis(_example4_basis(), path),
 }

@@ -12,7 +12,6 @@ from gsptk import (
     GraphSignal,
     NonFiniteError,
     PolynomialFilter,
-    ShiftDomain,
     SingularMatrixError,
     build,
     bundled_basis,
@@ -126,7 +125,7 @@ def test_validation_errors_are_typed_value_errors():
     with pytest.raises(BadSizeError, match="n must be positive"):
         dft_basis(0)
     with pytest.raises(BadSizeError, match="at least one coefficient"):
-        PolynomialFilter([], ShiftDomain.VERTEX_A)
+        PolynomialFilter([], Domain.VERTEX)
     assert issubclass(NonFiniteError, ValueError)
     assert issubclass(DimensionMismatchError, ValueError)
     assert issubclass(BadSizeError, ValueError)

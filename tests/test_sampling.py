@@ -212,6 +212,11 @@ class TestSamplingOperator:
         want = 0.5 * np.kron(np.ones((2, 2)), np.eye(2))
         assert np.max(np.abs(pm - want)) < 1e-12
 
+    @pytest.mark.parametrize("delta", ([np.nan, 0, 1, 0], [2, 0, 1, 0], [1, 0, 1]))
+    def test_refuses_anything_but_a_0_1_indicator_of_length_n(self, delta):
+        with pytest.raises(SizeMismatchError, match="0/1 vector of length 4"):
+            sampling_operator(dft_basis(4), delta)
+
 
 class TestSpectralRecover:
     def test_showcase_recovery(self):
