@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, NotConvergedError, ParseError, SingularMatrixError
+from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
 from .impulses import ImpulseFamily, ImpulseKind, impulse_family
 from .spectral import SpectralBasis, _check_length, _diag, spectral_shift
@@ -45,7 +45,6 @@ __all__ = [
 
 class FitMethod(enum.Enum):
     DENSE = "dense"
-    L1 = "l1"
 
 
 @dataclass(frozen=True)
@@ -118,61 +117,24 @@ def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:
     return GraphSignal(a.values * b.values, a.domain)
 
 
-def _ista(d: np.ndarray, y: np.ndarray, gamma: float, max_iter: int = 100_000) -> np.ndarray:
-    """Proximal gradient for min_z ||y - D z||_2^2 + gamma * |z|_1.
-
-    Runs on the equivalent scaled objective (1/2)||y - D z||^2 + (gamma/2)|z|_1
-    so the step 1 / sigma_max(D)^2 sits exactly at the convergence boundary.
-    Soft thresholding acts on complex magnitudes. Stops when a step moves the
-    coefficients by at most ISTA_STOP * max|z|; raises NotConvergedError when
-    ``max_iter`` steps leave them still moving.
-    """
-    step = 1.0 / max(np.linalg.norm(d, 2) ** 2, np.finfo(float).tiny)
-    thresh = 0.5 * gamma * step
-    z = np.zeros(d.shape[1], dtype=np.complex128)
-    change = np.inf  # no step taken yet
-    for _ in range(max_iter):
-        w = z - step * (d.conj().T @ (d @ z - y))
-        mag = np.abs(w)
-        shrink = np.maximum(mag - thresh, 0.0)
-        z_new = w * (shrink / np.maximum(mag, np.finfo(float).tiny))
-        change = float(np.max(np.abs(z_new - z)))
-        if change <= numkit.ISTA_STOP * np.max(np.abs(z_new)):
-            return z_new
-        z = z_new
-    raise NotConvergedError(
-        f"l1 fit did not converge in {max_iter} iterations: the last step moved the "
-        f"coefficients by {change:.1e}, above the stop rule {numkit.ISTA_STOP:.0e} * max|z|"
-    )
-
-
 def fit_filter(
-    target: GraphSignal,
-    fam: ImpulseFamily,
-    method: FitMethod = FitMethod.DENSE,
-    gamma: float | None = None,
+    target: GraphSignal, fam: ImpulseFamily, method: FitMethod = FitMethod.DENSE
 ) -> PolynomialFilter:
     """Fit polynomial coefficients whose impulse response is ``target``.
 
     The target's domain picks the system: D p = target when it lives in the
     family's domain, the transformed D_hat p = target when it lives in the
     opposite one; both give the same filter, a polynomial in A for a vertex
-    family and in M for a spectral one. DENSE solves the square system and
-    names the invertibility assumption that failed when it is singular. L1
-    runs ISTA on it, tolerates singular impulse matrices, and raises
-    NotConvergedError when it runs out of iterations.
+    family and in M for a spectral one. A singular system raises
+    SingularMatrixError naming the invertibility assumption that failed.
+    ``method`` (DENSE, the one fit) stays for callers that pass it positionally.
     """
     system = fam.D if target.domain is fam.kind.domain else fam.D_hat
     rhs = _check_length(target.values, system.shape[0])
-    if method is FitMethod.L1:
-        if gamma is None:
-            gamma = 1e-3 * float(np.max(np.abs(system.conj().T @ rhs)))
-        coeffs = _ista(system, rhs, gamma)
-    else:
-        try:
-            coeffs = numkit.solve(system, rhs)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
+    try:
+        coeffs = numkit.solve(system, rhs)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
     return PolynomialFilter(coeffs, fam.kind.domain)
 
 

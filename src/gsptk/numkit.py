@@ -56,8 +56,6 @@ BAND_TOL = 1e-8
 BAND_GUARD_REL = 5e-3
 # replication_compare: an entry below REPLICATION_ZERO_TOL * max|entry| counts as zero
 REPLICATION_ZERO_TOL = 1e-6
-# fit_filter L1 (ISTA): stop when max|z_new - z| <= ISTA_STOP * max|z_new|
-ISTA_STOP = 1e-10
 
 
 __all__ = [

@@ -160,8 +160,14 @@ def _indicator(delta, n: int, k: int) -> np.ndarray:
     """``delta`` as an int64 vector; SizeMismatchError unless it is a 0/1
     vector of length ``n`` with ``k`` ones, one per band index."""
     d = np.asarray(delta)
-    if d.shape != (n,) or not np.isin(d, (0, 1)).all() or np.count_nonzero(d) != k:
-        raise SizeMismatchError(f"delta must be a 0/1 vector of length {n} with {k} ones")
+    what = f"delta must be a 0/1 vector of length {n}"
+    if d.shape != (n,):
+        raise SizeMismatchError(f"{what}, got shape {d.shape}")
+    bad = np.flatnonzero(~np.isin(d, (0, 1)))
+    if bad.size:
+        raise SizeMismatchError(f"{what}, got {d[bad[0]]} at entry {bad[0]}")
+    if np.count_nonzero(d) != k:
+        raise SizeMismatchError(f"{what} with {k} ones, got {np.count_nonzero(d)}")
     return (d != 0).astype(np.int64)
 
 

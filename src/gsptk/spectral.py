@@ -25,6 +25,7 @@ import numpy as np
 
 from . import numkit
 from .errors import (
+    BadSizeError,
     DimensionMismatchError,
     GsptkError,
     ReconstructionMismatchError,
@@ -95,8 +96,10 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     Frequencies are sorted by descending real part (ties by descending
     imaginary part). Raises RepeatedEigenvaluesError when the smallest
     eigenvalue gap is within ``tol * |lam|_max``, since no useful basis
-    exists without distinct frequencies.
+    exists without distinct frequencies; BadSizeError unless ``tol`` is finite and >= 0.
     """
+    if not 0 <= tol < np.inf:
+        raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
     pair = numkit.eig(graph.adjacency)
     gap_tol = numkit._gap_cut(pair.values, tol)
     if pair.min_gap <= gap_tol:

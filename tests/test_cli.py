@@ -19,7 +19,7 @@ from gsptk import (
     write_signal,
 )
 from gsptk.cli import DEMO_NAMES, build_parser, main
-from util import er_digraph
+from util import er_digraph, random_basis_graph
 
 
 def run(args):
@@ -334,15 +334,30 @@ class TestConvolveCommand:
         else:
             igft = basis.igft
             want = basis.gft @ ((igft @ y / igft[:, 0]) * (igft @ x))
-        got = {}
-        for method in ("dense", "l1"):
-            assert run(["convolve", *paths, "--domain", domain, "--impulse", impulse,
-                        "--method", method, "--out", tmp_path / method]) == 0
-            got[method] = read_signal(tmp_path / f"{method}.signal.json").values
+        assert run(["convolve", *paths, "--domain", domain, "--impulse", impulse,
+                    "--method", "dense", "--out", tmp_path / "dense"]) == 0
+        got = read_signal(tmp_path / "dense.signal.json").values
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(got["dense"] - want)) <= 100 * n * np.finfo(float).eps * scale
-        # the l1 fit carries the bias of its default gamma
-        assert np.max(np.abs(got["l1"] - got["dense"])) <= 1e-2 * scale
+        assert np.max(np.abs(got - want)) <= 100 * n * np.finfo(float).eps * scale
+
+    def test_an_ill_conditioned_fit_is_refused_with_its_cause(self, tmp_path, capsys):
+        # distinct frequencies (smallest gap 0.32), but cond(D) is 4.0e15
+        graph, _ = random_basis_graph(np.random.default_rng(16), 16, need_y0=True)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        paths = [tmp_path / "g.json", tmp_path / "x.json", tmp_path / "y.json"]
+        write_graph(graph, paths[0])
+        for values, path in zip((x, y), paths[1:]):
+            write_signal(GraphSignal(values, Domain.VERTEX), path)
+        assert run(["convolve", *paths, "--out", tmp_path / "conv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Krylov (Vandermonde)" in err
+        assert not (tmp_path / "conv.signal.json").exists()
+        # the dense fit is the only one
+        with pytest.raises(SystemExit) as exc:
+            run(["convolve", *paths, "--method", "l1", "--out", tmp_path / "conv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'l1'" in capsys.readouterr().err
 
 
 class TestTransformCommands:

@@ -8,7 +8,6 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     ImpulseKind,
-    NotConvergedError,
     ParseError,
     PolynomialFilter,
     SingularMatrixError,
@@ -26,7 +25,7 @@ from gsptk import (
     modulate,
     response,
 )
-from gsptk.filters import _ista, read_filter, write_filter
+from gsptk.filters import read_filter, write_filter
 
 from util import random_basis_graph
 
@@ -270,37 +269,6 @@ class TestFitFilter:
         else:
             assert "repeated" not in msg and "Krylov (Vandermonde)" in msg
             assert "condition number 4.0e+15" in msg
-
-    def test_l1_approaches_dense_solution(self):
-        g, basis = ring4()
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        y = vertex(Y4)
-        dense = fit_filter(y, fam, FitMethod.DENSE)
-        lasso = fit_filter(y, fam, FitMethod.L1, gamma=1e-9)
-        assert np.max(np.abs(lasso.coeffs - dense.coeffs)) < 1e-4
-
-    def test_l1_tolerates_singular_impulse_matrix(self):
-        g = Graph(np.diag([1.0, 2.0, 3.0]))
-        basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        target = vertex([1.0, 0.0, 0.0])
-        filt = fit_filter(target, fam, FitMethod.L1, gamma=1e-8)
-        resid = np.max(np.abs(fam.D @ filt.coeffs - target.values))
-        assert resid < 1e-6
-
-    def test_l1_raises_when_it_runs_out_of_iterations(self):
-        # this system reaches the stop rule only after about 300,000 steps
-        g, basis = random_basis_graph(np.random.default_rng(6), 6, need_y0=True)
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        rng = np.random.default_rng(0)
-        _, y = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
-        gamma = 1e-3 * float(np.max(np.abs(fam.D.conj().T @ y)))
-        with pytest.raises(NotConvergedError, match="did not converge in 1000 iterations"):
-            _ista(fam.D, y, gamma, max_iter=1000)
-
-    def test_l1_with_no_steps_has_not_converged(self):
-        with pytest.raises(NotConvergedError, match="did not converge in 0 iterations"):
-            _ista(np.eye(2, dtype=complex), np.ones(2, dtype=complex), 0.1, max_iter=0)
 
 
 class TestConvolve:

@@ -217,6 +217,21 @@ class TestSamplingOperator:
         with pytest.raises(SizeMismatchError, match="0/1 vector of length 4"):
             sampling_operator(dft_basis(4), delta)
 
+    @pytest.mark.parametrize("delta, samples, fault", (
+        ([1, 0, 1], None, ", got shape (3,)"),
+        ([np.nan, 0, 1, 0], None, ", got nan at entry 0"),
+        ([1, 0, 2, np.nan], None, ", got 2.0 at entry 2"),
+        ([0, 1, 0, 0], [5.0, 6.0], " with 2 ones, got 1"),
+    ), ids=("shape", "nan", "first-of-two", "count"))
+    def test_names_the_first_fault_of_an_indicator(self, delta, samples, fault):
+        # the shape, then each entry, and only then the count of ones
+        with pytest.raises(SizeMismatchError) as err:
+            if samples is None:
+                sampling_operator(dft_basis(4), delta)
+            else:
+                upsample(samples, delta)
+        assert str(err.value) == "delta must be a 0/1 vector of length 4" + fault
+
 
 class TestSpectralRecover:
     def test_showcase_recovery(self):
