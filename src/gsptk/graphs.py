@@ -170,7 +170,7 @@ def write_graph(graph: Graph, path) -> None:
     src, dst = np.nonzero(graph.adjacency.T)  # row-major: ascending (src, dst)
     weights = _pairs(graph.adjacency[dst, src])
     edges = [[s, d, *w] for s, d, w in zip(src.tolist(), dst.tolist(), weights)]
-    _write_json(path, {"n": graph.n, "edges": edges}, indent=1)
+    _write_json(path, {"n": graph.n, "edges": edges})
 
 
 def read_graph(path) -> Graph:
@@ -239,7 +239,7 @@ def _read_graph_csv(path) -> Graph:
 
 def write_signal(signal: GraphSignal, path) -> None:
     doc = {"domain": signal.domain.value, "values": _pairs(signal.values)}
-    _write_json(path, doc, indent=1)
+    _write_json(path, doc)
 
 
 def read_signal(path) -> GraphSignal:
@@ -293,29 +293,34 @@ def _holds_bool(doc, depth: int) -> bool:
 
 
 def _packed(values) -> str:
-    """A complex array as base64 of its row-major little-endian complex128
-    bytes: the compact layout for a large array inside a JSON file."""
-    data = np.ascontiguousarray(values, dtype="<c16").tobytes()
+    """An array as base64 of its row-major little-endian bytes, float64 for a
+    real array and complex128 otherwise: the compact layout for a large array
+    inside a JSON file."""
+    v = np.asarray(values)
+    data = np.ascontiguousarray(v, dtype="<c16" if np.iscomplexobj(v) else "<f8").tobytes()
     return base64.b64encode(data).decode("ascii")
 
 
-def _from_packed(text, shape: tuple, what: str) -> np.ndarray:
-    """Decode ``_packed`` output into a writable complex array of ``shape``.
+def _from_packed(text, shape: tuple, what: str, dtypes: tuple) -> np.ndarray:
+    """Decode ``_packed`` output into a writable array of ``shape``.
 
-    Raises ParseError, naming ``what`` (the file and field), unless ``text``
-    is valid base64 of exactly that many finite complex128 values.
+    Its dtype is the first of ``dtypes`` whose byte length matches, so an
+    empty array reads as the first. Raises ParseError, naming ``what`` (the
+    file and field), unless ``text`` is valid base64 of exactly that many
+    finite values of one of ``dtypes``.
     """
     try:
         data = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ParseError(f"{what} must be a base64 string: {exc}") from None
     count = math.prod(shape)
-    if len(data) != 16 * count:
+    dtype = next((np.dtype(t) for t in dtypes if len(data) == np.dtype(t).itemsize * count), None)
+    if dtype is None:
         dims = " x ".join(str(s) for s in shape)
-        raise ParseError(
-            f"{what} holds {len(data)} bytes, not the {16 * count} of a ({dims}) complex128 array"
-        )
-    values = np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(shape)
+        want = " or ".join(f"the {np.dtype(t).itemsize * count} of a ({dims}) {np.dtype(t).name} array"
+                           for t in dtypes)
+        raise ParseError(f"{what} holds {len(data)} bytes, not {want}")
+    values = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
     if not np.isfinite(values).all():
         raise ParseError(f"{what} contains non-finite entries")
     return values

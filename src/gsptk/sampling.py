@@ -33,6 +33,7 @@ import numpy as np
 
 from . import numkit
 from .errors import (
+    BadSizeError,
     DimensionMismatchError,
     InfeasibleError,
     NotBandlimitedError,
@@ -106,6 +107,8 @@ class SamplingPlan:
 
     ``S`` is (N-K) x K: the samples at the free (kept) nodes, in ascending
     index order, times ``S`` give the values at the pivot (dropped) nodes.
+    It is float64 when the band spans a conjugate-closed space (see
+    ``_plan``), else complex128.
     ``cond`` is a diagnostic of either route: the 2-norm condition number of
     the block ``S`` is solved from, the out-of-band GFT rows at the dropped
     nodes (1.0 for a full band). These five fields are what a plan file
@@ -138,7 +141,9 @@ class SamplingPlan:
 def band_project(signal: GraphSignal, band: BandSpec, rel: float = numkit.BAND_TOL) -> np.ndarray:
     """Extract the K in-band entries of ``xhat``; NotBandlimitedError when an
     out-of-band magnitude exceeds ``rel * max|xhat|`` (``sample`` passes
-    ``numkit.BAND_GUARD_REL``)."""
+    ``numkit.BAND_GUARD_REL``). BadSizeError unless ``rel`` is finite and >= 0."""
+    if not 0 <= rel < np.inf:
+        raise BadSizeError(f"rel must be finite and >= 0, got {rel}")
     xhat = signal.require(Domain.SPECTRAL)
     _check_band(band, xhat.shape[0])
     outside = band.complement(xhat.shape[0])
@@ -184,12 +189,20 @@ def _invertible(block: np.ndarray, whole: np.ndarray, what: str) -> float:
     return float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
 
 
-def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select) -> SamplingPlan:
+def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select,
+          igft: np.ndarray | None = None) -> SamplingPlan:
     """The plan of either route: the checked indicator (forced, or the nodes
     ``select(g_out)`` keeps) and the map ``S`` with ``x[dropped] = S @
     x[kept]`` for every signal the out-of-band GFT rows ``g_out`` annihilate.
     InfeasibleError unless ``_invertible`` accepts the block
-    ``g_out[:, dropped]``; ``cond`` is its condition."""
+    ``g_out[:, dropped]``; ``cond`` is its condition.
+
+    ``S`` is real (float64) when the band columns of ``igft`` are closed
+    under conjugation: their span then holds the conjugate of each of its
+    signals, so the exact map is real, and the real part of the computed one
+    is no farther from it, entry by entry. Otherwise, or without ``igft``,
+    ``S`` is complex.
+    """
     n = gft.shape[0]
     _check_band(band, n)
     g_out = gft[list(band.complement(n)), :]
@@ -202,7 +215,20 @@ def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select)
         s = -numkit.solve(g_out[:, ~kept], g_out[:, kept])
     except numkit.SingularMatrixError as exc:
         raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
+    if igft is not None and _conjugate_closed(igft[:, list(band.support)]):
+        s = s.real.copy()
     return SamplingPlan(domain, delta, band, s, cond)
+
+
+def _conjugate_closed(cols: np.ndarray) -> bool:
+    """Whether conjugation maps the set of columns of ``cols`` onto itself, bit
+    for bit, as ``numkit.eig`` gives it for a real shift and a band that
+    keeps each conjugate pair together. A signed zero matches its opposite."""
+
+    def keys(m):
+        return sorted(col.tobytes() for col in (m + 0.0).T)  # + 0.0 makes -0.0 into 0.0
+
+    return keys(cols) == keys(cols.conj())
 
 
 def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
@@ -223,7 +249,7 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
     invertible square block of the out-of-band rows.
     """
     return _plan(basis.gft, band, forced_delta, Domain.VERTEX, lambda g: _full_rank(
-        g, "out-of-band GFT rows").free_cols)
+        g, "out-of-band GFT rows").free_cols, basis.igft)
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -277,7 +303,8 @@ def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Sa
     nodes give independent rows.
     """
     return _plan(basis.gft, band, forced_delta, Domain.SPECTRAL, lambda _: _full_rank(
-        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols)
+        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols,
+        basis.igft)
 
 
 def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -335,10 +362,14 @@ def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
 # plan file IO
 
 
-PLAN_VERSION = 3
+PLAN_VERSION = 4
+# the packed layouts of ``S`` each version may hold, told apart by their length
+_S_LAYOUTS = {3: (np.complex128,), PLAN_VERSION: (np.complex128, np.float64)}
 
 
 def write_plan(plan: SamplingPlan, path) -> None:
+    """Write a version-4 plan file: ``S`` as base64 of its little-endian
+    float64 bytes when the plan's map is real, complex128 bytes otherwise."""
     doc = {
         "version": PLAN_VERSION,
         "domain": plan.domain.value,
@@ -354,19 +385,22 @@ def write_plan(plan: SamplingPlan, path) -> None:
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     """Load and check a plan file; ParseError names what is malformed.
 
-    Version 3 stores ``S`` as base64 of its little-endian complex128 bytes.
-    Older files are read too: version 2 stores ``S`` as [re, im] pairs.
-    Files without a ``version`` (version 1) hold ``S`` that way if they are
-    vertex plans, and spectral ones get it from their stored ``gft``;
-    neither recorded ``cond``, so it reads as NaN, which ``write_plan``
-    stores as null. With ``graph``, raises ReconstructionMismatchError unless
-    the range of the plan's recovery map is invariant under the graph's
-    shift, as the span of the band's eigenvectors is.
+    Version 4 stores ``S`` as base64 of its little-endian float64 bytes (8
+    per entry) when it is real, and of its complex128 bytes (16 per entry)
+    otherwise; the length tells them apart, and an empty ``S`` reads as
+    complex. Older files are read too: version 3 stores ``S`` as complex128
+    bytes only, version 2 as [re, im] pairs. Files without a ``version``
+    (version 1) hold ``S`` that way if they are vertex plans, and spectral
+    ones get it from their stored ``gft``; neither recorded ``cond``, so it
+    reads as NaN, which ``write_plan`` stores as null. With ``graph``, raises
+    ReconstructionMismatchError unless the range of the plan's recovery map
+    is invariant under the graph's shift, as the span of the band's
+    eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
     # a bool or a float is not a version, although True == 1 and 2.0 == 2
-    if type(version) is not int or version not in (1, 2, PLAN_VERSION):
+    if type(version) is not int or version not in (1, 2, *_S_LAYOUTS):
         raise ParseError(f"{path}: unsupported plan version {version!r}")
     old_spectral = version == 1 and doc["domain"] == Domain.SPECTRAL.value
     try:
@@ -384,8 +418,8 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
         s = _plan(gft, band, delta, domain, None).S
-    elif version == PLAN_VERSION:
-        s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S")
+    elif version in _S_LAYOUTS:
+        s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", _S_LAYOUTS[version])
     else:
         s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
     cond = doc.get("cond", "missing") if version > 1 else None

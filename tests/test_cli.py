@@ -459,7 +459,8 @@ def _replace(key, index, value):
 
 
 def _unpacked(doc):
-    """The (N-K) x K map ``S`` of a version-3 plan document."""
+    """The (N-K) x K map ``S`` of a version-4 plan document whose ``S`` is
+    complex, as example4's is."""
     n, k = len(doc["delta"]), len(doc["band"])
     return np.frombuffer(base64.b64decode(doc["S"]), dtype="<c16").reshape(n - k, k)
 
@@ -475,15 +476,17 @@ def _version2(edit=lambda doc: doc):
     return apply
 
 
-def _packed_s(first=None, drop_last=False):
-    """An edit that repacks ``S`` with its first value replaced, or its last dropped."""
+def _packed_s(first=None, drop_last=False, layout="<c16"):
+    """An edit that repacks ``S`` in ``layout`` (its real part for ``"<f8"``)
+    with its first value replaced, or its last dropped."""
 
     def edit(doc):
         s = _unpacked(doc).ravel().copy()
+        s = s.real.copy() if layout == "<f8" else s
         if first is not None:
             s[0] = first
         s = s[:-1] if drop_last else s
-        return {**doc, "S": base64.b64encode(s.astype("<c16").tobytes()).decode()}
+        return {**doc, "S": base64.b64encode(s.astype(layout).tobytes()).decode()}
 
     return edit
 
@@ -500,13 +503,16 @@ _BROKEN_PLANS = {
     "entry not a number": _version2(_replace("S", (0, 0), ["1.0", "0.0"])),
     "non-finite entry": _version2(_replace("S", (0, 0), [float("nan"), 0.0])),
     "entry with a boolean": _version2(_replace("S", (0, 0), [True, 0.0])),
-    # version 3: S packed as base64 of complex128 bytes
+    # version 4: S packed as base64 of complex128 bytes, or of float64 bytes
     "S not a string": lambda doc: {**doc, "S": _version2()(doc)["S"]},
     # without validation, b64decode would skip the four stars and decode the rest
     "S with non-base64 characters": lambda doc: {**doc, "S": "****" + doc["S"]},
     "S one complex value short": _packed_s(drop_last=True),
     "S with a NaN first value": _packed_s(first=complex(float("nan"), 0.0)),
     "S with an infinite first value": _packed_s(first=complex(float("inf"), 0.0)),
+    # 24 bytes for 4 entries: neither 8 nor 16 bytes per entry
+    "S one float64 value short": _packed_s(drop_last=True, layout="<f8"),
+    "S with a NaN first float64 value": _packed_s(first=float("nan"), layout="<f8"),
     "non-finite cond": _with("cond", float("inf")),
     "band not ascending": _with("band", [1, 0]),
     "band not integers": _with("band", [0.7, 1.2]),
@@ -537,6 +543,13 @@ def test_recover_reads_a_version_2_plan_to_the_same_signal(tmp_path):
     for path, out in ((plan_path, "new.json"), (old, "old.json")):
         assert run(["recover", path, samples_path, "--out", tmp_path / out]) == 0
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_recover_reads_a_float64_map(tmp_path):
+    # the float64 edits above fail for their own reason, not their layout
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    plan_path.write_text(json.dumps(_packed_s(layout="<f8")(json.loads(plan_path.read_text()))))
+    assert run(["recover", plan_path, samples_path, "--out", tmp_path / "rec.json"]) == 0
 
 
 @pytest.mark.parametrize("domain", ["vertex", "spectral"])

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import itertools
 import json
@@ -5,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsptk import (
+    BadSizeError,
     BandSpec,
     DimensionMismatchError,
     Domain,
@@ -37,6 +40,7 @@ from gsptk import (
     vertex_recover,
     write_plan,
 )
+from gsptk.numkit import solve
 
 from util import er_digraph, random_basis_graph
 
@@ -89,6 +93,13 @@ class TestBandProject:
         with pytest.raises(NotBandlimitedError) as err:
             band_project(sig, BandSpec((0, 1)), rel=1e-6)
         assert err.value.worst == 0.5
+
+    @pytest.mark.parametrize("rel", [float("nan"), -1e-8, float("inf")])
+    def test_rel_must_be_finite_and_nonnegative(self, rel):
+        # with rel = nan the guard never fired, and this returned [1, 1]
+        sig = GraphSignal(np.array([1, 1, 5, 5], dtype=complex), Domain.SPECTRAL)
+        with pytest.raises(BadSizeError, match="rel must be finite and >= 0"):
+            band_project(sig, BandSpec((0, 1)), rel=rel)
 
 
 class TestVertexPlan:
@@ -447,19 +458,24 @@ class TestPlanIO:
         assert reread.S.tobytes() == back.S.tobytes()
         assert math.isnan(reread.cond)
 
-    def test_version_2_and_3_files_read_the_same_plan(self, tmp_path):
+    def test_version_2_3_and_4_files_read_the_same_plan(self, tmp_path):
         basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
         plan = vertex_plan(basis, BandSpec(tuple(range(30))))
-        new, old = tmp_path / "v3.json", tmp_path / "v2.json"
-        write_plan(plan, new)
-        doc = json.loads(new.read_text())
-        assert doc["version"] == 3
-        # base64 of 16 bytes per complex value, (N - K) * K of them
-        assert len(doc["S"]) == 4 * math.ceil(16 * 30 * 30 / 3)
-        old.write_text(json.dumps({**doc, "version": 2, "S": pairs(plan.S)}))
-        a, b = read_plan(new), read_plan(old)
-        assert a.S.tobytes() == b.S.tobytes() == plan.S.tobytes()
-        assert np.array_equal(a.delta, b.delta) and a.cond == b.cond == plan.cond
+        assert plan.S.dtype == np.float64  # a real graph, a band of whole conjugate pairs
+        v4, v3, v2 = tmp_path / "v4.json", tmp_path / "v3.json", tmp_path / "v2.json"
+        write_plan(plan, v4)
+        doc = json.loads(v4.read_text())
+        assert doc["version"] == 4
+        # base64 of 8 bytes per real value, (N - K) * K of them
+        assert len(doc["S"]) == 4 * math.ceil(8 * 30 * 30 / 3)
+        packed = base64.b64encode(plan.S.astype("<c16").tobytes()).decode()
+        v3.write_text(json.dumps({**doc, "version": 3, "S": packed}))
+        v2.write_text(json.dumps({**doc, "version": 2, "S": pairs(plan.S)}))
+        a, b, c = read_plan(v4), read_plan(v3), read_plan(v2)
+        assert_same_fields(a, plan)
+        assert b.S.tobytes() == c.S.tobytes() == plan.S.astype(np.complex128).tobytes()
+        assert np.array_equal(a.delta, b.delta) and np.array_equal(b.delta, c.delta)
+        assert a.cond == b.cond == c.cond == plan.cond
 
     def test_full_band_plan_has_an_empty_map(self, tmp_path):
         _, basis = example4()
@@ -478,6 +494,68 @@ class TestPlanIO:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             read_plan(path)
+
+
+def _rotated(basis):
+    """``basis`` with every eigenvector times i: the same band spans, so the same
+    exact plans, but no band's columns are closed under conjugation."""
+    return dataclasses.replace(basis, igft=basis.igft * 1j)
+
+
+class TestRealPlans:
+    @pytest.mark.parametrize("route", [vertex_plan, spectral_plan])
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_a_conjugate_closed_band_of_a_real_graph_has_a_real_map(self, n, route):
+        basis = basis_from_graph(er_digraph(np.random.default_rng(1), n))
+        band = BandSpec(tuple(range(n // 2)))  # splits no conjugate pair on this graph
+        plan, cplx = route(basis, band), route(_rotated(basis), band)
+        assert (plan.S.dtype, cplx.S.dtype) == (np.float64, np.complex128)
+        assert plan.delta.tobytes() == cplx.delta.tobytes() and plan.cond == cplx.cond
+        kept = plan.delta != 0
+        g_out = basis.gft[list(band.complement(n))]
+        exact = -solve(g_out[:, ~kept], g_out[:, kept])
+        assert plan.S.tobytes() == exact.real.tobytes() and cplx.S.tobytes() == exact.tobytes()
+        # for a real signal, the real map's error is the real part of the complex
+        # map's, up to the rounding of the two products
+        x = lowpass_signal(np.random.default_rng(2), basis, band)[0].values.real
+        x_s = sample(GraphSignal(x, Domain.VERTEX), plan.delta)
+        err_real = np.abs(vertex_recover(plan, x_s).values - x)
+        err_cplx = np.abs(vertex_recover(cplx, x_s).values - x)
+        rounding = np.zeros(n)
+        rounding[~kept] = 2 * band.k * np.finfo(float).eps * (np.abs(cplx.S) @ np.abs(x_s))
+        assert np.all(err_real <= err_cplx + rounding)
+
+    def test_a_band_that_splits_a_pair_keeps_a_complex_map(self, tmp_path):
+        # example4's band (0, 1) holds one of its two complex frequencies
+        _, basis = example4()
+        plan = vertex_plan(basis, BandSpec((0, 1)))
+        assert plan.S.dtype == np.complex128
+        write_plan(plan, tmp_path / "plan.json")
+        doc = json.loads((tmp_path / "plan.json").read_text())
+        assert doc["S"] == base64.b64encode(plan.S.astype("<c16").tobytes()).decode()
+        assert_same_fields(read_plan(tmp_path / "plan.json"), plan)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(seed=st.integers(0, 2**16), n=st.integers(3, 9), k=st.integers(1, 9),
+           real=st.booleans(), route=st.sampled_from([vertex_plan, spectral_plan]))
+    def test_plan_files_round_trip_bit_for_bit(self, tmp_path_factory, seed, n, k, real, route):
+        rng = np.random.default_rng(seed)
+        g, basis = random_basis_graph(rng, n)
+        if not real:  # the same eigenvectors, but a complex shift goes to the complex solver
+            basis = basis_from_graph(Graph(g.adjacency * np.exp(2j * np.pi * rng.random())), tol=1e-6)
+        k = min(k, n)
+        if real and k < n and basis.lam[k] == np.conj(basis.lam[k - 1]) != basis.lam[k - 1]:
+            k += 1  # keep the conjugate pair k - 1, k together
+        try:
+            plan = route(basis, BandSpec(tuple(range(k))))
+        except InfeasibleError:
+            return
+        assert (plan.S.dtype == np.float64) == real
+        path = tmp_path_factory.mktemp("plan") / "plan.json"
+        write_plan(plan, path)
+        if plan.S.size == 0:  # an empty map has no layout to tell apart; it reads as complex
+            plan = dataclasses.replace(plan, S=plan.S.astype(np.complex128))
+        assert_same_fields(read_plan(path), plan)
 
 
 class TestInfeasible:
