@@ -55,9 +55,7 @@ from .filters import (
     fit_filter,
     matrix_from_response,
     modulate,
-    read_filter,
     response,
-    write_filter,
 )
 from .sampling import (
     BandSpec,

@@ -21,7 +21,7 @@ import numpy as np
 from . import dspcompat, filters, graphs, numkit, sampling, spectral
 from .errors import BadSizeError, GsptkError, SizeMismatchError
 from .graphs import Domain, Graph, GraphKind, GraphSignal, _pairs, build, read_graph, read_signal, write_signal
-from .impulses import ImpulseKind, impulse_family
+from .impulses import ImpulseKind
 
 # Reference vectors for the 4-node showcase pipelines (3-digit values; all
 # comparisons against them use the 5e-3 print tolerance).
@@ -387,12 +387,11 @@ def _cmd_convolve(args) -> int:
         x.require(Domain(args.domain))
     basis = _load_basis_for(graph, args)
     kind = _IMPULSE_CHOICES[(x.domain.value, args.impulse)]
-    fam = impulse_family(graph, basis, kind)
-    filt = filters.fit_filter(y, fam, filters.FitMethod(args.method))
-    result = filters.apply_filter(filt, graph, basis, x)
+    resp = filters.fit_filter(y, kind, basis)
+    result = spectral.gft_apply(basis, filters.modulate(resp, spectral.gft_apply(basis, x)))
     signal_path, filter_path = _with_suffixes(args.out, ".signal.json", ".filter.json")
     write_signal(result, signal_path)
-    filters.write_filter(filt, filter_path)
+    write_signal(resp, filter_path)
     print(f"wrote {signal_path} and {filter_path}")
     return 0
 
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("convolve", help="convolve two signals through a fitted filter")
+    p = sub.add_parser("convolve", help="convolve two signals by the response of a filter")
     p.add_argument("graph")
     p.add_argument("x")
     p.add_argument("y")
@@ -491,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=[m.value for m in filters.FitMethod],
                    default=filters.FitMethod.DENSE.value)
     p.add_argument("--basis", help="explicit basis JSON (default: computed)")
-    p.add_argument("--out", required=True, help="prefix; .signal.json and .filter.json are appended")
+    p.add_argument("--out", required=True, help="prefix; .signal.json and .filter.json (the response) are appended")
     p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("gft", help="transform a vertex signal forward or a spectral signal back")

@@ -6,14 +6,15 @@ domain. A polynomial in the spectral shift M is a polynomial in the
 adjacency of the spectral graph G_s, so each spectral-domain operation here
 is its vertex-domain twin on G_s: the same code on ``basis.dual``. A
 filter's shift is therefore named by the ``Domain`` it acts in: VERTEX for
-a polynomial in A, SPECTRAL for one in M. Only filter files spell the shift
-as ``"A"`` or ``"M"``.
-Convolution of two arbitrary signals is realized by fitting filter
-coefficients so that one signal becomes the filter's impulse response, then
-applying the filter to the other. Every signal carries its domain, so no
-function here asks for it again: a response's domain picks P(A) or P(M), a
-fit target's domain picks the impulse matrix or its transform, and a
-convolution runs in the domain of its first operand.
+a polynomial in A, SPECTRAL for one in M.
+A filter is fixed by its frequency response, so the convolution y * x, the
+filter with impulse response y applied to x, needs no coefficients:
+``fit_filter`` divides the transform of y by the transform of the delta,
+and ``convolve`` modulates the transform of x by that response and
+transforms back. Every signal carries its domain, so no function here asks
+for it again: a response's domain picks P(A) or P(M), a fit target's domain
+says whether it still needs its transform, and a convolution runs in the
+domain of its first operand.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError, SingularMatrixError
-from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
-from .impulses import ImpulseFamily, ImpulseKind, impulse_family
-from .spectral import SpectralBasis, _check_length, _diag, spectral_shift
+from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, SingularMatrixError
+from .graphs import Domain, Graph, GraphSignal
+from .impulses import ImpulseKind, check_assumptions
+from .spectral import SpectralBasis, _check_length, _diag, gft_apply, spectral_shift
 
 __all__ = [
     "FitMethod",
@@ -38,12 +39,12 @@ __all__ = [
     "modulate",
     "fit_filter",
     "convolve",
-    "read_filter",
-    "write_filter",
 ]
 
 
 class FitMethod(enum.Enum):
+    """The choices of ``convolve --method``; the response is the one fit."""
+
     DENSE = "dense"
 
 
@@ -117,50 +118,43 @@ def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:
     return GraphSignal(a.values * b.values, a.domain)
 
 
-def fit_filter(
-    target: GraphSignal, fam: ImpulseFamily, method: FitMethod = FitMethod.DENSE
-) -> PolynomialFilter:
-    """Fit polynomial coefficients whose impulse response is ``target``.
+def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> GraphSignal:
+    """The frequency response of the filter whose impulse response is ``target``.
 
-    The target's domain picks the system: D p = target when it lives in the
-    family's domain, the transformed D_hat p = target when it lives in the
-    opposite one; both give the same filter, a polynomial in A for a vertex
-    family and in M for a spectral one. A singular system raises
-    SingularMatrixError naming the invertibility assumption that failed.
-    ``method`` (DENSE, the one fit) stays for callers that pass it positionally.
+    The filter is a polynomial in A for a vertex ``kind`` and in M for a
+    spectral one, so its response lives in the opposite domain: the
+    transform of ``target`` (read from its tag) divided entrywise by the
+    transform of the kind's delta, ``gft[:, 0]`` for an impulsive delta and
+    1/sqrt(N) for a flat one. Raises SingularMatrixError when the delta's
+    transform has a zero entry, and when the response takes two values on a
+    repeated eigenvalue, where no polynomial in the shift has it.
     """
-    system = fam.D if target.domain is fam.kind.domain else fam.D_hat
-    rhs = _check_length(target.values, system.shape[0])
-    try:
-        coeffs = numkit.solve(system, rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{exc}; {_diagnose(fam, system)}") from exc
-    return PolynomialFilter(coeffs, fam.kind.domain)
-
-
-def _diagnose(fam: ImpulseFamily, system: np.ndarray) -> str:
-    # D_hat = diag(D_hat[:, 0]) @ [lam_i ** k]. Its first column is gft[:, 0]
-    # (y0) for the vertex-impulsive family, igft[:, 0] for the spectral-domain
-    # impulsive one and flat for the other two; its second column over its
-    # first gives the frequencies (conjugated for the families of M)
-    min_first = float(np.min(np.abs(fam.D_hat[:, 0])))
-    if min_first <= numkit._zero_cut(fam.D_hat[:, 0]):
-        vertex = fam.kind.domain is Domain.VERTEX
+    vertex = kind.domain is Domain.VERTEX
+    b = basis if vertex else basis.dual
+    t = _check_length(target.values, b.n)
+    t_hat = b.gft @ t if target.domain is kind.domain else t
+    report = check_assumptions(b)
+    impulsive = kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
+    if impulsive and not report.y0_nonzero:
         column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
-        return (
+        raise SingularMatrixError(
             f"the first {column} column has (near-)zero entries "
-            f"(min |{name}| = {min_first:.2e}), which this impulse convention cannot tolerate"
+            f"(min |{name}| = {report.min_abs_y0:.2e}), which this impulse convention cannot tolerate"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = fam.D_hat[:, 1] / fam.D_hat[:, 0]
-    gap = numkit._min_gap(lam)
-    if not gap > numkit._gap_cut(lam):
-        return "the shift appears to have repeated eigenvalues"
-    return (
-        f"the eigenvalues are distinct (smallest gap {gap:.2e}), but the impulse matrix "
-        f"has condition number {np.linalg.cond(system):.1e}: it is a Krylov (Vandermonde) "
-        "matrix in the frequencies, whose conditioning grows exponentially with N"
-    )
+    delta_hat = b.gft[:, 0] if impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
+    resp = t_hat / delta_hat
+    if not report.distinct:
+        close = np.abs(b.lam[:, None] - b.lam[None, :]) <= numkit._gap_cut(b.lam)
+        split = close & (np.abs(resp[:, None] - resp[None, :]) > numkit._zero_cut(resp))
+        if split.any():
+            idx = np.flatnonzero(split.any(axis=1))
+            values = ", ".join(f"{z:.3g}" for z in b.lam[idx])
+            raise SingularMatrixError(
+                f"the response takes different values on the repeated eigenvalues "
+                f"{values} (indices {idx.tolist()}), so no polynomial in the shift has "
+                "this impulse response"
+            )
+    return GraphSignal(resp, Domain.SPECTRAL if vertex else Domain.VERTEX)
 
 
 def convolve(
@@ -175,9 +169,10 @@ def convolve(
 
     In the vertex domain, y * x = P(A) x where P(A) has impulse response y;
     in the spectral domain, yhat * xhat = P(M) xhat where P(M) has spectral
-    impulse response yhat. ``y`` may be given in either domain, since
-    fit_filter reads its tag. ``fam_kind`` defaults to the impulsive delta
-    e_0 of x's domain and must live in that domain.
+    impulse response yhat. The filter is applied as modulation by its
+    response in the opposite domain. ``y`` may be given in either domain,
+    since fit_filter reads its tag. ``fam_kind`` defaults to the impulsive
+    delta e_0 of x's domain and must live in that domain.
     """
     if fam_kind is None:
         fam_kind = (
@@ -189,19 +184,7 @@ def convolve(
         raise DomainMismatchError(
             f"impulse kind {fam_kind.value} does not live in the {x.domain.value} domain"
         )
-    fam = impulse_family(graph, basis, fam_kind)
-    return apply_filter(fit_filter(y, fam), graph, basis, x)
-
-
-def write_filter(filt: PolynomialFilter, path) -> None:
-    shift = "A" if filt.shift_domain is Domain.VERTEX else "M"
-    _write_json(path, {"shift_domain": shift, "coeffs": _pairs(filt.coeffs)})
-
-
-def read_filter(path) -> PolynomialFilter:
-    doc = _read_json(path, ("shift_domain", "coeffs"))
-    shift = doc["shift_domain"]
-    if shift not in ("A", "M"):
-        raise ParseError(f"{path}: shift_domain must be 'A' or 'M', got {shift!r}")
-    domain = Domain.VERTEX if shift == "A" else Domain.SPECTRAL
-    return PolynomialFilter(_from_pairs(doc["coeffs"], (None,), f"{path}: coeffs"), domain)
+    if basis.n != graph.n:
+        raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {graph.n}")
+    resp = fit_filter(y, fam_kind, basis)
+    return gft_apply(basis, modulate(resp, gft_apply(basis, x)))

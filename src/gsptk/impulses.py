@@ -6,9 +6,13 @@ across frequencies, so two conventions coexist:
 * vertex-impulsive: delta_0 = e_0, shifted by powers of the adjacency A;
 * spectral-flat: gft(delta_0) = (1/sqrt(N)) * ones, shifted likewise.
 
-Stacking a delta and its N-1 shifts column-wise gives the impulse matrix D
-used to fit polynomial filter coefficients from an impulse response. A
-spectral-domain family is the same construction on the spectral graph G_s:
+Stacking a delta and its N-1 shifts column-wise gives the impulse matrix D:
+column k is the impulse response of the k-th power of the shift, and its
+transform D_hat is diag(delta_hat) times the Vandermonde matrix of the
+frequencies. A filter needs only D_hat's first column, the transform of the
+delta, to turn an impulse response into its frequency response
+(``filters.fit_filter``); the powers themselves overflow on large graphs and
+are kept as the paper's objects. A spectral-domain family is the same construction on the spectral graph G_s:
 its deltas are shifted by the spectral shift M and transformed with
 ``basis.dual``. Each ``ImpulseKind`` states its domain once, as
 ``ImpulseKind.domain``; the family's transform ``D_hat`` covers the opposite

@@ -39,7 +39,7 @@ PIVOT_TOL = 1e-10
 # eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
 EIG_RESIDUAL_TOL = 1e-9
 # distinct frequencies (``_gap_cut``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
-# the default of basis_from_graph and --tol, and the cut of check_assumptions and _diagnose
+# the default of basis_from_graph and --tol, and the cut of check_assumptions and fit_filter
 GAP_TOL = 1e-8
 # eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
 LEAD_TOL = 1e-8

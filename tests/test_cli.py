@@ -242,9 +242,14 @@ class TestConvolveCommand:
         ) == 0
         result = read_signal(tmp_path / "conv.signal.json")
         assert np.max(np.abs(result.values - np.array([17, 19, 17, 7]))) < 1e-6
-        filt_doc = json.loads((tmp_path / "conv.filter.json").read_text())
-        got = [complex(re, im) for re, im in filt_doc["coeffs"]]
-        assert np.max(np.abs(np.array(got) - np.array([-1, 1, 2, 4]))) < 1e-9
+        # the filter file holds the response P(lam) of P(A) = -1 + A + 2A^2 + 4A^3
+        from gsptk import PolynomialFilter, response
+
+        resp = read_signal(tmp_path / "conv.filter.json")
+        want = response(PolynomialFilter([-1, 1, 2, 4], Domain.VERTEX),
+                        basis_from_graph(build(GraphKind.RING, 4)))
+        assert resp.domain is Domain.SPECTRAL
+        assert np.max(np.abs(resp.values - want.values)) < 1e-9
 
     def test_y_in_either_domain_gives_one_signal(self, tmp_path):
         # the y file's own tag picks the system it is fitted against
@@ -299,12 +304,12 @@ class TestConvolveCommand:
     @pytest.mark.parametrize("domain, other", [("vertex", "spectral"), ("spectral", "vertex")])
     def test_a_domain_against_the_tag_of_x_is_refused_first(self, tmp_path, capsys, monkeypatch,
                                                              domain, other):
-        import gsptk.cli as cli
+        from gsptk import filters
 
-        def no_family(*args):
-            raise AssertionError("the impulse family was built")
+        def no_fit(*args):
+            raise AssertionError("the filter was fitted")
 
-        monkeypatch.setattr(cli, "impulse_family", no_family)
+        monkeypatch.setattr(filters, "fit_filter", no_fit)
         paths = self._ring_pair(tmp_path, domain)
         assert run(["convolve", *paths, "--domain", other, "--out", tmp_path / "conv"]) == 2
         err = capsys.readouterr().err
@@ -340,24 +345,52 @@ class TestConvolveCommand:
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 100 * n * np.finfo(float).eps * scale
 
-    def test_an_ill_conditioned_fit_is_refused_with_its_cause(self, tmp_path, capsys):
-        # distinct frequencies (smallest gap 0.32), but cond(D) is 4.0e15
-        graph, _ = random_basis_graph(np.random.default_rng(16), 16, need_y0=True)
+    def test_identity_and_shift_equivariance_on_a_generic_digraph(self, tmp_path, capsys):
+        # distinct frequencies (smallest gap 0.32), but cond 4.0e15 for the
+        # Krylov matrix of powers of A: the response needs no such matrix
+        n = 16
+        graph, basis = random_basis_graph(np.random.default_rng(16), n, need_y0=True)
         rng = np.random.default_rng(0)
-        x, y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-        paths = [tmp_path / "g.json", tmp_path / "x.json", tmp_path / "y.json"]
-        write_graph(graph, paths[0])
-        for values, path in zip((x, y), paths[1:]):
-            write_signal(GraphSignal(values, Domain.VERTEX), path)
-        assert run(["convolve", *paths, "--out", tmp_path / "conv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Krylov (Vandermonde)" in err
-        assert not (tmp_path / "conv.signal.json").exists()
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        write_graph(graph, tmp_path / "g.json")
+        inputs = {"x": x, "y": y, "e0": np.eye(n)[0], "ax": graph.adjacency @ x}
+        for name, values in inputs.items():
+            write_signal(GraphSignal(values, Domain.VERTEX), tmp_path / f"{name}.json")
+
+        def conv(first):
+            paths = [tmp_path / f"{name}.json" for name in ("g", first, "y")]
+            assert run(["convolve", *paths, "--out", tmp_path / first]) == 0
+            return read_signal(tmp_path / f"{first}.signal.json").values
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        bound = n * np.finfo(float).eps * np.linalg.cond(basis.igft) / np.min(np.abs(basis.gft[:, 0]))
+        assert rel(conv("e0"), y) <= bound
+        assert rel(conv("ax"), graph.adjacency @ conv("x")) <= bound
         # the dense fit is the only one
         with pytest.raises(SystemExit) as exc:
-            run(["convolve", *paths, "--method", "l1", "--out", tmp_path / "conv"])
+            run(["convolve", *(tmp_path / f"{name}.json" for name in ("g", "x", "y")),
+                 "--method", "l1", "--out", tmp_path / "conv"])
         assert exc.value.code == 2
         assert "invalid choice: 'l1'" in capsys.readouterr().err
+
+    def test_a_zero_in_y0_is_refused_and_nothing_is_written(self, tmp_path, capsys):
+        # distinct frequencies, but the identity basis has gft[:, 0] = e_0
+        from gsptk import Graph, basis_explicit
+        from gsptk.spectral import save_basis
+
+        graph = Graph(np.diag([1.0, 2.0, 3.0]))
+        paths = [tmp_path / name for name in ("g.json", "x.json", "y.json")]
+        write_graph(graph, paths[0])
+        for path in paths[1:]:
+            write_signal(GraphSignal(np.ones(3), Domain.VERTEX), path)
+        save_basis(basis_explicit(np.eye(3), [1.0, 2.0, 3.0], graph), tmp_path / "basis.json")
+        assert run(["convolve", *paths, "--basis", tmp_path / "basis.json",
+                    "--out", tmp_path / "conv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "min |y0| = 0.00e+00" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.json", "g.json", "x.json", "y.json"]
 
 
 class TestTransformCommands:
@@ -646,16 +679,26 @@ def test_recover_checks_the_truth_length_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_convolve_names_an_overflowing_impulse_matrix(tmp_path, capsys):
-    # the powers of this adjacency (spectral radius about 220) overflow
-    graph_path, x_path = tmp_path / "g.json", tmp_path / "x.json"
-    write_graph(er_digraph(np.random.default_rng(1), 400), graph_path)
-    write_signal(GraphSignal(np.random.default_rng(2).normal(size=400), Domain.VERTEX), x_path)
-    out = tmp_path / "conv"
-    assert run(["convolve", graph_path, x_path, x_path, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "impulse matrix contains non-finite entries" in err
-    assert not out.with_suffix(".signal.json").exists()
+@pytest.mark.parametrize("n", [16, 400])
+def test_convolve_on_an_er_digraph_exits_0(tmp_path, n):
+    # at N = 16 the Krylov matrix of powers of A is numerically singular, and
+    # at N = 400 those powers overflow (spectral radius about 220); the
+    # response is the transform of y over y0 and needs neither
+    graph = er_digraph(np.random.default_rng(1), n)
+    x = np.random.default_rng(2).normal(size=n)
+    graph_path, x_path, out = tmp_path / "g.json", tmp_path / "x.json", tmp_path / "conv"
+    write_graph(graph, graph_path)
+    write_signal(GraphSignal(x, Domain.VERTEX), x_path)
+    assert run(["convolve", graph_path, x_path, x_path, "--out", out]) == 0
+    basis = basis_from_graph(graph)
+    y0, xhat = basis.gft[:, 0], basis.gft @ x
+    resp = read_signal(tmp_path / "conv.filter.json")
+    assert resp.domain is Domain.SPECTRAL
+    assert np.max(np.abs(resp.values - xhat / y0)) <= 1e-12 * np.max(np.abs(xhat / y0))
+    got = read_signal(tmp_path / "conv.signal.json").values
+    want = basis.igft @ (xhat / y0 * xhat)
+    bound = n * np.finfo(float).eps * np.linalg.cond(basis.igft) / np.min(np.abs(y0))
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def _recover_with_a_spectral(tmp_path, which):

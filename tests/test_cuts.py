@@ -22,11 +22,11 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     GsptkError,
-    ImpulseFamily,
     ImpulseKind,
     InfeasibleError,
     NotBandlimitedError,
     RepeatedEigenvaluesError,
+    SingularMatrixError,
     SpectralBasis,
     band_project,
     basis_explicit,
@@ -35,6 +35,7 @@ from gsptk import (
     bundled_basis,
     check_assumptions,
     dft_basis,
+    fit_filter,
     plan_equivalent,
     recovery_block,
     structural_equal,
@@ -43,7 +44,6 @@ from gsptk import (
 )
 from gsptk import numkit
 from gsptk.cli import main
-from gsptk.filters import _diagnose
 from gsptk.sampling import _invertible
 from gsptk.spectral import _check_close, save_basis
 
@@ -241,10 +241,30 @@ def test_y0_is_zero_relative_to_its_largest_entry(scale, share, zero):
     gft = np.eye(3, dtype=complex)
     gft[:, 0] = y0
     lam = np.array([3.0, 2.0, 1.0])
-    assert check_assumptions(SpectralBasis(gft, np.eye(3), lam)).y0_nonzero is not zero
-    d_hat = np.column_stack((y0, lam * y0, y0))
-    fam = ImpulseFamily(ImpulseKind.VERTEX_IMPULSIVE, np.eye(3), d_hat)
-    assert ("min |y0|" in _diagnose(fam, np.eye(3))) is zero
+    basis = SpectralBasis(gft, np.eye(3), lam)
+    assert check_assumptions(basis).y0_nonzero is not zero
+    target = GraphSignal(np.ones(3), Domain.VERTEX)
+    if zero:
+        with pytest.raises(SingularMatrixError, match=r"min \|y0\|"):
+            fit_filter(target, ImpulseKind.VERTEX_IMPULSIVE, basis)
+    else:
+        fit_filter(target, ImpulseKind.VERTEX_IMPULSIVE, basis)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("share, zero", SIDES)
+def test_a_response_splits_a_repeated_eigenvalue_relative_to_its_largest_entry(scale, share, zero):
+    # the eigenvalue 1 is repeated; the response differs on it by share * the
+    # zero cut, PIVOT_TOL * max|resp| with max|resp| = 2 * scale
+    lam = scale * np.array([1.0, 1.0, 2.0])
+    basis = SpectralBasis(np.eye(3, dtype=complex), np.eye(3, dtype=complex), lam)
+    resp = scale * np.array([1.0, 1.0 + 2 * share * numkit.PIVOT_TOL, 2.0])
+    target = GraphSignal(resp / np.sqrt(3), Domain.SPECTRAL)  # the flat delta's transform is 1/sqrt(3)
+    if zero:
+        fit_filter(target, ImpulseKind.SPECTRAL_FLAT, basis)
+    else:
+        with pytest.raises(SingularMatrixError, match="repeated eigenvalues"):
+            fit_filter(target, ImpulseKind.SPECTRAL_FLAT, basis)
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+import functools
+
 from gsptk import (
     Domain,
-    FitMethod,
     Graph,
     GraphKind,
     GraphSignal,
     ImpulseKind,
-    ParseError,
     PolynomialFilter,
     SingularMatrixError,
     apply_filter,
     basis_explicit,
+    basis_from_graph,
     build,
     bundled_basis,
     circulant_convolve,
@@ -24,10 +25,10 @@ from gsptk import (
     matrix_from_response,
     modulate,
     response,
+    spectral_shift,
 )
-from gsptk.filters import read_filter, write_filter
 
-from util import random_basis_graph
+from util import er_digraph, random_basis_graph
 
 
 def ring4():
@@ -195,46 +196,42 @@ class TestModulate:
 
 
 class TestFitFilter:
+    # the fit is the inverse of response(): it returns the response of the
+    # filter whose impulse response is the target
+
     def test_ring_identity_system(self):
         g, basis = ring4()
-        fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        filt = fit_filter(vertex(Y4), fam)
-        assert np.max(np.abs(filt.coeffs - np.array(Y4))) < 1e-12
-        out = apply_filter(filt, g, basis, vertex(X4))
-        assert np.max(np.abs(out.values - np.array([17, 19, 17, 7]))) < 1e-10
+        resp = fit_filter(vertex(Y4), ImpulseKind.VERTEX_IMPULSIVE, basis)
+        want = response(PolynomialFilter(Y4, Domain.VERTEX), basis)
+        assert resp.domain is want.domain is Domain.SPECTRAL
+        assert np.max(np.abs(resp.values - want.values)) < 1e-12
+        assert np.max(np.abs(resp.values - np.array(Y4_RESPONSE))) < 1e-12
 
-    def test_forward_generated_coefficients_recovered(self):
+    @pytest.mark.parametrize("kind", list(ImpulseKind))
+    def test_forward_generated_response_recovered(self, kind):
+        # the impulse response of a polynomial filter, to each convention's
+        # own delta, gives back that filter's response
         rng = np.random.default_rng(6)
         g, basis = random_basis_graph(rng, 8, need_y0=True)
         p_true = rng.normal(size=8) + 1j * rng.normal(size=8)
-        filt = PolynomialFilter(p_true, Domain.VERTEX)
-        e0 = np.zeros(8)
-        e0[0] = 1.0
-        y = apply_filter(filt, g, basis, vertex(e0))
-        for kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_FLAT):
-            fam = impulse_family(g, basis, kind)
-            if kind is ImpulseKind.VERTEX_IMPULSIVE:
-                got = fit_filter(y, fam)
-                assert np.max(np.abs(got.coeffs - p_true)) < 1e-6
-            else:
-                # flat-family fit reproduces the response, not the raw coefficients
-                got = fit_filter(
-                    GraphSignal(fam.D @ p_true, Domain.VERTEX), fam
-                )
-                assert np.max(np.abs(got.coeffs - p_true)) < 1e-6
+        filt = PolynomialFilter(p_true, kind.domain)
+        delta0 = GraphSignal(impulse_family(g, basis, kind).D[:, 0], kind.domain)
+        got = fit_filter(apply_filter(filt, g, basis, delta0), kind, basis)
+        want = response(filt, basis)
+        assert got.domain is want.domain
+        assert np.max(np.abs(got.values - want.values)) < 1e-10 * np.max(np.abs(want.values))
 
-    def test_dense_and_spectral_routes_agree(self):
-        # a target in the other domain is fitted against D_hat, not D
+    def test_a_target_in_either_domain_gives_one_response(self):
+        # a target in the other domain is already transformed
         rng = np.random.default_rng(7)
         g, basis = random_basis_graph(rng, 6, need_y0=True)
         values = rng.normal(size=6) + 1j * rng.normal(size=6)
         for kind in ImpulseKind:
-            fam = impulse_family(g, basis, kind)
             y = GraphSignal(values, kind.domain)
-            other = gft_apply(basis, y)
-            dense = fit_filter(y, fam, FitMethod.DENSE)
-            other_fit = fit_filter(other, fam)
-            assert np.max(np.abs(dense.coeffs - other_fit.coeffs)) < 1e-6
+            own = fit_filter(y, kind, basis)
+            other = fit_filter(gft_apply(basis, y), kind, basis)
+            assert own.domain is other.domain is not kind.domain
+            assert np.max(np.abs(own.values - other.values)) < 1e-10 * np.max(np.abs(own.values))
 
     def test_singular_fit_names_the_broken_assumption(self):
         # distinct frequencies, but gft[:, 0] = igft[:, 0] = e_0 has zeros
@@ -244,31 +241,48 @@ class TestFitFilter:
             (ImpulseKind.VERTEX_IMPULSIVE, Domain.VERTEX, "y0"),
             (ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE, Domain.SPECTRAL, "igft[:, 0]"),
         ):
-            fam = impulse_family(g, basis, kind)
             with pytest.raises(SingularMatrixError) as err:
-                fit_filter(GraphSignal(np.ones(3), domain), fam)
+                fit_filter(GraphSignal(np.ones(3), domain), kind, basis)
             msg = str(err.value)
             assert f"min |{column}| = 0.00e+00" in msg and "repeated" not in msg
 
     @pytest.mark.parametrize("case", ["repeated", "distinct"])
-    def test_singular_fit_blames_repeated_eigenvalues_only_when_repeated(self, case):
+    def test_a_polynomial_target_is_accepted_and_filters_as_its_polynomial(self, case):
+        # the last column of D is the impulse response of shift ** (N - 1)
         if case == "repeated":
-            # star5 has the eigenvalue 0 three times
+            # star5 has the eigenvalue 0 three times; x ** 4 is 0 on all three
             g = build(GraphKind.STAR, 5)
             basis, kind = bundled_basis("star5", g), ImpulseKind.SPECTRAL_FLAT
         else:
             # smallest eigenvalue gap 0.32, min |y0| 0.18, cond(D) 4.0e15
             g, basis = random_basis_graph(np.random.default_rng(16), 16, need_y0=True)
             kind = ImpulseKind.VERTEX_IMPULSIVE
-        fam = impulse_family(g, basis, kind)
-        with pytest.raises(SingularMatrixError) as err:
-            fit_filter(GraphSignal(fam.D[:, -1], Domain.VERTEX), fam)
-        msg = str(err.value)
+        n = g.n
+        target = vertex(impulse_family(g, basis, kind).D[:, -1])
+        power = PolynomialFilter(np.eye(n)[-1], Domain.VERTEX)
+        resp, want = fit_filter(target, kind, basis), response(power, basis)
+        assert np.max(np.abs(resp.values - want.values)) < 1e-12 * np.max(np.abs(want.values))
+        x = vertex([1.0, 1j] @ np.random.default_rng(3).normal(size=(2, n)))
+        got = convolve(x, target, g, basis, fam_kind=kind).values
+        oracle = apply_filter(power, g, basis, x).values
+        assert np.max(np.abs(got - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("case", ["repeated", "distinct"])
+    def test_a_target_is_refused_only_when_no_polynomial_has_it(self, case):
+        # a random response splits star5's repeated eigenvalue 0; on distinct
+        # frequencies every response is a polynomial in the shift
         if case == "repeated":
-            assert "repeated eigenvalues" in msg
+            g = build(GraphKind.STAR, 5)
+            basis = bundled_basis("star5", g)
         else:
-            assert "repeated" not in msg and "Krylov (Vandermonde)" in msg
-            assert "condition number 4.0e+15" in msg
+            g, basis = random_basis_graph(np.random.default_rng(16), 16, need_y0=True)
+        target = vertex(np.random.default_rng(5).normal(size=g.n))
+        if case == "repeated":
+            with pytest.raises(SingularMatrixError) as err:
+                fit_filter(target, ImpulseKind.SPECTRAL_FLAT, basis)
+            assert "repeated eigenvalues" in str(err.value) and "indices [2, 3, 4]" in str(err.value)
+        else:
+            assert fit_filter(target, ImpulseKind.SPECTRAL_FLAT, basis).domain is Domain.SPECTRAL
 
 
 class TestConvolve:
@@ -284,8 +298,8 @@ class TestConvolve:
         assert np.max(np.abs(out.values - np.array([17, 19, 17, 7]))) < 1e-6
 
     def test_spectral_showcase_matches_brute_force(self):
-        # Three independent routes agree: the fitted spectral filter, the
-        # circular-convolution oracle, and the transform-product theorem.
+        # Three independent routes agree: convolve, the circular-convolution
+        # oracle, and the transform-product theorem written out by hand.
         g, basis = ring4()
         out = convolve(spectral(X4), spectral(Y4_RESPONSE), g, basis)
         oracle = circulant_convolve(np.array(X4, dtype=complex), np.array(Y4_RESPONSE))
@@ -307,10 +321,9 @@ class TestConvolve:
         for kind in ImpulseKind:
             own = kind.domain
             y = GraphSignal(values, own)
-            fam = impulse_family(g, basis, kind)
-            filt = fit_filter(y, fam, FitMethod.DENSE)
-            delta0 = GraphSignal(fam.D[:, 0], own)
-            out = apply_filter(filt, g, basis, delta0)
+            resp = fit_filter(y, kind, basis)
+            delta0 = GraphSignal(impulse_family(g, basis, kind).D[:, 0], own)
+            out = gft_apply(basis, modulate(resp, gft_apply(basis, delta0)))
             scale = max(1.0, np.max(np.abs(y.values)))
             assert np.max(np.abs(out.values - y.values)) < 1e-7 * scale
 
@@ -385,30 +398,43 @@ class TestDualities:
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 
-_BROKEN_FILTERS = {
-    "invalid JSON": "{not json",
-    "missing coeffs": '{"shift_domain": "A"}',
-    "unknown shift domain": '{"shift_domain": "B", "coeffs": [[1.0, 0.0]]}',
-    "shift domain in a list": '{"shift_domain": ["A"], "coeffs": [[1.0, 0.0]]}',
-    "shift domain an object": '{"shift_domain": {}, "coeffs": [[1.0, 0.0]]}',
-    "non-numeric entry": '{"shift_domain": "A", "coeffs": [[1.0, "x"]]}',
-    "entries not pairs": '{"shift_domain": "A", "coeffs": [1.0, 0.0]}',
-    "no coefficients": '{"shift_domain": "A", "coeffs": []}',
-}
+@functools.cache
+def _er(n):
+    g = er_digraph(np.random.default_rng(1), n)
+    return g, basis_from_graph(g)
 
 
-class TestFilterIO:
-    @pytest.mark.parametrize("case", sorted(_BROKEN_FILTERS))
-    def test_malformed_file(self, tmp_path, case):
-        path = tmp_path / "f.json"
-        path.write_text(_BROKEN_FILTERS[case])
-        with pytest.raises(ParseError):
-            read_filter(path)
+class TestConvolveAtSize:
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("n", [16, 64, 256, 800])
+    def test_identity_element_shift_equivariance_and_commutativity(self, n, domain):
+        # e0 * y = y, (S x) * y = S (x * y) and x * y = y * x, with S the
+        # shift of the domain (A or M), within N eps cond(V) / min|delta_hat|
+        g, basis = _er(n)
+        b = basis if domain is Domain.VERTEX else basis.dual
+        shift = g.adjacency if domain is Domain.VERTEX else spectral_shift(basis)
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
 
-    def test_roundtrip(self, tmp_path):
-        filt = PolynomialFilter([1.0, -2.0 + 0.5j], Domain.SPECTRAL)
-        path = tmp_path / "f.json"
-        write_filter(filt, path)
-        back = read_filter(path)
-        assert back.shift_domain is Domain.SPECTRAL
-        assert np.array_equal(back.coeffs, filt.coeffs)
+        def conv(a, c):
+            return convolve(GraphSignal(a, domain), GraphSignal(c, domain), g, basis).values
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        bound = n * np.finfo(float).eps * np.linalg.cond(basis.igft) / np.min(np.abs(b.gft[:, 0]))
+        xy = conv(x, y)
+        assert rel(conv(np.eye(n)[0], y), y) <= bound
+        assert rel(conv(shift @ x, y), shift @ xy) <= bound
+        assert rel(conv(y, x), xy) <= bound
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_the_cycle_at_1024_matches_the_fft(self, domain):
+        # on the DFT basis both domains convolve circularly
+        n = 1024
+        g, basis = build(GraphKind.RING, n), dft_basis(n)
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        got = convolve(GraphSignal(x, domain), GraphSignal(y, domain), g, basis).values
+        want = np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
+        assert np.linalg.norm(got - want) <= 100 * n * np.finfo(float).eps * np.linalg.norm(want)

@@ -13,7 +13,6 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     ParseError,
-    PolynomialFilter,
     build,
     bundled_basis,
     save_basis,
@@ -24,7 +23,6 @@ from gsptk import (
     write_plan,
     write_signal,
 )
-from gsptk.filters import read_filter, write_filter
 from gsptk.graphs import _from_packed, _from_pairs, _packed, _pairs
 
 
@@ -194,15 +192,12 @@ def _bits(values):
 )
 @example(values=[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)], domain=Domain.SPECTRAL)
 def test_signal_and_filter_files_round_trip_bit_for_bit(tmp_path_factory, values, domain):
-    # a signal in either domain, and a filter in either shift (A for VERTEX,
-    # M for SPECTRAL), comes back with its domain and every bit of its values
+    # a signal in either domain comes back with its domain and every bit of
+    # its values; a filter file is a signal file holding the response
     path = tmp_path_factory.mktemp("roundtrip")
     write_signal(GraphSignal(np.array(values), domain), path / "x.json")
     sig = read_signal(path / "x.json")
     assert sig.domain is domain and np.array_equal(_bits(sig.values), _bits(values))
-    write_filter(PolynomialFilter(values, domain), path / "p.json")
-    filt = read_filter(path / "p.json")
-    assert filt.shift_domain is domain and np.array_equal(_bits(filt.coeffs), _bits(values))
 
 
 def test_pair_codec_matches_a_per_value_loop():
@@ -258,9 +253,7 @@ def _example4_basis():
 
 _WRITERS = {
     "plan": lambda path: write_plan(vertex_plan(_example4_basis(), BandSpec((0, 1))), path),
-    "filter": lambda path: write_filter(
-        PolynomialFilter(np.array([1.0, 2.0]), Domain.VERTEX), path
-    ),
+    "signal": lambda path: write_signal(GraphSignal(np.array([1.0, 2.0]), Domain.SPECTRAL), path),
     "basis": lambda path: save_basis(_example4_basis(), path),
 }
 

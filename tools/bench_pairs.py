@@ -109,10 +109,9 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json at the repository root")
     parser.add_argument("--change", dest="what", required=True, help="one line on what the change does")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC the change claims to lower")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower; omit when it claims no gain")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"), help="e.g. 1-10 or 1,3,5")
     args = parser.parse_args(argv)
-    claim_workload, _, claim_metric = args.claim.partition(":")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     names, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
@@ -153,7 +152,7 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] for s in SIDES for r in runs[w][s]),
             "metrics": compare(runs[w]),
         }
-    record["claim"] = verdict(record, claim_workload, claim_metric)
+    record["claim"] = verdict(record, *args.claim.split(":", 1)) if args.claim else None
     record["runs"] = {w: {s: [{"seed": r["seed"], **{k: v["value"] for k, v in r["metrics"].items()}}
                               for r in runs[w][s]] for s in SIDES} for w in names}
     record["trace"] = {
@@ -164,7 +163,8 @@ def main(argv=None) -> int:
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}; claim met: {record['claim']['met']}", file=sys.stderr)
+    met = record["claim"]["met"] if args.claim else "no claim"
+    print(f"wrote {out}; claim met: {met}", file=sys.stderr)
     return 0
 
 
