@@ -11,9 +11,11 @@ complex either way.
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
 the lowest row index, so pivot patterns are reproducible bit-for-bit on
-identical inputs. Solves, whose result is only the solution, use LAPACK's
-partially pivoted LU. Both treat a pivot as zero when its magnitude is at or
-below ``PIVOT_TOL * max(|initial entries|)``.
+identical inputs. On a wide matrix whose leading square block is well
+conditioned, the singular values of that block prove the pattern (the
+leading columns) and the elimination loop does not run. Solves, whose result
+is only the solution, use LAPACK's partially pivoted LU. Both treat a pivot
+as zero when its magnitude is at or below ``PIVOT_TOL * max(|initial entries|)``.
 
 Every cut the library and the CLI commands apply is stated once, in the
 table below, relative to a stated norm of what it guards, so scaling a graph
@@ -124,8 +126,39 @@ def row_reduce(a) -> RowReduction:
     has rank 0 with every column free. Only the block below and right of
     each pivot is eliminated: the rows above a pivot are never searched
     again, so they cannot change the pattern.
+
+    A matrix with ``0 < r <= n`` rows is first tested without elimination:
+    when the smallest singular value of its leading block ``B = a[:, :r]``
+    exceeds ``2 * sqrt(r) * cut`` (``cut`` the zero cut above), the pattern
+    is the leading columns ``0..r-1``, rank ``r``. Proof: after ``j`` pivots
+    in columns ``0..j-1`` the rows still searched hold the Schur complement
+    ``S_j`` of a ``j x j`` block of ``P B``, for whatever row permutation
+    ``P`` the pivoting chose. ``S_j^-1`` is a block of ``(P B)^-1``, so
+    ``sigma_min(S_j) >= sigma_min(B)``, and the candidate pivot, the largest
+    magnitude in the first column of ``S_j``, is at least ``|S_j e_1|_2 /
+    sqrt(r) >= sigma_min(B) / sqrt(r) > 2 * cut``. The factor 2 covers
+    rounding under a growth assumption: the computed ``S_j`` is the exact
+    Schur complement of ``P (B + E)``, and every candidate stays above
+    ``cut`` while ``|E|_2 <= sqrt(r) * cut``. Wilkinson's worst case,
+    ``|E|_2`` about ``r^2 * g * eps * max|a|`` for the growth factor ``g``,
+    meets that while ``g < PIVOT_TOL / (r^1.5 * eps)``, 20 at r = 800; on
+    the sampling blocks of ER digraphs at N = 400 and 1600, ``g`` was at most
+    7.4 and ``|E|_2`` at most 5.6e-14 * max|a|. The factor is a proof
+    margin, not a cut: it decides only whether the loop runs. Tall and
+    empty matrices, and a block that fails the test, go to the loop.
     """
     r = as_cmatrix(a)
+    m, n = r.shape
+    if 0 < m <= n:
+        smallest = np.linalg.svd(r[:, :m], compute_uv=False)[-1]
+        if smallest > 2.0 * np.sqrt(m) * _zero_cut(r):
+            return RowReduction(tuple(range(m)), tuple(range(m, n)), m)
+    return _eliminate(r)
+
+
+def _eliminate(r: np.ndarray) -> RowReduction:
+    """``row_reduce``'s elimination loop on ``r``, a matrix from ``as_cmatrix``,
+    which it overwrites."""
     m, n = r.shape
     thresh = _zero_cut(r)
     pivot_cols: list[int] = []
@@ -184,17 +217,23 @@ def solve(a, b):
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``vectors`` with each nonzero column scaled to unit
+    norm and its first entry >= LEAD_TOL * max|col| made real and positive.
+    Norms and phases are taken one column at a time, the divisions on all
+    columns at once, with the bits of a column-by-column loop."""
     v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        col = col / nrm
-        mags = np.abs(col)
-        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
-        phase = col[lead] / abs(col[lead])
-        v[:, k] = col / phase
+    if not v.size:
+        return v
+    norms = np.array([np.linalg.norm(v[:, k]) for k in range(v.shape[1])])
+    zero = norms == 0.0
+    v /= np.where(zero, 1.0, norms).astype(np.complex128)  # cast once; the division is complex either way
+    mags = np.abs(v)
+    lead = np.argmax(mags >= LEAD_TOL * mags.max(axis=0), axis=0)
+    nz = np.flatnonzero(~zero)
+    phase = np.ones(v.shape[1], dtype=np.complex128)
+    phase[nz] = [z / abs(z) for z in v[lead[nz], nz]]
+    v /= phase
+    v[:, zero] = vectors[:, zero]  # a zero column comes back as given, signed zeros included
     return v
 
 
@@ -216,14 +255,17 @@ def eig(a) -> EigPair:
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
+    real = not a.imag.any()
     try:
-        values, vectors = scipy.linalg.eig(a if a.imag.any() else a.real)
+        values, vectors = scipy.linalg.eig(a.real if real else a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
         raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
-    vectors = _normalize_columns(vectors.astype(np.complex128))
+    vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
-    residual = np.max(np.abs(a @ vectors - vectors * values)) if n else 0.0
+    # a real shift times the interleaved [re, im] columns of the vectors: one real product
+    av = (a.real @ vectors.view(np.float64)).view(np.complex128) if real else a @ vectors
+    residual = np.max(np.abs(av - vectors * values)) if n else 0.0
     if residual > EIG_RESIDUAL_TOL * scale:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"

@@ -20,7 +20,11 @@ only in their selection rule, and recovery is one multiply and a scatter.
 
 Both selections use deterministic Gauss pivoting (largest magnitude, lowest
 index) so plans are reproducible; a caller-forced sampling indicator is
-accepted for reproducing published selections.
+accepted for reproducing published selections. On a generic band that
+pattern is the leading columns: the first K nodes kept by the spectral
+route, the first N-K dropped by the vertex route. ``numkit.row_reduce``
+proves it from the singular values of the leading block, and eliminates
+only when that proof fails (dependent or nearly dependent leading columns).
 """
 
 from __future__ import annotations
@@ -259,7 +263,10 @@ def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
     kept = plan.delta != 0
     x = np.empty(plan.n, dtype=np.complex128)
     x[kept] = x_s
-    x[~kept] = plan.S @ x_s
+    if plan.S.dtype == np.float64:  # a real S times the [re, im] rows of the samples
+        x[~kept] = (plan.S @ x_s.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    else:
+        x[~kept] = plan.S @ x_s
     return GraphSignal(x, Domain.VERTEX)
 
 

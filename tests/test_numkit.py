@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from gsptk import (
     BadSizeError,
@@ -20,7 +23,8 @@ from gsptk import (
     matrix_from_response,
     vandermonde,
 )
-from gsptk.numkit import as_cmatrix, as_cvector, eig, row_reduce, solve
+from gsptk import numkit
+from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -97,6 +101,67 @@ class TestRowReduce:
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteError):
             row_reduce(np.array([[np.nan, 1.0]]))
+
+
+def _eliminated(a) -> numkit.RowReduction:
+    return numkit._eliminate(as_cmatrix(a))
+
+
+class TestSingularValueProof:
+    """``row_reduce`` returns the leading columns, without elimination, when
+    the smallest singular value of the leading block exceeds ``2 sqrt(r) cut``."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=80)
+    @given(seed=st.integers(0, 2**16), r=st.integers(1, 8), extra=st.integers(0, 8),
+           factor=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]))
+    def test_equals_the_elimination_loop(self, seed, r, extra, factor):
+        # a wide complex matrix: a leading block with singular values 1, ...,
+        # 1, factor * 2 sqrt(r) * cut (factor 0: a planted dependent column),
+        # then columns that are, at random, fresh, zero or dependent
+        rng = np.random.default_rng(seed)
+        rest = _planted(rng, r, r + extra)[:, r:]
+        if np.abs(rest).max(initial=0.0) > 0:
+            rest /= np.abs(rest).max()  # max|rest| = 1 >= max|block|, so cut = PIVOT_TOL
+        u, _, vh = np.linalg.svd(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+        sv = np.ones(r)
+        sv[-1] = factor * 2 * np.sqrt(r) * PIVOT_TOL
+        block = (u * sv) @ vh  # every entry <= 1 in modulus, up to rounding
+        if factor == 0.0 and r > 1:
+            block[:, -1] = block[:, :-1] @ (rng.normal(size=r - 1) + 1j * rng.normal(size=r - 1))
+        a = np.hstack([block, rest])
+        want = _eliminated(a)
+        with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
+            got = row_reduce(a)
+        assert got == want
+        cut = numkit._zero_cut(a)
+        proved = np.linalg.svd(a[:, :r], compute_uv=False)[-1] > 2 * np.sqrt(r) * cut
+        assert loop.called == (not proved)
+        if factor >= 2.0:  # well above the rounding of the prescribed value
+            assert proved and got.pivot_cols == tuple(range(r))
+
+    def test_pivots_by_modulus_where_lapack_would_not(self):
+        # zgetrf picks its pivot by |Re| + |Im| (izamax): 2 > 1.5 makes it keep
+        # row 0, while the modulus rule picks row 1 (1.5 > sqrt(2)); an LU could
+        # therefore not stand in for the loop's choices
+        a = np.array([[1 + 1j, 0], [1.5, 1]])
+        _, piv = scipy.linalg.lu_factor(a)
+        assert piv[0] == 0 and int(np.argmax(np.abs(a[:, 0]))) == 1
+        assert row_reduce(a) == _eliminated(a) == numkit.RowReduction((0, 1), (), 2)
+
+    def test_an_exactly_singular_leading_block_falls_back_without_a_warning(self):
+        a = np.array([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 3.0], [1.0, 2.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
+                red = row_reduce(a)
+        assert loop.called
+        assert red == _eliminated(a) == numkit.RowReduction((0, 2, 3), (1,), 3)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 2), (3, 3)])
+    def test_tall_empty_and_zero_matrices_run_the_loop(self, shape):
+        with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
+            red = row_reduce(np.zeros(shape))
+        assert loop.called and red.rank == 0 and red.free_cols == tuple(range(shape[1]))
 
 
 def test_validation_errors_are_typed_value_errors():
@@ -224,3 +289,55 @@ class TestEig:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eig(np.zeros((2, 3)))
+
+
+def _normalize_columns_loop(vectors):
+    """The column-by-column loop ``numkit._normalize_columns`` replaces."""
+    v = vectors.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nrm = np.linalg.norm(col)
+        if nrm == 0.0:
+            continue
+        col = col / nrm
+        mags = np.abs(col)
+        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
+        phase = col[lead] / abs(col[lead])
+        v[:, k] = col / phase
+    return v
+
+
+class TestNormalizeColumns:
+    def _check(self, v):
+        got = numkit._normalize_columns(v)
+        want = _normalize_columns_loop(v)
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 256])
+    def test_bit_identical_to_the_loop_on_eigenvectors(self, n):
+        rng = np.random.default_rng(n)
+        a = (rng.random((n, n)) < 0.55).astype(float)
+        np.fill_diagonal(a, 0.0)
+        for m in (a, a * np.exp(2j * np.pi * rng.random((n, n)))):
+            _, vectors = scipy.linalg.eig(m)  # Fortran-ordered, as eig passes them
+            self._check(vectors.astype(np.complex128))
+
+    def test_zero_columns_and_leads_just_under_the_cut(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
+        v[:, 1] = 0.0
+        v[:, 5] = complex(-0.0, 0.0)  # a zero column keeps its signed zeros
+        for k, rows in ((2, 1), (3, 3), (6, 8)):  # the first `rows` entries sit just under the cut
+            v[:, k] /= np.abs(v[:, k]).max()
+            v[-1, k] = 2.0
+            v[:rows, k] *= LEAD_TOL * (1 - 1e-6) * 2.0 / np.abs(v[:rows, k]).max()
+        v[:, 7] /= np.abs(v[:, 7]).max()
+        v[0, 7] = LEAD_TOL  # exactly at the cut: it leads
+        got = numkit._normalize_columns(v)
+        assert np.all(got[:, [1, 5]] == 0)
+        for k, lead in ((2, 1), (3, 3), (6, 8), (7, 0)):
+            assert got[lead, k].imag == 0 < got[lead, k].real
+        self._check(v)
+        self._check(np.zeros((3, 2), dtype=np.complex128))
+        self._check(np.zeros((0, 0), dtype=np.complex128))
