@@ -217,23 +217,17 @@ def solve(a, b):
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of ``vectors`` with each nonzero column scaled to unit
-    norm and its first entry >= LEAD_TOL * max|col| made real and positive.
-    Norms and phases are taken one column at a time, the divisions on all
-    columns at once, with the bits of a column-by-column loop."""
     v = vectors.copy()
-    if not v.size:
-        return v
-    norms = np.array([np.linalg.norm(v[:, k]) for k in range(v.shape[1])])
-    zero = norms == 0.0
-    v /= np.where(zero, 1.0, norms).astype(np.complex128)  # cast once; the division is complex either way
-    mags = np.abs(v)
-    lead = np.argmax(mags >= LEAD_TOL * mags.max(axis=0), axis=0)
-    nz = np.flatnonzero(~zero)
-    phase = np.ones(v.shape[1], dtype=np.complex128)
-    phase[nz] = [z / abs(z) for z in v[lead[nz], nz]]
-    v /= phase
-    v[:, zero] = vectors[:, zero]  # a zero column comes back as given, signed zeros included
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nrm = np.linalg.norm(col)
+        if nrm == 0.0:
+            continue
+        col = col / nrm
+        mags = np.abs(col)
+        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
+        phase = col[lead] / abs(col[lead])
+        v[:, k] = col / phase
     return v
 
 

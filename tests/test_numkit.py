@@ -16,6 +16,7 @@ from gsptk import (
     NonFiniteError,
     PolynomialFilter,
     SingularMatrixError,
+    basis_from_graph,
     build,
     bundled_basis,
     circulant_convolve,
@@ -25,6 +26,8 @@ from gsptk import (
 )
 from gsptk import numkit
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
+
+from util import er_digraph
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -107,6 +110,15 @@ def _eliminated(a) -> numkit.RowReduction:
     return numkit._eliminate(as_cmatrix(a))
 
 
+def _node_0_sends_nothing(n):
+    """An ER digraph whose node 0 sends to no one, so every left eigenvector
+    with a nonzero eigenvalue vanishes there: column 0 of the vertex route's
+    matrix is zero when the eigenvalue 0 is in the band."""
+    a = er_digraph(np.random.default_rng(1), n).adjacency.copy()
+    a[:, 0] = 0.0
+    return Graph(a)
+
+
 class TestSingularValueProof:
     """``row_reduce`` returns the leading columns, without elimination, when
     the smallest singular value of the leading block exceeds ``2 sqrt(r) cut``."""
@@ -156,6 +168,20 @@ class TestSingularValueProof:
                 red = row_reduce(a)
         assert loop.called
         assert red == _eliminated(a) == numkit.RowReduction((0, 2, 3), (1,), 3)
+
+    @pytest.mark.parametrize("graph, loops", [
+        (er_digraph(np.random.default_rng(1), 400), (False, False)),  # r = 200, where growth could matter
+        (_node_0_sends_nothing(64), (True, False)),
+    ], ids=["er400", "er64-node-0-sends-nothing"])
+    def test_equals_the_loop_on_both_selection_matrices_of_a_graph(self, graph, loops):
+        basis = basis_from_graph(graph)
+        k = graph.n // 2
+        for m, runs_loop in zip((basis.gft[k:, :], basis.igft[:, :k].T), loops):  # vertex, spectral route
+            with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
+                got = row_reduce(m)
+            assert loop.called == runs_loop
+            assert got == _eliminated(m)
+            assert (got.pivot_cols[0] == 0) != runs_loop  # where the loop runs, it skips column 0
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 2), (3, 3)])
     def test_tall_empty_and_zero_matrices_run_the_loop(self, shape):
@@ -291,38 +317,7 @@ class TestEig:
             eig(np.zeros((2, 3)))
 
 
-def _normalize_columns_loop(vectors):
-    """The column-by-column loop ``numkit._normalize_columns`` replaces."""
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        col = col / nrm
-        mags = np.abs(col)
-        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
-        phase = col[lead] / abs(col[lead])
-        v[:, k] = col / phase
-    return v
-
-
 class TestNormalizeColumns:
-    def _check(self, v):
-        got = numkit._normalize_columns(v)
-        want = _normalize_columns_loop(v)
-        assert got.flags.c_contiguous and got.dtype == np.complex128
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 7, 60, 256])
-    def test_bit_identical_to_the_loop_on_eigenvectors(self, n):
-        rng = np.random.default_rng(n)
-        a = (rng.random((n, n)) < 0.55).astype(float)
-        np.fill_diagonal(a, 0.0)
-        for m in (a, a * np.exp(2j * np.pi * rng.random((n, n)))):
-            _, vectors = scipy.linalg.eig(m)  # Fortran-ordered, as eig passes them
-            self._check(vectors.astype(np.complex128))
-
     def test_zero_columns_and_leads_just_under_the_cut(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
@@ -335,9 +330,9 @@ class TestNormalizeColumns:
         v[:, 7] /= np.abs(v[:, 7]).max()
         v[0, 7] = LEAD_TOL  # exactly at the cut: it leads
         got = numkit._normalize_columns(v)
-        assert np.all(got[:, [1, 5]] == 0)
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        assert got[:, [1, 5]].tobytes() == v[:, [1, 5]].tobytes()
+        nonzero = [0, 2, 3, 4, 6, 7]
+        np.testing.assert_allclose(np.linalg.norm(got[:, nonzero], axis=0), 1.0, rtol=1e-15)
         for k, lead in ((2, 1), (3, 3), (6, 8), (7, 0)):
             assert got[lead, k].imag == 0 < got[lead, k].real
-        self._check(v)
-        self._check(np.zeros((3, 2), dtype=np.complex128))
-        self._check(np.zeros((0, 0), dtype=np.complex128))

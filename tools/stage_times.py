@@ -1,22 +1,22 @@
 """Time the stages of ``gsptk sample`` from two checkouts and write BENCH_<label>.json.
 
-    python3 tools/stage_times.py PARENT CHANGE --label NAME --change "what changed" \
-        --sizes 400,1600 --runs 5
+    python3 tools/stage_times.py PARENT CHANGE --label NAME --change "what changed"
 
 PARENT and CHANGE are checkouts, each with ``src/gsptk`` and ``perfbench/``.
 Each run is a fresh process with one BLAS thread that imports ``gsptk``
 from one checkout, builds ``perfbench/workloads.band_graph(default_rng([1,
-1]), n)`` with its band of K indices 0..K-1, writes it with the
+1]), n)``, for n in SIZES, with its band of K indices 0..K-1, writes it with the
 benchmark's graph writer, and times, once each and in this order:
 ``read_graph``, ``numkit.eig`` of the adjacency, ``basis_from_graph``,
 ``numkit.row_reduce`` of the out-of-band GFT rows (the vertex route's
 selection matrix) and of the band columns of the inverse GFT, transposed
 (the spectral route's), ``vertex_plan``, ``spectral_plan`` and
-``write_plan`` of the spectral plan. The two checkouts alternate, the parent
-first on even runs. The record is ``tools/bench_pairs.py``'s: per size and
-stage, each side's median and quartiles over its runs, the change's
-relative difference of the medians and how many pairs the change read lower
-or higher, plus the host and every run's times.
+``write_plan`` of the spectral plan. Each checkout runs RUNS times per
+size, the two alternating, the parent first on even runs. The record is
+``tools/bench_pairs.py``'s: per size and stage, each side's median and
+quartiles over its runs, the change's relative difference of the medians
+and how many pairs the change read lower or higher, plus the host and every
+run's times.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from bench_pairs import SIDES, compare
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SIZES = (400, 1600)  # the benchmark's size and the north star's
+RUNS = 5  # per side and size: the fewest a BENCH_<label>.json median may rest on
 
 
 def stages(checkout: Path, n: int) -> dict:
@@ -87,11 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json at the repository root")
     parser.add_argument("--change", dest="what", required=True, help="one line on what the change does")
-    parser.add_argument("--sizes", default="400,1600", help="comma-separated graph sizes")
-    parser.add_argument("--runs", type=int, default=5, help="runs per side and size (at least 5)")
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     record = {
@@ -111,16 +109,16 @@ def main(argv=None) -> int:
         "workloads": {},
         "runs": {},
     }
-    for n in (int(s) for s in args.sizes.split(",")):
+    for n in SIZES:
         runs = {side: [] for side in SIDES}
-        for i in range(args.runs):
+        for i in range(RUNS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 result = run_once(checkouts[side], n)
                 runs[side].append(result)
                 shown = {k: round(v["value"], 1) for k, v in result["metrics"].items()}
                 print(f"n={n} run {i} {side}: {shown}", file=sys.stderr, flush=True)
         name = f"band_graph_{n}"
-        record["workloads"][name] = {"n": n, "k": runs["change"][0]["k"], "pairs": args.runs,
+        record["workloads"][name] = {"n": n, "k": runs["change"][0]["k"], "pairs": RUNS,
                                      "metrics": compare(runs)}
         record["runs"][name] = {s: [{k: round(v["value"], 3) for k, v in r["metrics"].items()}
                                     for r in runs[s]] for s in SIDES}
