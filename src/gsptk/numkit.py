@@ -143,9 +143,11 @@ def row_reduce(a) -> RowReduction:
     ``|E|_2`` about ``r^2 * g * eps * max|a|`` for the growth factor ``g``,
     meets that while ``g < PIVOT_TOL / (r^1.5 * eps)``, 20 at r = 800; on
     the sampling blocks of ER digraphs at N = 400 and 1600, ``g`` was at most
-    7.4 and ``|E|_2`` at most 5.6e-14 * max|a|. The factor is a proof
-    margin, not a cut: it decides only whether the loop runs. Tall and
-    empty matrices, and a block that fails the test, go to the loop.
+    7.4 and ``|E|_2`` at most 5.6e-14 * max|a|. Past that growth the loop
+    could call a candidate zero and return another pattern than this test.
+    The factor is a proof margin, not a cut: it decides only whether the
+    loop runs. Tall and empty matrices, and a block that fails the test, go
+    to the loop.
     """
     r = as_cmatrix(a)
     m, n = r.shape
