@@ -76,6 +76,11 @@ def _example4() -> tuple[Graph, spectral.SpectralBasis]:
 # by file stem. _cmd_demo writes every file, so a demo that raises leaves none.
 
 
+def _fixed_size(name: str, n: int) -> None:
+    if n:
+        raise BadSizeError(f"demo {name} has a fixed size and takes no --n, got {n}")
+
+
 def _demo_ring_shift(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 4
     graph = build(GraphKind.RING, n)
@@ -88,6 +93,7 @@ def _demo_ring_shift(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
+    _fixed_size("star_m", n)
     graph = build(GraphKind.STAR, 5)
     basis = spectral.bundled_basis("star5", graph)
     m = spectral.spectral_shift(basis)
@@ -104,6 +110,7 @@ def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_example4_vertex(n: int, seed: int) -> tuple[Checks, dict, dict]:
+    _fixed_size("example4_vertex", n)
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.vertex_plan(basis, band)
@@ -127,6 +134,7 @@ def _demo_example4_vertex(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_example4_spectral(n: int, seed: int) -> tuple[Checks, dict, dict]:
+    _fixed_size("example4_spectral", n)
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.spectral_plan(basis, band, forced_delta=_REF4_DELTA)
@@ -173,6 +181,7 @@ def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
+    _fixed_size("replication_compare", n)
     graph, basis = _example4()
     xhat = GraphSignal(np.array([1.0, 2.0, 0.0, 0.0]), Domain.SPECTRAL)
     rep = dspcompat.replication_compare(basis, xhat, 2)
@@ -243,9 +252,9 @@ def _demo_path_signals(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    n = 4
-    graph = build(GraphKind.RING, n)
-    basis = dspcompat.dft_basis(n)
+    _fixed_size("convolution", n)
+    graph = build(GraphKind.RING, 4)
+    basis = dspcompat.dft_basis(4)
     x = GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain.VERTEX)
     y = GraphSignal(np.array([-1.0, 1.0, 2.0, 4.0]), Domain.VERTEX)
     vert = filters.convolve(x, y, graph, basis)
@@ -269,8 +278,8 @@ def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
         got = filters.convolve(
             GraphSignal(a, Domain.VERTEX), GraphSignal(b, Domain.VERTEX), graph, basis
         ).values
@@ -371,14 +380,6 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-_IMPULSE_CHOICES = {
-    ("vertex", "vertex"): ImpulseKind.VERTEX_IMPULSIVE,
-    ("vertex", "flat"): ImpulseKind.SPECTRAL_FLAT,
-    ("spectral", "vertex"): ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE,
-    ("spectral", "flat"): ImpulseKind.SPECTRAL_DOMAIN_FLAT,
-}
-
-
 def _cmd_convolve(args) -> int:
     graph = read_graph(args.graph)
     x = read_signal(args.x)
@@ -386,7 +387,7 @@ def _cmd_convolve(args) -> int:
     if args.domain:
         x.require(Domain(args.domain))
     basis = _load_basis_for(graph, args)
-    kind = _IMPULSE_CHOICES[(x.domain.value, args.impulse)]
+    kind = ImpulseKind.of(x.domain, impulsive=args.impulse == "vertex")
     resp = filters.fit_filter(y, kind, basis)
     result = spectral.gft_apply(basis, filters.modulate(resp, spectral.gft_apply(basis, x)))
     signal_path, filter_path = _with_suffixes(args.out, ".signal.json", ".filter.json")

@@ -134,14 +134,13 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
     t = _check_length(target.values, b.n)
     t_hat = b.gft @ t if target.domain is kind.domain else t
     report = check_assumptions(b)
-    impulsive = kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
-    if impulsive and not report.y0_nonzero:
+    if kind.impulsive and not report.y0_nonzero:
         column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
         raise SingularMatrixError(
             f"the first {column} column has (near-)zero entries "
             f"(min |{name}| = {report.min_abs_y0:.2e}), which this impulse convention cannot tolerate"
         )
-    delta_hat = b.gft[:, 0] if impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
+    delta_hat = b.gft[:, 0] if kind.impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
     resp = t_hat / delta_hat
     if not report.distinct:
         close = np.abs(b.lam[:, None] - b.lam[None, :]) <= numkit._gap_cut(b.lam)
@@ -175,11 +174,7 @@ def convolve(
     delta e_0 of x's domain and must live in that domain.
     """
     if fam_kind is None:
-        fam_kind = (
-            ImpulseKind.VERTEX_IMPULSIVE
-            if x.domain is Domain.VERTEX
-            else ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE
-        )
+        fam_kind = ImpulseKind.of(x.domain, impulsive=True)
     if fam_kind.domain is not x.domain:
         raise DomainMismatchError(
             f"impulse kind {fam_kind.value} does not live in the {x.domain.value} domain"

@@ -15,8 +15,8 @@ delta, to turn an impulse response into its frequency response
 are kept as the paper's objects. A spectral-domain family is the same construction on the spectral graph G_s:
 its deltas are shifted by the spectral shift M and transformed with
 ``basis.dual``. Each ``ImpulseKind`` states its domain once, as
-``ImpulseKind.domain``; the family's transform ``D_hat`` covers the opposite
-domain.
+``ImpulseKind.domain``, and its convention once, as ``ImpulseKind.impulsive``;
+the family's transform ``D_hat`` covers the opposite domain.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ class ImpulseKind(enum.Enum):
         """The domain the family's deltas and their shifts live in."""
         vertex = self in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_FLAT)
         return Domain.VERTEX if vertex else Domain.SPECTRAL
+
+    @property
+    def impulsive(self) -> bool:
+        """True for the delta e_0, False for the delta whose transform is flat."""
+        return self in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
+
+    @classmethod
+    def of(cls, domain: Domain, impulsive: bool) -> ImpulseKind:
+        """The kind whose deltas live in ``domain`` and are impulsive or flat."""
+        return next(k for k in cls if k.domain is domain and k.impulsive == impulsive)
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
         raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {n}")
     vertex = kind.domain is Domain.VERTEX
     b = basis if vertex else basis.dual
-    if kind in (ImpulseKind.VERTEX_IMPULSIVE, ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE):
+    if kind.impulsive:
         start = np.zeros(n, dtype=np.complex128)
         start[0] = 1.0
     else:  # the delta whose transform into the other domain is flat

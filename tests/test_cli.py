@@ -18,6 +18,7 @@ from gsptk import (
     write_graph,
     write_signal,
 )
+from gsptk import cli
 from gsptk.cli import DEMO_NAMES, build_parser, main
 from util import er_digraph, random_basis_graph
 
@@ -550,6 +551,7 @@ _BROKEN_PLANS = {
     "band not ascending": _with("band", [1, 0]),
     "band not integers": _with("band", [0.7, 1.2]),
     "band booleans": _with("band", [False, True]),
+    "band index out of range": _with("band", [0, 4]),
     "delta with a boolean": _with("delta", [0, True, 0, 1]),
     "cond a boolean": _with("cond", True),
     "version true": _version2(_with("version", True)),
@@ -727,6 +729,13 @@ def _sample_on_a_noise_block(tmp_path):
             "--delta", "1,0,1,1,1,1", "--out", tmp_path / "run"]
 
 
+def _recover_against_a_larger_graph(tmp_path):
+    plan_path, samples_path = _sample_example4(tmp_path, "vertex")
+    graph_path = tmp_path / "ring5.json"
+    write_graph(build(GraphKind.RING, 5), graph_path)
+    return ["recover", plan_path, samples_path, "--graph", graph_path, "--out", tmp_path / "rec.json"]
+
+
 def _out_dir_is_a_file(tmp_path):
     path = tmp_path / "out"
     path.write_text("")
@@ -752,6 +761,16 @@ _BAD_ARGUMENTS = {
     "negative band index": (lambda p: _sample_with_band(p, "-1,0"), "must be nonnegative"),
     "repeated band index": (lambda p: _sample_with_band(p, "0,0"), "strictly ascending and unique"),
     "empty band": (lambda p: _sample_with_band(p, ","), "must be nonempty"),
+    "band index out of range": (
+        lambda p: _sample_with_band(p, "0,9"), "band index 9 out of range for size 4"
+    ),
+    "band not integers": (lambda p: _sample_with_band(p, "a,b"), "cannot parse band 'a,b'"),
+    "delta not integers": (
+        lambda p: _sample_with_band(p, "0,1", "--delta", "x,1"), "cannot parse indicator 'x,1'"
+    ),
+    "graph larger than the plan": (
+        _recover_against_a_larger_graph, "plan has 4 nodes but the graph has 5"
+    ),
     "short delta": (
         lambda p: _sample_with_band(p, "0,1", "--delta", "0,1,0"),
         "delta must be a 0/1 vector of length 4",
@@ -793,13 +812,35 @@ def test_gsp_out_dir_is_read_when_a_demo_runs(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
 
 
-@pytest.mark.parametrize(
-    "name, size", [("ring_shift", "1"), ("path_signals", "3"), ("dsp_block_sampling", "-3")]
-)
+_REJECTED_DEMOS = {
+    ("ring_shift", "1"): "ring graph needs n >= 2, got 1",
+    ("path_signals", "3"): "path demo needs an even node count",
+    ("dsp_block_sampling", "-3"): "dsp_block_sampling needs n >= 1, got -3",
+    # the five fixed-size demos refuse any size rather than ignore it
+    ("star_m", "3"): "demo star_m has a fixed size",
+    ("example4_vertex", "9"): "demo example4_vertex has a fixed size",
+    ("example4_spectral", "4"): "demo example4_spectral has a fixed size",
+    ("replication_compare", "5"): "demo replication_compare has a fixed size",
+    ("convolution", "8"): "demo convolution has a fixed size",
+}
+
+
+@pytest.mark.parametrize("name, size", list(_REJECTED_DEMOS))
 def test_a_rejected_demo_leaves_no_directory(tmp_path, capsys, name, size):
     assert run(["--out-dir", tmp_path / "out", "demo", name, "--n", size]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _REJECTED_DEMOS[name, size] in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_demo_assertion_exits_1_and_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_REF_CONV_VERTEX", cli._REF_CONV_VERTEX + 1)
+    assert run(["--out-dir", tmp_path, "demo", "convolution"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "demo convolution failed at assertion: vertex_convolution\n"
+    assert "[FAIL] convolution: vertex_convolution" in out
+    report = json.loads((tmp_path / "convolution" / "report.json").read_text())
+    assert [a["name"] for a in report["assertions"] if not a["passed"]] == ["vertex_convolution"]
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))

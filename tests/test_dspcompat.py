@@ -89,6 +89,10 @@ class TestNyquistRecover:
         rec = nyquist_recover(GraphSignal(vals, Domain.SPECTRAL), 3)
         assert np.max(np.abs(rec.values - vals)) < 1e-15
 
+    def test_non_divisor_rejected(self):
+        with pytest.raises(NotDivisibleError, match="n=4 k=3"):
+            nyquist_recover(GraphSignal(np.ones(4), Domain.SPECTRAL), 3)
+
     def test_matches_spectral_recovery_on_the_cycle(self):
         rng = np.random.default_rng(1)
         n, k = 12, 4

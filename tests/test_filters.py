@@ -4,6 +4,7 @@ import pytest
 import functools
 
 from gsptk import (
+    DimensionMismatchError,
     Domain,
     Graph,
     GraphKind,
@@ -194,6 +195,10 @@ class TestModulate:
         with pytest.raises(DomainMismatchError):
             modulate(vertex(X4), spectral(X4))
 
+    def test_length_guard(self):
+        with pytest.raises(DimensionMismatchError, match="differ in length"):
+            modulate(vertex(X4), vertex(X4[:3]))
+
 
 class TestFitFilter:
     # the fit is the inverse of response(): it returns the response of the
@@ -362,8 +367,6 @@ class TestConvolve:
 
     @pytest.mark.parametrize("kind", list(ImpulseKind))
     def test_a_basis_of_another_size_is_a_dimension_error(self, kind):
-        from gsptk import DimensionMismatchError
-
         g = build(GraphKind.RING, 5)
         x = GraphSignal(np.ones(5), kind.domain)
         for call in (lambda: impulse_family(g, dft_basis(4), kind),

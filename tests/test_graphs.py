@@ -128,6 +128,12 @@ class TestGraphIO:
                 read_graph(path)
             assert "line 1, field 2" in str(err.value)
 
+    def test_empty_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            read_graph(path)
+
     @pytest.mark.parametrize("name", ["none.csv", "none.json"])
     def test_missing_file_is_file_not_found(self, tmp_path, name):
         with pytest.raises(FileNotFoundError):

@@ -584,6 +584,11 @@ class TestInfeasible:
         with pytest.raises(InfeasibleError):
             plan_fn(basis, BandSpec((0,)), forced_delta=np.array([0, 1, 0]))
 
+    def test_even_sampling_aliases_the_cycle(self):
+        # the even train on the 4-cycle folds frequency 2 onto frequency 0
+        with pytest.raises(InfeasibleError, match=r"rank deficient \(1 < 2\)"):
+            recovery_block(dft_basis(4), [1, 0, 1, 0], BandSpec((0, 2)))
+
 
 class TestDomainAgreement:
     def test_recoveries_agree_when_deltas_coincide(self):

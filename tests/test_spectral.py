@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsptk import (
+    DimensionMismatchError,
     Domain,
     Graph,
     GraphKind,
@@ -252,6 +253,11 @@ class TestRescaling:
         with pytest.raises(ZeroScaleError):
             rescale_basis(basis, [1.0, 0.0, 1.0, 1.0])
 
+    def test_short_scale_rejected(self):
+        _, basis = example4()
+        with pytest.raises(DimensionMismatchError, match="scale length 2 != basis size 4"):
+            rescale_basis(basis, [1.0, 2.0])
+
 
 class TestStructuralEqual:
     def test_self(self):
@@ -282,7 +288,5 @@ class TestStructuralEqual:
         assert not structural_equal(ring, spectral_shift(basis))
 
     def test_dimension_mismatch(self):
-        from gsptk import DimensionMismatchError
-
         with pytest.raises(DimensionMismatchError):
             structural_equal(np.eye(2), np.eye(3))
