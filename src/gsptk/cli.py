@@ -220,7 +220,7 @@ def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
 def _demo_path_signals(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 100
     if n % 2:
-        raise GsptkError("path demo needs an even node count")
+        raise BadSizeError(f"path_signals needs an even n, got {n}")
     graph = build(GraphKind.PATH, n)
     basis = spectral.basis_from_graph(graph)
     rng = np.random.default_rng(seed)

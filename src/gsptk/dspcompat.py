@@ -102,7 +102,8 @@ def replication_compare(
     blocks, no decimation) tiles the leading n/factor spectral entries. Its
     inverse DFT is a genuinely decimated time signal; its inverse GFT on a
     non-cycle graph generally has no zeros at all, which ``zero_count``
-    (entries below ``numkit.REPLICATION_ZERO_TOL`` of the peak) makes visible.
+    (entries at or below ``numkit``'s zero cut, ``PIVOT_TOL`` times the
+    largest) makes visible.
     """
     vec = xhat.require(Domain.SPECTRAL)
     n = vec.shape[0]
@@ -112,6 +113,5 @@ def replication_compare(
     replicated = np.tile(vec.reshape(factor, block).sum(axis=0), factor)
     via_gft = basis.igft @ replicated
     via_dft = dft_basis(n).igft @ replicated
-    peak = max(float(np.max(np.abs(via_gft))), np.finfo(float).tiny)
-    zero_count = int(np.sum(np.abs(via_gft) < numkit.REPLICATION_ZERO_TOL * peak))
+    zero_count = int(np.sum(np.abs(via_gft) <= numkit._zero_cut(via_gft)))
     return ReplicationReport(replicated, via_gft, via_dft, zero_count)

@@ -15,7 +15,8 @@ identical inputs. On a wide matrix whose leading square block is well
 conditioned, the singular values of that block prove the pattern (the
 leading columns) and the elimination loop does not run. Solves, whose result
 is only the solution, use LAPACK's partially pivoted LU. Both treat a pivot
-as zero when its magnitude is at or below ``PIVOT_TOL * max(|initial entries|)``.
+as zero at or below ``PIVOT_TOL * max(|initial entries|)``, except in the
+solve of a sampling block, which its singular values have already judged.
 
 Every cut the library and the CLI commands apply is stated once, in the
 table below, relative to a stated norm of what it guards, so scaling a graph
@@ -25,10 +26,9 @@ or a signal changes no verdict. The demos' assertion tolerances stay there.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NonFiniteError, NotConvergedError, SingularMatrixError
 
@@ -51,13 +51,9 @@ LEAD_TOL = 1e-8
 IDENTITY_TOL = 1e-8
 # explicit bases: the shift is reconstructed to EXPLICIT_RECON_TOL * max|A|
 EXPLICIT_RECON_TOL = 1e-6
-# band_project default: out-of-band magnitudes must not exceed BAND_TOL * max|xhat|
-BAND_TOL = 1e-8
 # cli sample: the band guard is BAND_GUARD_REL * max|xhat|, loose enough for
 # reference data stored at print precision
 BAND_GUARD_REL = 5e-3
-# replication_compare: an entry below REPLICATION_ZERO_TOL * max|entry| counts as zero
-REPLICATION_ZERO_TOL = 1e-6
 
 
 __all__ = [
@@ -95,12 +91,14 @@ class RowReduction:
     """The pivot pattern of Gauss elimination.
 
     ``pivot_cols`` and ``free_cols`` are ascending and partition the column
-    index set; ``rank == len(pivot_cols)``.
+    index set; ``rank == len(pivot_cols)``. ``singular_values``: the leading
+    block's, when they proved the pattern (``row_reduce``); not compared.
     """
 
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
     rank: int
+    singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,9 @@ def row_reduce(a) -> RowReduction:
     r = as_cmatrix(a)
     m, n = r.shape
     if 0 < m <= n:
-        smallest = np.linalg.svd(r[:, :m], compute_uv=False)[-1]
-        if smallest > 2.0 * np.sqrt(m) * _zero_cut(r):
-            return RowReduction(tuple(range(m)), tuple(range(m, n)), m)
+        sv = np.linalg.svd(r[:, :m], compute_uv=False)
+        if sv[-1] > 2.0 * np.sqrt(m) * _zero_cut(r):
+            return RowReduction(tuple(range(m)), tuple(range(m, n)), m, sv)
     return _eliminate(r)
 
 
@@ -200,22 +198,26 @@ def solve(a, b):
     rhs = as_cmatrix(rhs[:, None] if vector_rhs else rhs, "rhs")
     if rhs.shape[0] != n:
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
-    if n == 0:
-        x = rhs
-    else:
-        with warnings.catch_warnings():
-            # an exactly zero pivot is reported below as SingularMatrixError
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-        pivots = np.abs(np.diagonal(lu))
-        thresh = _zero_cut(a)
-        if pivots.min() <= thresh:
-            rank = int(np.count_nonzero(pivots > thresh))
-            raise SingularMatrixError(
-                f"matrix is singular at tolerance {PIVOT_TOL:.1e} (rank {rank} of {n})"
-            )
-        x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x = _lu_solve(a, rhs, _zero_cut(a))
     return x[:, 0] if vector_rhs else x
+
+
+def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndarray:
+    """``a^-1 b`` by LAPACK's partially pivoted LU (``b`` when ``a`` is empty);
+    SingularMatrixError when a pivot is at or below ``cut``, if one is given."""
+    if not a.size:
+        return b
+    import scipy.linalg  # here, not at the top: a command that never solves skips its import
+
+    with warnings.catch_warnings():
+        # an exactly zero pivot is judged below or, without a cut, by the caller
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diagonal(lu))
+    if cut is not None and pivots.min() <= cut:
+        raise SingularMatrixError(f"matrix is singular at tolerance {PIVOT_TOL:.1e} "
+                                  f"(rank {np.count_nonzero(pivots > cut)} of {a.shape[0]})")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -247,6 +249,8 @@ def eig(a) -> EigPair:
     real eigenvalue with imaginary part exactly 0; the normalization keeps
     both properties bit for bit. The result is complex128 on either path.
     """
+    import scipy.linalg  # here, not at the top: a command that never decomposes skips its import
+
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:

@@ -142,7 +142,7 @@ class SamplingPlan:
         return tuple(int(i) for i in np.flatnonzero(self.delta == 0))
 
 
-def band_project(signal: GraphSignal, band: BandSpec, rel: float = numkit.BAND_TOL) -> np.ndarray:
+def band_project(signal: GraphSignal, band: BandSpec, rel: float) -> np.ndarray:
     """Extract the K in-band entries of ``xhat``; NotBandlimitedError when an
     out-of-band magnitude exceeds ``rel * max|xhat|`` (``sample`` passes
     ``numkit.BAND_GUARD_REL``). BadSizeError unless ``rel`` is finite and >= 0."""
@@ -180,13 +180,15 @@ def _indicator(delta, n: int, k: int) -> np.ndarray:
     return (d != 0).astype(np.int64)
 
 
-def _invertible(block: np.ndarray, whole: np.ndarray, what: str) -> float:
+def _invertible(block: np.ndarray, whole: np.ndarray, what: str, sv=None) -> float:
     """The 2-norm condition number of ``block``, a square block cut from
     ``whole`` (1.0 when empty); InfeasibleError unless its smallest singular
-    value exceeds PIVOT_TOL * max|whole|. Every block sampling inverts."""
+    value exceeds PIVOT_TOL * max|whole|. Every block sampling inverts.
+    ``sv``: the block's singular values, descending, if the caller has them."""
     if not block.size:
         return 1.0
-    sv = np.linalg.svd(block, compute_uv=False)
+    if sv is None:
+        sv = np.linalg.svd(block, compute_uv=False)
     if not sv[-1] > numkit._zero_cut(whole):
         raise InfeasibleError(f"sampling set is not valid for this band: smallest singular value "
                               f"{sv[-1]:.3e} <= {numkit.PIVOT_TOL:.1e} * max|{what}|")
@@ -199,7 +201,9 @@ def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select,
     ``select(g_out)`` keeps) and the map ``S`` with ``x[dropped] = S @
     x[kept]`` for every signal the out-of-band GFT rows ``g_out`` annihilate.
     InfeasibleError unless ``_invertible`` accepts the block
-    ``g_out[:, dropped]``; ``cond`` is its condition.
+    ``g_out[:, dropped]``, the one test of the block; ``cond`` is its
+    condition. ``select`` returns the kept nodes and, when it has taken
+    them, the singular values of that block.
 
     ``S`` is real (float64) when the band columns of ``igft`` are closed
     under conjugation: their span then holds the conjugate of each of its
@@ -210,15 +214,15 @@ def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select,
     n = gft.shape[0]
     _check_band(band, n)
     g_out = gft[list(band.complement(n)), :]
+    sv = None
     if forced_delta is None:
-        forced_delta = np.isin(np.arange(n), select(g_out))
+        kept_nodes, sv = select(g_out)
+        forced_delta = np.isin(np.arange(n), kept_nodes)
     delta = _indicator(forced_delta, n, band.k)
     kept = delta != 0
-    cond = _invertible(g_out[:, ~kept], g_out, "out-of-band rows")
-    try:
-        s = -numkit.solve(g_out[:, ~kept], g_out[:, kept])
-    except numkit.SingularMatrixError as exc:
-        raise InfeasibleError(f"sampling set is not valid for this band: {exc}") from exc
+    block = g_out[:, ~kept]
+    cond = _invertible(block, g_out, "out-of-band rows", sv)
+    s = -numkit._lu_solve(block, g_out[:, kept])
     if igft is not None and _conjugate_closed(igft[:, list(band.support)]):
         s = s.real.copy()
     return SamplingPlan(domain, delta, band, s, cond)
@@ -252,8 +256,11 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
     empty. A forced indicator is honored when its complement indexes an
     invertible square block of the out-of-band rows.
     """
-    return _plan(basis.gft, band, forced_delta, Domain.VERTEX, lambda g: _full_rank(
-        g, "out-of-band GFT rows").free_cols, basis.igft)
+    def select(g_out):  # where the singular values prove the pattern, they are the dropped block's
+        red = _full_rank(g_out, "out-of-band GFT rows")
+        return red.free_cols, red.singular_values
+
+    return _plan(basis.gft, band, forced_delta, Domain.VERTEX, select, basis.igft)
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -309,8 +316,8 @@ def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Sa
     K x K block of P(M). A forced indicator is honored when its sampled
     nodes give independent rows.
     """
-    return _plan(basis.gft, band, forced_delta, Domain.SPECTRAL, lambda _: _full_rank(
-        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols,
+    return _plan(basis.gft, band, forced_delta, Domain.SPECTRAL, lambda _: (_full_rank(
+        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols, None),
         basis.igft)
 
 

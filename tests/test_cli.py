@@ -1,13 +1,18 @@
 import base64
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsptk
 from gsptk import (
+    BadSizeError,
     Domain,
     GraphKind,
     GraphSignal,
@@ -20,7 +25,7 @@ from gsptk import (
 )
 from gsptk import cli
 from gsptk.cli import DEMO_NAMES, build_parser, main
-from util import er_digraph, random_basis_graph
+from util import er_digraph, random_basis_graph, small_pivot_basis
 
 
 def run(args):
@@ -37,26 +42,32 @@ def test_every_demo_passes(tmp_path, name):
     assert all(a["passed"] for a in report["assertions"])
 
 
-def test_demo_exit_code_via_subprocess(tmp_path):
-    # the exit-code contract through a real shell-out, not an in-process call
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import gsptk
-
-    # the child imports the same gsptk as this process, installed or not
+def _child(*argv):
+    """Run ``python *argv`` in a fresh process that imports the same gsptk as
+    this one, installed or not."""
     src = str(Path(gsptk.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gsptk.cli", "--out-dir", str(tmp_path), "demo", "convolution"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_demo_exit_code_via_subprocess(tmp_path):
+    # the exit-code contract through a real shell-out, not an in-process call
+    proc = _child("-m", "gsptk.cli", "--out-dir", tmp_path, "demo", "convolution")
     assert proc.returncode == 0, proc.stderr
     assert "all 4 assertions passed" in proc.stdout
+
+
+def test_a_fresh_recover_does_not_import_scipy(tmp_path):
+    # scipy.linalg is imported where a decomposition or a solve runs; recover runs neither
+    graph_path, sig_path = _write_example4_inputs(tmp_path)
+    assert run(["sample", graph_path, sig_path, "--domain", "vertex", "--band", "0,1",
+                "--basis", _bundled_basis_file(tmp_path), "--out", tmp_path / "run"]) == 0
+    proc = _child("-c", "import sys; from gsptk.cli import main; "
+                        "print(main(sys.argv[1:]), 'scipy' in sys.modules)",
+                  "recover", tmp_path / "run.plan.json", tmp_path / "run.samples.json",
+                  "--out", tmp_path / "rec.json")
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 @pytest.mark.parametrize("name", DEMO_NAMES)
@@ -202,6 +213,20 @@ class TestSampleRecover:
              "--band", "0,1,2,3", "--delta", ",".join(map(str, delta)),
              "--out", tmp_path / "r"]
         ) == 0
+
+    @pytest.mark.parametrize("domain", ["vertex", "spectral"])
+    def test_a_block_with_a_small_lu_pivot_is_sampled(self, tmp_path, capsys, domain):
+        # its smallest singular value clears the zero cut, the one test of a block
+        from gsptk.spectral import save_basis
+
+        graph, basis = small_pivot_basis()
+        write_graph(graph, tmp_path / "g.json")
+        save_basis(basis, tmp_path / "basis.json")
+        write_signal(GraphSignal(np.array([1.0, 0, 0, 0]), Domain.SPECTRAL), tmp_path / "xhat.json")
+        assert run(["sample", tmp_path / "g.json", tmp_path / "xhat.json", "--domain", domain,
+                    "--band", "0", "--delta", "0,0,0,1", "--basis", tmp_path / "basis.json",
+                    "--out", tmp_path / "run"]) == 0
+        assert "delta=0001 cond=1.111e+10" in capsys.readouterr().out
 
     def test_a_dotted_prefix_keeps_its_dots(self, tmp_path):
         graph_path, sig_path = _write_example4_inputs(tmp_path)
@@ -814,7 +839,7 @@ def test_gsp_out_dir_is_read_when_a_demo_runs(tmp_path, monkeypatch):
 
 _REJECTED_DEMOS = {
     ("ring_shift", "1"): "ring graph needs n >= 2, got 1",
-    ("path_signals", "3"): "path demo needs an even node count",
+    ("path_signals", "3"): "path_signals needs an even n, got 3",
     ("dsp_block_sampling", "-3"): "dsp_block_sampling needs n >= 1, got -3",
     # the five fixed-size demos refuse any size rather than ignore it
     ("star_m", "3"): "demo star_m has a fixed size",
@@ -831,6 +856,8 @@ def test_a_rejected_demo_leaves_no_directory(tmp_path, capsys, name, size):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _REJECTED_DEMOS[name, size] in err
     assert not (tmp_path / "out").exists()
+    with pytest.raises(BadSizeError):  # each size refusal is a BadSizeError, a ValueError
+        cli._DEMOS[name](int(size), 0)
 
 
 def test_a_failed_demo_assertion_exits_1_and_is_named(tmp_path, capsys, monkeypatch):

@@ -102,7 +102,7 @@ def _reads() -> set[str]:
 
 def test_every_constant_in_the_table_is_read():
     table = _table()
-    assert "PIVOT_TOL" in table and len(table) <= 9, table
+    assert "PIVOT_TOL" in table and len(table) <= 7, table
     assert sorted(set(table) - _reads()) == []
 
 
@@ -181,13 +181,13 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, a, tol):
 @pytest.mark.parametrize("scale", SCALES + (1e-12,))
 @pytest.mark.parametrize("share, accepted", SIDES)
 def test_the_band_guard_is_relative_to_the_largest_coefficient(scale, share, accepted):
-    xhat = scale * np.array([1.0, -2.0, share * numkit.BAND_TOL * 2, 0.0])
+    xhat = scale * np.array([1.0, -2.0, share * numkit.BAND_GUARD_REL * 2, 0.0])
     signal = GraphSignal(xhat, Domain.SPECTRAL)
     if accepted:
-        assert np.array_equal(band_project(signal, BandSpec((0, 1))), xhat[:2])
+        assert np.array_equal(band_project(signal, BandSpec((0, 1)), numkit.BAND_GUARD_REL), xhat[:2])
     else:
         with pytest.raises(NotBandlimitedError):
-            band_project(signal, BandSpec((0, 1)))
+            band_project(signal, BandSpec((0, 1)), numkit.BAND_GUARD_REL)
 
 
 @pytest.mark.parametrize("scale", (1e-12, 1.0))
@@ -324,9 +324,10 @@ def test_scaling_a_graph_or_a_signal_changes_no_verdict(seed, n, share, c, band_
 
     rng = np.random.default_rng(seed)
     xhat = rng.normal(size=n) + 1j * rng.normal(size=n)
-    xhat[-1] = band_share * numkit.BAND_TOL * np.max(np.abs(xhat[:-1]))
+    xhat[-1] = band_share * numkit.BAND_GUARD_REL * np.max(np.abs(xhat[:-1]))
     band = BandSpec(tuple(range(n - 1)))
-    guard = [_verdict(lambda: band_project(GraphSignal(s * xhat, Domain.SPECTRAL), band))
+    guard = [_verdict(lambda: band_project(GraphSignal(s * xhat, Domain.SPECTRAL), band,
+                                           numkit.BAND_GUARD_REL))
              for s in (1.0, c)]
     assert guard[1] == guard[0]
     assert guard[0] == ("ok" if band_share < 1 else "NotBandlimitedError")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gsptk import (
     BadSizeError,
@@ -40,9 +40,10 @@ from gsptk import (
     vertex_recover,
     write_plan,
 )
+from gsptk import numkit
 from gsptk.numkit import solve
 
-from util import er_digraph, random_basis_graph
+from util import er_digraph, random_basis_graph, small_pivot_basis
 
 X4 = np.array([-1.992, 0.93, -0.314, -0.577])
 DELTA4 = np.array([0, 1, 0, 1])
@@ -80,12 +81,12 @@ def test_band_spec_refuses_non_integers_instead_of_truncating():
 class TestBandProject:
     def test_showcase(self):
         out = band_project(GraphSignal(np.array([1, 2, 0, 0], dtype=complex), Domain.SPECTRAL),
-                           BandSpec((0, 1)))
+                           BandSpec((0, 1)), rel=0.0)
         assert np.array_equal(out, np.array([1, 2], dtype=complex))
 
     def test_full_band_identity(self):
         vals = np.array([1.0, 2.0j, -3.0])
-        out = band_project(GraphSignal(vals, Domain.SPECTRAL), BandSpec((0, 1, 2)))
+        out = band_project(GraphSignal(vals, Domain.SPECTRAL), BandSpec((0, 1, 2)), rel=0.0)
         assert np.array_equal(out, vals)
 
     def test_violation_reports_worst_entry(self):
@@ -359,6 +360,37 @@ class TestPlanEquivalent:
             delta[list(subset)] = 1
             out = plan_equivalent(basis, delta, band)
             assert out["vertex_ok"] == out["spectral_ok"] == makes_a_plan(basis, band, delta)
+
+    def test_a_block_is_judged_by_its_singular_values_alone(self):
+        # the LU of this block meets a first pivot of 0.9e-10 below the cut
+        # 1e-10; its smallest singular value, 1.56e-10, is above it
+        _, basis = small_pivot_basis()
+        band, delta = BandSpec((0,)), np.array([0, 0, 0, 1])
+        block = basis.gft[1:, :3]
+        assert np.linalg.svd(block, compute_uv=False)[-1] > numkit._zero_cut(basis.gft[1:])
+        for route in (vertex_plan, spectral_plan):
+            plan = route(basis, band, forced_delta=delta)
+            assert plan.cond == pytest.approx(1.111e10, rel=1e-3)
+            assert plan.cond == np.linalg.cond(block)
+        assert plan_equivalent(basis, delta, band) == {"vertex_ok": True, "spectral_ok": True}
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**16), n=st.integers(3, 9), k=st.integers(1, 8),
+           picks=st.integers(0, 2**32 - 1))
+    def test_the_two_verdicts_agree_away_from_their_cuts(self, seed, n, k, picks):
+        # each verdict is its block's smallest singular value against its cut;
+        # the blocks differ, so within 10x of a cut the verdicts may too
+        _, basis = random_basis_graph(np.random.default_rng(seed), n)
+        band = BandSpec(tuple(range(min(k, n - 1))))
+        delta = np.zeros(n, dtype=int)
+        delta[np.random.default_rng(picks).permutation(n)[:band.k]] = 1
+        g_out, cols = basis.gft[band.k:], basis.igft[:, :band.k]
+        margins = [np.linalg.svd(block, compute_uv=False)[-1] / numkit._zero_cut(whole)
+                   for block, whole in ((g_out[:, delta == 0], g_out), (cols[delta != 0], cols))]
+        out = plan_equivalent(basis, delta, band)
+        assert out == {"vertex_ok": margins[0] > 1, "spectral_ok": margins[1] > 1}
+        assume(all(not 0.1 <= m <= 10 for m in margins))
+        assert out["vertex_ok"] == out["spectral_ok"]
 
     def test_random_graph_exhaustive_agreement(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gsptk import Graph, GsptkError, basis_from_graph
+from gsptk import Graph, GsptkError, basis_explicit, basis_from_graph
 
 
 def er_digraph(rng, n, p=0.55):
@@ -32,3 +32,15 @@ def random_basis_graph(rng, n, p=0.55, max_cond=1e6, need_y0=False, max_tries=50
             continue
         return g, b
     raise RuntimeError(f"no suitable random graph found for n={n}")
+
+
+def small_pivot_basis(eps=0.9e-10):
+    """A 4-node explicit basis whose band (0,) and indicator (0, 0, 0, 1) give
+    the block ``gft[1:, :3]`` with singular values 1.73, 1.0 and 1.56e-10,
+    above the zero cut 1e-10 * max|gft[1:]| = 1e-10, while the first pivot of
+    its LU is ``eps``, below it."""
+    lam = np.array([4.0, 3.0, 2.0, 1.0])
+    gft = np.array([[1.0, 0.3, -0.2, 1.0], [eps, 1.0, 0.0, 0.5],
+                    [eps, 0.0, 1.0, -0.25], [eps, -1.0, -1.0, 0.125]])
+    graph = Graph(np.linalg.inv(gft) @ np.diag(lam) @ gft)
+    return graph, basis_explicit(gft, lam, graph)

@@ -11,7 +11,9 @@ benchmark's graph writer, and times, once each and in this order:
 ``numkit.row_reduce`` of the out-of-band GFT rows (the vertex route's
 selection matrix) and of the band columns of the inverse GFT, transposed
 (the spectral route's), ``vertex_plan``, ``spectral_plan`` and
-``write_plan`` of the spectral plan. Each checkout runs RUNS times per
+``write_plan`` of the spectral plan. ``scipy.linalg`` is imported before
+the first stage, so that no stage is charged with it on a checkout that
+imports it where it is used. Each checkout runs RUNS times per
 size, the two alternating, the parent first on even runs. The record is
 ``tools/bench_pairs.py``'s: per size and stage, each side's median and
 quartiles over its runs, the change's relative difference of the medians
@@ -44,6 +46,7 @@ def stages(checkout: Path, n: int) -> dict:
     """One run's stage times in ms, with gsptk and the workloads of ``checkout``."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import numpy as np
+    import scipy.linalg  # loaded before the first timed stage; see the docstring
     import workloads
     from gsptk import BandSpec, basis_from_graph, numkit, read_graph, sampling
 
