@@ -34,14 +34,17 @@ def dft_basis(n: int) -> SpectralBasis:
     """Analytic unitary DFT basis for the n-node directed cycle.
 
     Frequencies are the n-th roots of unity exp(-2j pi k / n) in natural
-    order k = 0..n-1; the inverse transform is the conjugate transpose.
+    order k = 0..n-1; the inverse transform is the conjugate transpose. Both
+    come from ``numkit``'s closed-form diagonalization of a circulant shift,
+    applied to the cycle's first column: each phase is read from one table of
+    the roots of unity at ``j*k mod n``.
     """
     if n < 1:
         raise BadSizeError("n must be positive")
-    grid = np.outer(np.arange(n), np.arange(n))
-    gft = np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
-    lam = np.exp(-2j * np.pi * np.arange(n) / n)
-    return SpectralBasis(gft, gft.conj().T, lam)
+    column = np.zeros(n)
+    column[1 % n] = 1.0
+    lam, igft = numkit._dft_eig(column)
+    return SpectralBasis(igft.conj().T, igft, lam)
 
 
 def dsp_sampling_operator(n: int, k: int) -> np.ndarray:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import base64
 import cmath
+import contextlib
 import enum
+import gc
 import itertools
 import json
 import math
@@ -158,6 +160,26 @@ def _parse_complex(token: str, path, line_no: int, field: int) -> complex:
     )
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause Python's cyclic garbage collector while a gsptk file is read or
+    written; usable as a decorator. The nested lists a JSON file parses to
+    and is dumped from hold no reference cycles, so a collection they trigger
+    frees nothing, yet it traverses them: the edge list of an Erdos-Renyi
+    graph at N=400 with 55% of the pairs linked parses to 88,000 lists, which
+    set off about 125 young collections and a full one of the whole heap in
+    every read. The collector's state is restored on the way out, and an
+    enclosing pause is left in place."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def write_graph(graph: Graph, path) -> None:
     """Write a graph as canonical edge-list JSON or dense CSV (by extension).
 
@@ -173,6 +195,7 @@ def write_graph(graph: Graph, path) -> None:
     _write_json(path, {"n": graph.n, "edges": edges})
 
 
+@_gc_paused()
 def read_graph(path) -> Graph:
     """Read a graph from edge-list JSON or dense CSV (dispatch on extension).
 
@@ -237,11 +260,13 @@ def _read_graph_csv(path) -> Graph:
     return Graph(a)
 
 
+@_gc_paused()
 def write_signal(signal: GraphSignal, path) -> None:
     doc = {"domain": signal.domain.value, "values": _pairs(signal.values)}
     _write_json(path, doc)
 
 
+@_gc_paused()
 def read_signal(path) -> GraphSignal:
     doc = _read_json(path, ("domain", "values"))
     try:

@@ -3,10 +3,12 @@
 Everything downstream (bases, filters, sampling plans) reduces to three
 operations on dense complex matrices: the pivot pattern of Gauss
 elimination, linear solves, and a full eigendecomposition of a general
-(non-symmetric) square matrix. The eigendecomposition runs in real
-arithmetic when the matrix has no imaginary part, as the shift of a real
-weighted graph has, and in complex arithmetic otherwise; its result is
-complex either way.
+(non-symmetric) square matrix. A circulant matrix, the shift of the
+directed cycle and of every weighted circulant graph, is diagonalized in
+closed form by the DFT; every other matrix goes to LAPACK, in real
+arithmetic when it has no imaginary part, as the shift of a real weighted
+graph has, and in complex arithmetic otherwise. The result is complex
+either way.
 
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
@@ -221,45 +223,58 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndar
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        col = col / nrm
-        mags = np.abs(col)
-        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
-        phase = col[lead] / abs(col[lead])
-        v[:, k] = col / phase
+    """``vectors`` with each nonzero column scaled to unit norm and its first
+    entry of magnitude ``>= LEAD_TOL * max|column|`` rotated onto the positive
+    real axis; a zero column is returned as it is, signed zeros included."""
+    if not vectors.size:
+        return vectors.copy()
+    # np.linalg.norm of each column sums as one BLAS dot; a reduction along axis 0 would not
+    nrm = np.array([np.linalg.norm(col) for col in vectors.T])
+    with np.errstate(invalid="ignore"):  # a zero column's 0/0, undone below
+        v = np.divide(vectors, nrm, order="C")
+        mags = np.abs(v)
+        lead = np.argmax(mags >= LEAD_TOL * mags.max(axis=0), axis=0)
+        pick = v[lead, np.arange(v.shape[1])]
+        # np.hypot rounds as abs() of one entry does; np.abs of an array need not
+        v /= pick / np.hypot(pick.real, pick.imag)
+    zero = nrm == 0.0
+    v[:, zero] = vectors[:, zero]
     return v
 
 
 def eig(a) -> EigPair:
     """Full right eigendecomposition of a general square matrix.
 
-    Delegates to LAPACK (Hessenberg + shifted QR) via scipy, then normalizes
-    each eigenvector to unit norm with its first significant entry rotated to
-    the positive real axis. The residual contract
-    ``max_k ||A v_k - w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced.
+    A circulant matrix, whose entry ``(i, j)`` depends only on
+    ``(i - j) mod n``, is diagonalized in closed form by the DFT
+    (``_dft_eig``); every other matrix goes to LAPACK (Hessenberg + shifted
+    QR) via scipy. Each eigenvector is then normalized to unit norm with its
+    first significant entry rotated to the positive real axis. The residual
+    contract ``max_k ||A v_k - w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf``
+    is enforced on either path.
 
-    A matrix with no imaginary part goes to the real solver (``dgeev``),
-    which is faster than the complex one (``zgeev``). It returns each complex
-    eigenvalue and its eigenvector as an exactly conjugate pair, and each
-    real eigenvalue with imaginary part exactly 0; the normalization keeps
-    both properties bit for bit. The result is complex128 on either path.
+    Off the circulant path, a matrix with no imaginary part goes to the real
+    solver (``dgeev``), which is faster than the complex one (``zgeev``). It
+    returns each complex eigenvalue and its eigenvector as an exactly
+    conjugate pair, and each real eigenvalue with imaginary part exactly 0
+    and a real eigenvector; a real circulant's closed form does the same, and
+    the normalization keeps both properties bit for bit. The result is
+    complex128 on either path.
     """
-    import scipy.linalg  # here, not at the top: a command that never decomposes skips its import
-
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     real = not a.imag.any()
-    try:
-        values, vectors = scipy.linalg.eig(a.real if real else a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
-        raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
+    if n and _circulant(a):
+        values, vectors = _dft_eig(a[:, 0])
+    else:
+        import scipy.linalg  # here, not at the top: a command that never decomposes skips its import
+
+        try:
+            values, vectors = scipy.linalg.eig(a.real if real else a)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
+            raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
     vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
@@ -271,6 +286,49 @@ def eig(a) -> EigPair:
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
     return EigPair(values, vectors, _min_gap(values))
+
+
+def _circulant(a: np.ndarray) -> bool:
+    """Whether the square matrix ``a`` is circulant, tested exactly: the first
+    row wraps the last one, and each diagonal is constant. The O(N) test runs
+    first, so most other matrices are told apart without the O(N^2) one."""
+    return bool(np.array_equal(a[0, 1:], a[-1, :-1]) and np.array_equal(a[1:, 1:], a[:-1, :-1]))
+
+
+def _dft_eig(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the n x n circulant with first column
+    ``column`` (n >= 1): value ``k`` is entry ``k`` of the column's FFT and
+    vector ``k`` is the DFT column ``w**(j*k) / sqrt(n)``, ``w = exp(2 pi i / n)``,
+    whose phases are read from a table of the n-th roots of unity at
+    ``j*k mod n``. For a real column, values and vectors ``k`` and ``n - k``
+    are exact conjugates, and values and vectors 0 and ``n/2`` are real. Any
+    other real value equals its partner ``n - k``, as on a symmetric
+    circulant; that pair's vectors are replaced by the real and imaginary
+    parts of vector ``k``, real eigenvectors of the same value.
+    """
+    n = column.shape[0]
+    real = not column.imag.any()
+    values = _hermitian(np.fft.rfft(column.real), n) if real else np.fft.fft(column)
+    roots = _hermitian(np.exp(2j * np.pi * np.arange(n // 2 + 1) / n), n)
+    vectors = roots[np.outer(np.arange(n), np.arange(n)) % n] / np.sqrt(n)
+    if real:
+        tied = 1 + np.flatnonzero(values[1:(n + 1) // 2].imag == 0)
+        vectors[:, n - tied] = vectors[:, tied].imag
+        vectors[:, tied] = vectors[:, tied].real
+    return values, vectors
+
+
+def _hermitian(half: np.ndarray, n: int) -> np.ndarray:
+    """The length-``n`` sequence whose entries ``0..n//2`` are ``half`` and whose
+    entry ``n - k`` is the conjugate of entry ``k`` bit for bit; entries 0 and
+    ``n/2`` are made exactly real."""
+    full = np.empty(n, dtype=np.complex128)
+    full[: n // 2 + 1] = half
+    full.imag[0] = 0.0
+    if n % 2 == 0:
+        full.imag[n // 2] = 0.0
+    full[n // 2 + 1:] = full[1:(n + 1) // 2][::-1].conj()
+    return full
 
 
 def _min_gap(values: np.ndarray) -> float:

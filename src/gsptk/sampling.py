@@ -51,6 +51,7 @@ from .graphs import (
     GraphSignal,
     _from_packed,
     _from_pairs,
+    _gc_paused,
     _packed,
     _read_json,
     _write_json,
@@ -381,6 +382,7 @@ PLAN_VERSION = 4
 _S_LAYOUTS = {3: (np.complex128,), PLAN_VERSION: (np.complex128, np.float64)}
 
 
+@_gc_paused()
 def write_plan(plan: SamplingPlan, path) -> None:
     """Write a version-4 plan file: ``S`` as base64 of its little-endian
     float64 bytes when the plan's map is real, complex128 bytes otherwise."""
@@ -396,6 +398,7 @@ def write_plan(plan: SamplingPlan, path) -> None:
     _write_json(path, doc)
 
 
+@_gc_paused()
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     """Load and check a plan file; ParseError names what is malformed.
 

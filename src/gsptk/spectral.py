@@ -32,7 +32,7 @@ from .errors import (
     RepeatedEigenvaluesError,
     ZeroScaleError,
 )
-from .graphs import Domain, Graph, GraphSignal, _from_pairs, _pairs, _read_json, _write_json
+from .graphs import Domain, Graph, GraphSignal, _from_pairs, _gc_paused, _pairs, _read_json, _write_json
 
 __all__ = [
     "SpectralBasis",
@@ -202,11 +202,13 @@ def structural_equal(m1, m2) -> bool:
 # basis file IO
 
 
+@_gc_paused()
 def save_basis(basis: SpectralBasis, path) -> None:
     doc = {"lambda": _pairs(basis.lam), "gft": _pairs(basis.gft)}
     _write_json(path, doc)
 
 
+@_gc_paused()
 def load_basis(path, graph: Graph) -> SpectralBasis:
     """Load an explicit-basis JSON file and validate it against ``graph``."""
     doc = _read_json(path, ("lambda", "gft"))

@@ -407,6 +407,12 @@ def _er(n):
     return g, basis_from_graph(g)
 
 
+@functools.cache
+def _cycle(n, computed):
+    g = build(GraphKind.RING, n)
+    return g, basis_from_graph(g) if computed else dft_basis(n)
+
+
 class TestConvolveAtSize:
     @pytest.mark.parametrize("domain", list(Domain))
     @pytest.mark.parametrize("n", [16, 64, 256, 800])
@@ -431,13 +437,21 @@ class TestConvolveAtSize:
         assert rel(conv(shift @ x, y), shift @ xy) <= bound
         assert rel(conv(y, x), xy) <= bound
 
+    @pytest.mark.parametrize("computed", [False, True], ids=["dft_basis", "basis_from_graph"])
     @pytest.mark.parametrize("domain", list(Domain))
-    def test_the_cycle_at_1024_matches_the_fft(self, domain):
-        # on the DFT basis both domains convolve circularly
+    def test_the_cycle_at_1024_matches_the_fft(self, domain, computed):
+        # both domains convolve circularly; a spectral entry is indexed by the k
+        # of its frequency exp(-2j pi k / n), which the computed basis orders
+        # by descending real part and the DFT basis naturally
         n = 1024
-        g, basis = build(GraphKind.RING, n), dft_basis(n)
+        g, basis = _cycle(n, computed)
+        k = np.arange(n)
+        if domain is Domain.SPECTRAL:
+            k = np.rint(-np.angle(basis.lam) * n / (2 * np.pi)).astype(int) % n
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         got = convolve(GraphSignal(x, domain), GraphSignal(y, domain), g, basis).values
-        want = np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
+        natural = np.zeros((2, n), dtype=np.complex128)
+        natural[:, k] = x, y
+        want = np.fft.ifft(np.fft.fft(natural[0]) * np.fft.fft(natural[1]))[k]
         assert np.linalg.norm(got - want) <= 100 * n * np.finfo(float).eps * np.linalg.norm(want)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -276,6 +277,40 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
     with pytest.raises(OSError):
         _WRITERS[name](path)
     assert path.read_bytes() == b"previous contents\n"
+
+
+def test_graph_files_are_read_and_written_without_collections(tmp_path):
+    a = (np.random.default_rng(0).random((200, 200)) < 0.5).astype(float)
+    path = tmp_path / "g.json"
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+
+    gc.callbacks.append(count)
+    try:
+        write_graph(Graph(a), path)  # 20,000 edge lists built, dumped and parsed
+        got = read_graph(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert not any(starts)
+    np.testing.assert_array_equal(got.adjacency, a)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_file_io_restores_the_collector_state(tmp_path, enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "edges": [[0, 5, 1.0, 0.0]]}\n')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        write_signal(GraphSignal(np.array([1.0, 2.0]), Domain.VERTEX), tmp_path / "x.json")
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            read_graph(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestSignalType:

@@ -15,6 +15,7 @@ from gsptk import (
     GraphSignal,
     NonFiniteError,
     PolynomialFilter,
+    RepeatedEigenvaluesError,
     SingularMatrixError,
     basis_from_graph,
     build,
@@ -27,7 +28,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
-from util import er_digraph
+from util import circulant, er_digraph
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -336,3 +337,98 @@ class TestNormalizeColumns:
         np.testing.assert_allclose(np.linalg.norm(got[:, nonzero], axis=0), 1.0, rtol=1e-15)
         for k, lead in ((2, 1), (3, 3), (6, 8), (7, 0)):
             assert got[lead, k].imag == 0 < got[lead, k].real
+
+
+def _normalize_columns_loop(vectors):
+    """The column-by-column reference for ``numkit._normalize_columns``."""
+    v = vectors.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nrm = np.linalg.norm(col)
+        if nrm == 0.0:
+            continue
+        col = col / nrm
+        mags = np.abs(col)
+        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
+        v[:, k] = col / (col[lead] / abs(col[lead]))
+    return v
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+class TestNormalizeColumnsMatchesTheLoop:
+    def test_bit_for_bit_on_planted_leads_and_on_computed_eigenvectors(self):
+        rng = np.random.default_rng(4)
+        planted = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
+        planted[:, 1] = complex(-0.0, -0.0)
+        planted[2, 3] = LEAD_TOL * np.abs(planted[:, 3]).max()
+        cycle = numkit._dft_eig(build(GraphKind.RING, 256).adjacency[:, 0])[1]
+        lapack = scipy.linalg.eig(er_digraph(np.random.default_rng(1), 256).adjacency.real)[1]
+        for v in (planted, cycle, lapack.astype(np.complex128), np.zeros((0, 0), np.complex128)):
+            got = numkit._normalize_columns(v)
+            assert got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(_normalize_columns_loop(v)))
+
+
+class TestCirculantEig:
+    """A circulant matrix is diagonalized by the DFT in closed form; any other
+    goes to LAPACK as before."""
+
+    SIZES = (1, 2, 3, 4, 5, 8, 9, 16, 64)
+
+    def _columns(self):
+        for n in self.SIZES:
+            rng = np.random.default_rng(n)
+            yield rng.normal(size=n)
+            yield rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    def test_values_and_vectors_match_lapack(self):
+        # circulants are normal: each value within C N eps ||A||_inf of LAPACK's,
+        # each normalized vector within C N eps ||A||_inf / gap_k (measured C <= 2.2)
+        c = 20 * np.finfo(float).eps
+        for column in self._columns():
+            a = circulant(column)
+            n = a.shape[0]
+            with mock.patch("scipy.linalg.eig", side_effect=AssertionError("LAPACK ran")):
+                pair = eig(a)
+            values, vectors = scipy.linalg.eig(a)
+            vectors = numkit._normalize_columns(vectors.astype(np.complex128))
+            match = np.argmin(np.abs(pair.values[:, None] - values[None, :]), axis=1)
+            assert sorted(match) == list(range(n))
+            scale = c * n * np.max(np.sum(np.abs(a), axis=1))
+            assert np.max(np.abs(pair.values - values[match])) <= scale
+            gaps = np.abs(pair.values[:, None] - pair.values[None, :]) + np.diag(np.full(n, np.inf))
+            err = np.max(np.abs(pair.vectors - vectors[:, match]), axis=0)
+            assert np.all(err <= scale / gaps.min(axis=1))
+
+    def test_a_real_circulant_gives_exact_conjugate_pairs_and_real_vectors(self):
+        rings = [np.roll(np.eye(n)[0], 1) + np.roll(np.eye(n)[0], -1) for n in (6, 8, 9, 16, 64)]
+        for column in [c for c in self._columns() if c.dtype == np.float64] + rings:
+            pair = eig(circulant(column))
+            real = pair.values.imag == 0
+            if not np.array_equal(column[1:], column[:0:-1]):  # not symmetric: only values 0 and n/2 are real
+                assert np.count_nonzero(real) == 2 - column.size % 2
+            assert not pair.vectors[:, real].imag.any()
+            for k in np.flatnonzero(~real):
+                partner = np.flatnonzero(pair.values == np.conj(pair.values[k]))
+                assert partner.size == 1
+                assert np.array_equal(pair.vectors[:, partner[0]], np.conj(pair.vectors[:, k]))
+
+    def test_near_misses_go_to_lapack_bit_for_bit(self):
+        path = build(GraphKind.PATH, 8).adjacency.real  # Toeplitz, not circulant
+        ring = build(GraphKind.RING, 8).adjacency.real
+        ring[3, 2] = np.nextafter(1.0, 2.0)
+        for a in (path, ring):
+            with mock.patch.object(numkit, "_dft_eig", side_effect=AssertionError("closed form ran")):
+                pair = eig(a)
+            values, vectors = (m.astype(np.complex128) for m in scipy.linalg.eig(a))
+            assert np.array_equal(_bits(pair.values), _bits(values))
+            assert np.array_equal(_bits(pair.vectors), _bits(numkit._normalize_columns(vectors)))
+
+    def test_repeated_circulant_spectra_are_still_refused(self):
+        ring = build(GraphKind.RING, 8).adjacency
+        for a in (ring + ring.T, np.zeros((8, 8))):  # the undirected ring; the zero matrix
+            with pytest.raises(RepeatedEigenvaluesError):
+                basis_from_graph(Graph(a))

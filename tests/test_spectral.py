@@ -26,7 +26,16 @@ from gsptk import (
 )
 from gsptk.numkit import PIVOT_TOL, eig
 
-from util import er_digraph, random_basis_graph
+from util import circulant, er_digraph, random_basis_graph
+
+
+def _weighted_cycle(n):
+    """The directed cycle with weighted chords: a real circulant shift, whose
+    first column holds random weights and no self loop."""
+    column = np.random.default_rng(n).random(n)
+    column[0] = 0.0
+    return Graph(circulant(column))
+
 
 STAR_M_REFERENCE = 0.5 * np.array(
     [
@@ -72,8 +81,13 @@ class TestBasisFromGraph:
         assert np.allclose(basis.lam, [3.0, 2.0, 1.0])
         assert np.allclose(np.abs(basis.igft), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
 
-    def test_conjugate_pairs_follow_the_tie_rule_on_a_real_graph(self):
-        basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
+    @pytest.mark.parametrize("graph", [
+        er_digraph(np.random.default_rng(1), 60),
+        _weighted_cycle(9),
+        _weighted_cycle(16),
+    ], ids=["er60", "cycle9", "cycle16"])
+    def test_conjugate_pairs_follow_the_tie_rule_on_a_real_graph(self, graph):
+        basis = basis_from_graph(graph)
         lam = basis.lam
         complex_idx = np.flatnonzero(lam.imag)
         assert complex_idx.size and complex_idx.size < lam.size
@@ -82,8 +96,10 @@ class TestBasisFromGraph:
         assert np.all(lam[first].imag > 0)
         assert np.array_equal(lam[second], np.conj(lam[first]))
         assert np.array_equal(basis.igft[:, second], np.conj(basis.igft[:, first]))
-        # a real eigenvalue carries no rounding residue in its imaginary part
+        # a real eigenvalue carries no rounding residue in its imaginary part,
+        # and its eigenvector none either
         assert np.all((lam.imag == 0) | (np.abs(lam.imag) > 1e-8))
+        assert not basis.igft[:, lam.imag == 0].imag.any()
 
     def test_a_shift_with_an_imaginary_entry_still_decomposes(self):
         a = er_digraph(np.random.default_rng(1), 12).adjacency

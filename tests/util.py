@@ -12,6 +12,13 @@ def er_digraph(rng, n, p=0.55):
     return Graph(a)
 
 
+def circulant(column):
+    """The circulant matrix with first column ``column``: entry (i, j) is
+    ``column[(i - j) mod n]``."""
+    n = len(column)
+    return np.asarray(column)[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
 def random_basis_graph(rng, n, p=0.55, max_cond=1e6, need_y0=False, max_tries=500):
     """An ER digraph whose shift is safely diagonalizable, plus its basis.
 

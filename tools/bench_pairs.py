@@ -8,17 +8,20 @@ The workloads and the run length are those CHANGE's ``BENCHMARK.json``
 declares. For every seed and workload, both run ``perfbench/run.py`` one
 after the other, the parent first on odd seeds and the change first on even
 ones, so a drift of the host's speed favours neither side. Runs are
-sequential. The
-record holds, per workload and end-to-end metric, each side's median and
-quartiles over its runs, the change's relative difference of the medians,
-and how many pairs the change read lower or higher; also the graph sizes
-the runs used, the operation counts, the host (cores, BLAS threads, Python,
-numpy and scipy) and every run's metrics. One ``--trace 1`` run per side
-and workload, on the seed after the last, adds the per-layer totals that
-changed, which show where a gain comes from. The claim verdict follows the
-rule the benchmark's bounds assume: the change is lower in at least nine
-tenths of the pairs, and its median is below the parent's by more than the
-parent's interquartile range.
+sequential. The record holds, per workload and end-to-end metric, each
+side's median and quartiles over its runs, the change's relative difference
+of the medians, and how many pairs the change read lower or higher.
+perfbench divides each time by its run's speed factor (the mean
+speed-probe time over a reference), and a shorter run takes fewer probes,
+so the record also keeps every run's factor and raw times: per workload,
+each side's factor, and per time metric, each side's unscaled median and
+quartiles. Also the graph sizes the runs used, the operation counts, the
+host (cores, BLAS threads, Python, numpy and scipy) and every run's
+metrics. One ``--trace 1`` run per side and workload, on the seed after
+the last, adds the per-layer totals that changed, which show where a gain
+comes from. The claim verdict follows the rule the benchmark's bounds
+assume: the change is lower in at least nine tenths of the pairs, and its
+median is below the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One perfbench run: its result line, plus the graph sizes and BLAS threads it used."""
+    """One perfbench run: its result line, plus the graph sizes and BLAS threads it used,
+    its speed factor and its end-to-end values before the factor's scaling."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -48,7 +52,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     out = checkout / ".perfbench_out" / workload
     detail = json.loads((out / f"result-seed{seed}-trace{trace}.json").read_text())
     sizes = {p.name: json.loads(p.read_text())["n"] for p in sorted((out / "inputs").glob("*graph.json"))}
-    return {**result, "n": sizes, "blas_threads": detail["blas_threads"]}
+    return {**result, "n": sizes, "blas_threads": detail["blas_threads"],
+            "speed_factor": detail["speed_factor"], "unscaled": detail["unscaled_end_to_end"]}
 
 
 def summary(values: list[float]) -> dict:
@@ -57,7 +62,8 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(runs: dict[str, list[dict]]) -> dict:
-    """Per metric: each side's summary and the pairwise verdicts (runs are paired by index)."""
+    """Per metric: each side's summary and the pairwise verdicts (runs are paired by index);
+    for a time whose runs carry their unscaled values, each side's summary of those."""
     metrics = {}
     for name, first in runs["parent"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -71,6 +77,9 @@ def compare(runs: dict[str, list[dict]]) -> dict:
             "pairs_change_lower": sum(c < p for p, c in pairs),
             "pairs_change_higher": sum(c > p for p, c in pairs),
         }
+        if first["unit"] == "s" and "unscaled" in runs["parent"][0]:
+            metrics[name]["unscaled"] = {side: summary([r["unscaled"][name] for r in runs[side]])
+                                         for side in SIDES}
     return metrics
 
 
@@ -124,7 +133,8 @@ def main(argv=None) -> int:
                 result = run_once(checkouts[side], w, seed, seconds)
                 runs[w][side].append({"seed": seed, **result})
                 shown = {k: v["value"] for k, v in result["metrics"].items()}
-                print(f"seed {seed} {w} {side}: failed={result['failed']} {shown}", file=sys.stderr, flush=True)
+                print(f"seed {seed} {w} {side}: failed={result['failed']} factor={result['speed_factor']:.3f} "
+                      f"{shown}", file=sys.stderr, flush=True)
 
     record = {
         "label": args.label,
@@ -150,10 +160,12 @@ def main(argv=None) -> int:
             "attempted": {s: sum(r["attempted"] for r in runs[w][s]) for s in SIDES},
             "failed": {s: sum(r["failed"] for r in runs[w][s]) for s in SIDES},
             "all_correct": all(r["correct"] for s in SIDES for r in runs[w][s]),
+            "speed_factor": {s: summary([r["speed_factor"] for r in runs[w][s]]) for s in SIDES},
             "metrics": compare(runs[w]),
         }
     record["claim"] = verdict(record, *args.claim.split(":", 1)) if args.claim else None
-    record["runs"] = {w: {s: [{"seed": r["seed"], **{k: v["value"] for k, v in r["metrics"].items()}}
+    record["runs"] = {w: {s: [{"seed": r["seed"], **{k: v["value"] for k, v in r["metrics"].items()},
+                               "speed_factor": r["speed_factor"], "unscaled": r["unscaled"]}
                               for r in runs[w][s]] for s in SIDES} for w in names}
     record["trace"] = {
         "command": f"python3 perfbench/run.py --workload W --seed {trace_seed} --seconds {seconds:g} --trace 1",
