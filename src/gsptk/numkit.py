@@ -110,11 +110,14 @@ class EigPair:
     Columns have unit Euclidean norm with their first significant entry
     rotated onto the positive real axis. ``min_gap`` is the smallest pairwise
     eigenvalue distance, for callers that must enforce distinctness.
+    ``unitary``: the columns are orthonormal by construction, so the inverse
+    of ``vectors`` is its conjugate transpose.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     min_gap: float
+    unitary: bool = False
 
 
 def row_reduce(a) -> RowReduction:
@@ -147,14 +150,18 @@ def row_reduce(a) -> RowReduction:
     could call a candidate zero and return another pattern than this test.
     The factor is a proof margin, not a cut: it decides only whether the
     loop runs. Tall and empty matrices, and a block that fails the test, go
-    to the loop.
+    to the loop. Since ``sigma_min(B)`` is at most the norm of any column of
+    ``B``, a block with a column no longer than the bound fails the test
+    before its singular values are taken.
     """
     r = as_cmatrix(a)
     m, n = r.shape
     if 0 < m <= n:
-        sv = np.linalg.svd(r[:, :m], compute_uv=False)
-        if sv[-1] > 2.0 * np.sqrt(m) * _zero_cut(r):
-            return RowReduction(tuple(range(m)), tuple(range(m, n)), m, sv)
+        bound = 2.0 * np.sqrt(m) * _zero_cut(r)
+        if np.linalg.norm(r[:, :m], axis=0).min() > bound:
+            sv = np.linalg.svd(r[:, :m], compute_uv=False)
+            if sv[-1] > bound:
+                return RowReduction(tuple(range(m)), tuple(range(m, n)), m, sv)
     return _eliminate(r)
 
 
@@ -248,17 +255,20 @@ def eig(a) -> EigPair:
     A circulant matrix, whose entry ``(i, j)`` depends only on
     ``(i - j) mod n``, is diagonalized in closed form by the DFT
     (``_dft_eig``); every other matrix goes to LAPACK (Hessenberg + shifted
-    QR) via scipy. Each eigenvector is then normalized to unit norm with its
-    first significant entry rotated to the positive real axis. The residual
-    contract ``max_k ||A v_k - w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf``
-    is enforced on either path.
+    QR) via scipy. LAPACK's eigenvectors are then normalized to unit norm
+    with their first significant entry rotated to the positive real axis;
+    the closed form's already are. The residual contract ``max_k ||A v_k -
+    w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced on either
+    path. Only the closed form sets ``unitary``: its columns are the
+    orthonormal DFT columns, or, for a tied real value, an orthonormal
+    cos/sin pair.
 
     Off the circulant path, a matrix with no imaginary part goes to the real
     solver (``dgeev``), which is faster than the complex one (``zgeev``). It
     returns each complex eigenvalue and its eigenvector as an exactly
     conjugate pair, and each real eigenvalue with imaginary part exactly 0
-    and a real eigenvector; a real circulant's closed form does the same, and
-    the normalization keeps both properties bit for bit. The result is
+    and a real eigenvector, and the normalization keeps both properties bit
+    for bit; a real circulant's closed form does the same. The result is
     complex128 on either path.
     """
     a = as_cmatrix(a)
@@ -266,7 +276,8 @@ def eig(a) -> EigPair:
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     real = not a.imag.any()
-    if n and _circulant(a):
+    unitary = bool(n) and _circulant(a)
+    if unitary:
         values, vectors = _dft_eig(a[:, 0])
     else:
         import scipy.linalg  # here, not at the top: a command that never decomposes skips its import
@@ -275,7 +286,7 @@ def eig(a) -> EigPair:
             values, vectors = scipy.linalg.eig(a.real if real else a)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
             raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
-    vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
+        vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
     # a real shift times the interleaved [re, im] columns of the vectors: one real product
@@ -285,7 +296,7 @@ def eig(a) -> EigPair:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
-    return EigPair(values, vectors, _min_gap(values))
+    return EigPair(values, vectors, _min_gap(values), unitary)
 
 
 def _circulant(a: np.ndarray) -> bool:
@@ -303,8 +314,11 @@ def _dft_eig(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``j*k mod n``. For a real column, values and vectors ``k`` and ``n - k``
     are exact conjugates, and values and vectors 0 and ``n/2`` are real. Any
     other real value equals its partner ``n - k``, as on a symmetric
-    circulant; that pair's vectors are replaced by the real and imaginary
-    parts of vector ``k``, real eigenvectors of the same value.
+    circulant; that pair's vectors are replaced by ``sqrt(2)`` times the real
+    and imaginary parts of vector ``k``, real orthonormal eigenvectors of the
+    same value. Every vector has unit norm, up to rounding, and a first
+    significant entry on the positive real axis: entry 0, or entry 1 of an
+    imaginary part, ``sqrt(2/n) sin(2 pi k / n)`` with ``0 < k < n/2``.
     """
     n = column.shape[0]
     real = not column.imag.any()
@@ -313,8 +327,8 @@ def _dft_eig(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors = roots[np.outer(np.arange(n), np.arange(n)) % n] / np.sqrt(n)
     if real:
         tied = 1 + np.flatnonzero(values[1:(n + 1) // 2].imag == 0)
-        vectors[:, n - tied] = vectors[:, tied].imag
-        vectors[:, tied] = vectors[:, tied].real
+        vectors[:, n - tied] = vectors[:, tied].imag * np.sqrt(2.0)
+        vectors[:, tied] = vectors[:, tied].real * np.sqrt(2.0)
     return values, vectors
 
 

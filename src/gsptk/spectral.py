@@ -94,9 +94,13 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     """Diagonalize the shift of ``graph`` into a spectral basis.
 
     Frequencies are sorted by descending real part (ties by descending
-    imaginary part). Raises RepeatedEigenvaluesError when the smallest
-    eigenvalue gap is within ``tol * |lam|_max``, since no useful basis
-    exists without distinct frequencies; BadSizeError unless ``tol`` is finite and >= 0.
+    imaginary part). ``gft`` is the LU inverse of the eigenvector matrix
+    ``igft``, or, for a circulant shift, whose eigenvectors ``numkit.eig``
+    gives orthonormal, its conjugate transpose; either way the basis must
+    reconstruct I and the shift. Raises RepeatedEigenvaluesError when the
+    smallest eigenvalue gap is within ``tol * |lam|_max``, since no useful
+    basis exists without distinct frequencies; BadSizeError unless ``tol``
+    is finite and >= 0.
     """
     if not 0 <= tol < np.inf:
         raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
@@ -107,7 +111,7 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     perm = _default_order(pair.values)
     lam = pair.values[perm]
     igft = pair.vectors[:, perm]
-    gft = numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
+    gft = igft.conj().T if pair.unitary else numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
     basis = SpectralBasis(gft, igft, lam)
     _check_close(gft @ igft, np.eye(graph.n), numkit.IDENTITY_TOL,
                  "gft @ igft deviates from the identity")

@@ -28,7 +28,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
-from util import circulant, er_digraph
+from util import bits, circulant, er_digraph
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -183,6 +183,34 @@ class TestSingularValueProof:
             assert loop.called == runs_loop
             assert got == _eliminated(m)
             assert (got.pivot_cols[0] == 0) != runs_loop  # where the loop runs, it skips column 0
+
+    def test_a_short_leading_column_skips_the_singular_values(self):
+        # node 0 sends to no one, so column 0 of the vertex route's matrix is
+        # rounding noise, 2.9e-14 against the bound 2 sqrt(r) cut = 1.6e-8:
+        # sigma_min of the leading block is no larger, and no SVD is taken
+        basis = basis_from_graph(_node_0_sends_nothing(400))
+        m = basis.gft[200:, :]
+        assert np.linalg.norm(m[:, 0]) <= 2 * np.sqrt(200) * numkit._zero_cut(m)
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD ran")):
+            got = row_reduce(m)
+        assert got == _eliminated(m) and got.singular_values is None
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.99, 1.01, 4.0])
+    def test_a_column_at_the_bound_decides_only_whether_the_svd_runs(self, factor):
+        # column 2 of the leading block scaled to factor * 2 sqrt(r) * cut: at or
+        # below the bound the SVD is skipped, above it the SVD decides; either
+        # way the pattern is the elimination loop's
+        rng = np.random.default_rng(3)
+        r = 6
+        a = rng.normal(size=(r, 10)) + 1j * rng.normal(size=(r, 10))
+        a /= np.abs(a).max()  # cut = PIVOT_TOL while max|a| stays 1
+        bound = 2 * np.sqrt(r) * PIVOT_TOL
+        a[:, 2] *= factor * bound / np.linalg.norm(a[:, 2])
+        svd = np.linalg.svd
+        with mock.patch.object(np.linalg, "svd", side_effect=svd) as taken:
+            got = row_reduce(a)
+        assert taken.called == (factor > 1.0)
+        assert got == _eliminated(a)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 2), (3, 3)])
     def test_tall_empty_and_zero_matrices_run_the_loop(self, shape):
@@ -354,10 +382,6 @@ def _normalize_columns_loop(vectors):
     return v
 
 
-def _bits(m):
-    return np.ascontiguousarray(m).view(np.uint64)
-
-
 class TestNormalizeColumnsMatchesTheLoop:
     def test_bit_for_bit_on_planted_leads_and_on_computed_eigenvectors(self):
         rng = np.random.default_rng(4)
@@ -369,7 +393,7 @@ class TestNormalizeColumnsMatchesTheLoop:
         for v in (planted, cycle, lapack.astype(np.complex128), np.zeros((0, 0), np.complex128)):
             got = numkit._normalize_columns(v)
             assert got.flags.c_contiguous
-            assert np.array_equal(_bits(got), _bits(_normalize_columns_loop(v)))
+            assert np.array_equal(bits(got), bits(_normalize_columns_loop(v)))
 
 
 class TestCirculantEig:
@@ -416,6 +440,17 @@ class TestCirculantEig:
                 assert partner.size == 1
                 assert np.array_equal(pair.vectors[:, partner[0]], np.conj(pair.vectors[:, k]))
 
+    def test_the_closed_form_is_already_normalized(self):
+        # unit norm and a first significant entry on the positive real axis,
+        # so the normalization, which runs on LAPACK's output, is skipped
+        symmetric = [np.roll(np.eye(n)[0], 1) + np.roll(np.eye(n)[0], -1) for n in (6, 9, 64)]
+        for column in [*self._columns(), *symmetric]:
+            with mock.patch.object(numkit, "_normalize_columns", side_effect=AssertionError("normalized")):
+                v = eig(circulant(column)).vectors
+            lead = v[np.argmax(np.abs(v) >= LEAD_TOL * np.abs(v).max(axis=0), axis=0), np.arange(v.shape[1])]
+            assert np.all(lead.real > 0) and not lead.imag.any()
+            assert np.max(np.abs(numkit._normalize_columns(v) - v)) <= 4 * np.finfo(float).eps
+
     def test_near_misses_go_to_lapack_bit_for_bit(self):
         path = build(GraphKind.PATH, 8).adjacency.real  # Toeplitz, not circulant
         ring = build(GraphKind.RING, 8).adjacency.real
@@ -424,8 +459,8 @@ class TestCirculantEig:
             with mock.patch.object(numkit, "_dft_eig", side_effect=AssertionError("closed form ran")):
                 pair = eig(a)
             values, vectors = (m.astype(np.complex128) for m in scipy.linalg.eig(a))
-            assert np.array_equal(_bits(pair.values), _bits(values))
-            assert np.array_equal(_bits(pair.vectors), _bits(numkit._normalize_columns(vectors)))
+            assert np.array_equal(bits(pair.values), bits(values))
+            assert np.array_equal(bits(pair.vectors), bits(numkit._normalize_columns(vectors)))
 
     def test_repeated_circulant_spectra_are_still_refused(self):
         ring = build(GraphKind.RING, 8).adjacency

@@ -607,6 +607,28 @@ def test_a_real_map_applies_to_complex_samples_as_one_real_product(route, recove
     assert np.all(np.abs(got[~kept] - want) <= band.k * np.finfo(float).eps * (np.abs(plan.S) @ np.abs(x_s)))
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 12), k=st.integers(1, 12),
+       route=st.sampled_from([(vertex_plan, vertex_recover), (spectral_plan, spectral_recover)]))
+def test_recovery_is_bandlimited_and_matches_the_truth(seed, n, k, route):
+    # both within c N eps cond(igft) cond(block), c = 10 (measured c <= 0.74
+    # over 600 plans of the same kind)
+    make, recover = route
+    rng = np.random.default_rng(seed)
+    _, basis = random_basis_graph(rng, n)
+    band = BandSpec(tuple(range(min(k, n))))
+    try:
+        plan = make(basis, band)
+    except InfeasibleError:
+        assume(False)
+    x = lowpass_signal(rng, basis, band)[0].values
+    got = recover(plan, sample(GraphSignal(x, Domain.VERTEX), plan.delta)).values
+    tol = 10 * n * np.finfo(float).eps * np.linalg.cond(basis.igft) * plan.cond
+    xhat = basis.gft @ got
+    assert np.max(np.abs(xhat[band.k:]), initial=0.0) <= tol * np.max(np.abs(xhat))
+    assert np.max(np.abs(got - x)) <= tol * np.max(np.abs(x))
+
+
 class TestInfeasible:
     @pytest.mark.parametrize("plan_fn", [vertex_plan, spectral_plan])
     def test_dependent_forced_delta(self, plan_fn):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,10 @@ from gsptk import (
     spectral_shift_variant,
     structural_equal,
 )
+from gsptk import numkit
 from gsptk.numkit import PIVOT_TOL, eig
 
-from util import circulant, er_digraph, random_basis_graph
+from util import bits, circulant, er_digraph, random_basis_graph
 
 
 def _weighted_cycle(n):
@@ -123,6 +126,70 @@ class TestBasisFromGraph:
             assert np.max(np.abs(basis.gft @ basis.igft - np.eye(n))) < 1e-8
             recon = basis.igft @ (basis.lam[:, None] * basis.gft)
             assert np.max(np.abs(recon - g.adjacency)) < 1e-8
+
+
+def _cycle(n):
+    """The directed cycle, n >= 1 (one node: a self loop)."""
+    return Graph(circulant(np.roll(np.eye(n)[0], 1)))
+
+
+def _relabelled_cycle(n):
+    perm = np.random.default_rng(n).permutation(n)
+    return Graph(_cycle(n).adjacency[np.ix_(perm, perm)])
+
+
+class TestCirculantInverse:
+    """A circulant's eigenvectors are orthonormal, so its basis takes the
+    conjugate transpose of ``igft`` as ``gft``, and no LU inverse."""
+
+    @pytest.mark.parametrize("graph", [
+        *(_cycle(n) for n in (1, 2, 3, 4, 256)),
+        _weighted_cycle(9),
+        _weighted_cycle(16),
+        Graph(circulant(np.random.default_rng(5).normal(size=(16, 2)) @ [1, 1j])),
+    ], ids=["cycle1", "cycle2", "cycle3", "cycle4", "cycle256", "weighted9", "weighted16", "complex16"])
+    def test_gft_is_the_conjugate_transpose(self, graph):
+        n = graph.n
+        with mock.patch.object(numkit, "solve", side_effect=AssertionError("LU inverse ran")):
+            basis = basis_from_graph(graph)
+        assert np.array_equal(bits(basis.gft), bits(basis.igft.conj().T))
+        # the LU inverse of the same matrix, within c N eps (measured c <= 0.71)
+        inverse = numkit.solve(basis.igft, np.eye(n, dtype=np.complex128))
+        assert np.max(np.abs(basis.gft - inverse)) <= 2 * n * np.finfo(float).eps
+        if not graph.adjacency.imag.any():
+            # a real circulant: each pair's rows are exact conjugates (a signed zero matches its opposite)
+            for k in np.flatnonzero(basis.lam.imag):
+                partner = np.flatnonzero(basis.lam == np.conj(basis.lam[k]))
+                assert partner.size == 1
+                assert np.array_equal(basis.gft[partner[0]], basis.gft[k].conj())
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 16, 64])
+    def test_tied_real_pairs_of_a_symmetric_circulant_stay_orthonormal(self, n):
+        # a symmetric circulant ties values k and n - k (its basis is refused for
+        # them), and eig replaces their vectors by the real cos/sin pair
+        column = np.zeros(n)
+        column[[1, -1]] += 1.0
+        column[[2, -2]] += 0.5
+        pair = eig(circulant(column))
+        tied = pair.values.imag == 0
+        assert pair.unitary and np.count_nonzero(tied) > 2
+        assert not pair.vectors[:, tied].imag.any()
+        eps = np.finfo(float).eps
+        v = pair.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 2 * n * eps
+        inverse = numkit.solve(v, np.eye(n, dtype=np.complex128))
+        assert np.max(np.abs(v.conj().T - inverse)) <= 2 * n * eps
+
+    @pytest.mark.parametrize("graph", [_relabelled_cycle(8), er_digraph(np.random.default_rng(1), 60)],
+                             ids=["relabelled-cycle8", "er60"])
+    def test_any_other_shift_keeps_its_lu_inverse(self, graph):
+        assert not numkit._circulant(graph.adjacency)
+        assert not eig(graph.adjacency).unitary
+        with mock.patch.object(numkit, "solve", wraps=numkit.solve) as lu:
+            basis = basis_from_graph(graph)
+        lu.assert_called_once()
+        inverse = numkit.solve(basis.igft, np.eye(graph.n, dtype=np.complex128))
+        assert np.array_equal(bits(basis.gft), bits(inverse))
 
 
 class TestBasisExplicit:

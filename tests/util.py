@@ -12,6 +12,11 @@ def er_digraph(rng, n, p=0.55):
     return Graph(a)
 
 
+def bits(m):
+    """The IEEE bits of a float or complex array, to compare bit for bit."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
 def circulant(column):
     """The circulant matrix with first column ``column``: entry (i, j) is
     ``column[(i - j) mod n]``."""

@@ -10,11 +10,12 @@ benchmark's graph writer, and times, once each and in this order:
 ``read_graph``, ``numkit.eig`` of the adjacency, ``basis_from_graph``,
 ``numkit.row_reduce`` of the out-of-band GFT rows (the vertex route's
 selection matrix) and of the band columns of the inverse GFT, transposed
-(the spectral route's), ``vertex_plan``, ``spectral_plan`` and
-``write_plan`` of the spectral plan. ``scipy.linalg`` is imported before
-the first stage, so that no stage is charged with it on a checkout that
-imports it where it is used. Each checkout runs RUNS times per
-size, the two alternating, the parent first on even runs. The record is
+(the spectral route's), ``vertex_plan``, ``spectral_plan``, ``write_plan``
+of the spectral plan and, as ``basis_cycle``, ``basis_from_graph`` of the
+n-node directed cycle, a circulant shift. ``scipy.linalg`` is imported
+before the first stage, so that no stage is charged with it on a checkout
+that imports it where it is used. Each checkout runs RUNS times per size,
+the two alternating, the parent first on even runs. The record is
 ``tools/bench_pairs.py``'s: per size and stage, each side's median and
 quartiles over its runs, the change's relative difference of the medians
 and how many pairs the change read lower or higher, plus the host and every
@@ -48,7 +49,7 @@ def stages(checkout: Path, n: int) -> dict:
     import numpy as np
     import scipy.linalg  # loaded before the first timed stage; see the docstring
     import workloads
-    from gsptk import BandSpec, basis_from_graph, numkit, read_graph, sampling
+    from gsptk import BandSpec, GraphKind, basis_from_graph, build, numkit, read_graph, sampling
 
     bg = workloads.band_graph(np.random.default_rng([1, 1]), n)
     band = BandSpec(tuple(range(bg.k)))
@@ -71,6 +72,7 @@ def stages(checkout: Path, n: int) -> dict:
         timed("vertex_plan", sampling.vertex_plan, basis, band)
         plan = timed("spectral_plan", sampling.spectral_plan, basis, band)
         timed("write_plan", sampling.write_plan, plan, Path(tmp) / "plan.json")
+    timed("basis_cycle", basis_from_graph, build(GraphKind.RING, n))
     return {"k": bg.k, "metrics": {k: {"value": v, "unit": "ms"} for k, v in times.items()}}
 
 
