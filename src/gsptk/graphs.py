@@ -212,20 +212,20 @@ def read_graph(path) -> Graph:
     if not isinstance(edges, list):
         raise ParseError(f"{path}: 'edges' must be a list of [src, dst, w_re, w_im]")
     for i, edge in enumerate(edges):
-        if not isinstance(edge, list) or len(edge) != 4:
+        if type(edge) is not list or len(edge) != 4:
             raise ParseError(f"{path}: edge {i} must be [src, dst, w_re, w_im]")
         src, dst, w_re, w_im = edge
-        if not (type(src) is int and type(dst) is int):
-            raise ParseError(f"{path}: edge {i}: endpoints must be integers")
-        if type(w_re) is bool or type(w_im) is bool:
-            raise ParseError(f"{path}: edge {i}: weights must be numbers, not booleans")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ParseError(f"{path}: edge {i}: endpoint out of range 0..{n - 1}")
-    try:
-        table = np.array(edges).reshape(-1, 4)
-    except ValueError:  # a weight that is itself a list
-        raise ParseError(f"{path}: edge weights must be numbers") from None
-    weights = _from_pairs(table[:, 2:], (len(edges),), f"{path}: edge weights")
+        if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
+            raise ParseError(f"{path}: edge {i}: endpoints must be integers in 0..{n - 1}")
+        if type(w_re) not in (int, float) or type(w_im) not in (int, float):
+            raise ParseError(f"{path}: edge {i}: weights must be numbers")
+    try:  # one pass; the parsed lists go before anything N x N is allocated
+        table = np.fromiter(itertools.chain.from_iterable(edges), np.float64, 4 * len(edges)).reshape(-1, 4)
+    except OverflowError:  # an integer beyond float64
+        raise ParseError(f"{path}: edge weights must be finite float64 numbers") from None
+    del doc, edges
+    if not np.isfinite(table).all():
+        raise ParseError(f"{path}: edge weights must be finite float64 numbers")
     try:
         a = np.zeros((n, n), dtype=np.complex128)
     except (ValueError, MemoryError):  # too large for numpy or for this host
@@ -239,7 +239,7 @@ def read_graph(path) -> Graph:
         repeat[np.unique(key, return_index=True)[1]] = False
         i = int(np.argmax(repeat))
         raise ParseError(f"{path}: edge {i} repeats the pair src={src[i]}, dst={dst[i]}")
-    a[dst, src] = weights
+    a.real[dst, src], a.imag[dst, src] = table[:, 2], table[:, 3]  # signed zeros kept
     return Graph(a)
 
 

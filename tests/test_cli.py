@@ -636,8 +636,11 @@ _BROKEN_INPUTS = {
     ("graph", "non-numeric weight"): _replace("edges", (0, 2), "a"),
     ("graph", "weight a list"): _replace("edges", (0, 2), [1.0]),
     ("graph", "non-finite weight"): _replace("edges", (0, 3), float("inf")),
-    # edge 2 is [1, 0, 1.0, 0.0]: with true for 1 it would read as the same graph
+    ("graph", "null weight"): _replace("edges", (0, 2), None),
+    ("graph", "weight beyond float64"): _replace("edges", (0, 2), 10**400),
+    # edge 2 is [1, 0, 1.0, 0.0]: with true or 1.0 for 1 it would read as the same graph
     ("graph", "boolean endpoint"): _replace("edges", (2, 0), True),
+    ("graph", "float endpoint"): _replace("edges", (2, 0), 1.0),
     ("graph", "n a boolean"): lambda doc: {"n": True, "edges": []},
     # numpy refuses this size without allocating; never test with an n whose
     # adjacency could actually be allocated

@@ -1,6 +1,8 @@
+import cmath
 import gc
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from gsptk import (
     write_signal,
 )
 from gsptk.graphs import _from_packed, _from_pairs, _packed, _pairs
+from util import er_digraph
 
 
 class TestBuild:
@@ -107,6 +110,20 @@ class TestGraphIO:
         path.write_text("0,1,0,1\n1,0,1,0\n0,0,0,1\n1,1,0,0\n")
         g = read_graph(path)
         assert np.array_equal(g.adjacency, build(GraphKind.EXAMPLE4, 4).adjacency)
+
+    def test_integer_weights_read_as_their_float_twin(self, tmp_path):
+        # each JSON integer is the float64 nearest to it, rounded as float()
+        # rounds it, also past 2**53, past int64 and with every weight an integer
+        rng = np.random.default_rng(7)
+        w = rng.integers(-9, 10, size=(12, 2)).tolist()
+        w[:4] = [[2**53 + 1, -(2**62) - 1], [2**63, 0], [-(2**70) - 1, 3], [0, 0]]
+        edges = [[s, d, *w[i]] for i, (s, d) in enumerate(zip(range(12), [*range(1, 12), 0]))]
+        paths = tmp_path / "int.json", tmp_path / "float.json"
+        for path, table in zip(paths, (edges, [[s, d, float(re), float(im)] for s, d, re, im in edges])):
+            path.write_text(json.dumps({"n": 12, "edges": table}))
+        got, want = (read_graph(path).adjacency for path in paths)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got[1, 0] == complex(float(2**53 + 1), float(-(2**62) - 1))
 
     def test_out_of_range_edge(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -205,6 +222,89 @@ def test_signal_and_filter_files_round_trip_bit_for_bit(tmp_path_factory, values
     write_signal(GraphSignal(np.array(values), domain), path / "x.json")
     sig = read_signal(path / "x.json")
     assert sig.domain is domain and np.array_equal(_bits(sig.values), _bits(values))
+
+
+def _edge_list_adjacency(n, edges):
+    """The adjacency an edge list states, built one entry at a time, or None
+    where the file format refuses it."""
+    a, seen = np.zeros((n, n), dtype=np.complex128), set()
+    for edge in edges:
+        if type(edge) is not list or len(edge) != 4:
+            return None
+        src, dst, w_re, w_im = edge
+        if not all(type(v) is int and 0 <= v < n for v in (src, dst)) or (src, dst) in seen:
+            return None
+        if not all(type(v) in (int, float) for v in (w_re, w_im)):
+            return None
+        try:
+            w = complex(w_re, w_im)
+        except OverflowError:  # an integer beyond float64
+            return None
+        if not cmath.isfinite(w):
+            return None
+        a[dst, src] = w
+        seen.add((src, dst))
+    return a
+
+
+_EDGES5 = [[0, 1, 1.0, 0.0], [1, 2, -0.0, 2.5], [2, 3, 3, -1], [3, 4, 0.5, -0.0], [4, 0, 2.0, 0.0],
+           [0, 2, -1.5, 0.25]]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    edge=st.integers(0, len(_EDGES5) - 1),
+    field=st.sampled_from([0, 1, 2, 3, None]),
+    value=st.one_of(st.integers(-2, 7), st.sampled_from([1.0, 10**400, 2**70, float("inf"), True, None]), _JSON),
+)
+@example(edge=1, field=3, value=float("nan"))
+@example(edge=2, field=2, value=-(10**400))
+def test_an_edited_edge_list_reads_as_edited_or_raises_parse_error(tmp_path_factory, edge, field, value):
+    # one entry of a valid 5-node edge list, or one whole edge, replaced by
+    # any JSON value: a boolean, null, a string, a list, an object, a float
+    # endpoint, a huge integer, a negative or out-of-range index
+    doc = {"n": 5, "edges": json.loads(json.dumps(_EDGES5))}
+    if field is None:
+        doc["edges"][edge] = value
+    else:
+        doc["edges"][edge][field] = value
+    path = tmp_path_factory.mktemp("edited") / "g.json"
+    path.write_text(json.dumps(doc))
+    want = _edge_list_adjacency(5, json.loads(path.read_text())["edges"])
+    if want is None:
+        with pytest.raises(ParseError):
+            read_graph(path)
+    else:
+        assert np.array_equal(_bits(read_graph(path).adjacency), _bits(want))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_graph_peaks_no_higher_than_parsing_its_text(tmp_path):
+    # the parsed lists are released before anything N x N is allocated, so
+    # the read peaks at json.loads of the text plus the float64 edge table,
+    # within a margin of one N x N complex128 array. At N=200 (21,842 edges,
+    # json.loads 3.62 MB, table 0.70 MB, margin 0.64 MB) the read peaked
+    # 0.46 MB below loads plus table; keeping the lists alive while the
+    # table, the adjacency and its copy were built peaked 1.82 MB above it
+    n = 200
+    path = tmp_path / "g.json"
+    write_graph(er_digraph(np.random.default_rng(0), n), path)
+    edges = len(json.loads(path.read_text())["edges"])
+    loads = _traced_peak(lambda: json.loads(path.read_text()))
+    assert _traced_peak(read_graph, path) <= loads + edges * 4 * 8 + n * n * 16
 
 
 def test_pair_codec_matches_a_per_value_loop():

@@ -3,10 +3,11 @@
     python3 tools/stage_times.py PARENT CHANGE --label NAME --change "what changed"
 
 PARENT and CHANGE are checkouts, each with ``src/gsptk`` and ``perfbench/``.
-Each run is a fresh process with one BLAS thread that imports ``gsptk``
-from one checkout, builds ``perfbench/workloads.band_graph(default_rng([1,
-1]), n)``, for n in SIZES, with its band of K indices 0..K-1, writes it with the
-benchmark's graph writer, and times, once each and in this order:
+For each n in SIZES, a writer process per checkout builds
+``perfbench/workloads.band_graph(default_rng([1, 1]), n)``, with its band of
+K indices 0..K-1, and writes it with the benchmark's graph writer. Each run
+is then a fresh process with one BLAS thread that imports ``gsptk`` from one
+checkout, reads that file and times, once each and in this order:
 ``read_graph``, ``numkit.eig`` of the adjacency, ``basis_from_graph``,
 ``numkit.row_reduce`` of the out-of-band GFT rows (the vertex route's
 selection matrix) and of the band columns of the inverse GFT, transposed
@@ -14,12 +15,16 @@ selection matrix) and of the band columns of the inverse GFT, transposed
 of the spectral plan and, as ``basis_cycle``, ``basis_from_graph`` of the
 n-node directed cycle, a circulant shift. ``scipy.linalg`` is imported
 before the first stage, so that no stage is charged with it on a checkout
-that imports it where it is used. Each checkout runs RUNS times per size,
-the two alternating, the parent first on even runs. The record is
-``tools/bench_pairs.py``'s: per size and stage, each side's median and
-quartiles over its runs, the change's relative difference of the medians
-and how many pairs the change read lower or higher, plus the host and every
-run's times.
+that imports it where it is used. The run also records its high-water
+resident set (``ru_maxrss``, MB) before ``read_graph``, after it, after
+``basis_from_graph`` and after the two plans. The graph is built and written
+in another process because ``band_graph`` runs ``np.linalg.eig`` and the
+writer builds the edge lists, either of which would set that mark. Each
+checkout runs RUNS times per size, the two alternating, the parent first on
+even runs. The record is ``tools/bench_pairs.py``'s: per size and stage,
+each side's median and quartiles over its runs, the change's relative
+difference of the medians and how many pairs the change read lower or
+higher, plus the host and every run's values.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -43,17 +49,25 @@ SIZES = (400, 1600)  # the benchmark's size and the north star's
 RUNS = 5  # per side and size: the fewest a BENCH_<label>.json median may rest on
 
 
-def stages(checkout: Path, n: int) -> dict:
-    """One run's stage times in ms, with gsptk and the workloads of ``checkout``."""
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+def write(checkout: Path, n: int, path: Path) -> dict:
+    """Write the bench graph of size ``n`` with the workloads of ``checkout``; its band size."""
+    sys.path[:0] = [str(checkout / "perfbench")]
     import numpy as np
-    import scipy.linalg  # loaded before the first timed stage; see the docstring
     import workloads
-    from gsptk import BandSpec, GraphKind, basis_from_graph, build, numkit, read_graph, sampling
 
     bg = workloads.band_graph(np.random.default_rng([1, 1]), n)
-    band = BandSpec(tuple(range(bg.k)))
-    times = {}
+    workloads.write_graph(path, bg.adjacency)
+    return {"k": bg.k}
+
+
+def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
+    """One run's stage times in ms, and its high-water RSS in MB, with gsptk of ``checkout``."""
+    sys.path[:0] = [str(checkout / "src")]
+    import scipy.linalg  # loaded before the first timed stage; see the docstring
+    from gsptk import BandSpec, GraphKind, basis_from_graph, build, numkit, read_graph, sampling
+
+    band = BandSpec(tuple(range(k)))
+    times, rss = {}, {}
 
     def timed(name, fn, *args):
         start = time.perf_counter()
@@ -61,33 +75,43 @@ def stages(checkout: Path, n: int) -> dict:
         times[name] = (time.perf_counter() - start) * 1e3
         return out
 
+    def maxrss(name):  # ru_maxrss is in KiB on Linux
+        rss[f"maxrss_{name}"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    maxrss("start")
+    graph = timed("read_graph", read_graph, path)
+    maxrss("read_graph")
+    timed("eig", numkit.eig, graph.adjacency)
+    basis = timed("basis_from_graph", basis_from_graph, graph)
+    maxrss("basis_from_graph")
+    timed("row_reduce_vertex", numkit.row_reduce, basis.gft[k:, :])
+    timed("row_reduce_spectral", numkit.row_reduce, basis.igft[:, :k].T)
+    timed("vertex_plan", sampling.vertex_plan, basis, band)
+    plan = timed("spectral_plan", sampling.spectral_plan, basis, band)
+    maxrss("plans")
     with tempfile.TemporaryDirectory(prefix="gsptk-stages-") as tmp:
-        path = Path(tmp) / "graph.json"
-        workloads.write_graph(path, bg.adjacency)
-        graph = timed("read_graph", read_graph, path)
-        timed("eig", numkit.eig, graph.adjacency)
-        basis = timed("basis_from_graph", basis_from_graph, graph)
-        timed("row_reduce_vertex", numkit.row_reduce, basis.gft[bg.k:, :])
-        timed("row_reduce_spectral", numkit.row_reduce, basis.igft[:, :bg.k].T)
-        timed("vertex_plan", sampling.vertex_plan, basis, band)
-        plan = timed("spectral_plan", sampling.spectral_plan, basis, band)
         timed("write_plan", sampling.write_plan, plan, Path(tmp) / "plan.json")
     timed("basis_cycle", basis_from_graph, build(GraphKind.RING, n))
-    return {"k": bg.k, "metrics": {k: {"value": v, "unit": "ms"} for k, v in times.items()}}
+    return {"metrics": {**{name: {"value": v, "unit": "ms"} for name, v in times.items()},
+                        **{name: {"value": v, "unit": "MB"} for name, v in rss.items()}}}
 
 
-def run_once(checkout: Path, n: int) -> dict:
+def child(mode: str, checkout: Path, *args) -> dict:
+    """The JSON output of this script's ``mode`` in a fresh process with one BLAS thread."""
     env = {**os.environ, **{v: "1" for v in BLAS_VARIABLES}}
-    argv = [sys.executable, __file__, "--stages", str(checkout), str(n)]
+    argv = [sys.executable, __file__, mode, str(checkout), *map(str, args)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: stages at n={n} exited {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"{checkout}: {' '.join(argv[2:])} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] == ["--write"]:
+        print(json.dumps(write(Path(sys.argv[2]), int(sys.argv[3]), Path(sys.argv[4]))))
+        return 0
     if argv is None and sys.argv[1:2] == ["--stages"]:
-        print(json.dumps(stages(Path(sys.argv[2]), int(sys.argv[3]))))
+        print(json.dumps(stages(Path(sys.argv[2]), int(sys.argv[3]), Path(sys.argv[4]), int(sys.argv[5]))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -100,10 +124,12 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "change": args.what,
-        "command": "python3 tools/stage_times.py --stages CHECKOUT N",
+        "command": "python3 tools/stage_times.py --stages CHECKOUT N GRAPH K",
         "protocol": "parent and change alternate, the parent first on even runs; each run is a fresh "
-                    "process with one BLAS thread that times each stage once; the value of a stage is "
-                    "the median over runs, with the first and third quartiles (statistics.quantiles, n=4)",
+                    "process with one BLAS thread that reads a graph file another process wrote and "
+                    "times each stage once; maxrss_<stage> is its ru_maxrss in MB after that stage; "
+                    "the value of a metric is the median over runs, with the first and third "
+                    "quartiles (statistics.quantiles, n=4)",
         "host": {
             "cores": os.cpu_count(),
             "blas_threads": 1,
@@ -116,15 +142,17 @@ def main(argv=None) -> int:
     }
     for n in SIZES:
         runs = {side: [] for side in SIDES}
-        for i in range(RUNS):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run_once(checkouts[side], n)
-                runs[side].append(result)
-                shown = {k: round(v["value"], 1) for k, v in result["metrics"].items()}
-                print(f"n={n} run {i} {side}: {shown}", file=sys.stderr, flush=True)
+        with tempfile.TemporaryDirectory(prefix="gsptk-stages-") as tmp:
+            graphs = {side: Path(tmp) / f"{side}.json" for side in SIDES}
+            band = {side: child("--write", checkouts[side], n, graphs[side])["k"] for side in SIDES}
+            for i in range(RUNS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = child("--stages", checkouts[side], n, graphs[side], band[side])
+                    runs[side].append(result)
+                    shown = {name: round(v["value"], 1) for name, v in result["metrics"].items()}
+                    print(f"n={n} run {i} {side}: {shown}", file=sys.stderr, flush=True)
         name = f"band_graph_{n}"
-        record["workloads"][name] = {"n": n, "k": runs["change"][0]["k"], "pairs": RUNS,
-                                     "metrics": compare(runs)}
+        record["workloads"][name] = {"n": n, "k": band["change"], "pairs": RUNS, "metrics": compare(runs)}
         record["runs"][name] = {s: [{k: round(v["value"], 3) for k, v in r["metrics"].items()}
                                     for r in runs[s]] for s in SIDES}
     out = ROOT / f"BENCH_{args.label}.json"
