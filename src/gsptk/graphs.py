@@ -357,6 +357,8 @@ def _read_json(path, keys: tuple[str, ...]) -> dict:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # invalid JSON or text
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested deeper than the decoder's stack
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     missing = [key for key in keys if key not in doc]

@@ -1,30 +1,33 @@
 """Sampling-set selection and perfect recovery of bandlimited graph signals.
 
 Two routes choose a sampling set for a signal whose spectrum is supported
-on a band of K indices.
+on a band of K indices. Both work on one matrix, the N x K band columns
+``vb`` of the inverse GFT, whose K independent rows are the sampling set.
 
 Vertex route: the out-of-band rows of the GFT annihilate the signal; the
 pivot pattern of Gauss elimination of that (N-K) x N block designates K free
-variables (the sampling set).
+variables (the sampling set). By matroid duality these are the last K
+independent rows of ``vb``, found by Gauss elimination of the row-reversed
+``vb`` transposed (see ``vertex_plan``).
 
 Spectral route: sampling in the vertex domain is spectral filtering by
-P(M) = gft diag(delta) igft. Choosing K linearly independent rows of the
-band columns of the inverse GFT guarantees the band block P(M)_K has K
-linearly independent rows; ``recovery_block`` cuts that K x K block.
+P(M) = gft diag(delta) igft. Choosing the first K linearly independent rows
+of ``vb`` guarantees the band block P(M)_K has K linearly independent rows;
+``recovery_block`` cuts that K x K block.
 
 For a given sampling set both routes recover through the same linear map
 (the interpolation operator of Chen, Varma, Sandryhaila & Kovacevic, IEEE
-TSP 2015): the (N-K) x K block ``S`` with ``x[dropped] = S @ x[kept]``,
-solved from the out-of-band GFT rows at the dropped nodes. The routes differ
-only in their selection rule, and recovery is one multiply and a scatter.
+TSP 2015): the (N-K) x K block ``S = vb[dropped] @ vb[kept]^-1`` with
+``x[dropped] = S @ x[kept]``. The routes differ only in their selection
+rule, and recovery is one multiply and a scatter.
 
 Both selections use deterministic Gauss pivoting (largest magnitude, lowest
 index) so plans are reproducible; a caller-forced sampling indicator is
 accepted for reproducing published selections. On a generic band that
 pattern is the leading columns: the first K nodes kept by the spectral
-route, the first N-K dropped by the vertex route. ``numkit.row_reduce``
-proves it from the singular values of the leading block, and eliminates
-only when that proof fails (dependent or nearly dependent leading columns).
+route, the last K by the vertex route. ``numkit.row_reduce`` proves it from
+the singular values of the leading block, and eliminates only when that
+proof fails (dependent or nearly dependent leading rows of ``vb``).
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ class SamplingPlan:
     It is float64 when the band spans a conjugate-closed space (see
     ``_plan``), else complex128.
     ``cond`` is a diagnostic of either route: the 2-norm condition number of
-    the block ``S`` is solved from, the out-of-band GFT rows at the dropped
-    nodes (1.0 for a full band). These five fields are what a plan file
-    stores.
+    the block ``S`` is solved from, the kept nodes' rows of the band columns
+    of the inverse GFT (1.0 for a full band). These five fields are what a
+    plan file stores.
     """
 
     domain: Domain
@@ -182,12 +185,10 @@ def _indicator(delta, n: int, k: int) -> np.ndarray:
 
 
 def _invertible(block: np.ndarray, whole: np.ndarray, what: str, sv=None) -> float:
-    """The 2-norm condition number of ``block``, a square block cut from
-    ``whole`` (1.0 when empty); InfeasibleError unless its smallest singular
-    value exceeds PIVOT_TOL * max|whole|. Every block sampling inverts.
-    ``sv``: the block's singular values, descending, if the caller has them."""
-    if not block.size:
-        return 1.0
+    """The 2-norm condition number of ``block``, a nonempty square block cut
+    from ``whole``; InfeasibleError unless its smallest singular value exceeds
+    PIVOT_TOL * max|whole|. Every block sampling inverts. ``sv``: the block's
+    singular values, descending, if the caller has them."""
     if sv is None:
         sv = np.linalg.svd(block, compute_uv=False)
     if not sv[-1] > numkit._zero_cut(whole):
@@ -196,35 +197,38 @@ def _invertible(block: np.ndarray, whole: np.ndarray, what: str, sv=None) -> flo
     return float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
 
 
-def _plan(gft: np.ndarray, band: BandSpec, forced_delta, domain: Domain, select,
-          igft: np.ndarray | None = None) -> SamplingPlan:
-    """The plan of either route: the checked indicator (forced, or the nodes
-    ``select(g_out)`` keeps) and the map ``S`` with ``x[dropped] = S @
-    x[kept]`` for every signal the out-of-band GFT rows ``g_out`` annihilate.
-    InfeasibleError unless ``_invertible`` accepts the block
-    ``g_out[:, dropped]``, the one test of the block; ``cond`` is its
-    condition. ``select`` returns the kept nodes and, when it has taken
-    them, the singular values of that block.
+def _plan(igft: np.ndarray, band: BandSpec, forced_delta, domain: Domain) -> SamplingPlan:
+    """The plan of either route, from the band columns ``vb`` of ``igft``
+    alone: the checked indicator (forced, or the K independent rows of ``vb``
+    the route's greedy keeps) and the map ``S = vb[dropped] @ vb[kept]^-1``,
+    with ``x[dropped] = S @ x[kept]`` for every signal in the band's span.
+    InfeasibleError unless ``_invertible`` accepts the block ``vb[kept]``, the
+    one test of the block; ``cond`` is its condition (1.0 when every node is
+    kept and ``S`` is empty). The spectral route keeps the first independent
+    rows of ``vb``, the vertex route the last; where ``row_reduce``'s proof
+    chose them, its singular values are that block's.
 
-    ``S`` is real (float64) when the band columns of ``igft`` are closed
-    under conjugation: their span then holds the conjugate of each of its
-    signals, so the exact map is real, and the real part of the computed one
-    is no farther from it, entry by entry. Otherwise, or without ``igft``,
-    ``S`` is complex.
+    ``S`` is real (float64) when ``vb`` is closed under conjugation: the span
+    then holds the conjugate of each of its signals, so the exact map is
+    real, and the real part of the computed one is no farther from it, entry
+    by entry. Otherwise ``S`` is complex.
     """
-    n = gft.shape[0]
+    n = igft.shape[0]
     _check_band(band, n)
-    g_out = gft[list(band.complement(n)), :]
+    vb = igft[:, list(band.support)]
     sv = None
-    if forced_delta is None:
-        kept_nodes, sv = select(g_out)
-        forced_delta = np.isin(np.arange(n), kept_nodes)
+    if forced_delta is None:  # the vertex route's greedy runs from the last row up
+        order = slice(None) if domain is Domain.SPECTRAL else slice(None, None, -1)
+        red = _full_rank(vb[order].T, "band columns of the inverse GFT")
+        forced_delta, sv = np.isin(np.arange(n), red.pivot_cols)[order], red.singular_values
     delta = _indicator(forced_delta, n, band.k)
     kept = delta != 0
-    block = g_out[:, ~kept]
-    cond = _invertible(block, g_out, "out-of-band rows", sv)
-    s = -numkit._lu_solve(block, g_out[:, kept])
-    if igft is not None and _conjugate_closed(igft[:, list(band.support)]):
+    cond, s = 1.0, vb[:0]  # a full band keeps every node, and S is empty
+    if not kept.all():
+        block = vb[kept]
+        cond = _invertible(block, vb, "band columns of the inverse GFT", sv)
+        s = numkit._lu_solve(block.T, vb[~kept].T).T  # S @ vb[kept] = vb[dropped]
+    if _conjugate_closed(vb):
         s = s.real.copy()
     return SamplingPlan(domain, delta, band, s, cond)
 
@@ -251,17 +255,17 @@ def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
 def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
     """Choose a vertex-domain sampling set and its pivot-from-free map.
 
-    Eliminates the out-of-band GFT rows; the free columns become the
-    sampling set and ``S`` reads off each pivot variable as a combination of
-    free variables. With a full band (K = N) every node is kept and ``S`` is
-    empty. A forced indicator is honored when its complement indexes an
-    invertible square block of the out-of-band rows.
+    The paper's rule keeps the free columns of Gauss elimination of the
+    out-of-band GFT rows ``g_out``. Those are the last K independent rows of
+    the band columns ``vb`` of the inverse GFT, which is how they are found:
+    ``g_out @ vb = 0`` with ranks N-K and K, so by matroid duality the free
+    set of the left-to-right greedy on the columns of ``g_out`` is the
+    right-to-left greedy basis of the rows of ``vb``. ``S`` reads off each
+    dropped node as a combination of the kept ones. With a full band (K = N)
+    every node is kept and ``S`` is empty. A forced indicator is honored
+    when its kept nodes give an invertible block of ``vb``.
     """
-    def select(g_out):  # where the singular values prove the pattern, they are the dropped block's
-        red = _full_rank(g_out, "out-of-band GFT rows")
-        return red.free_cols, red.singular_values
-
-    return _plan(basis.gft, band, forced_delta, Domain.VERTEX, select, basis.igft)
+    return _plan(basis.igft, band, forced_delta, Domain.VERTEX)
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -311,15 +315,13 @@ def recovery_block(basis: SpectralBasis, delta, band: BandSpec) -> tuple[tuple[i
 
 
 def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> SamplingPlan:
-    """Choose a sampling set by picking K independent rows of the band
-    columns of the inverse GFT (such rows always exist), and make the plan
-    ``vertex_plan`` makes for that indicator; ``recovery_block`` gives its
-    K x K block of P(M). A forced indicator is honored when its sampled
+    """Choose a sampling set by picking the first K independent rows of the
+    band columns of the inverse GFT (such rows always exist), and make the
+    plan ``vertex_plan`` makes for that indicator; ``recovery_block`` gives
+    its K x K block of P(M). A forced indicator is honored when its sampled
     nodes give independent rows.
     """
-    return _plan(basis.gft, band, forced_delta, Domain.SPECTRAL, lambda _: (_full_rank(
-        basis.igft[:, list(band.support)].T, "band columns of the inverse GFT").pivot_cols, None),
-        basis.igft)
+    return _plan(basis.igft, band, forced_delta, Domain.SPECTRAL)
 
 
 def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -350,27 +352,19 @@ def upsample(x_s, delta) -> GraphSignal:
 
 
 def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
-    """Test one indicator against both selection rules.
-
-    vertex_ok: ``vertex_plan`` accepts the indicator. spectral_ok: its sampled
-    nodes' rows of the band columns of the inverse GFT pass the same test,
-    ``_invertible`` with those columns as the whole. The verdicts agree in
-    exact arithmetic (complementary minors of a matrix and its inverse
-    vanish together).
+    """Test one indicator against both selection rules, which judge it by one
+    test: ``_invertible`` on the sampled nodes' rows of the band columns of
+    the inverse GFT. vertex_ok and spectral_ok are that one verdict. The
+    paper's two rules agree in exact arithmetic: the dropped nodes' columns
+    of the out-of-band GFT rows form the complementary minor, which vanishes
+    together with this one.
     """
-    d = np.asarray(delta)
-    try:
-        vertex_plan(basis, band, d)
-        vertex_ok = True
-    except InfeasibleError:  # raised only after d passed the indicator check
-        vertex_ok = False
-    cols = basis.igft[:, list(band.support)]
-    try:
-        _invertible(cols[np.flatnonzero(d)], cols, "band columns")
-        spectral_ok = True
-    except InfeasibleError:
-        spectral_ok = False
-    return {"vertex_ok": vertex_ok, "spectral_ok": spectral_ok}
+    try:  # np.asarray: a None indicator is refused, not read as "select one"
+        vertex_plan(basis, band, np.asarray(delta))
+        ok = True
+    except InfeasibleError:  # raised only after delta passed the indicator check
+        ok = False
+    return {"vertex_ok": ok, "spectral_ok": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +402,11 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     complex. Older files are read too: version 3 stores ``S`` as complex128
     bytes only, version 2 as [re, im] pairs. Files without a ``version``
     (version 1) hold ``S`` that way if they are vertex plans, and spectral
-    ones get it from their stored ``gft``; neither recorded ``cond``, so it
-    reads as NaN, which ``write_plan`` stores as null. With ``graph``, raises
-    ReconstructionMismatchError unless the range of the plan's recovery map
-    is invariant under the graph's shift, as the span of the band's
-    eigenvectors is.
+    ones get it from the inverse of their stored ``gft``; neither recorded
+    ``cond``, so it reads as NaN, which ``write_plan`` stores as null. With
+    ``graph``, raises ReconstructionMismatchError unless the range of the
+    plan's recovery map is invariant under the graph's shift, as the span of
+    the band's eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
@@ -434,7 +428,7 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     n, k = delta.shape[0], band.k
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
-        s = _plan(gft, band, delta, domain, None).S
+        s = _plan(numkit.solve(gft, np.eye(n)), band, delta, domain).S
     elif version in _S_LAYOUTS:
         s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", _S_LAYOUTS[version])
     else:

@@ -224,9 +224,9 @@ class TestSampleRecover:
         save_basis(basis, tmp_path / "basis.json")
         write_signal(GraphSignal(np.array([1.0, 0, 0, 0]), Domain.SPECTRAL), tmp_path / "xhat.json")
         assert run(["sample", tmp_path / "g.json", tmp_path / "xhat.json", "--domain", domain,
-                    "--band", "0", "--delta", "0,0,0,1", "--basis", tmp_path / "basis.json",
+                    "--band", "0,1,2", "--delta", "0,1,1,1", "--basis", tmp_path / "basis.json",
                     "--out", tmp_path / "run"]) == 0
-        assert "delta=0001 cond=1.111e+10" in capsys.readouterr().out
+        assert "delta=0111 cond=1.111e+10" in capsys.readouterr().out
 
     def test_a_dotted_prefix_keeps_its_dots(self, tmp_path):
         graph_path, sig_path = _write_example4_inputs(tmp_path)
@@ -550,7 +550,11 @@ def _packed_s(first=None, drop_last=False, layout="<c16"):
     return edit
 
 
+# nested past the JSON decoder's recursion limit: a ParseError, not a RecursionError
+_DEEP = "[" * 100_000 + "]" * 100_000
+
 _BROKEN_PLANS = {
+    "nested 100,000 deep": '{"version": 4, "domain": "vertex", "delta": ' + _DEEP + ', "band": [0, 1]}',
     "missing S": _without("S"),
     "missing cond": _without("cond"),
     "missing delta": _without("delta"),
@@ -588,7 +592,8 @@ _BROKEN_PLANS = {
 @pytest.mark.parametrize("case", sorted(_BROKEN_PLANS))
 def test_recover_rejects_a_malformed_plan(tmp_path, capsys, case):
     plan_path, samples_path = _sample_example4(tmp_path, "vertex")
-    plan_path.write_text(json.dumps(_BROKEN_PLANS[case](json.loads(plan_path.read_text()))))
+    edit = _BROKEN_PLANS[case]
+    plan_path.write_text(edit if isinstance(edit, str) else json.dumps(edit(json.loads(plan_path.read_text()))))
     capsys.readouterr()
     assert run(["recover", plan_path, samples_path, "--out", tmp_path / "rec.json"]) == 2
     err = capsys.readouterr().err
@@ -648,6 +653,7 @@ _BROKEN_INPUTS = {
     # each boolean below replaces an equal number: read as one, it gives the same input
     ("graph", "boolean weight"): _replace("edges", (2, 2), True),
     ("graph", "repeated edge"): lambda doc: {**doc, "edges": doc["edges"] + doc["edges"][:1]},
+    ("graph", "nested 100,000 deep"): '{"n": 4, "edges": ' + _DEEP + "}",
     ("signal", "invalid JSON"): "",
     ("signal", "not an object"): lambda doc: [doc],
     ("signal", "missing values"): _without("values"),
@@ -657,6 +663,7 @@ _BROKEN_INPUTS = {
     ("signal", "non-finite entry"): _replace("values", (0, 0), float("nan")),
     ("signal", "boolean in a pair"): _replace("values", (0, 1), False),
     ("signal", "values of the wrong shape"): _with("values", [[[1.0, 0.0]]] * 4),
+    ("signal", "nested 100,000 deep"): '{"domain": "vertex", "values": ' + _DEEP + "}",
     ("basis", "invalid JSON"): '{"lambda": [[1.0, 0.0]',
     ("basis", "not an object"): lambda doc: [doc],
     ("basis", "missing gft"): _without("gft"),
@@ -665,6 +672,7 @@ _BROKEN_INPUTS = {
     ("basis", "non-finite entry"): _replace("lambda", (0, 1), float("nan")),
     ("basis", "boolean in a pair"): _replace("gft", (0, 0, 1), False),
     ("basis", "gft of the wrong shape"): lambda doc: {**doc, "gft": doc["gft"][:-1]},
+    ("basis", "nested 100,000 deep"): '{"lambda": [], "gft": ' + _DEEP + "}",
 }
 
 

@@ -28,7 +28,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
-from util import bits, circulant, er_digraph
+from util import bits, circulant, er_digraph, node_0_sends_nothing
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -111,15 +111,6 @@ def _eliminated(a) -> numkit.RowReduction:
     return numkit._eliminate(as_cmatrix(a))
 
 
-def _node_0_sends_nothing(n):
-    """An ER digraph whose node 0 sends to no one, so every left eigenvector
-    with a nonzero eigenvalue vanishes there: column 0 of the vertex route's
-    matrix is zero when the eigenvalue 0 is in the band."""
-    a = er_digraph(np.random.default_rng(1), n).adjacency.copy()
-    a[:, 0] = 0.0
-    return Graph(a)
-
-
 class TestSingularValueProof:
     """``row_reduce`` returns the leading columns, without elimination, when
     the smallest singular value of the leading block exceeds ``2 sqrt(r) cut``."""
@@ -172,12 +163,13 @@ class TestSingularValueProof:
 
     @pytest.mark.parametrize("graph, loops", [
         (er_digraph(np.random.default_rng(1), 400), (False, False)),  # r = 200, where growth could matter
-        (_node_0_sends_nothing(64), (True, False)),
+        (node_0_sends_nothing(64), (True, False)),
     ], ids=["er400", "er64-node-0-sends-nothing"])
     def test_equals_the_loop_on_both_selection_matrices_of_a_graph(self, graph, loops):
         basis = basis_from_graph(graph)
         k = graph.n // 2
-        for m, runs_loop in zip((basis.gft[k:, :], basis.igft[:, :k].T), loops):  # vertex, spectral route
+        # the paper's vertex rule's matrix (the out-of-band GFT rows), the spectral route's
+        for m, runs_loop in zip((basis.gft[k:, :], basis.igft[:, :k].T), loops):
             with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
                 got = row_reduce(m)
             assert loop.called == runs_loop
@@ -185,10 +177,10 @@ class TestSingularValueProof:
             assert (got.pivot_cols[0] == 0) != runs_loop  # where the loop runs, it skips column 0
 
     def test_a_short_leading_column_skips_the_singular_values(self):
-        # node 0 sends to no one, so column 0 of the vertex route's matrix is
+        # node 0 sends to no one, so column 0 of the out-of-band GFT rows is
         # rounding noise, 2.9e-14 against the bound 2 sqrt(r) cut = 1.6e-8:
         # sigma_min of the leading block is no larger, and no SVD is taken
-        basis = basis_from_graph(_node_0_sends_nothing(400))
+        basis = basis_from_graph(node_0_sends_nothing(400))
         m = basis.gft[200:, :]
         assert np.linalg.norm(m[:, 0]) <= 2 * np.sqrt(200) * numkit._zero_cut(m)
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD ran")):

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import solve
 
-from util import er_digraph, random_basis_graph, small_pivot_basis
+from util import er_digraph, node_0_sends_nothing, random_basis_graph, small_pivot_basis
 
 X4 = np.array([-1.992, 0.93, -0.314, -0.577])
 DELTA4 = np.array([0, 1, 0, 1])
@@ -365,9 +366,11 @@ class TestPlanEquivalent:
         # the LU of this block meets a first pivot of 0.9e-10 below the cut
         # 1e-10; its smallest singular value, 1.56e-10, is above it
         _, basis = small_pivot_basis()
-        band, delta = BandSpec((0,)), np.array([0, 0, 0, 1])
-        block = basis.gft[1:, :3]
-        assert np.linalg.svd(block, compute_uv=False)[-1] > numkit._zero_cut(basis.gft[1:])
+        band, delta = BandSpec((0, 1, 2)), np.array([0, 1, 1, 1])
+        vb = basis.igft[:, :3]
+        block = vb[1:]
+        cut = numkit._zero_cut(vb)
+        assert np.abs(block[:, 0]).max() <= cut < np.linalg.svd(block, compute_uv=False)[-1]
         for route in (vertex_plan, spectral_plan):
             plan = route(basis, band, forced_delta=delta)
             assert plan.cond == pytest.approx(1.111e10, rel=1e-3)
@@ -378,8 +381,10 @@ class TestPlanEquivalent:
     @given(seed=st.integers(0, 2**16), n=st.integers(3, 9), k=st.integers(1, 8),
            picks=st.integers(0, 2**32 - 1))
     def test_the_two_verdicts_agree_away_from_their_cuts(self, seed, n, k, picks):
-        # each verdict is its block's smallest singular value against its cut;
-        # the blocks differ, so within 10x of a cut the verdicts may too
+        # the one verdict is the smallest singular value of the kept rows of
+        # the band columns against their cut; the paper's vertex rule judges
+        # the complementary minor, the dropped columns of the out-of-band GFT
+        # rows, which vanishes with it, so within 10x of a cut the two may differ
         _, basis = random_basis_graph(np.random.default_rng(seed), n)
         band = BandSpec(tuple(range(min(k, n - 1))))
         delta = np.zeros(n, dtype=int)
@@ -388,9 +393,9 @@ class TestPlanEquivalent:
         margins = [np.linalg.svd(block, compute_uv=False)[-1] / numkit._zero_cut(whole)
                    for block, whole in ((g_out[:, delta == 0], g_out), (cols[delta != 0], cols))]
         out = plan_equivalent(basis, delta, band)
-        assert out == {"vertex_ok": margins[0] > 1, "spectral_ok": margins[1] > 1}
+        assert out == {"vertex_ok": margins[1] > 1, "spectral_ok": margins[1] > 1}
         assume(all(not 0.1 <= m <= 10 for m in margins))
-        assert out["vertex_ok"] == out["spectral_ok"]
+        assert (margins[0] > 1) == (margins[1] > 1)
 
     def test_random_graph_exhaustive_agreement(self):
         rng = np.random.default_rng(7)
@@ -414,6 +419,69 @@ class TestPlanEquivalent:
                             dataclasses.replace(sp, domain=Domain.VERTEX),
                             vertex_plan(basis, band, forced_delta=delta),
                         )
+
+
+def paper_rules(basis, band):
+    """The nodes each route keeps by the paper's rules, run by the elimination
+    loop: the free columns of the out-of-band GFT rows (vertex), and the
+    pivot columns of the band columns of the inverse GFT, transposed
+    (spectral)."""
+    out, inside = list(band.complement(basis.n)), list(band.support)
+    return (numkit._eliminate(numkit.as_cmatrix(basis.gft[out])).free_cols,
+            numkit._eliminate(numkit.as_cmatrix(basis.igft[:, inside].T)).pivot_cols)
+
+
+def assert_paper_rules(basis, band):
+    kept = tuple(route(basis, band).free_idx for route in (vertex_plan, spectral_plan))
+    assert kept == paper_rules(basis, band)
+
+
+class TestSelectionRules:
+    """Both routes select on the band columns ``vb`` of the inverse GFT; the
+    vertex route's greedy runs from the last row, which by matroid duality
+    keeps the free columns of the out-of-band GFT rows."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**16), n=st.integers(3, 12), k=st.integers(1, 12))
+    def test_each_route_keeps_the_nodes_of_the_paper_s_rule(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        _, basis = random_basis_graph(rng, n)
+        band = BandSpec(tuple(sorted(rng.choice(n, size=min(k, n), replace=False).tolist())))
+        assert_paper_rules(basis, band)
+
+    @pytest.mark.parametrize("graph, k", [
+        (node_0_sends_nothing(64), 32),
+        (node_0_sends_nothing(400), 200),
+        (er_digraph(np.random.default_rng([1, 1]), 400), 201),  # the benchmark's graph and band
+    ], ids=["er64-node-0-sends-nothing", "er400-node-0-sends-nothing", "bench400"])
+    def test_on_the_graphs_where_the_loop_runs_and_the_bench_graph(self, graph, k):
+        # node 0 sending nothing puts e_0 in the band's span, so the vertex
+        # route's last K rows of vb are dependent and its greedy eliminates
+        basis, band = basis_from_graph(graph), BandSpec(tuple(range(k)))
+        with mock.patch.object(numkit, "_eliminate", side_effect=numkit._eliminate) as loop:
+            vertex_plan(basis, band)
+        assert loop.called == (graph.adjacency[:, 0] == 0).all()
+        assert_paper_rules(basis, band)
+
+    def test_on_example4_and_every_band_of_the_6_cycle(self):
+        assert_paper_rules(example4()[1], BandSpec((0, 1)))
+        basis = dft_basis(6)
+        for k in range(1, 7):
+            for band in itertools.combinations(range(6), k):
+                assert_paper_rules(basis, BandSpec(band))
+
+    @pytest.mark.parametrize("route", [vertex_plan, spectral_plan])
+    def test_a_plan_takes_one_svd_where_the_proof_holds(self, route):
+        # the proof's leading block is the block the plan judges and solves
+        basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
+        band = BandSpec(tuple(range(30)))
+        svd = np.linalg.svd
+        with mock.patch.object(np.linalg, "svd", side_effect=svd) as taken, \
+                mock.patch.object(numkit, "_eliminate", side_effect=AssertionError("loop ran")):
+            plan = route(basis, band)
+        assert taken.call_count == 1
+        block = basis.igft[:, :30][plan.delta != 0]
+        assert plan.cond == pytest.approx(np.linalg.cond(block), rel=1e-10)
 
 
 def pairs(values):
@@ -542,19 +610,27 @@ class TestRealPlans:
         band = BandSpec(tuple(range(n // 2)))  # splits no conjugate pair on this graph
         plan, cplx = route(basis, band), route(_rotated(basis), band)
         assert (plan.S.dtype, cplx.S.dtype) == (np.float64, np.complex128)
-        assert plan.delta.tobytes() == cplx.delta.tobytes() and plan.cond == cplx.cond
+        assert plan.delta.tobytes() == cplx.delta.tobytes()
+        # the rotated block is the same block times i: its singular values
+        # agree up to the SVD's backward error, K eps sigma_max each
+        eps = np.finfo(float).eps
+        assert cplx.cond == pytest.approx(plan.cond, rel=2 * band.k * eps * plan.cond)
         kept = plan.delta != 0
-        g_out = basis.gft[list(band.complement(n))]
-        exact = -solve(g_out[:, ~kept], g_out[:, kept])
-        assert plan.S.tobytes() == exact.real.tobytes() and cplx.S.tobytes() == exact.tobytes()
+
+        def the_map(vb):  # S = vb[dropped] @ vb[kept]^-1, as the plan solves it
+            return solve(vb[kept].T, vb[~kept].T).T
+
+        exact = the_map(basis.igft[:, :band.k])
+        assert plan.S.tobytes() == exact.real.tobytes()
+        assert cplx.S.tobytes() == the_map(_rotated(basis).igft[:, :band.k]).tobytes()
         # for a real signal, the real map's error is the real part of the complex
         # map's, up to the rounding of the two products
         x = lowpass_signal(np.random.default_rng(2), basis, band)[0].values.real
         x_s = sample(GraphSignal(x, Domain.VERTEX), plan.delta)
         err_real = np.abs(vertex_recover(plan, x_s).values - x)
-        err_cplx = np.abs(vertex_recover(cplx, x_s).values - x)
+        err_cplx = np.abs(vertex_recover(dataclasses.replace(plan, S=exact), x_s).values - x)
         rounding = np.zeros(n)
-        rounding[~kept] = 2 * band.k * np.finfo(float).eps * (np.abs(cplx.S) @ np.abs(x_s))
+        rounding[~kept] = 2 * band.k * eps * (np.abs(exact) @ np.abs(x_s))
         assert np.all(err_real <= err_cplx + rounding)
 
     def test_a_band_that_splits_a_pair_keeps_a_complex_map(self, tmp_path):

@@ -12,6 +12,15 @@ def er_digraph(rng, n, p=0.55):
     return Graph(a)
 
 
+def node_0_sends_nothing(n):
+    """An ER digraph whose node 0 sends to no one, so every left eigenvector
+    with a nonzero eigenvalue vanishes there: column 0 of the out-of-band GFT
+    rows is zero when the eigenvalue 0 is in the band."""
+    a = er_digraph(np.random.default_rng(1), n).adjacency.copy()
+    a[:, 0] = 0.0
+    return Graph(a)
+
+
 def bits(m):
     """The IEEE bits of a float or complex array, to compare bit for bit."""
     return np.ascontiguousarray(m).view(np.uint64)
@@ -47,12 +56,16 @@ def random_basis_graph(rng, n, p=0.55, max_cond=1e6, need_y0=False, max_tries=50
 
 
 def small_pivot_basis(eps=0.9e-10):
-    """A 4-node explicit basis whose band (0,) and indicator (0, 0, 0, 1) give
-    the block ``gft[1:, :3]`` with singular values 1.73, 1.0 and 1.56e-10,
-    above the zero cut 1e-10 * max|gft[1:]| = 1e-10, while the first pivot of
-    its LU is ``eps``, below it."""
+    """A 4-node explicit basis whose band (0, 1, 2) and indicator (0, 1, 1, 1)
+    give the block ``vb[kept] = igft[1:, :3]`` with singular values 1.73, 1.0
+    and ``sqrt(3) * eps`` = 1.56e-10, above the zero cut 1e-10 *
+    max|igft[:, :3]| = 1e-10, while the first pivot of its LU is ``eps``,
+    below it. The eigenvector matrix itself is well conditioned, so the
+    inverse of ``gft`` that ``basis_explicit`` takes keeps that block up to
+    rounding."""
     lam = np.array([4.0, 3.0, 2.0, 1.0])
-    gft = np.array([[1.0, 0.3, -0.2, 1.0], [eps, 1.0, 0.0, 0.5],
-                    [eps, 0.0, 1.0, -0.25], [eps, -1.0, -1.0, 0.125]])
-    graph = Graph(np.linalg.inv(gft) @ np.diag(lam) @ gft)
+    igft = np.array([[1.0, 0.0, 0.0, 0.0], [eps, 1.0, 0.0, 1.0],
+                     [eps, 0.0, 1.0, 1.0], [eps, -1.0, -1.0, 1.0]])
+    gft = np.linalg.inv(igft)
+    graph = Graph(igft @ np.diag(lam) @ gft)
     return graph, basis_explicit(gft, lam, graph)

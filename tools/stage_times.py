@@ -9,22 +9,23 @@ K indices 0..K-1, and writes it with the benchmark's graph writer. Each run
 is then a fresh process with one BLAS thread that imports ``gsptk`` from one
 checkout, reads that file and times, once each and in this order:
 ``read_graph``, ``numkit.eig`` of the adjacency, ``basis_from_graph``,
-``numkit.row_reduce`` of the out-of-band GFT rows (the vertex route's
-selection matrix) and of the band columns of the inverse GFT, transposed
-(the spectral route's), ``vertex_plan``, ``spectral_plan``, ``write_plan``
-of the spectral plan and, as ``basis_cycle``, ``basis_from_graph`` of the
-n-node directed cycle, a circulant shift. ``scipy.linalg`` is imported
-before the first stage, so that no stage is charged with it on a checkout
-that imports it where it is used. The run also records its high-water
-resident set (``ru_maxrss``, MB) before ``read_graph``, after it, after
-``basis_from_graph`` and after the two plans. The graph is built and written
-in another process because ``band_graph`` runs ``np.linalg.eig`` and the
-writer builds the edge lists, either of which would set that mark. Each
-checkout runs RUNS times per size, the two alternating, the parent first on
-even runs. The record is ``tools/bench_pairs.py``'s: per size and stage,
-each side's median and quartiles over its runs, the change's relative
-difference of the medians and how many pairs the change read lower or
-higher, plus the host and every run's values.
+``numkit.row_reduce`` of the matrix each route selects on (the band columns
+of the inverse GFT, transposed, in reverse node order for the vertex route
+and in node order for the spectral route), ``vertex_plan``,
+``spectral_plan``, ``write_plan`` of the spectral plan and, as
+``basis_cycle``, ``basis_from_graph`` of the n-node directed cycle, a
+circulant shift. ``scipy.linalg`` is imported before the first stage, so
+that no stage is charged with it on a checkout that imports it where it is
+used. The run also records its high-water resident set (``ru_maxrss``, MB)
+before ``read_graph``, after it, after ``basis_from_graph`` and after the
+two plans. The graph is built and written in another process because
+``band_graph`` runs ``np.linalg.eig`` and the writer builds the edge lists,
+either of which would set that mark. Each checkout runs RUNS times per size,
+the two alternating, the parent first on even runs. The record is
+``tools/bench_pairs.py``'s: per size and stage, each side's median and
+quartiles over its runs, the change's relative difference of the medians and
+how many pairs the change read lower or higher, plus the host and every
+run's values.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
     timed("eig", numkit.eig, graph.adjacency)
     basis = timed("basis_from_graph", basis_from_graph, graph)
     maxrss("basis_from_graph")
-    timed("row_reduce_vertex", numkit.row_reduce, basis.gft[k:, :])
+    timed("row_reduce_vertex", numkit.row_reduce, basis.igft[::-1, :k].T)
     timed("row_reduce_spectral", numkit.row_reduce, basis.igft[:, :k].T)
     timed("vertex_plan", sampling.vertex_plan, basis, band)
     plan = timed("spectral_plan", sampling.spectral_plan, basis, band)
