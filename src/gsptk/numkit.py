@@ -8,7 +8,7 @@ directed cycle and of every weighted circulant graph, is diagonalized in
 closed form by the DFT; every other matrix goes to LAPACK, in real
 arithmetic when it has no imaginary part, as the shift of a real weighted
 graph has, and in complex arithmetic otherwise. The result is complex
-either way.
+either way; a real shift's is checked and inverted in real pair form (``_pair_form``).
 
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
@@ -71,18 +71,17 @@ __all__ = [
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and copy an array-like into a finite complex128 2-D array."""
-    m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.view(np.float64))):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return m
+    return _as_array(a, name, 2, np.complex128)
 
 
 def as_cvector(v, name: str = "vector") -> np.ndarray:
-    m = np.array(v, dtype=np.complex128)
-    if m.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-D, got shape {m.shape}")
+    return _as_array(v, name, 1, np.complex128)
+
+
+def _as_array(a, name: str, ndim: int, dtype) -> np.ndarray:
+    m = np.array(a, dtype=dtype, order="C")
+    if m.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m.view(np.float64))):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return m
@@ -111,7 +110,7 @@ class EigPair:
     rotated onto the positive real axis. ``min_gap`` is the smallest pairwise
     eigenvalue distance, for callers that must enforce distinctness.
     ``unitary``: the columns are orthonormal by construction, so the inverse
-    of ``vectors`` is its conjugate transpose.
+    of ``vectors`` is its conjugate transpose. A real pair form (``_pair_form``) is not kept here.
     """
 
     values: np.ndarray
@@ -194,17 +193,18 @@ def solve(a, b):
     """Solve ``a @ x = b`` by LU factorization with partial pivoting (LAPACK).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
-    has the matching shape. Raises SingularMatrixError when a pivot of the
-    factorization is at or below ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce``
-    applies.
+    has the matching shape, float64 when neither operand is complex (a real pair form W), else
+    complex128. Raises SingularMatrixError when a pivot of the factorization is at or below
+    ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce`` applies.
     """
-    a = as_cmatrix(a)
+    dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
+    a = _as_array(a, "matrix", 2, dtype)
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.shape}")
     rhs = np.asarray(b)
     vector_rhs = rhs.ndim == 1
-    rhs = as_cmatrix(rhs[:, None] if vector_rhs else rhs, "rhs")
+    rhs = _as_array(rhs[:, None] if vector_rhs else rhs, "rhs", 2, dtype)
     if rhs.shape[0] != n:
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
     x = _lu_solve(a, rhs, _zero_cut(a))
@@ -269,13 +269,12 @@ def eig(a) -> EigPair:
     conjugate pair, and each real eigenvalue with imaginary part exactly 0
     and a real eigenvector, and the normalization keeps both properties bit
     for bit; a real circulant's closed form does the same. The result is
-    complex128 on either path.
+    complex128 on either path; the residual of a real shift's is ``max|(A W - W B) T|``.
     """
     a = as_cmatrix(a)
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    real = not a.imag.any()
     unitary = bool(n) and _circulant(a)
     if unitary:
         values, vectors = _dft_eig(a[:, 0])
@@ -283,15 +282,14 @@ def eig(a) -> EigPair:
         import scipy.linalg  # here, not at the top: a command that never decomposes skips its import
 
         try:
-            values, vectors = scipy.linalg.eig(a.real if real else a)
+            values, vectors = scipy.linalg.eig(a if a.imag.any() else a.real)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
             raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
         vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
-    # a real shift times the interleaved [re, im] columns of the vectors: one real product
-    av = (a.real @ vectors.view(np.float64)).view(np.complex128) if real else a @ vectors
-    residual = np.max(np.abs(av - vectors * values)) if n else 0.0
+    a, w, order, m = _pair_form(a, values, vectors)
+    residual = _pair_max(a @ w - _times_b(w, values[order], m), m, rows=False)
     if residual > EIG_RESIDUAL_TOL * scale:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
@@ -347,11 +345,52 @@ def _hermitian(half: np.ndarray, n: int) -> np.ndarray:
 
 def _min_gap(values: np.ndarray) -> float:
     """Smallest distance between two entries (inf for fewer than two)."""
-    n = values.shape[0]
-    if n < 2:
-        return float("inf")
     diff = np.abs(values[:, None] - values[None, :])
-    return float(np.min(diff[~np.eye(n, dtype=bool)]))
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min(initial=np.inf))
+
+
+def _pair_form(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """``(a, W, order, m)``, ``vectors[:, order] = W T``, ``order`` the real values, the m values ``p`` of
+    positive imaginary part and their conjugates ``q``. For a real ``a`` whose vectors ``q`` equal ``conj(p)``
+    and real values' vectors are real, bit for bit, W is the real vectors, the real and imaginary parts of
+    vectors ``p``, T ``[[I, I], [iI, -iI]]`` on the last 2m columns; else ``a``, ``vectors`` and m = 0."""
+    kind = np.sign(values.imag) % 3  # 0 for a real value, 1 for p, 2 for q
+    order = np.lexsort((np.abs(values.imag), values.real, kind))
+    n, m = values.shape[0], int(np.count_nonzero(kind == 1))
+    p, q = order[n - 2 * m:n - m], order[n - m:]
+    real = not a.imag.any() and np.count_nonzero(kind == 2) == m and np.array_equal(values[q], values[p].conj())
+    if real:
+        w = vectors.real[:, order]
+        w[:, n - m:] = vectors.imag[:, p]
+        real = (not vectors.imag[:, kind == 0].any() and np.array_equal(vectors.real[:, q], w[:, n - 2 * m:n - m])
+                and np.array_equal(vectors.imag[:, q], -w[:, n - m:]))
+    return (a.real, w, order, m) if real else (a, vectors, np.arange(n), 0)
+
+
+def _times_b(w: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """``W B`` for ``_pair_form``'s W and ``values``: ``[[x, y], [-y, x]]`` on a pair of value x + iy."""
+    s, t = w.shape[1] - 2 * m, w.shape[1] - m
+    wb = w * (values if np.iscomplexobj(w) else values.real)
+    wb[:, s:t] -= w[:, t:] * values.imag[s:t]
+    wb[:, t:] += w[:, s:t] * values.imag[s:t]
+    return wb
+
+
+def _pair_max(e: np.ndarray, m: int, rows: bool = True) -> float:
+    """``max|T^-1 e T|`` (``max|e T|`` without ``rows``), T ``_pair_form``'s: ``e[j, p] +- i e[j, q]`` on
+    pair columns, half ``e[p, k] -+ i e[q, k]`` on pair rows, half ``(e11 +- e22) + i (e12 -+ e21)`` on both."""
+    if not m:
+        return float(np.max(np.abs(e), initial=0.0))
+    r, p, q = slice(0, -2 * m), slice(-2 * m, -m), slice(-m, None)
+    er = e[r] if rows else e
+    big = max(np.abs(er[:, r]).max(initial=0.0), np.abs(er[:, p] + 1j * er[:, q]).max(initial=0.0))
+    if rows:
+        ep, eq = e[p], e[q]
+        big = max(big, np.abs(ep[:, r] + 1j * eq[:, r]).max(initial=0.0) / 2,
+                  np.abs(ep[:, p] + eq[:, q] + 1j * (ep[:, q] - eq[:, p])).max() / 2,
+                  np.abs(ep[:, p] - eq[:, q] + 1j * (ep[:, q] + eq[:, p])).max() / 2)
+    return float(big)
 
 
 def _gap_cut(values: np.ndarray, tol: float = GAP_TOL) -> float:

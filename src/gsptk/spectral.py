@@ -13,7 +13,8 @@ and the shift of G_s is the spectral shift
 which delays a signal in the graph frequency domain exactly the way the
 adjacency shift delays it in the vertex domain, and whose nonzero pattern
 is invariant under the scaling freedom of the eigenvectors. A
-spectral-domain operation is its vertex-domain twin run on G_s.
+spectral-domain operation is its vertex-domain twin run on G_s. A real graph's
+basis is inverted and checked in real pair form, ``igft = W T`` (``numkit._pair_form``).
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def _default_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real))
 
 
-def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str) -> None:
+def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
     """The reconstruction check of every basis: ReconstructionMismatchError
-    unless ``got`` reproduces ``want`` (the shift A, or I) to ``tol * max|want|``."""
-    err = np.max(np.abs(got - want))
+    unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``numkit._pair_max``."""
+    err = numkit._pair_max(got - want, m)
     limit = tol * np.max(np.abs(want))
     if err > limit:
         raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
@@ -94,13 +95,12 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     """Diagonalize the shift of ``graph`` into a spectral basis.
 
     Frequencies are sorted by descending real part (ties by descending
-    imaginary part). ``gft`` is the LU inverse of the eigenvector matrix
-    ``igft``, or, for a circulant shift, whose eigenvectors ``numkit.eig``
-    gives orthonormal, its conjugate transpose; either way the basis must
-    reconstruct I and the shift. Raises RepeatedEigenvaluesError when the
-    smallest eigenvalue gap is within ``tol * |lam|_max``, since no useful
-    basis exists without distinct frequencies; BadSizeError unless ``tol``
-    is finite and >= 0.
+    imaginary part). ``gft`` is ``T^-1 W^-1`` for the real pair form ``igft = W T`` of a real shift
+    (``numkit._pair_form``; a complex one has W = ``igft``), W^-1 its real LU inverse or, for a
+    circulant, whose eigenvectors are orthonormal, W^T with doubled pair rows and ``gft = igft^H``.
+    The basis must reconstruct I, ``max|T^-1 (W^-1 W - I) T|``, and A, ``(W B) W^-1``. Raises
+    RepeatedEigenvaluesError when the smallest eigenvalue gap is within ``tol * |lam|_max``, since
+    no useful basis exists without distinct frequencies; BadSizeError unless ``tol`` is finite and >= 0.
     """
     if not 0 <= tol < np.inf:
         raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
@@ -111,13 +111,23 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     perm = _default_order(pair.values)
     lam = pair.values[perm]
     igft = pair.vectors[:, perm]
-    gft = igft.conj().T if pair.unitary else numkit.solve(igft, np.eye(graph.n, dtype=np.complex128))
-    basis = SpectralBasis(gft, igft, lam)
-    _check_close(gft @ igft, np.eye(graph.n), numkit.IDENTITY_TOL,
-                 "gft @ igft deviates from the identity")
-    _check_close(_diag(basis, lam), graph.adjacency, numkit.IDENTITY_TOL,
+    gft = igft.conj().T if pair.unitary else np.empty_like(igft)  # before the work arrays, for a trimmable heap
+    a, w, order, m = numkit._pair_form(graph.adjacency, lam, igft)
+    s, t = graph.n - 2 * m, graph.n - m
+    if pair.unitary:  # W^-1 is W^T with each pair's rows doubled
+        wi = np.conj(w.T)
+        wi[s:] *= 2
+    else:
+        wi = numkit.solve(w, np.eye(graph.n, dtype=w.dtype))
+    _check_close(wi @ w, np.eye(graph.n), numkit.IDENTITY_TOL, "gft @ igft deviates from the identity", m)
+    _check_close(numkit._times_b(w, lam[order], m) @ wi, a, numkit.IDENTITY_TOL,
                  "computed basis does not reconstruct the shift")
-    return basis
+    if not pair.unitary:  # T^-1 W^-1: row p is (W^-1[p] - i W^-1[q]) / 2, row q its conjugate
+        gft[order[:s]] = wi[:s]
+        gft.real[order[s:t]] = gft.real[order[t:]] = wi.real[s:t] / 2
+        gft.imag[order[t:]] = wi.real[t:] / 2
+        gft.imag[order[s:t]] = wi.real[t:] / -2
+    return SpectralBasis(gft, igft, lam)
 
 
 def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:

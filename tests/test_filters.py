@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import functools
 
@@ -7,6 +8,7 @@ from gsptk import (
     DimensionMismatchError,
     Domain,
     Graph,
+    GsptkError,
     GraphKind,
     GraphSignal,
     ImpulseKind,
@@ -455,3 +457,39 @@ class TestConvolveAtSize:
         natural[:, k] = x, y
         want = np.fft.ifft(np.fft.fft(natural[0]) * np.fft.fft(natural[1]))[k]
         assert np.linalg.norm(got - want) <= 100 * n * np.finfo(float).eps * np.linalg.norm(want)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    density=st.sampled_from([0.3, 0.6, 1.0]),
+    imaginary=st.booleans(),
+)
+def test_the_filter_layer_returns_finite_values_or_a_toolkit_error(seed, n, density, imaginary):
+    # a real digraph's basis comes in conjugate pairs (its real pair form), a
+    # complex shift's has none; either way the transforms and the convolution
+    # of both domains return finite values or raise GsptkError
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < density) * rng.normal(size=(n, n))
+    if imaginary:
+        a = a + 1j * (rng.random((n, n)) < density) * rng.normal(size=(n, n))
+    graph = Graph(a)
+    x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    try:
+        basis = basis_from_graph(graph)
+    except GsptkError:
+        return
+    assert all(np.all(np.isfinite(m)) for m in (basis.gft, basis.igft, basis.lam))
+    if not imaginary:
+        assert not basis.gft[basis.lam.imag == 0].imag.any()
+    for domain in Domain:
+        signal = GraphSignal(x, domain)
+        there = gft_apply(basis, signal)
+        assert there.domain is not domain and np.all(np.isfinite(there.values))
+        assert np.all(np.isfinite(gft_apply(basis, there).values))
+        try:
+            out = convolve(signal, GraphSignal(y, domain), graph, basis)
+        except GsptkError:
+            continue
+        assert out.domain is domain and np.all(np.isfinite(out.values))

@@ -279,6 +279,24 @@ class TestSolve:
         inv = solve(a, np.eye(6, dtype=complex))
         assert np.max(np.abs(a @ inv - np.eye(6))) < 1e-10
 
+    def test_a_real_system_stays_real_with_the_same_refusal(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(5, 5)), rng.normal(size=(5, 2))
+        for rhs in (b, b[:, 0], np.eye(5, dtype=int)):
+            assert solve(a, rhs).dtype == np.float64
+            assert np.max(np.abs(solve(a, rhs) - solve(a.astype(complex), rhs))) < 1e-12
+        for ca, cb in ((a.astype(complex), b), (a, b.astype(complex)), (a.tolist(), (b + 1j).tolist())):
+            assert solve(ca, cb).dtype == np.complex128
+        singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1e-11], [0.0, 0.0, 1.0]])
+        messages = []
+        for m in (singular, singular.astype(complex)):
+            with pytest.raises(SingularMatrixError) as exc:
+                solve(m, np.ones(3))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "matrix is singular at tolerance 1.0e-10 (rank 2 of 3)"
+        with pytest.raises(NonFiniteError):
+            solve(np.diag([1.0, np.inf]), np.ones(2))
+
     def test_roundtrip_well_conditioned(self):
         rng = np.random.default_rng(19)
         done = 0

@@ -183,13 +183,140 @@ class TestCirculantInverse:
     @pytest.mark.parametrize("graph", [_relabelled_cycle(8), er_digraph(np.random.default_rng(1), 60)],
                              ids=["relabelled-cycle8", "er60"])
     def test_any_other_shift_keeps_its_lu_inverse(self, graph):
+        # a real shift's inverse is one real LU of its pair form W, gft = T^-1 W^-1
         assert not numkit._circulant(graph.adjacency)
         assert not eig(graph.adjacency).unitary
         with mock.patch.object(numkit, "solve", wraps=numkit.solve) as lu:
             basis = basis_from_graph(graph)
         lu.assert_called_once()
-        inverse = numkit.solve(basis.igft, np.eye(graph.n, dtype=np.complex128))
-        assert np.array_equal(bits(basis.gft), bits(inverse))
+        assert lu.call_args.args[0].dtype == np.float64
+        n, eps = graph.n, np.finfo(float).eps
+        # the complex LU inverse of igft, within 2 N eps cond(igft) relative (measured c <= 0.54)
+        inverse = numkit.solve(basis.igft, np.eye(n, dtype=np.complex128))
+        bound = 2 * n * eps * np.linalg.cond(basis.igft) * np.max(np.abs(inverse))
+        assert np.max(np.abs(basis.gft - inverse)) <= bound
+        # each conjugate pair's rows are exact conjugates, and a real value's row is real
+        paired = np.flatnonzero(basis.lam.imag > 0)
+        assert paired.size
+        for k in paired:
+            partner = np.flatnonzero(basis.lam == np.conj(basis.lam[k]))
+            assert partner.size == 1
+            assert np.array_equal(basis.gft[partner[0]], basis.gft[k].conj())
+        real = basis.lam.imag == 0
+        assert real.any() and not basis.gft[real].imag.any()
+
+
+def _pair_t(n, m):
+    """The T of ``numkit._pair_form`` for n columns with m pairs, as a dense matrix."""
+    t = np.eye(n, dtype=np.complex128)
+    for p in range(n - 2 * m, n - m):
+        t[[p, p + m], p] = 1, 1j
+        t[[p, p + m], p + m] = 1, -1j
+    return t
+
+
+def _check_verdict(call):
+    """ok, or what a failing basis check names."""
+    try:
+        call()
+    except ReconstructionMismatchError as exc:
+        return str(exc).split(":")[0]
+    return "ok"
+
+
+def _complex_products(graph, lam, w, wi, order, m):
+    """The errors of the two checks as complex products, each over its cut: igft = W T and
+    gft = T^-1 W^-1 in the order of ``lam``, then gft @ igft against I and igft @ diag(lam) @ gft
+    against A."""
+    n = graph.n
+    t = _pair_t(n, m)
+    igft, gft = np.empty((n, n), np.complex128), np.empty((n, n), np.complex128)
+    igft[:, order], gft[order] = w @ t, np.linalg.inv(t) @ wi
+    return (
+        np.max(np.abs(gft @ igft - np.eye(n))) / numkit.IDENTITY_TOL,
+        np.max(np.abs(igft @ (lam[:, None] * gft) - graph.adjacency))
+        / (numkit.IDENTITY_TOL * np.max(np.abs(graph.adjacency))),
+    )
+
+
+class TestRealPairForm:
+    """A real shift's basis is inverted and checked as the real matrix W of its
+    real vectors and of each conjugate pair's real and imaginary parts."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_pair_form_packs_a_real_basis_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(9, 9))
+        pair = eig(a)
+        perm = rng.permutation(9)  # a pair's members need not be adjacent
+        values, vectors = pair.values[perm], pair.vectors[:, perm]
+        real_a, w, order, m = numkit._pair_form(numkit.as_cmatrix(a), values, vectors)
+        assert real_a.dtype == w.dtype == np.float64 and m == np.count_nonzero(values.imag > 0) > 0
+        assert np.array_equal(vectors[:, order], w @ _pair_t(9, m))  # exact, up to the sign of a zero
+        wb = numkit._times_b(w, values[order], m)
+        assert np.max(np.abs(real_a @ w - wb)) <= 1e-12 * np.max(np.abs(a))
+        # a vector one ulp off its partner's conjugate, or a complex shift: no pairs
+        q = order[-1]
+        vectors[0, q] = np.nextafter(vectors[0, q].real, np.inf) + 1j * vectors[0, q].imag
+        for shift in (a, a + 1e-3j):
+            got_a, got_w, got_order, got_m = numkit._pair_form(numkit.as_cmatrix(shift), values, vectors)
+            assert got_m == 0 and got_w is vectors and np.array_equal(got_order, np.arange(9))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_block_formula_is_the_explicit_product(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(0, n // 2 + 1))
+        e = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-12, 3)
+        t = _pair_t(n, m)
+        for rows, want in ((True, np.linalg.inv(t) @ e @ t), (False, e @ t)):
+            got = numkit._pair_max(e, m, rows=rows)
+            assert abs(got - np.max(np.abs(want))) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("share", [0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("fault, check", [
+        ("an entry of W^-1", 0), ("an entry of W^-1", 1),
+        ("a pair's imaginary row of W^-1", 0), ("a pair's imaginary row of W^-1", 1),
+        ("a real column of W", 1),  # its basis is W's own inverse, so only the shift can miss
+    ])
+    def test_a_planted_fault_gets_the_verdict_of_the_complex_products(self, fault, check, share):
+        graph = er_digraph(np.random.default_rng(1), 12)
+        basis = basis_from_graph(graph)
+        lam, n = basis.lam, graph.n
+        _, w, order, m = numkit._pair_form(graph.adjacency, lam, basis.igft)
+        s = n - 2 * m
+        assert 0 < s < n - m, "the graph has real values and pairs"
+        wi = numkit.solve(w, np.eye(n))
+        dw, dwi = np.zeros((n, n)), np.zeros((n, n))
+        if fault == "a real column of W":
+            dw[:, 0] = np.random.default_rng(2).normal(size=n)
+        elif fault == "an entry of W^-1":
+            dwi[s, 3] = 1.0
+        else:
+            dwi[n - m] = np.random.default_rng(2).normal(size=n)
+
+        def planted(delta):
+            w2 = w + delta * dw
+            return w2, (numkit.solve(w2, np.eye(n)) if dw.any() else wi + delta * dwi)
+
+        # the fault's size puts one complex-product error, I's or A's, at share x its cut
+        delta = share * 1e-6 / _complex_products(graph, lam, *planted(1e-6), order, m)[check]
+        w2, wi2 = planted(delta)
+        ratios = _complex_products(graph, lam, w2, wi2, order, m)
+        assert abs(ratios[check] - share) <= 1e-3 * share
+        want = ("gft @ igft deviates from the identity" if ratios[0] > 1
+                else "computed basis does not reconstruct the shift" if ratios[1] > 1 else "ok")
+        form, calls = numkit._pair_form, []
+
+        def pair_form(*args):  # the second call is basis_from_graph's, after eig's
+            calls.append(args)
+            a, w, order, m = form(*args)
+            return a, (w2 if len(calls) > 1 else w), order, m
+
+        with mock.patch.object(numkit, "_pair_form", side_effect=pair_form), \
+                mock.patch.object(numkit, "solve", return_value=wi2):
+            assert _check_verdict(lambda: basis_from_graph(graph)) == want
+        assert len(calls) == 2
 
 
 class TestBasisExplicit:
