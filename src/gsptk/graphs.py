@@ -113,7 +113,7 @@ def build(kind: GraphKind, n: int) -> Graph:
         return Graph(_EXAMPLE4.copy())
     if n < 2:
         raise BadSizeError(f"{kind.value} graph needs n >= 2, got {n}")
-    a = np.zeros((n, n), dtype=np.complex128)
+    a = _dense_adjacency(n)
     if kind is GraphKind.RING:
         idx = np.arange(n)
         a[idx, (idx - 1) % n] = 1.0
@@ -127,6 +127,14 @@ def build(kind: GraphKind, n: int) -> Graph:
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown graph kind {kind!r}")
     return Graph(a)
+
+
+def _dense_adjacency(n: int) -> np.ndarray:
+    """The n x n complex zero matrix; BadSizeError when numpy or this host cannot allocate it."""
+    try:
+        return np.zeros((n, n), dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise BadSizeError(f"'n' = {n} is too large for a dense adjacency") from None
 
 
 def _fmt_complex(z: complex) -> str:
@@ -227,9 +235,9 @@ def read_graph(path) -> Graph:
     if not np.isfinite(table).all():
         raise ParseError(f"{path}: edge weights must be finite float64 numbers")
     try:
-        a = np.zeros((n, n), dtype=np.complex128)
-    except (ValueError, MemoryError):  # too large for numpy or for this host
-        raise ParseError(f"{path}: 'n' = {n} is too large for a dense adjacency") from None
+        a = _dense_adjacency(n)
+    except BadSizeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     src, dst = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
     key = dst * n + src
     seen = np.zeros(n * n, dtype=bool)

@@ -8,7 +8,8 @@ directed cycle and of every weighted circulant graph, is diagonalized in
 closed form by the DFT; every other matrix goes to LAPACK, in real
 arithmetic when it has no imaginary part, as the shift of a real weighted
 graph has, and in complex arithmetic otherwise. The result is complex
-either way; a real shift's is checked and inverted in real pair form (``_pair_form``).
+either way, in one frequency order, and a real shift's comes with the real
+pair form (``_pair_form``) in which it is checked and inverted.
 
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
@@ -78,11 +79,11 @@ def as_cvector(v, name: str = "vector") -> np.ndarray:
     return _as_array(v, name, 1, np.complex128)
 
 
-def _as_array(a, name: str, ndim: int, dtype) -> np.ndarray:
-    m = np.array(a, dtype=dtype, order="C")
+def _as_array(a, name: str, ndim: int, dtype, order: str = "C") -> np.ndarray:
+    m = np.array(a, dtype=dtype, order=order)
     if m.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.view(np.float64))):
+    if m.size and not np.all(np.isfinite(m.ravel("K").view(np.float64))):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
@@ -104,19 +105,21 @@ class RowReduction:
 
 @dataclass(frozen=True)
 class EigPair:
-    """Right eigendecomposition: ``values[k]`` pairs with column ``vectors[:, k]``.
+    """Right eigendecomposition in ``eig``'s frequency order: ``values[k]`` pairs with ``vectors[:, k]``.
 
     Columns have unit Euclidean norm with their first significant entry
     rotated onto the positive real axis. ``min_gap`` is the smallest pairwise
     eigenvalue distance, for callers that must enforce distinctness.
     ``unitary``: the columns are orthonormal by construction, so the inverse
-    of ``vectors`` is its conjugate transpose. A real pair form (``_pair_form``) is not kept here.
+    of ``vectors`` is its conjugate transpose. ``pair_form``: ``_pair_form``'s ``(W, order, m)``,
+    ``vectors[:, order] = W T``, on which ``eig`` checked its residual; not compared.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     min_gap: float
-    unitary: bool = False
+    unitary: bool
+    pair_form: tuple = field(compare=False, repr=False)
 
 
 def row_reduce(a) -> RowReduction:
@@ -198,13 +201,14 @@ def solve(a, b):
     ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce`` applies.
     """
     dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
-    a = _as_array(a, "matrix", 2, dtype)
+    # one copy of each operand, in the Fortran order LAPACK factors and solves in place
+    a = _as_array(a, "matrix", 2, dtype, "F")
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.shape}")
     rhs = np.asarray(b)
     vector_rhs = rhs.ndim == 1
-    rhs = _as_array(rhs[:, None] if vector_rhs else rhs, "rhs", 2, dtype)
+    rhs = _as_array(rhs[:, None] if vector_rhs else rhs, "rhs", 2, dtype, "F")
     if rhs.shape[0] != n:
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
     x = _lu_solve(a, rhs, _zero_cut(a))
@@ -213,7 +217,8 @@ def solve(a, b):
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndarray:
     """``a^-1 b`` by LAPACK's partially pivoted LU (``b`` when ``a`` is empty);
-    SingularMatrixError when a pivot is at or below ``cut``, if one is given."""
+    SingularMatrixError when a pivot is at or below ``cut``, if one is given.
+    LAPACK works in place on ``a`` and ``b`` where it can: pass arrays you own."""
     if not a.size:
         return b
     import scipy.linalg  # here, not at the top: a command that never solves skips its import
@@ -221,12 +226,12 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndar
     with warnings.catch_warnings():
         # an exactly zero pivot is judged below or, without a cut, by the caller
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
     if cut is not None and pivots.min() <= cut:
         raise SingularMatrixError(f"matrix is singular at tolerance {PIVOT_TOL:.1e} "
                                   f"(rank {np.count_nonzero(pivots > cut)} of {a.shape[0]})")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return scipy.linalg.lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -261,7 +266,9 @@ def eig(a) -> EigPair:
     w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced on either
     path. Only the closed form sets ``unitary``: its columns are the
     orthonormal DFT columns, or, for a tied real value, an orthonormal
-    cos/sin pair.
+    cos/sin pair. The eigenpairs come in the frequency order of every basis:
+    descending real part, ties by descending imaginary part, so a real shift's
+    conjugate pairs sort adjacent, positive imaginary part first.
 
     Off the circulant path, a matrix with no imaginary part goes to the real
     solver (``dgeev``), which is faster than the complex one (``zgeev``). It
@@ -269,7 +276,8 @@ def eig(a) -> EigPair:
     conjugate pair, and each real eigenvalue with imaginary part exactly 0
     and a real eigenvector, and the normalization keeps both properties bit
     for bit; a real circulant's closed form does the same. The result is
-    complex128 on either path; the residual of a real shift's is ``max|(A W - W B) T|``.
+    complex128 on either path; the residual of a real shift's is ``max|(A W - W B) T|``
+    on its real pair form, which the result keeps as ``pair_form``.
     """
     a = as_cmatrix(a)
     n, n2 = a.shape
@@ -287,6 +295,8 @@ def eig(a) -> EigPair:
             raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
         vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)
+    freq = np.lexsort((-values.imag, -values.real))
+    values, vectors = values[freq], vectors[:, freq]
     scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
     a, w, order, m = _pair_form(a, values, vectors)
     residual = _pair_max(a @ w - _times_b(w, values[order], m), m, rows=False)
@@ -294,7 +304,7 @@ def eig(a) -> EigPair:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
-    return EigPair(values, vectors, _min_gap(values), unitary)
+    return EigPair(values, vectors, _min_gap(values), unitary, (w, order, m))
 
 
 def _circulant(a: np.ndarray) -> bool:

@@ -73,7 +73,6 @@ __all__ = [
     "recovery_block",
     "sample",
     "upsample",
-    "plan_equivalent",
     "write_plan",
     "read_plan",
 ]
@@ -349,22 +348,6 @@ def upsample(x_s, delta) -> GraphSignal:
     x = np.zeros(d.shape[0], dtype=np.complex128)
     x[d != 0] = x_s
     return GraphSignal(x, Domain.VERTEX)
-
-
-def plan_equivalent(basis: SpectralBasis, delta, band: BandSpec) -> dict:
-    """Test one indicator against both selection rules, which judge it by one
-    test: ``_invertible`` on the sampled nodes' rows of the band columns of
-    the inverse GFT. vertex_ok and spectral_ok are that one verdict. The
-    paper's two rules agree in exact arithmetic: the dropped nodes' columns
-    of the out-of-band GFT rows form the complementary minor, which vanishes
-    together with this one.
-    """
-    try:  # np.asarray: a None indicator is refused, not read as "select one"
-        vertex_plan(basis, band, np.asarray(delta))
-        ok = True
-    except InfeasibleError:  # raised only after delta passed the indicator check
-        ok = False
-    return {"vertex_ok": ok, "spectral_ok": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ and the shift of G_s is the spectral shift
 which delays a signal in the graph frequency domain exactly the way the
 adjacency shift delays it in the vertex domain, and whose nonzero pattern
 is invariant under the scaling freedom of the eigenvectors. A
-spectral-domain operation is its vertex-domain twin run on G_s. A real graph's
-basis is inverted and checked in real pair form, ``igft = W T`` (``numkit._pair_form``).
+spectral-domain operation is its vertex-domain twin run on G_s. A computed
+basis takes its frequency order from ``numkit.eig`` and, for a real graph,
+the real pair form ``igft = W T`` in which it is inverted and checked.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
     return basis.igft @ (v[:, None] * basis.gft)
 
 
-def _default_order(lam: np.ndarray) -> np.ndarray:
-    """Descending real part, ties by descending imaginary part.
-
-    On a real shift ``numkit.eig`` returns exact conjugate pairs, so each pair
-    ties on its real part and sorts adjacent, positive imaginary part first.
-    """
-    return np.lexsort((-lam.imag, -lam.real))
-
-
 def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
     """The reconstruction check of every basis: ReconstructionMismatchError
     unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``numkit._pair_max``."""
@@ -94,10 +86,10 @@ def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: in
 def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
     """Diagonalize the shift of ``graph`` into a spectral basis.
 
-    Frequencies are sorted by descending real part (ties by descending
-    imaginary part). ``gft`` is ``T^-1 W^-1`` for the real pair form ``igft = W T`` of a real shift
-    (``numkit._pair_form``; a complex one has W = ``igft``), W^-1 its real LU inverse or, for a
-    circulant, whose eigenvectors are orthonormal, W^T with doubled pair rows and ``gft = igft^H``.
+    ``lam``, ``igft`` and the real pair form ``igft = W T`` of a real shift (``numkit._pair_form``;
+    a complex one has W = ``igft``) are ``numkit.eig``'s, in its frequency order. ``gft`` is
+    ``T^-1 W^-1``, W^-1 the real LU inverse of W or, for a circulant, whose eigenvectors are
+    orthonormal, W^T with doubled pair rows and ``gft = igft^H``.
     The basis must reconstruct I, ``max|T^-1 (W^-1 W - I) T|``, and A, ``(W B) W^-1``. Raises
     RepeatedEigenvaluesError when the smallest eigenvalue gap is within ``tol * |lam|_max``, since
     no useful basis exists without distinct frequencies; BadSizeError unless ``tol`` is finite and >= 0.
@@ -108,11 +100,9 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
     gap_tol = numkit._gap_cut(pair.values, tol)
     if pair.min_gap <= gap_tol:
         raise RepeatedEigenvaluesError(pair.min_gap, gap_tol)
-    perm = _default_order(pair.values)
-    lam = pair.values[perm]
-    igft = pair.vectors[:, perm]
+    lam, igft, (w, order, m) = pair.values, pair.vectors, pair.pair_form
     gft = igft.conj().T if pair.unitary else np.empty_like(igft)  # before the work arrays, for a trimmable heap
-    a, w, order, m = numkit._pair_form(graph.adjacency, lam, igft)
+    a = graph.adjacency if np.iscomplexobj(w) else graph.adjacency.real
     s, t = graph.n - 2 * m, graph.n - m
     if pair.unitary:  # W^-1 is W^T with each pair's rows doubled
         wi = np.conj(w.T)

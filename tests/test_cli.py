@@ -852,6 +852,9 @@ _REJECTED_DEMOS = {
     ("ring_shift", "1"): "ring graph needs n >= 2, got 1",
     ("path_signals", "3"): "path_signals needs an even n, got 3",
     ("dsp_block_sampling", "-3"): "dsp_block_sampling needs n >= 1, got -3",
+    # 142 PiB: numpy refuses the adjacency without allocating it
+    ("ring_shift", "100000000"): "'n' = 100000000 is too large for a dense adjacency",
+    ("path_signals", "100000000"): "'n' = 100000000 is too large for a dense adjacency",
     # the five fixed-size demos refuse any size rather than ignore it
     ("star_m", "3"): "demo star_m has a fixed size",
     ("example4_vertex", "9"): "demo example4_vertex has a fixed size",

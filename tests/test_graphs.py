@@ -15,12 +15,16 @@ from gsptk import (
     Graph,
     GraphKind,
     GraphSignal,
+    GsptkError,
     ParseError,
+    SamplingPlan,
     build,
     bundled_basis,
     save_basis,
+    spectral_plan,
     vertex_plan,
     read_graph,
+    read_plan,
     read_signal,
     write_graph,
     write_plan,
@@ -281,6 +285,62 @@ def test_an_edited_edge_list_reads_as_edited_or_raises_parse_error(tmp_path_fact
             read_graph(path)
     else:
         assert np.array_equal(_bits(read_graph(path).adjacency), _bits(want))
+
+
+def _edit(doc, key, edit, value, index):
+    """``doc`` with the value of ``key`` replaced by ``value``, one entry of it
+    replaced (where it is a nonempty list), or ``key`` deleted."""
+    doc = json.loads(json.dumps(doc))
+    if edit == "delete":
+        del doc[key]
+    elif edit == "replace an entry" and isinstance(doc[key], list) and doc[key]:
+        doc[key][index % len(doc[key])] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["signal", "vertex plan", "spectral plan"]),
+    key=st.integers(0, 5),
+    edit=st.sampled_from(["replace", "replace an entry", "delete", "truncate"]),
+    value=st.one_of(st.integers(-2, 7), st.sampled_from([1.0, 10**400, float("nan"), True, None]), _JSON),
+    index=st.integers(0, 7),
+    cut=st.floats(0.0, 1.0),
+    with_graph=st.booleans(),
+)
+def test_an_edited_signal_or_plan_file_reads_checked_or_raises(
+        tmp_path_factory, kind, key, edit, value, index, cut, with_graph):
+    # a valid file with one key's value (or one entry of it) replaced by any
+    # JSON value, one key deleted, or its text truncated: the reader returns a
+    # checked signal or plan, or raises GsptkError, and nothing else escapes
+    tmp = tmp_path_factory.mktemp("edited")
+    graph = build(GraphKind.EXAMPLE4, 4)
+    basis, band, path = bundled_basis("example4", graph), BandSpec((0, 1)), tmp / "f.json"
+    if kind == "signal":
+        write_signal(GraphSignal(basis.igft[:, 0], Domain.VERTEX), path)
+    else:
+        write_plan((vertex_plan if kind == "vertex plan" else spectral_plan)(basis, band), path)
+    text = path.read_text()
+    if edit == "truncate":
+        text = text[:int(cut * (len(text) - 1))]
+    else:
+        doc = json.loads(text)
+        text = json.dumps(_edit(doc, sorted(doc)[key % len(doc)], edit, value, index))
+    path.write_text(text)
+    try:
+        got = read_signal(path) if kind == "signal" else read_plan(path, graph if with_graph else None)
+    except GsptkError:
+        return
+    if kind == "signal":
+        assert isinstance(got, GraphSignal) and isinstance(got.domain, Domain)
+        assert got.values.ndim == 1 and got.values.size and np.all(np.isfinite(got.values))
+    else:
+        assert isinstance(got, SamplingPlan) and isinstance(got.domain, Domain)
+        n, k = got.delta.shape[0], got.band.k
+        assert set(np.unique(got.delta)) <= {0, 1} and np.count_nonzero(got.delta) == k
+        assert got.S.shape == (n - k, k) and np.all(np.isfinite(got.S))
 
 
 def _traced_peak(fn, *args):

@@ -29,7 +29,6 @@ from gsptk import (
     dft_basis,
     gft_apply,
     modulate,
-    plan_equivalent,
     read_plan,
     recovery_block,
     sample,
@@ -44,7 +43,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import solve
 
-from util import er_digraph, node_0_sends_nothing, random_basis_graph, small_pivot_basis
+from util import er_digraph, forced_verdicts, node_0_sends_nothing, random_basis_graph, small_pivot_basis
 
 X4 = np.array([-1.992, 0.93, -0.314, -0.577])
 DELTA4 = np.array([0, 1, 0, 1])
@@ -327,31 +326,21 @@ class TestSampleUpsample:
             upsample([5.0, 6.0], delta)
 
 
-def makes_a_plan(basis, band, delta):
-    try:
-        vertex_plan(basis, band, forced_delta=delta)
-    except InfeasibleError:
-        return False
-    return True
-
-
 class TestPlanEquivalent:
     def test_showcase_indicator_valid_both_ways(self):
         _, basis = example4()
-        out = plan_equivalent(basis, DELTA4, BandSpec((0, 1)))
-        assert out == {"vertex_ok": True, "spectral_ok": True}
+        assert forced_verdicts(basis, BandSpec((0, 1)), DELTA4) == (True, True)
 
     def test_degenerate_choice_fails_both_ways(self):
         g = Graph(np.diag([1.0, 2.0, 3.0]))
         basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
-        out = plan_equivalent(basis, np.array([0, 1, 0]), BandSpec((0,)))
-        assert out == {"vertex_ok": False, "spectral_ok": False}
+        assert forced_verdicts(basis, BandSpec((0,)), np.array([0, 1, 0])) == (False, False)
 
     @pytest.mark.parametrize("delta", [[0, 2, 0, 1], [0, 1, 0], [1, 1, 0, 1], None])
     def test_a_non_indicator_is_refused(self, delta):
         _, basis = example4()
         with pytest.raises(SizeMismatchError):
-            plan_equivalent(basis, delta, BandSpec((0, 1)))
+            forced_verdicts(basis, BandSpec((0, 1)), delta)
 
     def test_ring6_exhaustive_agreement(self):
         basis = dft_basis(6)
@@ -359,8 +348,8 @@ class TestPlanEquivalent:
         for subset in itertools.combinations(range(6), 3):
             delta = np.zeros(6, dtype=int)
             delta[list(subset)] = 1
-            out = plan_equivalent(basis, delta, band)
-            assert out["vertex_ok"] == out["spectral_ok"] == makes_a_plan(basis, band, delta)
+            vertex_ok, spectral_ok = forced_verdicts(basis, band, delta)
+            assert vertex_ok == spectral_ok
 
     def test_a_block_is_judged_by_its_singular_values_alone(self):
         # the LU of this block meets a first pivot of 0.9e-10 below the cut
@@ -375,7 +364,7 @@ class TestPlanEquivalent:
             plan = route(basis, band, forced_delta=delta)
             assert plan.cond == pytest.approx(1.111e10, rel=1e-3)
             assert plan.cond == np.linalg.cond(block)
-        assert plan_equivalent(basis, delta, band) == {"vertex_ok": True, "spectral_ok": True}
+        assert forced_verdicts(basis, band, delta) == (True, True)
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=60)
     @given(seed=st.integers(0, 2**16), n=st.integers(3, 9), k=st.integers(1, 8),
@@ -392,8 +381,7 @@ class TestPlanEquivalent:
         g_out, cols = basis.gft[band.k:], basis.igft[:, :band.k]
         margins = [np.linalg.svd(block, compute_uv=False)[-1] / numkit._zero_cut(whole)
                    for block, whole in ((g_out[:, delta == 0], g_out), (cols[delta != 0], cols))]
-        out = plan_equivalent(basis, delta, band)
-        assert out == {"vertex_ok": margins[1] > 1, "spectral_ok": margins[1] > 1}
+        assert forced_verdicts(basis, band, delta) == (margins[1] > 1, margins[1] > 1)
         assume(all(not 0.1 <= m <= 10 for m in margins))
         assert (margins[0] > 1) == (margins[1] > 1)
 
@@ -409,9 +397,8 @@ class TestPlanEquivalent:
                 for subset in itertools.combinations(range(6), k):
                     delta = np.zeros(6, dtype=int)
                     delta[list(subset)] = 1
-                    out = plan_equivalent(basis, delta, band)
-                    ok = makes_a_plan(basis, band, delta)
-                    assert out["vertex_ok"] == out["spectral_ok"] == ok
+                    ok, spectral_ok = forced_verdicts(basis, band, delta)
+                    assert ok == spectral_ok
                     if ok:  # the routes differ only in their selection rule
                         sp = spectral_plan(basis, band, forced_delta=delta)
                         assert sp.domain is Domain.SPECTRAL

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -281,9 +282,8 @@ class TestRealPairForm:
     ])
     def test_a_planted_fault_gets_the_verdict_of_the_complex_products(self, fault, check, share):
         graph = er_digraph(np.random.default_rng(1), 12)
-        basis = basis_from_graph(graph)
-        lam, n = basis.lam, graph.n
-        _, w, order, m = numkit._pair_form(graph.adjacency, lam, basis.igft)
+        pair = eig(graph.adjacency)
+        lam, n, (w, order, m) = pair.values, graph.n, pair.pair_form
         s = n - 2 * m
         assert 0 < s < n - m, "the graph has real values and pairs"
         wi = numkit.solve(w, np.eye(n))
@@ -306,17 +306,23 @@ class TestRealPairForm:
         assert abs(ratios[check] - share) <= 1e-3 * share
         want = ("gft @ igft deviates from the identity" if ratios[0] > 1
                 else "computed basis does not reconstruct the shift" if ratios[1] > 1 else "ok")
-        form, calls = numkit._pair_form, []
-
-        def pair_form(*args):  # the second call is basis_from_graph's, after eig's
-            calls.append(args)
-            a, w, order, m = form(*args)
-            return a, (w2 if len(calls) > 1 else w), order, m
-
-        with mock.patch.object(numkit, "_pair_form", side_effect=pair_form), \
+        planted_pair = dataclasses.replace(pair, pair_form=(w2, order, m))
+        with mock.patch.object(numkit, "eig", return_value=planted_pair), \
                 mock.patch.object(numkit, "solve", return_value=wi2):
             assert _check_verdict(lambda: basis_from_graph(graph)) == want
-        assert len(calls) == 2
+
+    @pytest.mark.parametrize("graph", [
+        er_digraph(np.random.default_rng(1), 12),
+        _relabelled_cycle(8),
+        _weighted_cycle(9),
+        Graph(er_digraph(np.random.default_rng(2), 8).adjacency + 0.5j * np.eye(8)),
+    ], ids=["er12", "relabelled-cycle8", "weighted9", "complex8"])
+    def test_the_pair_form_is_built_once_per_basis(self, graph):
+        with mock.patch.object(numkit, "_pair_form", wraps=numkit._pair_form) as form:
+            basis = basis_from_graph(graph)
+        form.assert_called_once()
+        w, order, m = eig(graph.adjacency).pair_form
+        assert np.array_equal(basis.igft[:, order], w @ _pair_t(graph.n, m))
 
 
 class TestBasisExplicit:

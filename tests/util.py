@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gsptk import Graph, GsptkError, basis_explicit, basis_from_graph
+from gsptk import Graph, GsptkError, InfeasibleError, basis_explicit, basis_from_graph, spectral_plan, vertex_plan
 
 
 def er_digraph(rng, n, p=0.55):
@@ -69,3 +69,17 @@ def small_pivot_basis(eps=0.9e-10):
     gft = np.linalg.inv(igft)
     graph = Graph(igft @ np.diag(lam) @ gft)
     return graph, basis_explicit(gft, lam, graph)
+
+
+def forced_verdicts(basis, band, delta):
+    """Whether ``vertex_plan`` and ``spectral_plan``, forced to the indicator
+    ``delta``, each make a plan (False where they raise InfeasibleError).
+    np.asarray: a None indicator is refused, not read as "select one"."""
+    verdicts = []
+    for route in (vertex_plan, spectral_plan):
+        try:
+            route(basis, band, forced_delta=np.asarray(delta))
+            verdicts.append(True)
+        except InfeasibleError:  # raised only after delta passed the indicator check
+            verdicts.append(False)
+    return tuple(verdicts)
