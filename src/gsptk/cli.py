@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -164,9 +165,11 @@ def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
     n = n or 12
     if n < 1:
         raise BadSizeError(f"dsp_block_sampling needs n >= 1, got {n}")
+    graphs._dense_adjacency(n)  # the size guard of build: refuses an n whose N x N operator cannot exist
     rng = np.random.default_rng(seed)
     checks = Checks()
-    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    divisors = sorted({*small, *(n // k for k in small)})
     for k in divisors:
         pm = dspcompat.dsp_sampling_operator(n, k)
         blocks = (k / n) * np.kron(np.ones((n // k, n // k)), np.eye(k))
@@ -421,6 +424,8 @@ def _cmd_spectral_shift(args) -> int:
 
 def _cmd_demo(args) -> int:
     name = args.name
+    if args.seed < 0:  # numpy's default_rng takes no negative seed
+        raise BadSizeError(f"--seed must be >= 0, got {args.seed}")
     root = os.environ.get("GSP_OUT_DIR", "gsp_out") if args.out_dir is None else args.out_dir
     out = Path(root) / name
     checks, report, arrays = _DEMOS[name](args.n, args.seed)

@@ -39,6 +39,7 @@ def dft_basis(n: int) -> SpectralBasis:
     applied to the cycle's first column: each phase is read from one table of
     the roots of unity at ``j*k mod n``.
     """
+    n = numkit._as_size(n, "n")
     if n < 1:
         raise BadSizeError("n must be positive")
     column = np.zeros(n)
@@ -53,6 +54,7 @@ def dsp_sampling_operator(n: int, k: int) -> np.ndarray:
     The train keeps every (n/k)-th node. The resulting operator is
     (k/n) times an (n/k) x (n/k) grid of k x k identity blocks.
     """
+    n, k = numkit._as_size(n, "n"), numkit._as_size(k, "k")
     if k < 1 or n < 1 or n % k:
         raise NotDivisibleError(f"k must divide n, got n={n} k={k}")
     delta = np.zeros(n, dtype=np.complex128)
@@ -68,7 +70,7 @@ def nyquist_recover(x_spl_hat: GraphSignal, k: int) -> GraphSignal:
     is inverted. With k = n this is the identity.
     """
     xhat = x_spl_hat.require(Domain.SPECTRAL)
-    n = xhat.shape[0]
+    n, k = xhat.shape[0], numkit._as_size(k, "k")
     if k < 1 or n % k:
         raise NotDivisibleError(f"k must divide the signal length, got n={n} k={k}")
     out = np.zeros(n, dtype=np.complex128)
@@ -109,7 +111,7 @@ def replication_compare(
     largest) makes visible.
     """
     vec = xhat.require(Domain.SPECTRAL)
-    n = vec.shape[0]
+    n, factor = vec.shape[0], numkit._as_size(factor, "factor")
     if factor < 1 or n % factor:
         raise NotDivisibleError(f"factor must divide n, got n={n} factor={factor}")
     block = n // factor

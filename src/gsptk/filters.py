@@ -60,6 +60,8 @@ class PolynomialFilter:
         c = numkit.as_cvector(self.coeffs, "coeffs")
         if c.size < 1:
             raise BadSizeError("a filter needs at least one coefficient")
+        if not isinstance(self.shift_domain, Domain):
+            raise TypeError("shift_domain must be a Domain enum member")
         object.__setattr__(self, "coeffs", c)
 
 

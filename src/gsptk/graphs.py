@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError
-from .numkit import as_cmatrix, as_cvector
+from .numkit import _as_size, as_cmatrix, as_cvector
 
 __all__ = [
     "Domain",
@@ -59,6 +59,8 @@ class Graph:
         a = as_cmatrix(self.adjacency, "adjacency")
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
+        if not a.size:
+            raise BadSizeError("a graph needs at least one node, got an empty adjacency")
         object.__setattr__(self, "adjacency", a)
 
     @property
@@ -107,6 +109,7 @@ def build(kind: GraphKind, n: int) -> Graph:
     PATH: undirected chain.
     EXAMPLE4: the fixed 4-node directed sampling showcase (requires n == 4).
     """
+    n = _as_size(n, "n")
     if kind is GraphKind.EXAMPLE4:
         if n != 4:
             raise BadSizeError("the example4 graph is defined only for n = 4")

@@ -9,7 +9,7 @@ closed form by the DFT; every other matrix goes to LAPACK, in real
 arithmetic when it has no imaginary part, as the shift of a real weighted
 graph has, and in complex arithmetic otherwise. The result is complex
 either way, in one frequency order, and a real shift's comes with the real
-pair form (``_pair_form``) in which it is checked and inverted.
+pair form (``_pair_form``) in which ``_diagonalize`` inverts and checks it.
 
 Elimination is kept for callers whose result is the pivot pattern itself
 (the sampling sets); its pivoting is by largest magnitude with ties broken by
@@ -28,12 +28,14 @@ or a signal changes no verdict. The demos' assertion tolerances stay there.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, NotConvergedError, SingularMatrixError
+from .errors import (BadSizeError, DimensionMismatchError, NonFiniteError, NotConvergedError,
+                     ReconstructionMismatchError, RepeatedEigenvaluesError, SingularMatrixError)
 
 # ---------------------------------------------------------------------------
 # tolerances: each names the quantity it cuts and the scale it multiplies
@@ -88,6 +90,16 @@ def _as_array(a, name: str, ndim: int, dtype, order: str = "C") -> np.ndarray:
     return m
 
 
+def _as_size(n, name: str) -> int:
+    """The size argument ``n`` as an int; BadSizeError, naming it ``name``, unless it is an integer."""
+    if isinstance(n, bool):  # True == 1, but is no size
+        raise BadSizeError(f"{name!r} must be an integer, not a boolean")
+    try:  # operator.index, not int(), so that 2.5 is refused, not truncated
+        return operator.index(n)
+    except TypeError:
+        raise BadSizeError(f"{name!r} must be an integer, got {n!r}") from None
+
+
 @dataclass(frozen=True)
 class RowReduction:
     """The pivot pattern of Gauss elimination.
@@ -107,17 +119,14 @@ class RowReduction:
 class EigPair:
     """Right eigendecomposition in ``eig``'s frequency order: ``values[k]`` pairs with ``vectors[:, k]``.
 
-    Columns have unit Euclidean norm with their first significant entry
-    rotated onto the positive real axis. ``min_gap`` is the smallest pairwise
-    eigenvalue distance, for callers that must enforce distinctness.
-    ``unitary``: the columns are orthonormal by construction, so the inverse
-    of ``vectors`` is its conjugate transpose. ``pair_form``: ``_pair_form``'s ``(W, order, m)``,
+    Columns have unit Euclidean norm with their first significant entry rotated onto the positive real
+    axis. ``unitary``: the columns are orthonormal by construction, so the inverse of ``vectors`` is
+    its conjugate transpose. ``pair_form``: ``_pair_form``'s ``(W, order, m)``,
     ``vectors[:, order] = W T``, on which ``eig`` checked its residual; not compared.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    min_gap: float
     unitary: bool
     pair_form: tuple = field(compare=False, repr=False)
 
@@ -304,7 +313,52 @@ def eig(a) -> EigPair:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
-    return EigPair(values, vectors, _min_gap(values), unitary, (w, order, m))
+    return EigPair(values, vectors, unitary, (w, order, m))
+
+
+def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gft, igft, lam)`` of the square matrix ``a``: ``eig``'s values and vectors, in its frequency
+    order, and the inverse of the vectors, checked.
+
+    A real shift's vectors are ``igft = W T`` in the real pair form (``_pair_form``); a complex one has
+    W = ``igft``. ``gft`` is ``T^-1 W^-1``, W^-1 the real LU inverse of W (``solve``) or, for a
+    circulant, whose eigenvectors are orthonormal, W^T with doubled pair rows and ``gft = igft^H``.
+    The basis must reconstruct I, ``max|T^-1 (W^-1 W - I) T|``, and A, ``(W B) W^-1``, to
+    ``IDENTITY_TOL`` (``_check_close``). Raises RepeatedEigenvaluesError when the smallest eigenvalue
+    gap is within ``tol * max|lam|``, since no useful basis exists without distinct frequencies.
+    It calls ``eig`` and ``solve`` by their module names, so that a wrapper put in their place sees each call.
+    """
+    pair = eig(a)
+    min_gap, gap_tol = _min_gap(pair.values), _gap_cut(pair.values, tol)
+    if min_gap <= gap_tol:
+        raise RepeatedEigenvaluesError(min_gap, gap_tol)
+    lam, igft, (w, order, m) = pair.values, pair.vectors, pair.pair_form
+    gft = igft.conj().T if pair.unitary else np.empty_like(igft)  # before the work arrays, for a trimmable heap
+    a = a if np.iscomplexobj(w) else a.real
+    n = a.shape[0]
+    s, t = n - 2 * m, n - m
+    if pair.unitary:  # W^-1 is W^T with each pair's rows doubled
+        wi = np.conj(w.T)
+        wi[s:] *= 2
+    else:
+        wi = solve(w, np.eye(n, dtype=w.dtype))
+    _check_close(wi @ w, np.eye(n), IDENTITY_TOL, "gft @ igft deviates from the identity", m)
+    _check_close(_times_b(w, lam[order], m) @ wi, a, IDENTITY_TOL, "computed basis does not reconstruct the shift")
+    if not pair.unitary:  # T^-1 W^-1: row p is (W^-1[p] - i W^-1[q]) / 2, row q its conjugate
+        gft[order[:s]] = wi[:s]
+        gft.real[order[s:t]] = gft.real[order[t:]] = wi.real[s:t] / 2
+        gft.imag[order[t:]] = wi.real[t:] / 2
+        gft.imag[order[s:t]] = wi.real[t:] / -2
+    return gft, igft, lam
+
+
+def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
+    """The reconstruction check of every basis: ReconstructionMismatchError
+    unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``_pair_max``."""
+    err = _pair_max(got - want, m)
+    limit = tol * np.max(np.abs(want))
+    if err > limit:
+        raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
 
 
 def _circulant(a: np.ndarray) -> bool:
@@ -409,5 +463,9 @@ def _gap_cut(values: np.ndarray, tol: float = GAP_TOL) -> float:
 
 
 def _zero_cut(a) -> float:
-    """``PIVOT_TOL * max|a|``: an entry, pivot or singular value at or below it is zero."""
-    return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))
+    """``PIVOT_TOL * max|a|``: an entry, pivot or singular value at or below it is zero. A float
+    ``a``'s maximum is read from its extremes, without the temporary ``|a|``."""
+    a = np.asarray(a)
+    if a.dtype.kind != "f":
+        return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))
+    return PIVOT_TOL * float(max(0.0, a.max(initial=0.0), -a.min(initial=0.0)))

@@ -14,8 +14,8 @@ which delays a signal in the graph frequency domain exactly the way the
 adjacency shift delays it in the vertex domain, and whose nonzero pattern
 is invariant under the scaling freedom of the eigenvectors. A
 spectral-domain operation is its vertex-domain twin run on G_s. A computed
-basis takes its frequency order from ``numkit.eig`` and, for a real graph,
-the real pair form ``igft = W T`` in which it is inverted and checked.
+basis is ``numkit._diagonalize``'s: ``numkit.eig``'s eigenpairs in their
+frequency order, with the inverse and the checks of that one module.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import numkit
-from .errors import (
-    BadSizeError,
-    DimensionMismatchError,
-    GsptkError,
-    ReconstructionMismatchError,
-    RepeatedEigenvaluesError,
-    ZeroScaleError,
-)
+from .errors import BadSizeError, DimensionMismatchError, GsptkError, ZeroScaleError
 from .graphs import Domain, Graph, GraphSignal, _from_pairs, _gc_paused, _pairs, _read_json, _write_json
 
 __all__ = [
@@ -74,50 +67,13 @@ def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
     return basis.igft @ (v[:, None] * basis.gft)
 
 
-def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
-    """The reconstruction check of every basis: ReconstructionMismatchError
-    unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``numkit._pair_max``."""
-    err = numkit._pair_max(got - want, m)
-    limit = tol * np.max(np.abs(want))
-    if err > limit:
-        raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
-
-
 def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
-    """Diagonalize the shift of ``graph`` into a spectral basis.
-
-    ``lam``, ``igft`` and the real pair form ``igft = W T`` of a real shift (``numkit._pair_form``;
-    a complex one has W = ``igft``) are ``numkit.eig``'s, in its frequency order. ``gft`` is
-    ``T^-1 W^-1``, W^-1 the real LU inverse of W or, for a circulant, whose eigenvectors are
-    orthonormal, W^T with doubled pair rows and ``gft = igft^H``.
-    The basis must reconstruct I, ``max|T^-1 (W^-1 W - I) T|``, and A, ``(W B) W^-1``. Raises
-    RepeatedEigenvaluesError when the smallest eigenvalue gap is within ``tol * |lam|_max``, since
-    no useful basis exists without distinct frequencies; BadSizeError unless ``tol`` is finite and >= 0.
-    """
+    """The spectral basis of the shift of ``graph``, ``numkit._diagonalize``'s: RepeatedEigenvaluesError
+    when the smallest eigenvalue gap is within ``tol * |lam|_max``, ReconstructionMismatchError when
+    the basis misses I or the shift. BadSizeError unless ``tol`` is finite and >= 0."""
     if not 0 <= tol < np.inf:
         raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
-    pair = numkit.eig(graph.adjacency)
-    gap_tol = numkit._gap_cut(pair.values, tol)
-    if pair.min_gap <= gap_tol:
-        raise RepeatedEigenvaluesError(pair.min_gap, gap_tol)
-    lam, igft, (w, order, m) = pair.values, pair.vectors, pair.pair_form
-    gft = igft.conj().T if pair.unitary else np.empty_like(igft)  # before the work arrays, for a trimmable heap
-    a = graph.adjacency if np.iscomplexobj(w) else graph.adjacency.real
-    s, t = graph.n - 2 * m, graph.n - m
-    if pair.unitary:  # W^-1 is W^T with each pair's rows doubled
-        wi = np.conj(w.T)
-        wi[s:] *= 2
-    else:
-        wi = numkit.solve(w, np.eye(graph.n, dtype=w.dtype))
-    _check_close(wi @ w, np.eye(graph.n), numkit.IDENTITY_TOL, "gft @ igft deviates from the identity", m)
-    _check_close(numkit._times_b(w, lam[order], m) @ wi, a, numkit.IDENTITY_TOL,
-                 "computed basis does not reconstruct the shift")
-    if not pair.unitary:  # T^-1 W^-1: row p is (W^-1[p] - i W^-1[q]) / 2, row q its conjugate
-        gft[order[:s]] = wi[:s]
-        gft.real[order[s:t]] = gft.real[order[t:]] = wi.real[s:t] / 2
-        gft.imag[order[t:]] = wi.real[t:] / 2
-        gft.imag[order[s:t]] = wi.real[t:] / -2
-    return SpectralBasis(gft, igft, lam)
+    return SpectralBasis(*numkit._diagonalize(graph.adjacency, tol))
 
 
 def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
@@ -137,8 +93,8 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
             f"gft {gft.shape} / lam {lam.shape} do not match graph size {n}"
         )
     basis = SpectralBasis(gft, numkit.solve(gft, np.eye(n, dtype=np.complex128)), lam)
-    _check_close(_diag(basis, lam), graph.adjacency, numkit.EXPLICIT_RECON_TOL,
-                 "explicit basis does not reconstruct the shift")
+    numkit._check_close(_diag(basis, lam), graph.adjacency, numkit.EXPLICIT_RECON_TOL,
+                        "explicit basis does not reconstruct the shift")
     return basis
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gsptk
 from gsptk import (
@@ -25,7 +26,7 @@ from gsptk import (
 )
 from gsptk import cli
 from gsptk.cli import DEMO_NAMES, build_parser, main
-from util import er_digraph, random_basis_graph, small_pivot_basis
+from util import er_digraph, one_vector_off, random_basis_graph, small_pivot_basis
 
 
 def run(args):
@@ -855,6 +856,7 @@ _REJECTED_DEMOS = {
     # 142 PiB: numpy refuses the adjacency without allocating it
     ("ring_shift", "100000000"): "'n' = 100000000 is too large for a dense adjacency",
     ("path_signals", "100000000"): "'n' = 100000000 is too large for a dense adjacency",
+    ("dsp_block_sampling", "100000000"): "'n' = 100000000 is too large for a dense adjacency",
     # the five fixed-size demos refuse any size rather than ignore it
     ("star_m", "3"): "demo star_m has a fixed size",
     ("example4_vertex", "9"): "demo example4_vertex has a fixed size",
@@ -872,6 +874,25 @@ def test_a_rejected_demo_leaves_no_directory(tmp_path, capsys, name, size):
     assert not (tmp_path / "out").exists()
     with pytest.raises(BadSizeError):  # each size refusal is a BadSizeError, a ValueError
         cli._DEMOS[name](int(size), 0)
+
+
+@pytest.mark.parametrize("name", ["convolution", "path_signals", "replication_compare", "dsp_block_sampling"])
+def test_a_negative_seed_is_refused_before_the_demo_runs(tmp_path, capsys, name):
+    # each of these demos seeds numpy's default_rng, which refuses a negative seed
+    assert run(["--seed", "-1", "--out-dir", tmp_path / "out", "demo", name]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_refuses_an_eigendecomposition_over_its_residual_contract(tmp_path, capsys, monkeypatch):
+    write_graph(er_digraph(np.random.default_rng(1), 12), tmp_path / "g.json")
+    write_signal(GraphSignal(np.zeros(12), Domain.SPECTRAL), tmp_path / "xhat.json")
+    monkeypatch.setattr(scipy.linalg, "eig", one_vector_off(scipy.linalg.eig))
+    assert run(["sample", tmp_path / "g.json", tmp_path / "xhat.json", "--domain", "vertex",
+                "--band", "0,1", "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigendecomposition residual ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "xhat.json"]
 
 
 def test_a_failed_demo_assertion_exits_1_and_is_named(tmp_path, capsys, monkeypatch):

@@ -43,8 +43,9 @@ from gsptk import (
 )
 from gsptk import numkit
 from gsptk.cli import main
+from gsptk.numkit import _check_close
 from gsptk.sampling import _invertible
-from gsptk.spectral import _check_close, save_basis
+from gsptk.spectral import save_basis
 
 from util import forced_verdicts
 

@@ -17,9 +17,14 @@ from gsptk import (
     GraphSignal,
     GsptkError,
     ParseError,
+    PolynomialFilter,
     SamplingPlan,
     build,
     bundled_basis,
+    dft_basis,
+    dsp_sampling_operator,
+    nyquist_recover,
+    replication_compare,
     save_basis,
     spectral_plan,
     vertex_plan,
@@ -71,6 +76,27 @@ class TestBuild:
             build(GraphKind.RING, 1)
         with pytest.raises(BadSizeError):
             build(GraphKind.EXAMPLE4, 5)
+
+    # a size that is not an integer, an empty graph or a domain that is not a Domain is refused
+    # with the library's own error, not numpy's TypeError or a wrong answer
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Graph(np.zeros((0, 0))), BadSizeError),
+        (lambda: build(GraphKind.RING, 2.5), BadSizeError),
+        (lambda: build(GraphKind.RING, True), BadSizeError),
+        (lambda: build(GraphKind.EXAMPLE4, 4.0), BadSizeError),
+        (lambda: dft_basis(2.5), BadSizeError),
+        (lambda: dft_basis(True), BadSizeError),
+        (lambda: dsp_sampling_operator(4.0, 2), BadSizeError),
+        (lambda: dsp_sampling_operator(4, True), BadSizeError),
+        (lambda: nyquist_recover(GraphSignal(np.ones(4), Domain.SPECTRAL), 2.0), BadSizeError),
+        (lambda: nyquist_recover(GraphSignal(np.ones(4), Domain.SPECTRAL), True), BadSizeError),
+        (lambda: replication_compare(dft_basis(4), GraphSignal(np.ones(4), Domain.SPECTRAL), 2.0), BadSizeError),
+        (lambda: PolynomialFilter([1, 1], "vertex"), TypeError),
+    ], ids=["empty-graph", "ring-2.5", "ring-True", "example4-4.0", "dft-2.5", "dft-True", "dsp-n-4.0",
+            "dsp-k-True", "nyquist-2.0", "nyquist-True", "replication-2.0", "filter-str-domain"])
+    def test_a_bad_argument_gets_a_typed_error(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_shift_moves_samples_along_edges(self):
         # entry (i, j) weights edge j -> i, so A @ x aggregates in-neighbors

@@ -14,6 +14,7 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     NonFiniteError,
+    NotConvergedError,
     PolynomialFilter,
     RepeatedEigenvaluesError,
     SingularMatrixError,
@@ -28,7 +29,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
-from util import bits, circulant, er_digraph, node_0_sends_nothing
+from util import bits, circulant, er_digraph, node_0_sends_nothing, one_vector_off
 
 
 # out-of-band analysis rows of the 4-node showcase basis, used by the
@@ -328,7 +329,7 @@ class TestEig:
         pair = eig(build(GraphKind.STAR, 5).adjacency)
         vals = sorted(pair.values.real.tolist())
         assert np.allclose(vals, [-2, 0, 0, 0, 2], atol=1e-9)
-        assert pair.min_gap < 1e-9
+        assert numkit._min_gap(pair.values) < 1e-9
 
     def test_columns_unit_norm_positive_lead(self):
         rng = np.random.default_rng(23)
@@ -354,6 +355,13 @@ class TestEig:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eig(np.zeros((2, 3)))
+
+    def test_a_residual_over_the_contract_is_refused(self):
+        a = er_digraph(np.random.default_rng(1), 12).adjacency
+        with mock.patch.object(scipy.linalg, "eig", side_effect=one_vector_off(scipy.linalg.eig)):
+            with pytest.raises(NotConvergedError, match="eigendecomposition residual .* exceeds 1.0e-09"):
+                eig(a)
+        eig(a)
 
 
 class TestNormalizeColumns:
@@ -390,6 +398,16 @@ def _normalize_columns_loop(vectors):
         lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
         v[:, k] = col / (col[lead] / abs(col[lead]))
     return v
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((2, 2)), np.full((2, 2), -0.0), np.array([-5.0, 1.0]),
+    np.array([5e-324, -0.0]), np.random.default_rng(3).normal(size=(9, 9)) * 1e-200,
+    np.random.default_rng(4).normal(size=(7, 5)) + 1j * np.random.default_rng(5).normal(size=(7, 5)),
+], ids=["empty", "no-columns", "zeros", "negative-zeros", "negative-max", "subnormal", "tiny", "complex"])
+def test_the_zero_cut_of_a_real_array_reads_its_extremes_bit_for_bit(a):
+    # a float array's cut is taken from its largest and smallest entries, without |a|
+    assert np.array_equal(bits(numkit._zero_cut(a)), bits(PIVOT_TOL * np.max(np.abs(a), initial=0.0)))
 
 
 class TestNormalizeColumnsMatchesTheLoop:

@@ -574,6 +574,22 @@ class TestPlanIO:
         assert back.S.shape == (0, 4)
         assert np.array_equal(vertex_recover(back, X4).values, X4)
 
+    @pytest.mark.parametrize("route, recover", [(vertex_plan, vertex_recover), (spectral_plan, spectral_recover)])
+    def test_old_layouts_read_a_full_band_s_of_no_rows(self, tmp_path, route, recover):
+        # versions 1 (vertex plans) and 2 store S as [re, im] pairs, a full band's as []
+        _, basis = example4()
+        plan = route(basis, BandSpec((0, 1, 2, 3)))
+        doc = {"domain": plan.domain.value, "delta": plan.delta.tolist(), "band": [0, 1, 2, 3], "S": []}
+        layouts = {2: {**doc, "version": 2, "cond": plan.cond}}
+        if plan.domain is Domain.VERTEX:  # a version-1 spectral plan stores its gft instead
+            layouts[1] = doc
+        for version, layout in layouts.items():
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(layout))
+            back = read_plan(path)
+            assert back.S.shape == (0, 4) and np.array_equal(back.delta, np.ones(4))
+            assert np.array_equal(recover(back, X4).values, X4)
+
     def test_malformed_plan(self, tmp_path):
         from gsptk import ParseError
 

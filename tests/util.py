@@ -26,6 +26,17 @@ def bits(m):
     return np.ascontiguousarray(m).view(np.uint64)
 
 
+def one_vector_off(lapack_eig, share=1e-3):
+    """A stand-in for ``scipy.linalg.eig`` that returns ``lapack_eig``'s result with entry (0, 0) of
+    its eigenvectors moved by ``share`` times their largest magnitude."""
+    def planted(*args, **kwargs):
+        values, vectors = lapack_eig(*args, **kwargs)
+        vectors[0, 0] += share * np.abs(vectors).max()
+        return values, vectors
+
+    return planted
+
+
 def circulant(column):
     """The circulant matrix with first column ``column``: entry (i, j) is
     ``column[(i - j) mod n]``."""

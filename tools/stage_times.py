@@ -88,7 +88,8 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
     maxrss("read_graph")
     eig = numkit.eig
     timed("eig", eig, graph.adjacency)
-    numkit.eig = functools.partial(timed, "eig_in_basis", eig)  # basis_from_graph calls numkit.eig
+    # basis_from_graph calls numkit._diagonalize, which looks numkit.eig up in its module at each call
+    numkit.eig = functools.partial(timed, "eig_in_basis", eig)
     try:
         basis = timed("basis_from_graph", basis_from_graph, graph)
     finally:
