@@ -145,10 +145,10 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
     delta_hat = b.gft[:, 0] if kind.impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
     resp = t_hat / delta_hat
     if not report.distinct:
-        close = np.abs(b.lam[:, None] - b.lam[None, :]) <= numkit._gap_cut(b.lam)
-        split = close & (np.abs(resp[:, None] - resp[None, :]) > numkit._zero_cut(resp))
-        if split.any():
-            idx = np.flatnonzero(split.any(axis=1))
+        pairs = numkit._coincident(b.lam)[2]
+        split = pairs[np.abs(resp[pairs[:, 0]] - resp[pairs[:, 1]]) > numkit._zero_cut(resp)]
+        if split.size:
+            idx = np.unique(split)
             values = ", ".join(f"{z:.3g}" for z in b.lam[idx])
             raise SingularMatrixError(
                 f"the response takes different values on the repeated eigenvalues "

@@ -124,27 +124,31 @@ def vandermonde(lam) -> np.ndarray:
     """Normalized Vandermonde matrix (1/sqrt(N)) * [lam_i ** k], k = 0..N-1.
 
     For the cycle graph's frequencies this is exactly the DFT matrix.
+    NonFiniteError when a power overflows, as |lam|^(N-1) does on large graphs.
     """
     lam = numkit.as_cvector(lam, "lam")
     if lam.size == 0:
         raise BadSizeError("lam must be nonempty")
     n = lam.shape[0]
-    return (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cmatrix's NonFiniteError
+        v = (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
+    return numkit.as_cmatrix(v, "Vandermonde matrix")
 
 
 def check_assumptions(basis: SpectralBasis) -> AssumptionReport:
     """Report whether the two invertibility assumptions hold for ``basis``.
 
-    distinct: every eigenvalue gap exceeds ``numkit.GAP_TOL * max|lam|``;
+    distinct: no two frequencies are within ``numkit.GAP_TOL * max|lam|``
+    (``numkit._coincident``), and ``min_gap`` is the smallest distance;
     y0_nonzero: every entry of the first GFT column y0 exceeds
     ``numkit.PIVOT_TOL * max|y0|``. Neither verdict depends on scale.
+    NonFiniteError when ``lam`` is not finite, since no gap is then known.
     """
-    lam = basis.lam
-    min_gap = numkit._min_gap(lam)
+    min_gap, _, pairs = numkit._coincident(numkit.as_cvector(basis.lam, "lam"))
     y0 = basis.gft[:, 0]
     min_abs_y0 = float(np.min(np.abs(y0)))
     return AssumptionReport(
-        distinct=min_gap > numkit._gap_cut(lam),
+        distinct=not pairs.size,
         y0_nonzero=min_abs_y0 > numkit._zero_cut(y0),
         min_gap=min_gap,
         min_abs_y0=min_abs_y0,

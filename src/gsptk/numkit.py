@@ -45,7 +45,7 @@ from .errors import (BadSizeError, DimensionMismatchError, NonFiniteError, NotCo
 PIVOT_TOL = 1e-10
 # eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
 EIG_RESIDUAL_TOL = 1e-9
-# distinct frequencies (``_gap_cut``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
+# distinct frequencies (``_coincident``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
 # the default of basis_from_graph and --tol, and the cut of check_assumptions and fit_filter
 GAP_TOL = 1e-8
 # eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
@@ -329,9 +329,9 @@ def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     It calls ``eig`` and ``solve`` by their module names, so that a wrapper put in their place sees each call.
     """
     pair = eig(a)
-    min_gap, gap_tol = _min_gap(pair.values), _gap_cut(pair.values, tol)
-    if min_gap <= gap_tol:
-        raise RepeatedEigenvaluesError(min_gap, gap_tol)
+    gap, cut, pairs = _coincident(pair.values, tol)
+    if pairs.size:
+        raise RepeatedEigenvaluesError(gap, cut)
     lam, igft, (w, order, m) = pair.values, pair.vectors, pair.pair_form
     gft = igft.conj().T if pair.unitary else np.empty_like(igft)  # before the work arrays, for a trimmable heap
     a = a if np.iscomplexobj(w) else a.real
@@ -407,13 +407,6 @@ def _hermitian(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _min_gap(values: np.ndarray) -> float:
-    """Smallest distance between two entries (inf for fewer than two)."""
-    diff = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min(initial=np.inf))
-
-
 def _pair_form(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
     """``(a, W, order, m)``, ``vectors[:, order] = W T``, ``order`` the real values, the m values ``p`` of
     positive imaginary part and their conjugates ``q``. For a real ``a`` whose vectors ``q`` equal ``conj(p)``
@@ -457,9 +450,28 @@ def _pair_max(e: np.ndarray, m: int, rows: bool = True) -> float:
     return float(big)
 
 
-def _gap_cut(values: np.ndarray, tol: float = GAP_TOL) -> float:
-    """The distinctness cut ``tol * max|values|`` for eigenvalue gaps."""
-    return tol * float(np.max(np.abs(values), initial=0.0))
+def _coincident(values: np.ndarray, tol: float = GAP_TOL) -> tuple[float, float, np.ndarray]:
+    """``(gap, cut, pairs)``, the one verdict on which frequencies ``values`` coincide: the smallest distance
+    between two entries (inf for fewer than two), the cut ``tol * max|values|``, and the index pairs
+    ``(i, j)``, ``i < j``, at most ``cut`` apart, one per row in ascending order.
+
+    With the entries sorted by descending real part, it takes the distances of entries w places apart for
+    w = 1, 2, ... and stops once every real-part gap at offset w exceeds both the gap so far and the cut: a
+    pair farther apart in that order is at least as far apart in real part. Memory is O(N); equal real parts
+    (a skew-symmetric shift) still take N^2 / 2 distances, one offset at a time."""
+    cut = tol * float(np.max(np.abs(values), initial=0.0))
+    order = np.argsort(-values.real, kind="stable")
+    v, gap, pairs = values[order], np.inf, [np.empty((0, 2), dtype=np.intp)]
+    for w in range(1, v.shape[0]):
+        if (v.real[:-w] - v.real[w:]).min() > max(gap, cut):
+            break
+        d = np.abs(v[w:] - v[:-w])
+        gap = min(gap, float(d.min()))
+        if gap <= cut:  # some pair is at or below the cut, so this offset may hold more
+            k = np.flatnonzero(d <= cut)
+            pairs.append(np.sort(np.stack((order[k], order[k + w]), axis=1), axis=1))
+    pairs = np.concatenate(pairs)
+    return gap, cut, pairs[np.lexsort(pairs.T[::-1])]
 
 
 def _zero_cut(a) -> float:

@@ -134,14 +134,18 @@ def rescale_basis(basis: SpectralBasis, c) -> SpectralBasis:
     """Apply the eigenvector scaling freedom: gft' = diag(c)^-1 gft.
 
     The rescaled basis diagonalizes the same shift; its spectral shift is the
-    diagonal conjugate diag(c)^-1 M diag(c).
+    diagonal conjugate diag(c)^-1 M diag(c). ZeroScaleError for a zero entry of
+    ``c``, NonFiniteError, naming the matrix, when a tiny or huge one overflows it.
     """
     c = numkit.as_cvector(c, "scale")
     if c.shape[0] != basis.n:
         raise DimensionMismatchError(f"scale length {c.shape[0]} != basis size {basis.n}")
     if np.any(np.abs(c) == 0.0):
         raise ZeroScaleError("all scale entries must be nonzero")
-    return SpectralBasis(basis.gft / c[:, None], basis.igft * c[None, :], basis.lam.copy())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cmatrix's NonFiniteError
+        gft, igft = basis.gft / c[:, None], basis.igft * c[None, :]
+    return SpectralBasis(numkit.as_cmatrix(gft, "rescaled gft"), numkit.as_cmatrix(igft, "rescaled igft"),
+                         basis.lam.copy())
 
 
 def structural_equal(m1, m2) -> bool:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsptk import (
     Graph,
     GraphKind,
+    GsptkError,
     ImpulseKind,
+    NonFiniteError,
+    SpectralBasis,
     basis_explicit,
     build,
     bundled_basis,
@@ -16,7 +20,7 @@ from gsptk import (
 )
 from gsptk.numkit import row_reduce
 
-from util import er_digraph, random_basis_graph
+from util import DECADES, er_digraph, random_basis_graph
 
 
 class TestImpulseFamilies:
@@ -132,12 +136,36 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             vandermonde([])
 
+    def test_overflowing_powers_raise_a_typed_error(self):
+        # 2 ** 1100 overflows; the suite turns a RuntimeWarning into a failure
+        with pytest.raises(NonFiniteError, match="Vandermonde matrix"):
+            vandermonde([2.0] + [0.5] * 1100)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=80)
+    @given(seed=st.integers(0, 2**16), exponents=st.lists(st.sampled_from(DECADES), min_size=1, max_size=60))
+    def test_returns_finite_values_or_a_toolkit_error(self, seed, exponents):
+        # moduli from 0 through subnormal to 1e300 (DECADES), a tenth of the entries 0
+        rng, n = np.random.default_rng(seed), len(exponents)
+        lam = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** np.array(exponents)
+        lam[rng.random(n) < 0.1] = 0.0
+        try:
+            v = vandermonde(lam)
+        except GsptkError:
+            return
+        assert v.shape == (n, n) and np.all(np.isfinite(v))
+
 
 class TestAssumptions:
     def test_ring(self):
         report = check_assumptions(dft_basis(8))
         assert report.distinct and report.y0_nonzero
         assert abs(report.min_abs_y0 - 1 / np.sqrt(8)) < 1e-12
+
+    @pytest.mark.parametrize("lam", ([1.0, 1.0, np.nan], [np.inf, 1.0, 2.0]))
+    def test_non_finite_frequencies_raise_a_typed_error(self, lam):
+        # a hand-built basis; a NaN hides the pair (0, 1) from every comparison
+        with pytest.raises(NonFiniteError, match="lam"):
+            check_assumptions(SpectralBasis(np.eye(3), np.eye(3), np.array(lam)))
 
     def test_star_explicit_basis_fails_both(self):
         basis = bundled_basis("star5", build(GraphKind.STAR, 5))

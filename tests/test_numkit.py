@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -329,7 +330,7 @@ class TestEig:
         pair = eig(build(GraphKind.STAR, 5).adjacency)
         vals = sorted(pair.values.real.tolist())
         assert np.allclose(vals, [-2, 0, 0, 0, 2], atol=1e-9)
-        assert numkit._min_gap(pair.values) < 1e-9
+        assert numkit._coincident(pair.values)[0] < 1e-9
 
     def test_columns_unit_norm_positive_lead(self):
         rng = np.random.default_rng(23)
@@ -496,3 +497,54 @@ class TestCirculantEig:
         for a in (ring + ring.T, np.zeros((8, 8))):  # the undirected ring; the zero matrix
             with pytest.raises(RepeatedEigenvaluesError):
                 basis_from_graph(Graph(a))
+
+
+# ---------------------------------------------------------------------------
+# which frequencies coincide: one sweep, against the N^2 distance matrix
+
+
+def _coincident_brute(values, tol):
+    """The reference: every pairwise distance at once, in an N x N matrix."""
+    cut = tol * float(np.max(np.abs(values), initial=0.0))
+    diff = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min(initial=np.inf)), cut, np.argwhere(np.triu(diff <= cut, 1))
+
+
+def _spectrum(rng, n, kind):
+    if kind == "ties":
+        return (rng.integers(-3, 3, size=n) + 1j * rng.integers(-3, 3, size=n)).astype(complex)
+    if kind == "equal_real":  # a skew-symmetric shift's spectrum, shifted
+        return 0.5 + 1j * rng.normal(size=n)
+    if kind == "conjugate":  # a real shift's: exact conjugate pairs and real values
+        half = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
+        return np.concatenate([half, half.conj(), rng.normal(size=n % 2)])
+    if kind == "circle":
+        return np.exp(2j * np.pi * np.arange(n) / max(n, 1))
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestCoincident:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(seed=st.integers(0, 2**16), n=st.sampled_from(range(41)),
+           kind=st.sampled_from(["generic", "ties", "equal_real", "conjugate", "circle"]),
+           exponent=st.integers(-300, 300), tol=st.sampled_from([numkit.GAP_TOL, 0.0, 0.3]))
+    def test_equals_the_distance_matrix_bit_for_bit(self, seed, n, kind, exponent, tol):
+        rng = np.random.default_rng(seed)
+        values = _spectrum(rng, n, kind) * 10.0 ** exponent
+        rng.shuffle(values)
+        gap, cut, pairs = numkit._coincident(values, tol)
+        want_gap, want_cut, want_pairs = _coincident_brute(values, tol)
+        assert (gap, cut) == (want_gap, want_cut)
+        assert pairs.shape == want_pairs.shape and np.array_equal(pairs, want_pairs)
+
+    def test_peaks_below_one_megabyte_at_3000_frequencies(self):
+        # the N x N form, the reference above, peaks at about 216 MB here
+        values = np.array([1.0, 1.0j]) @ np.random.default_rng(5).normal(size=(2, 3000))
+        tracemalloc.start()
+        try:
+            numkit._coincident(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsptk import (
     DimensionMismatchError,
@@ -11,6 +12,7 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     GsptkError,
+    NonFiniteError,
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
@@ -30,7 +32,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import PIVOT_TOL, eig
 
-from util import bits, circulant, er_digraph, random_basis_graph
+from util import DECADES, bits, circulant, er_digraph, random_basis_graph
 
 
 def _weighted_cycle(n):
@@ -473,6 +475,28 @@ class TestRescaling:
         _, basis = example4()
         with pytest.raises(DimensionMismatchError, match="scale length 2 != basis size 4"):
             rescale_basis(basis, [1.0, 2.0])
+
+    def test_an_overflowing_scale_names_its_matrix(self):
+        # 1 / 1e-320 overflows gft's row; 1e200 twice overflows igft's column.
+        # The suite turns a RuntimeWarning into a failure
+        with pytest.raises(NonFiniteError, match="rescaled gft"):
+            rescale_basis(dft_basis(4), [1e-320, 1, 1, 1])
+        big = rescale_basis(dft_basis(4), [1e200, 1, 1, 1])
+        with pytest.raises(NonFiniteError, match="rescaled igft"):
+            rescale_basis(big, [1e200, 1, 1, 1])
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=80)
+    @given(seed=st.integers(0, 2**16), exponents=st.lists(st.sampled_from(DECADES), min_size=1, max_size=8))
+    def test_returns_finite_values_or_a_toolkit_error(self, seed, exponents):
+        # moduli from 0 through subnormal to 1e300 (DECADES), a tenth of the entries 0
+        rng, n = np.random.default_rng(seed), len(exponents)
+        c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** np.array(exponents)
+        c[rng.random(n) < 0.1] = 0.0
+        try:
+            scaled = rescale_basis(dft_basis(n), c)
+        except GsptkError:
+            return
+        assert all(np.all(np.isfinite(m)) for m in (scaled.gft, scaled.igft, scaled.lam))
 
 
 class TestStructuralEqual:

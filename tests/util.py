@@ -5,6 +5,11 @@ import numpy as np
 from gsptk import Graph, GsptkError, InfeasibleError, basis_explicit, basis_from_graph, spectral_plan, vertex_plan
 
 
+# decimal exponents of the moduli the finiteness properties draw: 10 ** -330 underflows to 0,
+# 1e-320 and 1e-310 are subnormal, and the rest span the normal range
+DECADES = (-330, -320, -310, -300, -100, 0, 100, 300)
+
+
 def er_digraph(rng, n, p=0.55):
     """Uniform-weight Erdos-Renyi digraph without self loops."""
     a = (rng.random((n, n)) < p).astype(np.complex128)

@@ -12,18 +12,21 @@ checkout, reads that file and times, once each and in this order:
 ``basis_less_eig`` (``basis_from_graph``'s time less that of its own
 ``numkit.eig`` call, timed inside it in the same run, so that the spread of
 ``dgeev`` does not hide a change to the inverse or the checks),
-``numkit.row_reduce`` of the matrix each route selects on (the band columns
-of the inverse GFT, transposed, in reverse node order for the vertex route
-and in node order for the spectral route), ``vertex_plan``,
-``spectral_plan``, ``write_plan`` of the spectral plan and, as
-``basis_cycle``, ``basis_from_graph`` of the n-node directed cycle, a
-circulant shift. ``scipy.linalg`` is imported before the first stage, so
-that no stage is charged with it on a checkout that imports it where it is
-used. The run also records its high-water resident set (``ru_maxrss``, MB)
-before ``read_graph``, after it, after ``basis_from_graph`` and after the
-two plans. The graph is built and written in another process because
-``band_graph`` runs ``np.linalg.eig`` and the writer builds the edge lists,
-either of which would set that mark. Each checkout runs RUNS times per size,
+``check_assumptions`` of that basis, ``numkit.row_reduce`` of the matrix
+each route selects on (the band columns of the inverse GFT, transposed, in
+reverse node order for the vertex route and in node order for the spectral
+route), ``vertex_plan``, ``spectral_plan``, ``write_plan`` of the spectral
+plan and, as ``basis_cycle``, ``basis_from_graph`` of the n-node directed
+cycle, a circulant shift. ``scipy.linalg`` is imported before the first
+stage, so that no stage is charged with it on a checkout that imports it
+where it is used. The run also records its high-water resident set
+(``ru_maxrss``, MB) before ``read_graph``, after it, after
+``basis_from_graph`` and after the two plans. The graph is built and written
+in another process because ``band_graph`` runs ``np.linalg.eig`` and the
+writer builds the edge lists, either of which would set that mark. After its
+timed run, ``check_assumptions`` runs once more, untimed, under
+``tracemalloc``, whose peak is recorded as ``tracemalloc_check_assumptions``
+(MB). Each checkout runs RUNS times per size,
 the two alternating, the parent first on even runs. The record is
 ``tools/bench_pairs.py``'s: per size and stage, each side's median and
 quartiles over its runs, the change's relative difference of the medians and
@@ -43,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import metadata
 from pathlib import Path
 
@@ -69,10 +73,10 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
     """One run's stage times in ms, and its high-water RSS in MB, with gsptk of ``checkout``."""
     sys.path[:0] = [str(checkout / "src")]
     import scipy.linalg  # loaded before the first timed stage; see the docstring
-    from gsptk import BandSpec, GraphKind, basis_from_graph, build, numkit, read_graph, sampling
+    from gsptk import BandSpec, GraphKind, basis_from_graph, build, check_assumptions, numkit, read_graph, sampling
 
     band = BandSpec(tuple(range(k)))
-    times, rss = {}, {}
+    times, mb = {}, {}
 
     def timed(name, fn, *args):
         start = time.perf_counter()
@@ -81,7 +85,7 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
         return out
 
     def maxrss(name):  # ru_maxrss is in KiB on Linux
-        rss[f"maxrss_{name}"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        mb[f"maxrss_{name}"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     maxrss("start")
     graph = timed("read_graph", read_graph, path)
@@ -96,6 +100,13 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
         numkit.eig = eig
     times["basis_less_eig"] = times["basis_from_graph"] - times.pop("eig_in_basis")
     maxrss("basis_from_graph")
+    timed("check_assumptions", check_assumptions, basis)
+    tracemalloc.start()
+    try:
+        check_assumptions(basis)
+        mb["tracemalloc_check_assumptions"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     timed("row_reduce_vertex", numkit.row_reduce, basis.igft[::-1, :k].T)
     timed("row_reduce_spectral", numkit.row_reduce, basis.igft[:, :k].T)
     timed("vertex_plan", sampling.vertex_plan, basis, band)
@@ -105,7 +116,7 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
         timed("write_plan", sampling.write_plan, plan, Path(tmp) / "plan.json")
     timed("basis_cycle", basis_from_graph, build(GraphKind.RING, n))
     return {"metrics": {**{name: {"value": v, "unit": "ms"} for name, v in times.items()},
-                        **{name: {"value": v, "unit": "MB"} for name, v in rss.items()}}}
+                        **{name: {"value": v, "unit": "MB"} for name, v in mb.items()}}}
 
 
 def child(mode: str, checkout: Path, *args) -> dict:
@@ -140,6 +151,8 @@ def main(argv=None) -> int:
         "protocol": "parent and change alternate, the parent first on even runs; each run is a fresh "
                     "process with one BLAS thread that reads a graph file another process wrote and "
                     "times each stage once; maxrss_<stage> is its ru_maxrss in MB after that stage; "
+                    "tracemalloc_check_assumptions is the traced peak in MB of one more, untimed "
+                    "check_assumptions call; "
                     "the value of a metric is the median over runs, with the first and third "
                     "quartiles (statistics.quantiles, n=4)",
         "host": {
