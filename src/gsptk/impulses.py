@@ -106,18 +106,19 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
         raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {n}")
     vertex = kind.domain is Domain.VERTEX
     b = basis if vertex else basis.dual
-    if kind.impulsive:
-        start = np.zeros(n, dtype=np.complex128)
-        start[0] = 1.0
-    else:  # the delta whose transform into the other domain is flat
-        start = b.igft @ np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
     shift = graph.adjacency if vertex else spectral_shift(basis)
     # powers of a shift whose spectral radius exceeds 1 overflow on large
-    # graphs; as_cmatrix turns that into a typed error naming D
+    # graphs, and so may a hand-built basis's products; as_cmatrix turns that
+    # into a typed error naming D or its transform
     with np.errstate(over="ignore", invalid="ignore"):
+        if kind.impulsive:
+            start = np.zeros(n, dtype=np.complex128)
+            start[0] = 1.0
+        else:  # the delta whose transform into the other domain is flat
+            start = b.igft @ np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
         d = _shift_stack(shift, start)
-    d = numkit.as_cmatrix(d, "impulse matrix")
-    return ImpulseFamily(kind, d, b.gft @ d)
+        d_hat = b.gft @ d
+    return ImpulseFamily(kind, numkit.as_cmatrix(d, "impulse matrix"), numkit.as_cmatrix(d_hat, "impulse transform"))
 
 
 def vandermonde(lam) -> np.ndarray:
@@ -142,9 +143,8 @@ def check_assumptions(basis: SpectralBasis) -> AssumptionReport:
     (``numkit._coincident``), and ``min_gap`` is the smallest distance;
     y0_nonzero: every entry of the first GFT column y0 exceeds
     ``numkit.PIVOT_TOL * max|y0|``. Neither verdict depends on scale.
-    NonFiniteError when ``lam`` is not finite, since no gap is then known.
     """
-    min_gap, _, pairs = numkit._coincident(numkit.as_cvector(basis.lam, "lam"))
+    min_gap, _, pairs = numkit._coincident(basis.lam)
     y0 = basis.gft[:, 0]
     min_abs_y0 = float(np.min(np.abs(y0)))
     return AssumptionReport(

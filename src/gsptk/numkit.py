@@ -81,8 +81,8 @@ def as_cvector(v, name: str = "vector") -> np.ndarray:
     return _as_array(v, name, 1, np.complex128)
 
 
-def _as_array(a, name: str, ndim: int, dtype, order: str = "C") -> np.ndarray:
-    m = np.array(a, dtype=dtype, order=order)
+def _as_array(a, name: str, ndim: int, dtype, order: str = "C", copy: bool | None = True) -> np.ndarray:
+    m = np.array(a, dtype=dtype, order=order, copy=copy)
     if m.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m.ravel("K").view(np.float64))):
@@ -169,7 +169,9 @@ def row_reduce(a) -> RowReduction:
     m, n = r.shape
     if 0 < m <= n:
         bound = 2.0 * np.sqrt(m) * _zero_cut(r)
-        if np.linalg.norm(r[:, :m], axis=0).min() > bound:
+        with np.errstate(over="ignore"):  # a column norm that overflows only sends the block to its SVD
+            short = np.linalg.norm(r[:, :m], axis=0).min() <= bound
+        if not short:
             sv = np.linalg.svd(r[:, :m], compute_uv=False)
             if sv[-1] > bound:
                 return RowReduction(tuple(range(m)), tuple(range(m, n)), m, sv)
@@ -180,6 +182,7 @@ def _eliminate(r: np.ndarray) -> RowReduction:
     """``row_reduce``'s elimination loop on ``r``, a matrix from ``as_cmatrix``,
     which it overwrites."""
     m, n = r.shape
+    _rescale(r)
     thresh = _zero_cut(r)
     pivot_cols: list[int] = []
     row = 0
@@ -222,6 +225,18 @@ def solve(a, b):
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
     x = _lu_solve(a, rhs, _zero_cut(a))
     return x[:, 0] if vector_rhs else x
+
+
+def _rescale(a: np.ndarray, *others: np.ndarray) -> None:
+    """Scale ``a`` and ``others``, C-contiguous float64 or complex128 arrays, in place by the power of two
+    that brings max|a| into [0.5, 1), when it lies outside [2**-500, 2**500]. The scaling is exact, so a
+    pivot pattern or a solve of ``others`` by ``a`` is the same map, but no reciprocal of a subnormal pivot
+    or product with a huge entry overflows."""
+    big = float(np.max(np.abs(a), initial=0.0))
+    if big and not 2.0 ** -500 <= big <= 2.0 ** 500:
+        e = -np.frexp(big)[1]
+        for m in (a, *others):
+            np.ldexp(m.view(np.float64), e, out=m.view(np.float64))
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndarray:
@@ -407,22 +422,32 @@ def _hermitian(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _pair_form(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
-    """``(a, W, order, m)``, ``vectors[:, order] = W T``, ``order`` the real values, the m values ``p`` of
-    positive imaginary part and their conjugates ``q``. For a real ``a`` whose vectors ``q`` equal ``conj(p)``
-    and real values' vectors are real, bit for bit, W is the real vectors, the real and imaginary parts of
-    vectors ``p``, T ``[[I, I], [iI, -iI]]`` on the last 2m columns; else ``a``, ``vectors`` and m = 0."""
+def _conjugate_pairs(values: np.ndarray, vectors: np.ndarray):
+    """``(order, m)`` when conjugation maps the eigenpairs ``values[k]``, ``vectors[:, k]`` onto themselves
+    bit for bit, else None: ``order`` lists the real values, the m values ``p`` of positive imaginary part
+    and their conjugates ``q``; each real value's vector is real and each ``q``'s value and vector are the
+    conjugates of its ``p``'s. A signed zero matches its opposite."""
     kind = np.sign(values.imag) % 3  # 0 for a real value, 1 for p, 2 for q
     order = np.lexsort((np.abs(values.imag), values.real, kind))
     n, m = values.shape[0], int(np.count_nonzero(kind == 1))
     p, q = order[n - 2 * m:n - m], order[n - m:]
-    real = not a.imag.any() and np.count_nonzero(kind == 2) == m and np.array_equal(values[q], values[p].conj())
-    if real:
-        w = vectors.real[:, order]
-        w[:, n - m:] = vectors.imag[:, p]
-        real = (not vectors.imag[:, kind == 0].any() and np.array_equal(vectors.real[:, q], w[:, n - 2 * m:n - m])
-                and np.array_equal(vectors.imag[:, q], -w[:, n - m:]))
-    return (a.real, w, order, m) if real else (a, vectors, np.arange(n), 0)
+    paired = (np.count_nonzero(kind == 2) == m and np.array_equal(values[q], values[p].conj())
+              and not vectors.imag[:, kind == 0].any() and np.array_equal(vectors.real[:, q], vectors.real[:, p])
+              and np.array_equal(vectors.imag[:, q], -vectors.imag[:, p]))
+    return (order, m) if paired else None
+
+
+def _pair_form(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """``(a, W, order, m)``, ``vectors[:, order] = W T`` for a real ``a`` whose eigenpairs
+    ``_conjugate_pairs`` accepts: W is the real vectors, the real and imaginary parts of vectors ``p``,
+    T ``[[I, I], [iI, -iI]]`` on the last 2m columns; else ``a``, ``vectors``, the identity order and m = 0."""
+    pairs = None if a.imag.any() else _conjugate_pairs(values, vectors)
+    if pairs is None:
+        return a, vectors, np.arange(values.shape[0]), 0
+    (order, m), n = pairs, values.shape[0]
+    w = vectors.real[:, order]
+    w[:, n - m:] = vectors.imag[:, order[n - 2 * m:n - m]]
+    return a.real, w, order, m
 
 
 def _times_b(w: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:

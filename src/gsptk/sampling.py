@@ -114,8 +114,8 @@ class SamplingPlan:
 
     ``S`` is (N-K) x K: the samples at the free (kept) nodes, in ascending
     index order, times ``S`` give the values at the pivot (dropped) nodes.
-    It is float64 when the band spans a conjugate-closed space (see
-    ``_plan``), else complex128.
+    It is float64 when ``numkit._conjugate_pairs`` pairs the band's
+    frequencies and columns (see ``_plan``), else complex128.
     ``cond`` is a diagnostic of either route: the 2-norm condition number of
     the block ``S`` is solved from, the kept nodes' rows of the band columns
     of the inverse GFT (1.0 for a full band). These five fields are what a
@@ -196,9 +196,9 @@ def _invertible(block: np.ndarray, whole: np.ndarray, what: str, sv=None) -> flo
     return float(sv[0] / sv[-1])  # np.linalg.cond: the same ratio of the same SVD
 
 
-def _plan(igft: np.ndarray, band: BandSpec, forced_delta, domain: Domain) -> SamplingPlan:
-    """The plan of either route, from the band columns ``vb`` of ``igft``
-    alone: the checked indicator (forced, or the K independent rows of ``vb``
+def _plan(basis: SpectralBasis, band: BandSpec, forced_delta, domain: Domain) -> SamplingPlan:
+    """The plan of either route, from the band columns ``vb`` of ``basis.igft``:
+    the checked indicator (forced, or the K independent rows of ``vb``
     the route's greedy keeps) and the map ``S = vb[dropped] @ vb[kept]^-1``,
     with ``x[dropped] = S @ x[kept]`` for every signal in the band's span.
     InfeasibleError unless ``_invertible`` accepts the block ``vb[kept]``, the
@@ -207,14 +207,14 @@ def _plan(igft: np.ndarray, band: BandSpec, forced_delta, domain: Domain) -> Sam
     rows of ``vb``, the vertex route the last; where ``row_reduce``'s proof
     chose them, its singular values are that block's.
 
-    ``S`` is real (float64) when ``vb`` is closed under conjugation: the span
-    then holds the conjugate of each of its signals, so the exact map is
-    real, and the real part of the computed one is no farther from it, entry
-    by entry. Otherwise ``S`` is complex.
+    ``S`` is real (float64) when ``numkit._conjugate_pairs`` pairs the band's
+    frequencies and columns: the span then holds the conjugate of each of its
+    signals, so the exact map is real, and the real part of the computed one
+    is no farther from it, entry by entry. Otherwise ``S`` is complex.
     """
-    n = igft.shape[0]
+    n = basis.n
     _check_band(band, n)
-    vb = igft[:, list(band.support)]
+    vb = basis.igft[:, list(band.support)]
     sv = None
     if forced_delta is None:  # the vertex route's greedy runs from the last row up
         order = slice(None) if domain is Domain.SPECTRAL else slice(None, None, -1)
@@ -224,23 +224,13 @@ def _plan(igft: np.ndarray, band: BandSpec, forced_delta, domain: Domain) -> Sam
     kept = delta != 0
     cond, s = 1.0, vb[:0]  # a full band keeps every node, and S is empty
     if not kept.all():
-        block = vb[kept]
+        block, rest = vb[kept], vb[~kept]
         cond = _invertible(block, vb, "band columns of the inverse GFT", sv)
-        s = numkit._lu_solve(block.T, vb[~kept].T).T  # S @ vb[kept] = vb[dropped]
-    if _conjugate_closed(vb):
+        numkit._rescale(block, rest)  # the same S, with no pivot's reciprocal overflowing
+        s = numkit._lu_solve(block.T, rest.T).T  # S @ vb[kept] = vb[dropped]
+    if numkit._conjugate_pairs(basis.lam[list(band.support)], vb) is not None:
         s = s.real.copy()
     return SamplingPlan(domain, delta, band, s, cond)
-
-
-def _conjugate_closed(cols: np.ndarray) -> bool:
-    """Whether conjugation maps the set of columns of ``cols`` onto itself, bit
-    for bit, as ``numkit.eig`` gives it for a real shift and a band that
-    keeps each conjugate pair together. A signed zero matches its opposite."""
-
-    def keys(m):
-        return sorted(col.tobytes() for col in (m + 0.0).T)  # + 0.0 makes -0.0 into 0.0
-
-    return keys(cols) == keys(cols.conj())
 
 
 def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
@@ -264,7 +254,7 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
     every node is kept and ``S`` is empty. A forced indicator is honored
     when its kept nodes give an invertible block of ``vb``.
     """
-    return _plan(basis.igft, band, forced_delta, Domain.VERTEX)
+    return _plan(basis, band, forced_delta, Domain.VERTEX)
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -320,7 +310,7 @@ def spectral_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Sa
     its K x K block of P(M). A forced indicator is honored when its sampled
     nodes give independent rows.
     """
-    return _plan(basis.igft, band, forced_delta, Domain.SPECTRAL)
+    return _plan(basis, band, forced_delta, Domain.SPECTRAL)
 
 
 def spectral_recover(plan: SamplingPlan, x_s) -> GraphSignal:
@@ -385,11 +375,11 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     complex. Older files are read too: version 3 stores ``S`` as complex128
     bytes only, version 2 as [re, im] pairs. Files without a ``version``
     (version 1) hold ``S`` that way if they are vertex plans, and spectral
-    ones get it from the inverse of their stored ``gft``; neither recorded
-    ``cond``, so it reads as NaN, which ``write_plan`` stores as null. With
-    ``graph``, raises ReconstructionMismatchError unless the range of the
-    plan's recovery map is invariant under the graph's shift, as the span of
-    the band's eigenvectors is.
+    ones get it from the basis of their stored ``gft`` and ``lambda``;
+    neither recorded ``cond``, so it reads as NaN, which ``write_plan``
+    stores as null. With ``graph``, raises ReconstructionMismatchError unless
+    the range of the plan's recovery map is invariant under the graph's
+    shift, as the span of the band's eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
     version = doc.get("version", 1)
@@ -411,7 +401,8 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     n, k = delta.shape[0], band.k
     if old_spectral:
         gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
-        s = _plan(numkit.solve(gft, np.eye(n)), band, delta, domain).S
+        lam = _from_pairs(doc.get("lambda"), (n,), f"{path}: lambda")
+        s = _plan(SpectralBasis(gft, numkit.solve(gft, np.eye(n)), lam), band, delta, domain).S
     elif version in _S_LAYOUTS:
         s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", _S_LAYOUTS[version])
     else:

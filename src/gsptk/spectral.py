@@ -46,11 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """A GFT/inverse-GFT pair with its eigenvalue list."""
+    """A GFT/inverse-GFT pair with its eigenvalue list: finite complex128 arrays of shapes N x N, N x N and
+    N, checked once, when the basis is built (NonFiniteError or DimensionMismatchError, naming the field).
+    A field that already is such an array is kept, not copied."""
 
     gft: np.ndarray
     igft: np.ndarray
     lam: np.ndarray
+
+    def __post_init__(self):
+        lam = numkit._as_array(self.lam, "lam", 1, np.complex128, "K", copy=None)
+        object.__setattr__(self, "lam", lam)
+        for name in ("gft", "igft"):
+            m = numkit._as_array(getattr(self, name), name, 2, np.complex128, "K", copy=None)
+            if m.shape != lam.shape * 2:
+                raise DimensionMismatchError(f"{name} must be N x N for N = {lam.shape[0]} frequencies, "
+                                             f"got shape {m.shape}")
+            object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:
@@ -58,13 +70,19 @@ class SpectralBasis:
 
     @property
     def dual(self) -> SpectralBasis:
-        """The basis of the spectral graph G_s; the dual of the dual is this basis."""
-        return SpectralBasis(self.igft, self.gft, np.conj(self.lam))
+        """The basis of the spectral graph G_s; the dual of the dual is this basis. It holds this
+        basis's arrays and ``conj(lam)``, which need no second check."""
+        dual = object.__new__(SpectralBasis)
+        dual.__dict__.update(gft=self.igft, igft=self.gft, lam=np.conj(self.lam))
+        return dual
 
 
 def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
-    """igft @ diag(v) @ gft: the filter of ``basis``'s graph with spectral response v."""
-    return basis.igft @ (v[:, None] * basis.gft)
+    """igft @ diag(v) @ gft: the filter of ``basis``'s graph with spectral response v; NonFiniteError
+    when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = basis.igft @ (v[:, None] * basis.gft)
+    return numkit._as_array(m, "filter matrix", 2, np.complex128, copy=None)
 
 
 def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
@@ -104,7 +122,9 @@ def gft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
     vertex = signal.domain is Domain.VERTEX
     b = basis if vertex else basis.dual
     x = _check_length(signal.values, b.n)
-    return GraphSignal(b.gft @ x, Domain.SPECTRAL if vertex else Domain.VERTEX)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is GraphSignal's NonFiniteError
+        y = b.gft @ x
+    return GraphSignal(y, Domain.SPECTRAL if vertex else Domain.VERTEX)
 
 
 def _check_length(values: np.ndarray, n: int) -> np.ndarray:

@@ -113,6 +113,14 @@ def _eliminated(a) -> numkit.RowReduction:
     return numkit._eliminate(as_cmatrix(a))
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300, 1.5e308])
+def test_elimination_is_scale_free_from_subnormal_to_the_largest_float(scale):
+    # the first update is 1 + 1 = 2 times the scale, which overflows at 1.5e308 unless the loop works
+    # on the matrix scaled by a power of two; the suite turns a RuntimeWarning into a failure
+    a = np.array([[1.0, 1.0, 0.5], [-1.0, 1.0, 0.25], [0.5, 1.0, 1.0]])
+    assert _eliminated(a * scale) == _eliminated(a) == numkit.RowReduction((0, 1, 2), (), 3)
+
+
 class TestSingularValueProof:
     """``row_reduce`` returns the leading columns, without elimination, when
     the smallest singular value of the leading block exceeds ``2 sqrt(r) cut``."""

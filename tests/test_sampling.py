@@ -18,9 +18,12 @@ from gsptk import (
     Graph,
     GraphKind,
     GraphSignal,
+    GsptkError,
     InfeasibleError,
     NotBandlimitedError,
+    ParseError,
     SizeMismatchError,
+    SpectralBasis,
     band_project,
     basis_explicit,
     basis_from_graph,
@@ -43,7 +46,7 @@ from gsptk import (
 from gsptk import numkit
 from gsptk.numkit import solve
 
-from util import er_digraph, forced_verdicts, node_0_sends_nothing, random_basis_graph, small_pivot_basis
+from util import circulant, er_digraph, forced_verdicts, node_0_sends_nothing, random_basis_graph, small_pivot_basis
 
 X4 = np.array([-1.992, 0.93, -0.314, -0.577])
 DELTA4 = np.array([0, 1, 0, 1])
@@ -545,6 +548,15 @@ class TestPlanIO:
         assert reread.S.tobytes() == back.S.tobytes()
         assert math.isnan(reread.cond)
 
+    def test_a_spectral_plan_without_version_needs_its_lambda(self, tmp_path):
+        # the version-1 writer always stored lambda; the reader decides whether S is real from it
+        _, basis = example4()
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"domain": "spectral", "delta": DELTA4.tolist(), "band": [0, 1],
+                                    "gft": pairs(basis.gft)}))
+        with pytest.raises(ParseError, match=r"plan\.json: lambda"):
+            read_plan(path)
+
     def test_version_2_3_and_4_files_read_the_same_plan(self, tmp_path):
         basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
         plan = vertex_plan(basis, BandSpec(tuple(range(30))))
@@ -597,6 +609,68 @@ class TestPlanIO:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             read_plan(path)
+
+
+def _byte_closed(cols):
+    """The reference verdict on whether ``S`` is real: conjugation maps the set of columns of ``cols``
+    onto itself, bit for bit, by sorting their bytes; + 0.0 makes -0.0 into 0.0, so that a signed zero
+    matches its opposite."""
+
+    def keys(m):
+        return sorted(col.tobytes() for col in (m + 0.0).T)
+
+    return keys(cols) == keys(cols.conj())
+
+
+def _family(kind, rng, n):
+    """A random graph of one family: an ER digraph with real or complex weights, a real circulant, or
+    an undirected graph (a real symmetric shift)."""
+    if kind == "circulant":
+        return Graph(circulant(rng.normal(size=n) * (rng.random(n) < 0.7)))
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    return Graph(a + a.T if kind == "symmetric" else a)
+
+
+class TestConjugatePairs:
+    """``numkit._conjugate_pairs`` of a band's frequencies and columns decides whether a plan's ``S`` is
+    real. It agrees with the byte sort of the columns on computed and bundled bases, except where the
+    columns close and the frequencies do not, as on a complex diagonal shift with its real eigenvectors:
+    the exact map is real there too, but ``S`` stays complex, with imaginary parts 0."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 12),
+           kind=st.sampled_from(["real", "complex", "circulant", "symmetric"]),
+           whole_pairs=st.booleans(), rotated=st.booleans())
+    def test_agrees_with_the_byte_sort_on_computed_bases(self, seed, n, kind, whole_pairs, rotated):
+        rng = np.random.default_rng(seed)
+        try:
+            basis = basis_from_graph(_family(kind, rng, n))
+        except GsptkError:
+            assume(False)
+        lam = basis.lam
+        band = rng.random(n) < rng.random()
+        band[rng.integers(n)] = True
+        if whole_pairs:  # add the partner of each complex frequency
+            band |= np.isin(lam, lam[band & (lam.imag != 0)].conj())
+        cols = basis.igft[:, band] * (1j if rotated else 1)
+        paired = numkit._conjugate_pairs(lam[band], cols) is not None
+        assert paired == (_byte_closed(cols) and _byte_closed(lam[None, band]))
+
+    # example4's igft, the complex LU inverse of its stored gft, has no column that is real or the
+    # conjugate of another bit for bit; star5's is real
+    @pytest.mark.parametrize("name, kind, n, want", [("example4", GraphKind.EXAMPLE4, 4, {False}),
+                                                     ("star5", GraphKind.STAR, 5, {True, False})])
+    def test_agrees_with_the_byte_sort_on_every_band_of_a_bundled_basis(self, name, kind, n, want):
+        basis = bundled_basis(name, build(kind, n))
+        verdicts = set()
+        for band in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(1, n + 1)):
+            for cols in (basis.igft[:, band], 1j * basis.igft[:, band]):
+                paired = numkit._conjugate_pairs(basis.lam[list(band)], cols) is not None
+                assert paired == _byte_closed(cols)
+                verdicts.add(paired)
+        assert verdicts == want
 
 
 def _rotated(basis):
@@ -716,6 +790,15 @@ class TestInfeasible:
         basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
         with pytest.raises(InfeasibleError):
             plan_fn(basis, BandSpec((0,)), forced_delta=np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("plan_fn", [vertex_plan, spectral_plan])
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_a_subnormal_band_block_has_a_finite_map(self, plan_fn, tiny):
+        # the block [tiny] passes the cut, relative to max|vb| = tiny, but the reciprocal of its pivot
+        # overflows unless the solve runs on the block scaled by a power of two
+        basis = SpectralBasis(np.eye(2), np.array([[0.0, 1.0], [tiny, 0.0]]), np.array([1.0, 2.0]))
+        plan = plan_fn(basis, BandSpec((0,)))
+        assert plan.delta.tolist() == [0, 1] and plan.S.tolist() == [[0.0]]
 
     def test_even_sampling_aliases_the_cycle(self):
         # the even train on the 4-cycle folds frequency 2 onto frequency 0

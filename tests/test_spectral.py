@@ -12,6 +12,7 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     GsptkError,
+    ImpulseKind,
     NonFiniteError,
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
@@ -21,13 +22,17 @@ from gsptk import (
     basis_explicit,
     basis_from_graph,
     build,
+    BandSpec,
     bundled_basis,
     dft_basis,
     gft_apply,
+    impulse_family,
     rescale_basis,
     spectral_shift,
+    spectral_plan,
     spectral_shift_variant,
     structural_equal,
+    vertex_plan,
 )
 from gsptk import numkit
 from gsptk.numkit import PIVOT_TOL, eig
@@ -497,6 +502,81 @@ class TestRescaling:
         except GsptkError:
             return
         assert all(np.all(np.isfinite(m)) for m in (scaled.gft, scaled.igft, scaled.lam))
+
+
+class TestSpectralBasisChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.nan), complex(0.0, -np.inf)])
+    def test_a_non_finite_frequency_is_refused_when_the_basis_is_built(self, bad):
+        # before any spectral_shift or plan could read it
+        with pytest.raises(NonFiniteError, match="lam"):
+            SpectralBasis(np.eye(3), np.eye(3), np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("field", ["gft", "igft"])
+    def test_a_non_finite_transform_is_refused(self, field):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = complex(np.nan, 0.0)
+        with pytest.raises(NonFiniteError, match=f"^{field} "):
+            SpectralBasis(**{"gft": np.eye(3), "igft": np.eye(3), field: m}, lam=np.ones(3))
+
+    @pytest.mark.parametrize("gft, igft, lam, match", [
+        (np.eye(3), np.eye(3), np.ones((3, 1)), "lam must be 1-D"),
+        (np.eye(2), np.eye(3), np.ones(3), r"gft must be N x N for N = 3 frequencies, got shape \(2, 2\)"),
+        (np.eye(3), np.ones((3, 2)), np.ones(3), r"igft must be N x N for N = 3 frequencies, got shape \(3, 2\)"),
+        (np.ones(3), np.eye(3), np.ones(3), "gft must be 2-D"),
+    ])
+    def test_shapes_are_checked(self, gft, igft, lam, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            SpectralBasis(gft, igft, lam)
+
+    def test_complex128_fields_are_kept_and_others_converted(self):
+        basis = dft_basis(5)
+        again = SpectralBasis(basis.gft, basis.igft, basis.lam)
+        assert all(getattr(again, f) is getattr(basis, f) for f in ("gft", "igft", "lam"))
+        real = SpectralBasis([[1.0, 0.0], [0.0, 1.0]], np.eye(2), np.array([1, 2]))
+        assert all(getattr(real, f).dtype == np.complex128 for f in ("gft", "igft", "lam"))
+
+    def test_the_dual_is_not_checked_again(self):
+        basis = dft_basis(5)
+        with mock.patch.object(numkit, "_as_array", side_effect=AssertionError("checked again")):
+            dual = basis.dual
+            twice = dual.dual
+        assert dual.gft is basis.igft and dual.igft is basis.gft
+        assert np.array_equal(dual.lam, np.conj(basis.lam))
+        assert twice.gft is basis.gft and twice.igft is basis.igft and bits(twice.lam).tobytes() == bits(basis.lam).tobytes()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=80)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 6), k=st.integers(1, 6),
+       bad=st.sampled_from([None, None, "gft", "igft", "lam"]))
+def test_a_hand_built_basis_gives_finite_values_or_a_toolkit_error(seed, n, k, bad):
+    # moduli from 0 through subnormal to 1e300 (DECADES), a tenth of the entries 0; a non-finite
+    # entry is refused when the basis is built, and every reader of a built one returns finite values
+    # or raises GsptkError
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.choice(DECADES, size=shape)
+        m[rng.random(shape) < 0.1] = 0.0
+        return m
+
+    fields = {"gft": draw(n, n), "igft": draw(n, n), "lam": draw(n)}
+    if bad:
+        fields[bad].flat[rng.integers(fields[bad].size)] = rng.choice([np.nan, np.inf, complex(0.0, -np.inf)])
+        with pytest.raises(NonFiniteError, match=f"^{bad} "):
+            SpectralBasis(**fields)
+        return
+    basis = SpectralBasis(**fields)
+    graph, x, band = Graph(np.ones((n, n)) - np.eye(n)), draw(n), BandSpec(tuple(range(min(k, n))))
+    calls = [lambda: spectral_shift(basis),
+             *(lambda d=d: gft_apply(basis, GraphSignal(x, d)).values for d in Domain),
+             *(lambda kind=kind: impulse_family(graph, basis, kind).D_hat for kind in ImpulseKind),
+             lambda: vertex_plan(basis, band).S, lambda: spectral_plan(basis, band).S]
+    for call in calls:
+        try:
+            out = call()
+        except GsptkError:
+            continue
+        assert np.all(np.isfinite(out))
 
 
 class TestStructuralEqual:
