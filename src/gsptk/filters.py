@@ -158,30 +158,14 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
     return GraphSignal(resp, Domain.SPECTRAL if vertex else Domain.VERTEX)
 
 
-def convolve(
-    x: GraphSignal,
-    y: GraphSignal,
-    graph: Graph,
-    basis: SpectralBasis,
-    *,
-    fam_kind: ImpulseKind | None = None,
-) -> GraphSignal:
+def convolve(x: GraphSignal, y: GraphSignal, basis: SpectralBasis, *, impulsive: bool = True) -> GraphSignal:
     """Convolve two graph signals by filtering, in the domain of ``x``.
 
     In the vertex domain, y * x = P(A) x where P(A) has impulse response y;
     in the spectral domain, yhat * xhat = P(M) xhat where P(M) has spectral
-    impulse response yhat. The filter is applied as modulation by its
-    response in the opposite domain. ``y`` may be given in either domain,
-    since fit_filter reads its tag. ``fam_kind`` defaults to the impulsive
-    delta e_0 of x's domain and must live in that domain.
+    impulse response yhat. Either filter is modulation by its response in
+    the opposite domain; ``y`` may be in either domain (fit_filter reads its
+    tag). The delta is ``ImpulseKind.of(x.domain, impulsive)``.
     """
-    if fam_kind is None:
-        fam_kind = ImpulseKind.of(x.domain, impulsive=True)
-    if fam_kind.domain is not x.domain:
-        raise DomainMismatchError(
-            f"impulse kind {fam_kind.value} does not live in the {x.domain.value} domain"
-        )
-    if basis.n != graph.n:
-        raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {graph.n}")
-    resp = fit_filter(y, fam_kind, basis)
+    resp = fit_filter(y, ImpulseKind.of(x.domain, impulsive), basis)
     return gft_apply(basis, modulate(resp, gft_apply(basis, x)))

@@ -321,8 +321,6 @@ def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
 def _holds_bool(doc, depth: int) -> bool:
     """Whether rectangular nested lists ``depth`` deep hold a JSON true or
     false, which np.array turns into 1 or 0 when numbers surround it."""
-    if not isinstance(doc, list):  # an array has no JSON booleans left to find
-        return False
     for _ in range(depth - 1):
         doc = itertools.chain.from_iterable(doc)
     return bool in set(map(type, doc))

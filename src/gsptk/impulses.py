@@ -61,6 +61,8 @@ class ImpulseKind(enum.Enum):
     @classmethod
     def of(cls, domain: Domain, impulsive: bool) -> ImpulseKind:
         """The kind whose deltas live in ``domain`` and are impulsive or flat."""
+        if not isinstance(impulsive, bool):
+            raise TypeError(f"impulsive must be True or False, got {impulsive!r}")
         return next(k for k in cls if k.domain is domain and k.impulsive == impulsive)
 
 

@@ -210,7 +210,7 @@ def solve(a, b):
     ``b`` may be a vector or a matrix of stacked right-hand sides; the result
     has the matching shape, float64 when neither operand is complex (a real pair form W), else
     complex128. Raises SingularMatrixError when a pivot of the factorization is at or below
-    ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce`` applies.
+    ``PIVOT_TOL * max(|a|)``, the cutoff ``row_reduce`` applies, NonFiniteError when x overflows.
     """
     dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
     # one copy of each operand, in the Fortran order LAPACK factors and solves in place
@@ -223,20 +223,32 @@ def solve(a, b):
     rhs = _as_array(rhs[:, None] if vector_rhs else rhs, "rhs", 2, dtype, "F")
     if rhs.shape[0] != n:
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
-    x = _lu_solve(a, rhs, _zero_cut(a))
+    x = _as_array(_lu_solve(a, rhs, _zero_cut(a)), "solution", 2, dtype, "K", copy=None)
     return x[:, 0] if vector_rhs else x
 
 
-def _rescale(a: np.ndarray, *others: np.ndarray) -> None:
-    """Scale ``a`` and ``others``, C-contiguous float64 or complex128 arrays, in place by the power of two
-    that brings max|a| into [0.5, 1), when it lies outside [2**-500, 2**500]. The scaling is exact, so a
-    pivot pattern or a solve of ``others`` by ``a`` is the same map, but no reciprocal of a subnormal pivot
-    or product with a huge entry overflows."""
-    big = float(np.max(np.abs(a), initial=0.0))
-    if big and not 2.0 ** -500 <= big <= 2.0 ** 500:
-        e = -np.frexp(big)[1]
-        for m in (a, *others):
-            np.ldexp(m.view(np.float64), e, out=m.view(np.float64))
+def _exponent(a) -> int:
+    """The e that brings ``2**e * max|a|`` into [0.5, 1) when max|a| is outside [2**-400, 2**400], else 0:
+    inside the [6.7e-139, 1.5e138] beyond which LAPACK's eigensolvers scale a matrix themselves."""
+    big = _max_abs(a)
+    return -int(np.frexp(big)[1]) if big and not 2.0 ** -400 <= big <= 2.0 ** 400 else 0
+
+
+def _rescale(a: np.ndarray, *others: np.ndarray) -> int:
+    """Scale ``a`` and ``others``, C-contiguous float64 or complex128 arrays, in place by ``2**e``, e =
+    ``_exponent(a)``, and return e. The scaling is exact, so a pivot pattern, an eigenbasis or a solve of
+    ``others`` by ``a`` is the same map, but no reciprocal or product of an extreme entry overflows."""
+    e = _exponent(a)
+    for m in (a, *others) if e else ():
+        np.ldexp(m.view(np.float64), e, out=m.view(np.float64))
+    return e
+
+
+def _unscale(values: np.ndarray, e: int) -> np.ndarray:
+    """Scale complex128 ``values`` by ``2**-e`` in place, undoing ``_rescale``; NonFiniteError on overflow."""
+    with np.errstate(over="ignore"):
+        np.ldexp(values.view(np.float64), -e, out=values.view(np.float64))
+    return _as_array(values, "lam scaled back", 1, np.complex128, copy=None)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndarray:
@@ -288,7 +300,8 @@ def eig(a) -> EigPair:
     with their first significant entry rotated to the positive real axis;
     the closed form's already are. The residual contract ``max_k ||A v_k -
     w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced on either
-    path. Only the closed form sets ``unitary``: its columns are the
+    path, on the matrix scaled by a power of two (``_rescale``), which LAPACK need not scale again;
+    the eigenvalues are scaled back at the end. Only the closed form sets ``unitary``: its columns are the
     orthonormal DFT columns, or, for a tied real value, an orthonormal
     cos/sin pair. The eigenpairs come in the frequency order of every basis:
     descending real part, ties by descending imaginary part, so a real shift's
@@ -308,6 +321,9 @@ def eig(a) -> EigPair:
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     unitary = bool(n) and _circulant(a)
+    e = _rescale(mags := np.abs(a), a)
+    scale = max(np.max(np.sum(mags, axis=1)), np.finfo(float).tiny) if n else 1.0
+    del mags
     if unitary:
         values, vectors = _dft_eig(a[:, 0])
     else:
@@ -321,14 +337,13 @@ def eig(a) -> EigPair:
     values = values.astype(np.complex128)
     freq = np.lexsort((-values.imag, -values.real))
     values, vectors = values[freq], vectors[:, freq]
-    scale = max(np.max(np.sum(np.abs(a), axis=1)), np.finfo(float).tiny) if n else 1.0
     a, w, order, m = _pair_form(a, values, vectors)
     residual = _pair_max(a @ w - _times_b(w, values[order], m), m, rows=False)
-    if residual > EIG_RESIDUAL_TOL * scale:
+    if not residual <= EIG_RESIDUAL_TOL * scale:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
         )
-    return EigPair(values, vectors, unitary, (w, order, m))
+    return EigPair(_unscale(values, e) if e else values, vectors, unitary, (w, order, m))
 
 
 def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,8 +356,11 @@ def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
     The basis must reconstruct I, ``max|T^-1 (W^-1 W - I) T|``, and A, ``(W B) W^-1``, to
     ``IDENTITY_TOL`` (``_check_close``). Raises RepeatedEigenvaluesError when the smallest eigenvalue
     gap is within ``tol * max|lam|``, since no useful basis exists without distinct frequencies.
+    All of this runs on ``a`` scaled by ``2**_exponent(a)``, exactly, and ``lam`` is scaled back once.
     It calls ``eig`` and ``solve`` by their module names, so that a wrapper put in their place sees each call.
     """
+    # the window is tested on max(|re|, |im|), within sqrt(2) of max|a| and read without the temporary |a|
+    e = _rescale(a := a.copy()) if _exponent(a.view(np.float64)) else 0
     pair = eig(a)
     gap, cut, pairs = _coincident(pair.values, tol)
     if pairs.size:
@@ -364,7 +382,7 @@ def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         gft.real[order[s:t]] = gft.real[order[t:]] = wi.real[s:t] / 2
         gft.imag[order[t:]] = wi.real[t:] / 2
         gft.imag[order[s:t]] = wi.real[t:] / -2
-    return gft, igft, lam
+    return gft, igft, _unscale(lam, e) if e else lam
 
 
 def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
@@ -372,7 +390,7 @@ def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: in
     unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``_pair_max``."""
     err = _pair_max(got - want, m)
     limit = tol * np.max(np.abs(want))
-    if err > limit:
+    if not err <= limit:
         raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
 
 
@@ -466,13 +484,13 @@ def _pair_max(e: np.ndarray, m: int, rows: bool = True) -> float:
         return float(np.max(np.abs(e), initial=0.0))
     r, p, q = slice(0, -2 * m), slice(-2 * m, -m), slice(-m, None)
     er = e[r] if rows else e
-    big = max(np.abs(er[:, r]).max(initial=0.0), np.abs(er[:, p] + 1j * er[:, q]).max(initial=0.0))
+    big = [np.abs(er[:, r]).max(initial=0.0), np.abs(er[:, p] + 1j * er[:, q]).max(initial=0.0)]
     if rows:
         ep, eq = e[p], e[q]
-        big = max(big, np.abs(ep[:, r] + 1j * eq[:, r]).max(initial=0.0) / 2,
-                  np.abs(ep[:, p] + eq[:, q] + 1j * (ep[:, q] - eq[:, p])).max() / 2,
-                  np.abs(ep[:, p] - eq[:, q] + 1j * (ep[:, q] + eq[:, p])).max() / 2)
-    return float(big)
+        big += [np.abs(ep[:, r] + 1j * eq[:, r]).max(initial=0.0) / 2,
+                np.abs(ep[:, p] + eq[:, q] + 1j * (ep[:, q] - eq[:, p])).max() / 2,
+                np.abs(ep[:, p] - eq[:, q] + 1j * (ep[:, q] + eq[:, p])).max() / 2]
+    return float(np.max(big))  # np.max, not max(), so that a NaN in any part is the result
 
 
 def _coincident(values: np.ndarray, tol: float = GAP_TOL) -> tuple[float, float, np.ndarray]:
@@ -500,9 +518,13 @@ def _coincident(values: np.ndarray, tol: float = GAP_TOL) -> tuple[float, float,
 
 
 def _zero_cut(a) -> float:
-    """``PIVOT_TOL * max|a|``: an entry, pivot or singular value at or below it is zero. A float
-    ``a``'s maximum is read from its extremes, without the temporary ``|a|``."""
+    """``PIVOT_TOL * max|a|``: an entry, pivot or singular value at or below it is zero."""
+    return PIVOT_TOL * _max_abs(a)
+
+
+def _max_abs(a) -> float:
+    """``max|a|``, 0 for an empty ``a``. A float ``a``'s is read from its extremes, without the temporary ``|a|``."""
     a = np.asarray(a)
     if a.dtype.kind != "f":
-        return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))
-    return PIVOT_TOL * float(max(0.0, a.max(initial=0.0), -a.min(initial=0.0)))
+        return float(np.max(np.abs(a), initial=0.0))
+    return float(max(0.0, a.max(initial=0.0), -a.min(initial=0.0)))

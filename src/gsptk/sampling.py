@@ -40,7 +40,6 @@ import numpy as np
 
 from . import numkit
 from .errors import (
-    BadSizeError,
     DimensionMismatchError,
     InfeasibleError,
     NotBandlimitedError,
@@ -145,17 +144,14 @@ class SamplingPlan:
         return tuple(int(i) for i in np.flatnonzero(self.delta == 0))
 
 
-def band_project(signal: GraphSignal, band: BandSpec, rel: float) -> np.ndarray:
+def band_project(signal: GraphSignal, band: BandSpec) -> np.ndarray:
     """Extract the K in-band entries of ``xhat``; NotBandlimitedError when an
-    out-of-band magnitude exceeds ``rel * max|xhat|`` (``sample`` passes
-    ``numkit.BAND_GUARD_REL``). BadSizeError unless ``rel`` is finite and >= 0."""
-    if not 0 <= rel < np.inf:
-        raise BadSizeError(f"rel must be finite and >= 0, got {rel}")
+    out-of-band magnitude exceeds ``numkit.BAND_GUARD_REL * max|xhat|``."""
     xhat = signal.require(Domain.SPECTRAL)
     _check_band(band, xhat.shape[0])
     outside = band.complement(xhat.shape[0])
     worst = float(np.max(np.abs(xhat[list(outside)]), initial=0.0))
-    limit = rel * float(np.max(np.abs(xhat)))
+    limit = numkit.BAND_GUARD_REL * float(np.max(np.abs(xhat)))
     if worst > limit:
         raise NotBandlimitedError(worst, limit)
     return xhat[list(band.support)]

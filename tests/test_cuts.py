@@ -24,6 +24,7 @@ from gsptk import (
     GsptkError,
     ImpulseKind,
     InfeasibleError,
+    NonFiniteError,
     NotBandlimitedError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
@@ -47,7 +48,7 @@ from gsptk.numkit import _check_close
 from gsptk.sampling import _invertible
 from gsptk.spectral import save_basis
 
-from util import forced_verdicts
+from util import forced_verdicts, random_basis_graph
 
 SRC = Path(numkit.__file__).parent
 SCALES = (1e-3, 1.0, 1e3)
@@ -186,10 +187,10 @@ def test_the_band_guard_is_relative_to_the_largest_coefficient(scale, share, acc
     xhat = scale * np.array([1.0, -2.0, share * numkit.BAND_GUARD_REL * 2, 0.0])
     signal = GraphSignal(xhat, Domain.SPECTRAL)
     if accepted:
-        assert np.array_equal(band_project(signal, BandSpec((0, 1)), numkit.BAND_GUARD_REL), xhat[:2])
+        assert np.array_equal(band_project(signal, BandSpec((0, 1))), xhat[:2])
     else:
         with pytest.raises(NotBandlimitedError):
-            band_project(signal, BandSpec((0, 1)), numkit.BAND_GUARD_REL)
+            band_project(signal, BandSpec((0, 1)))
 
 
 @pytest.mark.parametrize("scale", (1e-12, 1.0))
@@ -294,6 +295,17 @@ def test_a_basis_reconstructs_the_shift_relative_to_max_abs_a(scale, share, fits
         assert _verdict(lambda: basis_explicit(np.eye(3), lam, Graph(a))) == want
 
 
+@pytest.mark.parametrize("m, entry", [(0, (0, 0)), (1, (0, 0)), (1, (0, 2)), (1, (2, 1))],
+                         ids=["complex", "real-column", "pair-column", "pair-row"])
+def test_a_nan_error_is_refused(m, entry):
+    # NaN compares false with every limit, so the check asks whether the error is within it, and a
+    # NaN in any part of the pair form (m pairs in the last 2m rows and columns) reaches the maximum
+    got = np.eye(3)
+    got[entry] = np.nan
+    assert _verdict(lambda: _check_close(got, np.eye(3), numkit.IDENTITY_TOL, "basis", m)) == (
+        "ReconstructionMismatchError")
+
+
 # ---------------------------------------------------------------------------
 # scale invariance as a property
 
@@ -328,8 +340,7 @@ def test_scaling_a_graph_or_a_signal_changes_no_verdict(seed, n, share, c, band_
     xhat = rng.normal(size=n) + 1j * rng.normal(size=n)
     xhat[-1] = band_share * numkit.BAND_GUARD_REL * np.max(np.abs(xhat[:-1]))
     band = BandSpec(tuple(range(n - 1)))
-    guard = [_verdict(lambda: band_project(GraphSignal(s * xhat, Domain.SPECTRAL), band,
-                                           numkit.BAND_GUARD_REL))
+    guard = [_verdict(lambda: band_project(GraphSignal(s * xhat, Domain.SPECTRAL), band))
              for s in (1.0, c)]
     assert guard[1] == guard[0]
     assert guard[0] == ("ok" if band_share < 1 else "NotBandlimitedError")
@@ -340,3 +351,24 @@ def test_scaling_a_graph_or_a_signal_changes_no_verdict(seed, n, share, c, band_
         half = BandSpec(tuple(range(n // 2)))
         assert (forced_verdicts(basis_from_graph(gc), half, delta)
                 == forced_verdicts(basis_from_graph(g1), half, delta))
+
+
+@pytest.mark.parametrize("e", (-300, -200, -139, 139, 200, 300))
+def test_a_computed_basis_has_the_same_verdict_at_every_scale(e):
+    # LAPACK scales a matrix whose largest entry lies outside about [6.7e-139, 1.5e138] itself and
+    # returns the eigenvalues of the scaled one; numkit scales such a shift by a power of two first
+    graph = random_basis_graph(np.random.default_rng(3), 8)[0]
+    a = graph.adjacency * 10.0 ** e
+    want = basis_from_graph(graph)
+    got = basis_from_graph(Graph(a))
+    for lam in (got.lam, numkit.eig(a).values):
+        assert np.max(np.abs(lam / 10.0 ** e - want.lam)) <= 1e-12 * np.max(np.abs(want.lam))
+
+
+def test_the_largest_floats_give_their_frequencies():
+    # +-sqrt(2) * 1e308; unscaled, LAPACK returned +-2.1e138 and the row sums of |A| overflowed
+    a = np.array([[1e308, 1e308], [1e308, -1e308]])
+    lam = basis_from_graph(Graph(a)).lam
+    assert np.max(np.abs(lam - np.sqrt(2) * np.array([1e308, -1e308]))) <= 1e-15 * np.sqrt(2) * 1e308
+    with pytest.raises(NonFiniteError, match="lam scaled back"):  # its frequency 4e308 is beyond float64
+        numkit.eig(np.full((4, 4), 1e308))

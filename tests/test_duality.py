@@ -88,8 +88,8 @@ def test_spectral_calls_equal_their_vertex_twins_on_the_spectral_graph(graph_bas
 
     for y in (yhat, twin(yhat)):
         assert same(
-            outcome(lambda: convolve(xhat, y, g, b)),
-            outcome(lambda: convolve(twin(xhat), twin(y), dual_graph, dual)),
+            outcome(lambda: convolve(xhat, y, b)),
+            outcome(lambda: convolve(twin(xhat), twin(y), dual)),
         )
 
 

@@ -270,7 +270,7 @@ class TestFitFilter:
         resp, want = fit_filter(target, kind, basis), response(power, basis)
         assert np.max(np.abs(resp.values - want.values)) < 1e-12 * np.max(np.abs(want.values))
         x = vertex([1.0, 1j] @ np.random.default_rng(3).normal(size=(2, n)))
-        got = convolve(x, target, g, basis, fam_kind=kind).values
+        got = convolve(x, target, basis, impulsive=kind.impulsive).values
         oracle = apply_filter(power, g, basis, x).values
         assert np.max(np.abs(got - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
@@ -294,21 +294,21 @@ class TestFitFilter:
 
 class TestConvolve:
     def test_delta_is_identity(self):
-        g, basis = ring4()
+        _, basis = ring4()
         delta = vertex([1.0, 0.0, 0.0, 0.0])
-        out = convolve(vertex(X4), delta, g, basis)
+        out = convolve(vertex(X4), delta, basis)
         assert np.max(np.abs(out.values - np.array(X4))) < 1e-12
 
     def test_vertex_showcase(self):
-        g, basis = ring4()
-        out = convolve(vertex(X4), vertex(Y4), g, basis)
+        _, basis = ring4()
+        out = convolve(vertex(X4), vertex(Y4), basis)
         assert np.max(np.abs(out.values - np.array([17, 19, 17, 7]))) < 1e-6
 
     def test_spectral_showcase_matches_brute_force(self):
         # Three independent routes agree: convolve, the circular-convolution
         # oracle, and the transform-product theorem written out by hand.
-        g, basis = ring4()
-        out = convolve(spectral(X4), spectral(Y4_RESPONSE), g, basis)
+        _, basis = ring4()
+        out = convolve(spectral(X4), spectral(Y4_RESPONSE), basis)
         oracle = circulant_convolve(np.array(X4, dtype=complex), np.array(Y4_RESPONSE))
         product = 2 * basis.gft @ (
             (basis.igft @ np.array(X4)) * (basis.igft @ np.array(Y4_RESPONSE))
@@ -336,45 +336,23 @@ class TestConvolve:
 
     def test_conventions_coincide_on_the_cycle(self):
         rng = np.random.default_rng(12)
-        g, basis = ring4()
+        _, basis = ring4()
         x = vertex(rng.normal(size=4) + 1j * rng.normal(size=4))
         y = vertex(rng.normal(size=4) + 1j * rng.normal(size=4))
-        via_impulsive = convolve(x, y, g, basis, fam_kind=ImpulseKind.VERTEX_IMPULSIVE)
-        via_flat = convolve(x, y, g, basis, fam_kind=ImpulseKind.SPECTRAL_FLAT)
-        via_yhat = convolve(x, gft_apply(basis, y), g, basis)
+        via_impulsive = convolve(x, y, basis)
+        via_flat = convolve(x, y, basis, impulsive=False)
+        via_yhat = convolve(x, gft_apply(basis, y), basis)
         assert np.max(np.abs(via_impulsive.values - via_flat.values)) < 1e-9
         assert np.max(np.abs(via_impulsive.values - via_yhat.values)) < 1e-9
-
-    def test_mismatched_family_rejected(self):
-        from gsptk import DomainMismatchError
-
-        g, basis = ring4()
-        with pytest.raises(DomainMismatchError):
-            convolve(vertex(X4), vertex(Y4), g, basis,
-                     fam_kind=ImpulseKind.SPECTRAL_DOMAIN_IMPULSIVE)
-
-    @pytest.mark.parametrize("x, kind, message", [
-        (vertex(X4), ImpulseKind.SPECTRAL_DOMAIN_FLAT,
-         "impulse kind spectral_domain_flat does not live in the vertex domain"),
-        (spectral(X4), ImpulseKind.VERTEX_IMPULSIVE,
-         "impulse kind vertex_impulsive does not live in the spectral domain"),
-    ])
-    def test_mismatched_family_names_the_domain_of_x(self, x, kind, message):
-        from gsptk import DomainMismatchError
-
-        g, basis = ring4()
-        with pytest.raises(DomainMismatchError) as err:
-            convolve(x, GraphSignal(Y4, x.domain), g, basis, fam_kind=kind)
-        assert str(err.value) == message
 
     @pytest.mark.parametrize("kind", list(ImpulseKind))
     def test_a_basis_of_another_size_is_a_dimension_error(self, kind):
         g = build(GraphKind.RING, 5)
         x = GraphSignal(np.ones(5), kind.domain)
-        for call in (lambda: impulse_family(g, dft_basis(4), kind),
-                     lambda: convolve(x, x, g, dft_basis(4), fam_kind=kind)):
-            with pytest.raises(DimensionMismatchError, match="basis size 4 does not match the graph size 5"):
-                call()
+        with pytest.raises(DimensionMismatchError, match="basis size 4 does not match the graph size 5"):
+            impulse_family(g, dft_basis(4), kind)
+        with pytest.raises(DimensionMismatchError, match="signal length 5 does not match the graph size 4"):
+            convolve(x, x, dft_basis(4), impulsive=kind.impulsive)
 
 
 class TestDualities:
@@ -428,7 +406,7 @@ class TestConvolveAtSize:
         x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
 
         def conv(a, c):
-            return convolve(GraphSignal(a, domain), GraphSignal(c, domain), g, basis).values
+            return convolve(GraphSignal(a, domain), GraphSignal(c, domain), basis).values
 
         def rel(got, want):
             return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -446,13 +424,13 @@ class TestConvolveAtSize:
         # of its frequency exp(-2j pi k / n), which the computed basis orders
         # by descending real part and the DFT basis naturally
         n = 1024
-        g, basis = _cycle(n, computed)
+        _, basis = _cycle(n, computed)
         k = np.arange(n)
         if domain is Domain.SPECTRAL:
             k = np.rint(-np.angle(basis.lam) * n / (2 * np.pi)).astype(int) % n
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        got = convolve(GraphSignal(x, domain), GraphSignal(y, domain), g, basis).values
+        got = convolve(GraphSignal(x, domain), GraphSignal(y, domain), basis).values
         natural = np.zeros((2, n), dtype=np.complex128)
         natural[:, k] = x, y
         want = np.fft.ifft(np.fft.fft(natural[0]) * np.fft.fft(natural[1]))[k]
@@ -489,7 +467,7 @@ def test_the_filter_layer_returns_finite_values_or_a_toolkit_error(seed, n, dens
         assert there.domain is not domain and np.all(np.isfinite(there.values))
         assert np.all(np.isfinite(gft_apply(basis, there).values))
         try:
-            out = convolve(signal, GraphSignal(y, domain), graph, basis)
+            out = convolve(signal, GraphSignal(y, domain), basis)
         except GsptkError:
             continue
         assert out.domain is domain and np.all(np.isfinite(out.values))

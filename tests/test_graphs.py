@@ -16,11 +16,13 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     GsptkError,
+    ImpulseKind,
     ParseError,
     PolynomialFilter,
     SamplingPlan,
     build,
     bundled_basis,
+    convolve,
     dft_basis,
     dsp_sampling_operator,
     nyquist_recover,
@@ -77,8 +79,9 @@ class TestBuild:
         with pytest.raises(BadSizeError):
             build(GraphKind.EXAMPLE4, 5)
 
-    # a size that is not an integer, an empty graph or a domain that is not a Domain is refused
-    # with the library's own error, not numpy's TypeError or a wrong answer
+    # a size that is not an integer, an empty graph, a domain that is not a Domain or an impulsive
+    # flag that is not a bool is refused with the library's own error, not numpy's TypeError, a
+    # StopIteration or a wrong answer
     @pytest.mark.parametrize("call, error", [
         (lambda: Graph(np.zeros((0, 0))), BadSizeError),
         (lambda: build(GraphKind.RING, 2.5), BadSizeError),
@@ -92,8 +95,12 @@ class TestBuild:
         (lambda: nyquist_recover(GraphSignal(np.ones(4), Domain.SPECTRAL), True), BadSizeError),
         (lambda: replication_compare(dft_basis(4), GraphSignal(np.ones(4), Domain.SPECTRAL), 2.0), BadSizeError),
         (lambda: PolynomialFilter([1, 1], "vertex"), TypeError),
+        (lambda: GraphSignal(np.ones(2), "vertex"), TypeError),
+        (lambda: ImpulseKind.of(Domain.VERTEX, 0), TypeError),
+        (lambda: convolve(*[GraphSignal(np.ones(2), Domain.VERTEX)] * 2, dft_basis(2), impulsive=None), TypeError),
     ], ids=["empty-graph", "ring-2.5", "ring-True", "example4-4.0", "dft-2.5", "dft-True", "dsp-n-4.0",
-            "dsp-k-True", "nyquist-2.0", "nyquist-True", "replication-2.0", "filter-str-domain"])
+            "dsp-k-True", "nyquist-2.0", "nyquist-True", "replication-2.0", "filter-str-domain",
+            "signal-str-domain", "impulse-kind-0", "convolve-impulsive-None"])
     def test_a_bad_argument_gets_a_typed_error(self, call, error):
         with pytest.raises(error):
             call()

@@ -307,6 +307,18 @@ class TestSolve:
         with pytest.raises(NonFiniteError):
             solve(np.diag([1.0, np.inf]), np.ones(2))
 
+    @pytest.mark.parametrize("a, b", [([[1e-310]], [1.0]), (np.diag([1e-310, 2e-310]), np.eye(2))],
+                             ids=["vector", "matrix"])
+    def test_a_solution_that_overflows_is_refused(self, a, b):
+        # each pivot is above the zero cut, but 1 / 1e-310 is beyond float64
+        with pytest.raises(NonFiniteError, match="solution contains non-finite entries"):
+            solve(a, b)
+
+    def test_an_empty_system_returns_its_empty_right_hand_side(self):
+        assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        x = solve(np.zeros((0, 0)), np.zeros((0, 3), dtype=complex))
+        assert x.shape == (0, 3) and x.dtype == np.complex128
+
     def test_roundtrip_well_conditioned(self):
         rng = np.random.default_rng(19)
         done = 0
@@ -371,6 +383,20 @@ class TestEig:
             with pytest.raises(NotConvergedError, match="eigendecomposition residual .* exceeds 1.0e-09"):
                 eig(a)
         eig(a)
+
+    def test_a_nan_residual_is_refused(self):
+        # NaN compares false with the limit, so the check asks whether the residual is within it
+        a = er_digraph(np.random.default_rng(1), 12).adjacency
+
+        def planted(*args, **kwargs):
+            values, vectors = scipy_eig(*args, **kwargs)
+            vectors[:, np.flatnonzero(values.imag == 0)[0]] = np.nan
+            return values, vectors
+
+        scipy_eig = scipy.linalg.eig
+        with mock.patch.object(scipy.linalg, "eig", side_effect=planted):
+            with pytest.raises(NotConvergedError, match="eigendecomposition residual nan"):
+                eig(a)
 
 
 class TestNormalizeColumns:

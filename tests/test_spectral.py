@@ -550,8 +550,8 @@ class TestSpectralBasisChecks:
        bad=st.sampled_from([None, None, "gft", "igft", "lam"]))
 def test_a_hand_built_basis_gives_finite_values_or_a_toolkit_error(seed, n, k, bad):
     # moduli from 0 through subnormal to 1e300 (DECADES), a tenth of the entries 0; a non-finite
-    # entry is refused when the basis is built, and every reader of a built one returns finite values
-    # or raises GsptkError
+    # entry is refused when the basis is built, and every reader of a built one, and a solve by its
+    # gft, returns finite values or raises GsptkError
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -567,7 +567,7 @@ def test_a_hand_built_basis_gives_finite_values_or_a_toolkit_error(seed, n, k, b
         return
     basis = SpectralBasis(**fields)
     graph, x, band = Graph(np.ones((n, n)) - np.eye(n)), draw(n), BandSpec(tuple(range(min(k, n))))
-    calls = [lambda: spectral_shift(basis),
+    calls = [lambda: spectral_shift(basis), lambda: numkit.solve(basis.gft, x),
              *(lambda d=d: gft_apply(basis, GraphSignal(x, d)).values for d in Domain),
              *(lambda kind=kind: impulse_family(graph, basis, kind).D_hat for kind in ImpulseKind),
              lambda: vertex_plan(basis, band).S, lambda: spectral_plan(basis, band).S]

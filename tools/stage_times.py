@@ -39,8 +39,8 @@ run's values.
 not: one process per size, with one BLAS thread, imports each checkout's
 package under its own name, builds the bench graph once (CHANGE's
 workloads) and each side's basis once, and times ``basis_from_graph``,
-``check_assumptions``, ``vertex_plan`` and ``spectral_plan`` in PAIRS pairs
-each, the parent first on even pairs, ``gc.collect()`` before each call. Per
+``check_assumptions``, ``vertex_plan`` and ``spectral_plan``, each in its
+PAIRS pairs, the parent first on even pairs, ``gc.collect()`` before each call. Per
 stage it records the median and quartiles of the ratios change / parent,
 each side's times in ms and a verdict: ``faster`` when the median ratio is
 below 0.98 and its third quartile below 1, ``slower`` when the median is
@@ -73,7 +73,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIZES = (400, 1600)  # the benchmark's size and the north star's
 RUNS = 5  # per side and size: the fewest a BENCH_<label>.json median may rest on
-PAIRS = 20  # per stage and size in the paired mode
+# per size in the paired mode; in A/A records 20 pairs put the median ratio 4% from 1 for
+# basis_from_graph, whose dgeev time varies from call to call, and 6% for check_assumptions, a 0.4 ms call
+PAIRS = {"basis_from_graph": 60, "check_assumptions": 200, "vertex_plan": 20, "spectral_plan": 20}
 
 
 def write(checkout: Path, n: int, path: Path) -> dict:
@@ -164,7 +166,7 @@ def paired(parent: Path, change: Path, n: int) -> dict:
     metrics, runs = {}, {}
     for name in calls["change"]:
         times = {side: [] for side in SIDES}
-        for i in range(PAIRS):
+        for i in range(PAIRS[name]):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 fn, *args = calls[side][name]
                 gc.collect()
@@ -174,11 +176,12 @@ def paired(parent: Path, change: Path, n: int) -> dict:
         ratio = summary([c / p for p, c in zip(times["parent"], times["change"])])
         faster = ratio["median"] < 0.98 and ratio["q3"] < 1
         slower = ratio["median"] > 1.02 and ratio["q1"] > 1
-        metrics[name] = {"unit": "ms", "ratio": ratio, **{s: summary(times[s]) for s in SIDES},
+        metrics[name] = {"unit": "ms", "pairs": PAIRS[name], "ratio": ratio,
+                         **{s: summary(times[s]) for s in SIDES},
                          "verdict": "faster" if faster else "slower" if slower else "no change"}
         runs[name] = {s: [round(t, 3) for t in times[s]] for s in SIDES}
         print(f"n={n} {name}: {metrics[name]['ratio']} {metrics[name]['verdict']}", file=sys.stderr, flush=True)
-    return {"n": n, "k": bg.k, "pairs": PAIRS, "metrics": metrics, "runs": runs}
+    return {"n": n, "k": bg.k, "metrics": metrics, "runs": runs}
 
 
 def child(mode: str, *args) -> dict:
@@ -216,8 +219,9 @@ def main(argv=None) -> int:
         "command": "python3 tools/stage_times.py "
                    + ("--pair PARENT CHANGE N" if args.paired else "--stages CHECKOUT N GRAPH K"),
         "protocol": ("one process per size with one BLAS thread imports both checkouts and times each stage "
-                     f"in {PAIRS} pairs, the parent first on even pairs, gc.collect() before each call; ratio "
-                     "is change / parent per pair; the verdict rule is the script's docstring"
+                     f"in the pairs {PAIRS} gives it, the parent first on even pairs, "
+                     "gc.collect() before each call; ratio is change / parent per pair; the verdict rule is "
+                     "the script's docstring"
                      if args.paired else
                      "parent and change alternate, the parent first on even runs; each run is a fresh "
                      "process with one BLAS thread that reads a graph file another process wrote and "
