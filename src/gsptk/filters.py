@@ -91,10 +91,8 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     the vertex response P(conj(lam)), P on the frequencies of G_s. Modulating
     by the response in the opposite domain is equivalent to applying it.
     """
-    hi_first = filt.coeffs[::-1]
-    vertex = filt.shift_domain is Domain.VERTEX
-    b = basis if vertex else basis.dual
-    return GraphSignal(np.polyval(hi_first, b.lam), Domain.SPECTRAL if vertex else Domain.VERTEX)
+    lam = basis.for_domain(filt.shift_domain).lam
+    return GraphSignal(np.polyval(filt.coeffs[::-1], lam), filt.shift_domain.other)
 
 
 def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
@@ -105,7 +103,7 @@ def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
     are involved; this is the matrix whose action on a signal of the
     opposite domain equals modulation by ``resp``.
     """
-    b = basis if resp.domain is Domain.SPECTRAL else basis.dual
+    b = basis.for_domain(resp.domain.other)
     return _diag(b, _check_length(resp.values, b.n))
 
 
@@ -131,13 +129,14 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
     transform has a zero entry, and when the response takes two values on a
     repeated eigenvalue, where no polynomial in the shift has it.
     """
-    vertex = kind.domain is Domain.VERTEX
-    b = basis if vertex else basis.dual
+    if not isinstance(kind, ImpulseKind):
+        raise TypeError(f"kind must be an ImpulseKind, got {kind!r}")
+    b = basis.for_domain(kind.domain)
     t = _check_length(target.values, b.n)
     t_hat = b.gft @ t if target.domain is kind.domain else t
     report = check_assumptions(b)
     if kind.impulsive and not report.y0_nonzero:
-        column, name = ("GFT", "y0") if vertex else ("inverse GFT", "igft[:, 0]")
+        column, name = ("GFT", "y0") if b is basis else ("inverse GFT", "igft[:, 0]")
         raise SingularMatrixError(
             f"the first {column} column has (near-)zero entries "
             f"(min |{name}| = {report.min_abs_y0:.2e}), which this impulse convention cannot tolerate"
@@ -155,7 +154,7 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
                 f"{values} (indices {idx.tolist()}), so no polynomial in the shift has "
                 "this impulse response"
             )
-    return GraphSignal(resp, Domain.SPECTRAL if vertex else Domain.VERTEX)
+    return GraphSignal(resp, kind.domain.other)
 
 
 def convolve(x: GraphSignal, y: GraphSignal, basis: SpectralBasis, *, impulsive: bool = True) -> GraphSignal:

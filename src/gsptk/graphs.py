@@ -41,6 +41,11 @@ class Domain(enum.Enum):
     VERTEX = "vertex"
     SPECTRAL = "spectral"
 
+    @property
+    def other(self) -> Domain:
+        """The domain a transform takes a signal to."""
+        return Domain.SPECTRAL if self is Domain.VERTEX else Domain.VERTEX
+
 
 class GraphKind(enum.Enum):
     RING = "ring"

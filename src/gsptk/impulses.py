@@ -61,6 +61,8 @@ class ImpulseKind(enum.Enum):
     @classmethod
     def of(cls, domain: Domain, impulsive: bool) -> ImpulseKind:
         """The kind whose deltas live in ``domain`` and are impulsive or flat."""
+        if not isinstance(domain, Domain):
+            raise TypeError(f"domain must be a Domain enum member, got {domain!r}")
         if not isinstance(impulsive, bool):
             raise TypeError(f"impulsive must be True or False, got {impulsive!r}")
         return next(k for k in cls if k.domain is domain and k.impulsive == impulsive)
@@ -106,9 +108,10 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
     n = graph.n
     if basis.n != n:
         raise DimensionMismatchError(f"basis size {basis.n} does not match the graph size {n}")
-    vertex = kind.domain is Domain.VERTEX
-    b = basis if vertex else basis.dual
-    shift = graph.adjacency if vertex else spectral_shift(basis)
+    if not isinstance(kind, ImpulseKind):
+        raise TypeError(f"kind must be an ImpulseKind, got {kind!r}")
+    b = basis.for_domain(kind.domain)
+    shift = graph.adjacency if kind.domain is Domain.VERTEX else spectral_shift(basis)
     # powers of a shift whose spectral radius exceeds 1 overflow on large
     # graphs, and so may a hand-built basis's products; as_cmatrix turns that
     # into a typed error naming D or its transform

@@ -85,9 +85,18 @@ def _as_array(a, name: str, ndim: int, dtype, order: str = "C", copy: bool | Non
     m = np.array(a, dtype=dtype, order=order, copy=copy)
     if m.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.ravel("K").view(np.float64))):
+    if m.size and not _all_finite(m.ravel("K").view(np.float64)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return m
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` without its boolean temporary: a sum is finite only when every entry
+    is, so the exact pass runs only when the sum is not (a non-finite entry, or an overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(x.sum()):
+            return True
+    return bool(np.isfinite(x).all())
 
 
 def _as_size(n, name: str) -> int:

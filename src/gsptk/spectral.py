@@ -20,6 +20,7 @@ frequency order, with the inverse and the checks of that one module.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -76,6 +77,12 @@ class SpectralBasis:
         dual.__dict__.update(gft=self.igft, igft=self.gft, lam=np.conj(self.lam))
         return dual
 
+    def for_domain(self, domain: Domain) -> SpectralBasis:
+        """The basis whose ``gft`` transforms a signal of ``domain``: this one for VERTEX, ``dual`` for SPECTRAL."""
+        if not isinstance(domain, Domain):
+            raise TypeError(f"domain must be a Domain enum member, got {domain!r}")
+        return self if domain is Domain.VERTEX else self.dual
+
 
 def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
     """igft @ diag(v) @ gft: the filter of ``basis``'s graph with spectral response v; NonFiniteError
@@ -88,8 +95,8 @@ def _diag(basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
 def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBasis:
     """The spectral basis of the shift of ``graph``, ``numkit._diagonalize``'s: RepeatedEigenvaluesError
     when the smallest eigenvalue gap is within ``tol * |lam|_max``, ReconstructionMismatchError when
-    the basis misses I or the shift. BadSizeError unless ``tol`` is finite and >= 0."""
-    if not 0 <= tol < np.inf:
+    the basis misses I or the shift. BadSizeError unless ``tol`` is a finite real number >= 0."""
+    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
         raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
     return SpectralBasis(*numkit._diagonalize(graph.adjacency, tol))
 
@@ -119,12 +126,11 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
 def gft_apply(basis: SpectralBasis, signal: GraphSignal) -> GraphSignal:
     """Transform a signal into the other domain, as its tag says: a vertex
     signal forward, a spectral one back (the GFT of G_s)."""
-    vertex = signal.domain is Domain.VERTEX
-    b = basis if vertex else basis.dual
+    b = basis.for_domain(signal.domain)
     x = _check_length(signal.values, b.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is GraphSignal's NonFiniteError
         y = b.gft @ x
-    return GraphSignal(y, Domain.SPECTRAL if vertex else Domain.VERTEX)
+    return GraphSignal(y, signal.domain.other)
 
 
 def _check_length(values: np.ndarray, n: int) -> np.ndarray:

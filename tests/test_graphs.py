@@ -20,11 +20,14 @@ from gsptk import (
     ParseError,
     PolynomialFilter,
     SamplingPlan,
+    basis_from_graph,
     build,
     bundled_basis,
     convolve,
     dft_basis,
     dsp_sampling_operator,
+    fit_filter,
+    impulse_family,
     nyquist_recover,
     replication_compare,
     save_basis,
@@ -98,9 +101,15 @@ class TestBuild:
         (lambda: GraphSignal(np.ones(2), "vertex"), TypeError),
         (lambda: ImpulseKind.of(Domain.VERTEX, 0), TypeError),
         (lambda: convolve(*[GraphSignal(np.ones(2), Domain.VERTEX)] * 2, dft_basis(2), impulsive=None), TypeError),
+        (lambda: ImpulseKind.of("vertex", True), TypeError),
+        (lambda: impulse_family(build(GraphKind.RING, 2), dft_basis(2), "vertex_impulsive"), TypeError),
+        (lambda: fit_filter(GraphSignal(np.ones(2), Domain.VERTEX), "vertex_impulsive", dft_basis(2)), TypeError),
+        (lambda: dft_basis(2).for_domain("vertex"), TypeError),
+        (lambda: basis_from_graph(build(GraphKind.RING, 2), tol="x"), BadSizeError),
     ], ids=["empty-graph", "ring-2.5", "ring-True", "example4-4.0", "dft-2.5", "dft-True", "dsp-n-4.0",
             "dsp-k-True", "nyquist-2.0", "nyquist-True", "replication-2.0", "filter-str-domain",
-            "signal-str-domain", "impulse-kind-0", "convolve-impulsive-None"])
+            "signal-str-domain", "impulse-kind-0", "convolve-impulsive-None", "impulse-kind-str-domain",
+            "family-str-kind", "fit-str-kind", "basis-str-domain", "tol-str"])
     def test_a_bad_argument_gets_a_typed_error(self, call, error):
         with pytest.raises(error):
             call()

@@ -253,6 +253,28 @@ def test_validation_errors_are_typed_value_errors():
     assert issubclass(BadSizeError, ValueError)
 
 
+# the check sums first and runs the exact pass only on a non-finite sum: a planted NaN or inf, or
+# finite entries whose sum overflows; the verdict is isfinite's either way, and warns of nothing
+@pytest.mark.parametrize("x", [
+    [], [1.0, np.nan, 2.0], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf], [1e308] * 4,
+    [1e308, -1e308, 1e308, 1e308, 1e308], [1e308, 1e308, np.nan], [5e-324] * 3, [5e-324, -np.inf],
+], ids=["empty", "nan", "inf", "-inf", "inf-minus-inf", "sum-overflows", "partial-sums-overflow",
+        "overflow-then-nan", "subnormal", "subnormal-inf"])
+def test_the_finiteness_check_agrees_with_isfinite(x):
+    x = np.array(x, dtype=np.float64)
+    want = bool(np.isfinite(x).all())
+    assert numkit._all_finite(x) is want
+    if x.size:  # as a complex vector, with the entries as real or as imaginary parts
+        for re, im in ((x, np.zeros_like(x)), (np.zeros_like(x), x), (x, x[::-1])):
+            z = np.empty(x.size, dtype=np.complex128)
+            z.real, z.imag = re, im
+            if want:
+                as_cvector(z)
+            else:
+                with pytest.raises(NonFiniteError):
+                    as_cvector(z)
+
+
 class TestSolve:
     def test_showcase_recovery_product_roundtrip(self):
         s = np.array([[-1.0, 1.839], [0.0, 0.544]])

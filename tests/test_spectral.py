@@ -544,6 +544,13 @@ class TestSpectralBasisChecks:
         assert np.array_equal(dual.lam, np.conj(basis.lam))
         assert twice.gft is basis.gft and twice.igft is basis.igft and bits(twice.lam).tobytes() == bits(basis.lam).tobytes()
 
+    def test_a_domain_selects_the_basis_that_transforms_it(self):
+        basis = dft_basis(5)
+        assert basis.for_domain(Domain.VERTEX) is basis
+        spectral = basis.for_domain(Domain.SPECTRAL)
+        assert spectral.gft is basis.igft and spectral.igft is basis.gft
+        assert Domain.VERTEX.other is Domain.SPECTRAL and Domain.SPECTRAL.other is Domain.VERTEX
+
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=80)
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 6), k=st.integers(1, 6),

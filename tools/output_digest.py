@@ -1,0 +1,99 @@
+"""Run the same gsptk commands from two checkouts; list every output whose bytes differ, exit 1 if any.
+
+    python3 tools/output_digest.py PARENT CHANGE
+
+CHANGE's ``perfbench/workloads.py`` writes the inputs once: the 16- and 256-node cycles with complex
+x and y in both domains, and ``band_graph(default_rng([1, 1]), n)`` at n = 60 and 400 with a
+bandlimited vertex signal. Each checkout's ``gsptk.cli.main`` then runs, in one process with one
+BLAS thread: every demo; ``convolve`` in both domains with both ``--impulse`` values and ``gft`` on
+the cycles; ``sample`` on both routes, ``recover`` of its samples and ``gft`` on the band graphs;
+``spectral-shift`` of every graph, with and without ``--variant``. Outputs include the process's
+stdout and the exit codes; one differs when its sha256 does, or when one side lacks it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN = ("import json, pathlib, sys\nfrom gsptk import cli\n"
+       "cmds = [['demo', name] for name in cli.DEMO_NAMES] + json.load(sys.stdin)\n"
+       "codes = [[argv, cli.main(argv)] for argv in cmds]\n"
+       "pathlib.Path('exit_codes.json').write_text(json.dumps(codes, indent=0))\n")
+
+
+def write_inputs(change: Path, inputs: Path) -> list[list[str]]:
+    """Write the inputs with CHANGE's workloads; the commands that read them."""
+    sys.path[:0] = [str(change / "perfbench")]
+    import numpy as np
+    import workloads
+
+    inputs.mkdir()
+    cmds = []
+    for n in (16, 256):
+        rng = np.random.default_rng([1, n])
+        g = inputs / f"cycle{n}.graph.json"
+        workloads.write_graph(g, workloads.cycle_adjacency(n))
+        for d in ("vertex", "spectral"):
+            x, y = (inputs / f"cycle{n}.{d}.{s}.json" for s in "xy")
+            for path, values in zip((x, y), workloads.complex_normal(rng, (2, n))):
+                workloads.write_signal(path, values, d)
+            cmds.append(["gft", str(g), str(x), "--out", f"gft_cycle{n}_{d}.json"])
+            for imp in ("vertex", "flat"):
+                cmds.append(["convolve", str(g), str(x), str(y), "--domain", d, "--impulse", imp,
+                             "--out", f"convolve_cycle{n}_{d}_{imp}"])
+    for n in (60, 400):
+        rng = np.random.default_rng([1, 1])
+        bg = workloads.band_graph(rng, n)
+        g, x = inputs / f"band{n}.graph.json", inputs / f"band{n}.x.json"
+        workloads.write_graph(g, bg.adjacency)
+        workloads.write_signal(x, bg.vectors[:, : bg.k] @ workloads.complex_normal(rng, bg.k), "vertex")
+        cmds.append(["gft", str(g), str(x), "--out", f"gft_band{n}.json"])
+        for route in ("spectral", "vertex"):
+            out = f"sample_band{n}_{route}"
+            cmds += [["sample", str(g), str(x), "--domain", route, "--band", ",".join(map(str, range(bg.k))),
+                      "--out", out],
+                     ["recover", f"{out}.plan.json", f"{out}.samples.json", "--out", f"recover_band{n}_{route}.json"]]
+    for g in sorted(inputs.glob("*.graph.json")):
+        name = g.name.removesuffix(".graph.json")
+        cmds += [["spectral-shift", str(g), "--out", f"shift_{name}.json"],
+                 ["spectral-shift", str(g), "--variant", "--out", f"shift_{name}_variant.json"]]
+    return cmds
+
+
+def run(checkout: Path, cmds: list[list[str]], out: Path) -> dict[str, str]:
+    """Run ``cmds`` with ``checkout``'s gsptk in ``out``; the sha256 of every file it wrote."""
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "GSP_OUT_DIR": "demos",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    with open(out / "stdout.txt", "w") as stdout:
+        subprocess.run([sys.executable, "-c", RUN], input=json.dumps(cmds), text=True, cwd=out, env=env,
+                       stdout=stdout, check=True)
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = write_inputs(args.change.resolve(), Path(tmp) / "inputs")
+        parent, change = (run(c.resolve(), cmds, Path(tmp) / side)
+                          for c, side in ((args.parent, "parent"), (args.change, "change")))
+    differ = sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(parent.keys() | change.keys())} outputs differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
