@@ -77,13 +77,7 @@ def _example4() -> tuple[Graph, spectral.SpectralBasis]:
 # by file stem. _cmd_demo writes every file, so a demo that raises leaves none.
 
 
-def _fixed_size(name: str, n: int) -> None:
-    if n:
-        raise BadSizeError(f"demo {name} has a fixed size and takes no --n, got {n}")
-
-
 def _demo_ring_shift(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    n = n or 4
     graph = build(GraphKind.RING, n)
     x = np.arange(1, n + 1, dtype=np.complex128)
     shifted = graph.adjacency @ x
@@ -94,7 +88,6 @@ def _demo_ring_shift(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    _fixed_size("star_m", n)
     graph = build(GraphKind.STAR, 5)
     basis = spectral.bundled_basis("star5", graph)
     m = spectral.spectral_shift(basis)
@@ -111,7 +104,6 @@ def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_example4_vertex(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    _fixed_size("example4_vertex", n)
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.vertex_plan(basis, band)
@@ -135,7 +127,6 @@ def _demo_example4_vertex(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_example4_spectral(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    _fixed_size("example4_spectral", n)
     graph, basis = _example4()
     band = sampling.BandSpec((0, 1))
     plan = sampling.spectral_plan(basis, band, forced_delta=_REF4_DELTA)
@@ -162,10 +153,8 @@ def _demo_example4_spectral(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    n = n or 12
     if n < 1:
         raise BadSizeError(f"dsp_block_sampling needs n >= 1, got {n}")
-    graphs._dense_adjacency(n)  # the size guard of build: refuses an n whose N x N operator cannot exist
     rng = np.random.default_rng(seed)
     checks = Checks()
     small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
@@ -184,7 +173,6 @@ def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    _fixed_size("replication_compare", n)
     graph, basis = _example4()
     xhat = GraphSignal(np.array([1.0, 2.0, 0.0, 0.0]), Domain.SPECTRAL)
     rep = dspcompat.replication_compare(basis, xhat, 2)
@@ -221,7 +209,6 @@ def _demo_replication_compare(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_path_signals(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    n = n or 100
     if n % 2:
         raise BadSizeError(f"path_signals needs an even n, got {n}")
     graph = build(GraphKind.PATH, n)
@@ -255,7 +242,6 @@ def _demo_path_signals(n: int, seed: int) -> tuple[Checks, dict, dict]:
 
 
 def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
-    _fixed_size("convolution", n)
     basis = dspcompat.dft_basis(4)
     x = GraphSignal(np.array([1.0, 2.0, 3.0, 4.0]), Domain.VERTEX)
     y = GraphSignal(np.array([-1.0, 1.0, 2.0, 4.0]), Domain.VERTEX)
@@ -289,15 +275,16 @@ def _demo_convolution(n: int, seed: int) -> tuple[Checks, dict, dict]:
     return checks, report, {"vertex_result": vert.values, "spectral_result": spec.values}
 
 
+# name -> (demo, default --n); a demo of size None has a fixed size and refuses any --n
 _DEMOS = {
-    "ring_shift": _demo_ring_shift,
-    "star_m": _demo_star_m,
-    "example4_vertex": _demo_example4_vertex,
-    "example4_spectral": _demo_example4_spectral,
-    "dsp_block_sampling": _demo_dsp_block_sampling,
-    "replication_compare": _demo_replication_compare,
-    "path_signals": _demo_path_signals,
-    "convolution": _demo_convolution,
+    "ring_shift": (_demo_ring_shift, 4),
+    "star_m": (_demo_star_m, None),
+    "example4_vertex": (_demo_example4_vertex, None),
+    "example4_spectral": (_demo_example4_spectral, None),
+    "dsp_block_sampling": (_demo_dsp_block_sampling, 12),
+    "replication_compare": (_demo_replication_compare, None),
+    "path_signals": (_demo_path_signals, 100),
+    "convolution": (_demo_convolution, None),
 }
 DEMO_NAMES = tuple(_DEMOS)
 
@@ -307,7 +294,7 @@ DEMO_NAMES = tuple(_DEMOS)
 
 
 def _load_basis_for(graph: Graph, args) -> spectral.SpectralBasis:
-    if getattr(args, "basis", None):
+    if args.basis:
         return spectral.load_basis(args.basis, graph)
     return spectral.basis_from_graph(graph, tol=args.tol)
 
@@ -425,7 +412,10 @@ def _cmd_demo(args) -> int:
         raise BadSizeError(f"--seed must be >= 0, got {args.seed}")
     root = os.environ.get("GSP_OUT_DIR", "gsp_out") if args.out_dir is None else args.out_dir
     out = Path(root) / name
-    checks, report, arrays = _DEMOS[name](args.n, args.seed)
+    demo, size = _DEMOS[name]
+    if size is None and args.n:
+        raise BadSizeError(f"demo {name} has a fixed size and takes no --n, got {args.n}")
+    checks, report, arrays = demo(args.n or size, args.seed)
     for stem, values in arrays.items():
         graphs._write_csv(out / f"{stem}.csv", values)
     graphs._write_json(
@@ -460,19 +450,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="output root for demo reports (default: env GSP_OUT_DIR, else gsp_out)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    on_graph = argparse.ArgumentParser(add_help=False)
+    on_graph.add_argument("graph")
+    on_graph.add_argument("--basis", help="explicit basis JSON (default: computed)")
 
     p = sub.add_parser("demo", help="run a built-in showcase with embedded assertions")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--n", type=int, default=0, help="size override where applicable")
     p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("sample", help="plan a sampling set and decimate a signal")
-    p.add_argument("graph")
+    p = sub.add_parser("sample", parents=[on_graph], help="plan a sampling set and decimate a signal")
     p.add_argument("signal")
     p.add_argument("--domain", choices=[d.value for d in Domain], required=True)
     p.add_argument("--band", required=True, help="comma-separated spectral indices or 'all'")
     p.add_argument("--delta", help="forced 0/1 sampling indicator")
-    p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True, help="prefix; .plan.json and .samples.json are appended")
     p.set_defaults(func=_cmd_sample)
 
@@ -484,29 +475,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("convolve", help="convolve two signals by the response of a filter")
-    p.add_argument("graph")
+    p = sub.add_parser("convolve", parents=[on_graph], help="convolve two signals by the response of a filter")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--domain", choices=[d.value for d in Domain], help="default: the domain tag of x")
     p.add_argument("--impulse", choices=["vertex", "flat"], default="vertex")
     p.add_argument("--method", choices=[m.value for m in filters.FitMethod],
                    default=filters.FitMethod.DENSE.value)
-    p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True, help="prefix; .signal.json and .filter.json (the response) are appended")
     p.set_defaults(func=_cmd_convolve)
 
-    p = sub.add_parser("gft", help="transform a vertex signal forward or a spectral signal back")
-    p.add_argument("graph")
+    p = sub.add_parser("gft", parents=[on_graph], help="transform a vertex signal forward or a spectral signal back")
     p.add_argument("signal")
-    p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gft)
 
-    p = sub.add_parser("spectral-shift", help="write the spectral shift matrix of a graph")
-    p.add_argument("graph")
+    p = sub.add_parser("spectral-shift", parents=[on_graph], help="write the spectral shift matrix of a graph")
     p.add_argument("--variant", action="store_true", help="use lam instead of conj(lam)")
-    p.add_argument("--basis", help="explicit basis JSON (default: computed)")
     p.add_argument("--out", required=True, help="graph file: dense CSV if .csv, else edge-list JSON")
     p.set_defaults(func=_cmd_spectral_shift)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .errors import BadSizeError, DimensionMismatchError, NotDivisibleError
-from .graphs import Domain, GraphSignal
+from .graphs import Domain, GraphSignal, _dense_adjacency
 from .sampling import sampling_operator
 from .spectral import SpectralBasis
 
@@ -42,6 +42,7 @@ def dft_basis(n: int) -> SpectralBasis:
     n = numkit._as_size(n, "n")
     if n < 1:
         raise BadSizeError("n must be positive")
+    _dense_adjacency(n)  # the size guard of graphs.build: refuses an n whose N x N basis cannot exist
     column = np.zeros(n)
     column[1 % n] = 1.0
     lam, igft = numkit._dft_eig(column)
@@ -57,9 +58,10 @@ def dsp_sampling_operator(n: int, k: int) -> np.ndarray:
     n, k = numkit._as_size(n, "n"), numkit._as_size(k, "k")
     if k < 1 or n < 1 or n % k:
         raise NotDivisibleError(f"k must divide n, got n={n} k={k}")
+    basis = dft_basis(n)
     delta = np.zeros(n, dtype=np.complex128)
     delta[:: n // k] = 1.0
-    return sampling_operator(dft_basis(n), delta)
+    return sampling_operator(basis, delta)
 
 
 def nyquist_recover(x_spl_hat: GraphSignal, k: int) -> GraphSignal:

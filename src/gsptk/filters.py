@@ -27,7 +27,7 @@ import numpy as np
 from . import numkit
 from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, SingularMatrixError
 from .graphs import Domain, Graph, GraphSignal
-from .impulses import ImpulseKind, check_assumptions
+from .impulses import ImpulseKind
 from .spectral import SpectralBasis, _check_length, _diag, gft_apply, spectral_shift
 
 __all__ = [
@@ -134,26 +134,25 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
     b = basis.for_domain(kind.domain)
     t = _check_length(target.values, b.n)
     t_hat = b.gft @ t if target.domain is kind.domain else t
-    report = check_assumptions(b)
-    if kind.impulsive and not report.y0_nonzero:
+    delta_hat = b.gft[:, 0] if kind.impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
+    min_abs = float(np.min(np.abs(delta_hat)))
+    if not min_abs > numkit._zero_cut(delta_hat):
         column, name = ("GFT", "y0") if b is basis else ("inverse GFT", "igft[:, 0]")
         raise SingularMatrixError(
             f"the first {column} column has (near-)zero entries "
-            f"(min |{name}| = {report.min_abs_y0:.2e}), which this impulse convention cannot tolerate"
+            f"(min |{name}| = {min_abs:.2e}), which this impulse convention cannot tolerate"
         )
-    delta_hat = b.gft[:, 0] if kind.impulsive else np.full(b.n, 1.0 / np.sqrt(b.n))
     resp = t_hat / delta_hat
-    if not report.distinct:
-        pairs = numkit._coincident(b.lam)[2]
-        split = pairs[np.abs(resp[pairs[:, 0]] - resp[pairs[:, 1]]) > numkit._zero_cut(resp)]
-        if split.size:
-            idx = np.unique(split)
-            values = ", ".join(f"{z:.3g}" for z in b.lam[idx])
-            raise SingularMatrixError(
-                f"the response takes different values on the repeated eigenvalues "
-                f"{values} (indices {idx.tolist()}), so no polynomial in the shift has "
-                "this impulse response"
-            )
+    pairs = numkit._coincident(b.lam)[2]
+    split = pairs[np.abs(resp[pairs[:, 0]] - resp[pairs[:, 1]]) > numkit._zero_cut(resp)]
+    if split.size:
+        idx = np.unique(split)
+        values = ", ".join(f"{z:.3g}" for z in b.lam[idx])
+        raise SingularMatrixError(
+            f"the response takes different values on the repeated eigenvalues "
+            f"{values} (indices {idx.tolist()}), so no polynomial in the shift has "
+            "this impulse response"
+        )
     return GraphSignal(resp, kind.domain.other)
 
 

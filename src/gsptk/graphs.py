@@ -114,6 +114,8 @@ def build(kind: GraphKind, n: int) -> Graph:
     PATH: undirected chain.
     EXAMPLE4: the fixed 4-node directed sampling showcase (requires n == 4).
     """
+    if not isinstance(kind, GraphKind):
+        raise TypeError(f"kind must be a GraphKind enum member, got {kind!r}")
     n = _as_size(n, "n")
     if kind is GraphKind.EXAMPLE4:
         if n != 4:
@@ -128,12 +130,10 @@ def build(kind: GraphKind, n: int) -> Graph:
     elif kind is GraphKind.STAR:
         a[0, 1:] = 1.0
         a[1:, 0] = 1.0
-    elif kind is GraphKind.PATH:
+    else:  # GraphKind.PATH
         idx = np.arange(n - 1)
         a[idx, idx + 1] = 1.0
         a[idx + 1, idx] = 1.0
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown graph kind {kind!r}")
     return Graph(a)
 
 

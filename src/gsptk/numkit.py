@@ -340,7 +340,7 @@ def eig(a) -> EigPair:
 
         try:
             values, vectors = scipy.linalg.eig(a if a.imag.any() else a.real)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - QR failure is rare
+        except np.linalg.LinAlgError as exc:
             raise NotConvergedError(f"eigendecomposition did not converge: {exc}") from exc
         vectors = _normalize_columns(vectors.astype(np.complex128, copy=False))
     values = values.astype(np.complex128)

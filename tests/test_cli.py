@@ -873,7 +873,7 @@ def test_a_rejected_demo_leaves_no_directory(tmp_path, capsys, name, size):
     assert err.startswith("error: ") and _REJECTED_DEMOS[name, size] in err
     assert not (tmp_path / "out").exists()
     with pytest.raises(BadSizeError):  # each size refusal is a BadSizeError, a ValueError
-        cli._DEMOS[name](int(size), 0)
+        cli._cmd_demo(build_parser().parse_args(["--out-dir", str(tmp_path / "out"), "demo", name, "--n", size]))
 
 
 @pytest.mark.parametrize("name", ["convolution", "path_signals", "replication_compare", "dsp_block_sampling"])

@@ -82,8 +82,8 @@ class TestBuild:
         with pytest.raises(BadSizeError):
             build(GraphKind.EXAMPLE4, 5)
 
-    # a size that is not an integer, an empty graph, a domain that is not a Domain or an impulsive
-    # flag that is not a bool is refused with the library's own error, not numpy's TypeError, a
+    # a size that is not an integer or too large, an empty graph, a kind or domain that is not its enum
+    # or an impulsive flag that is not a bool is refused with the library's own error, not numpy's TypeError, a
     # StopIteration or a wrong answer
     @pytest.mark.parametrize("call, error", [
         (lambda: Graph(np.zeros((0, 0))), BadSizeError),
@@ -106,10 +106,16 @@ class TestBuild:
         (lambda: fit_filter(GraphSignal(np.ones(2), Domain.VERTEX), "vertex_impulsive", dft_basis(2)), TypeError),
         (lambda: dft_basis(2).for_domain("vertex"), TypeError),
         (lambda: basis_from_graph(build(GraphKind.RING, 2), tol="x"), BadSizeError),
+        (lambda: build("ring", 1), TypeError),
+        (lambda: build("ring", 4), TypeError),
+        # 142 PiB: numpy refuses the N x N basis without allocating it
+        (lambda: dft_basis(10**8), BadSizeError),
+        (lambda: dsp_sampling_operator(10**8, 1), BadSizeError),
     ], ids=["empty-graph", "ring-2.5", "ring-True", "example4-4.0", "dft-2.5", "dft-True", "dsp-n-4.0",
             "dsp-k-True", "nyquist-2.0", "nyquist-True", "replication-2.0", "filter-str-domain",
             "signal-str-domain", "impulse-kind-0", "convolve-impulsive-None", "impulse-kind-str-domain",
-            "family-str-kind", "fit-str-kind", "basis-str-domain", "tol-str"])
+            "family-str-kind", "fit-str-kind", "basis-str-domain", "tol-str", "build-str-kind-1",
+            "build-str-kind-4", "dft-1e8", "dsp-1e8"])
     def test_a_bad_argument_gets_a_typed_error(self, call, error):
         with pytest.raises(error):
             call()

@@ -26,8 +26,11 @@ from gsptk import (
     dft_basis,
     matrix_from_response,
     vandermonde,
+    write_graph,
+    write_signal,
 )
 from gsptk import numkit
+from gsptk.cli import main
 from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
 
 from util import bits, circulant, er_digraph, node_0_sends_nothing, one_vector_off
@@ -419,6 +422,20 @@ class TestEig:
         with mock.patch.object(scipy.linalg, "eig", side_effect=planted):
             with pytest.raises(NotConvergedError, match="eigendecomposition residual nan"):
                 eig(a)
+
+    def test_a_lapack_failure_is_refused(self, tmp_path, capsys):
+        # LAPACK's QR iteration can fail to converge; eig and the CLI name that, not numpy's LinAlgError
+        graph = er_digraph(np.random.default_rng(1), 12)
+        write_graph(graph, tmp_path / "g.json")
+        write_signal(GraphSignal(np.ones(12), Domain.VERTEX), tmp_path / "x.json")
+        failure = np.linalg.LinAlgError("eig algorithm (geev) did not converge")
+        with mock.patch.object(scipy.linalg, "eig", side_effect=failure):
+            with pytest.raises(NotConvergedError, match="eigendecomposition did not converge"):
+                eig(graph.adjacency)
+            code = main(["gft", str(tmp_path / "g.json"), str(tmp_path / "x.json"), "--out", str(tmp_path / "y.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: eigendecomposition did not converge")
+        assert not (tmp_path / "y.json").exists()
 
 
 class TestNormalizeColumns:

@@ -5,10 +5,12 @@
 CHANGE's ``perfbench/workloads.py`` writes the inputs once: the 16- and 256-node cycles with complex
 x and y in both domains, and ``band_graph(default_rng([1, 1]), n)`` at n = 60 and 400 with a
 bandlimited vertex signal. Each checkout's ``gsptk.cli.main`` then runs, in one process with one
-BLAS thread: every demo; ``convolve`` in both domains with both ``--impulse`` values and ``gft`` on
-the cycles; ``sample`` on both routes, ``recover`` of its samples and ``gft`` on the band graphs;
+BLAS thread: every demo, and each fixed-size demo again with ``--n 3``; ``convolve`` in both domains
+with both ``--impulse`` values and ``gft`` on the cycles; ``sample`` on both routes, ``recover`` of its
+samples and ``gft`` on the band graphs; on the bundled bases, ``sample --delta 0,1,0,1`` and its
+``recover`` on the example4 graph, and ``convolve`` on the 5-star with both ``--impulse`` values;
 ``spectral-shift`` of every graph, with and without ``--variant``. Outputs include the process's
-stdout and the exit codes; one differs when its sha256 does, or when one side lacks it.
+stdout and stderr and the exit codes; one differs when its sha256 does, or when one side lacks it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+FIXED_SIZE_DEMOS = ("star_m", "example4_vertex", "example4_spectral", "replication_compare", "convolution")
+EXAMPLE4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]
 RUN = ("import json, pathlib, sys\nfrom gsptk import cli\n"
        "cmds = [['demo', name] for name in cli.DEMO_NAMES] + json.load(sys.stdin)\n"
        "codes = [[argv, cli.main(argv)] for argv in cmds]\n"
@@ -35,7 +39,23 @@ def write_inputs(change: Path, inputs: Path) -> list[list[str]]:
     import workloads
 
     inputs.mkdir()
-    cmds = []
+    cmds = [["demo", name, "--n", "3"] for name in FIXED_SIZE_DEMOS]
+    data = change / "src" / "gsptk" / "_data"
+    g, x = inputs / "example4.graph.json", inputs / "example4.xhat.json"
+    workloads.write_graph(g, np.array(EXAMPLE4, dtype=float))
+    workloads.write_signal(x, np.array([1.0, 2.0, 0.0, 0.0]), "spectral")
+    cmds += [["sample", str(g), str(x), "--domain", "spectral", "--band", "0,1", "--delta", "0,1,0,1",
+              "--basis", str(data / "example4_basis.json"), "--out", "sample_example4"],
+             ["recover", "sample_example4.plan.json", "sample_example4.samples.json", "--out", "recover_example4.json"]]
+    star = np.zeros((5, 5))
+    star[0, 1:] = star[1:, 0] = 1.0
+    g, x, y = inputs / "star5.graph.json", inputs / "star5.x.json", inputs / "star5.y.json"
+    workloads.write_graph(g, star)
+    for path, values in zip((x, y), workloads.complex_normal(np.random.default_rng([1, 5]), (2, 5))):
+        workloads.write_signal(path, values, "vertex")
+    for imp in ("vertex", "flat"):
+        cmds.append(["convolve", str(g), str(x), str(y), "--impulse", imp, "--basis", str(data / "star5_basis.json"),
+                     "--out", f"convolve_star5_{imp}"])
     for n in (16, 256):
         rng = np.random.default_rng([1, n])
         g = inputs / f"cycle{n}.graph.json"
@@ -72,9 +92,9 @@ def run(checkout: Path, cmds: list[list[str]], out: Path) -> dict[str, str]:
     out.mkdir()
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "GSP_OUT_DIR": "demos",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    with open(out / "stdout.txt", "w") as stdout:
+    with open(out / "stdout.txt", "w") as stdout, open(out / "stderr.txt", "w") as stderr:
         subprocess.run([sys.executable, "-c", RUN], input=json.dumps(cmds), text=True, cwd=out, env=env,
-                       stdout=stdout, check=True)
+                       stdout=stdout, stderr=stderr, check=True)
     return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
 

@@ -12,7 +12,7 @@ checkout, reads that file and times, once each and in this order:
 ``basis_less_eig`` (``basis_from_graph``'s time less that of its own
 ``numkit.eig`` call, timed inside it in the same run, so that the spread of
 ``dgeev`` does not hide a change to the inverse or the checks),
-``check_assumptions`` of that basis, ``numkit.row_reduce`` of the matrix
+``numkit.row_reduce`` of the matrix
 each route selects on (the band columns of the inverse GFT, transposed, in
 reverse node order for the vertex route and in node order for the spectral
 route), ``vertex_plan``, ``spectral_plan``, ``write_plan`` of the spectral
@@ -24,9 +24,8 @@ where it is used. The run also records its high-water resident set
 ``basis_from_graph`` and after the two plans. The graph is built and written
 in another process because ``band_graph`` runs ``np.linalg.eig`` and the
 writer builds the edge lists, either of which would set that mark. After its
-timed run, ``check_assumptions`` runs once more, untimed, under
-``tracemalloc``, whose peak is recorded as ``tracemalloc_check_assumptions``
-(MB), and so does ``spectral_plan``, as ``tracemalloc_plans``. Each checkout
+timed run, ``spectral_plan`` runs once more, untimed, under ``tracemalloc``,
+whose peak is recorded as ``tracemalloc_plans`` (MB). Each checkout
 runs RUNS times per size, the two alternating, the parent first on even runs. The record is
 ``tools/bench_pairs.py``'s: per size and stage, each side's median and
 quartiles over its runs, the change's relative difference of the medians and
@@ -39,7 +38,7 @@ run's values.
 not: one process per size, with one BLAS thread, imports each checkout's
 package under its own name, builds the bench graph once (CHANGE's
 workloads) and each side's basis once, and times ``basis_from_graph``,
-``check_assumptions``, ``vertex_plan`` and ``spectral_plan``, each in its
+``vertex_plan`` and ``spectral_plan``, each in its
 PAIRS pairs, the parent first on even pairs, ``gc.collect()`` before each call. Per
 stage it records the median and quartiles of the ratios change / parent,
 each side's times in ms and a verdict: ``faster`` when the median ratio is
@@ -74,8 +73,8 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIZES = (400, 1600)  # the benchmark's size and the north star's
 RUNS = 5  # per side and size: the fewest a BENCH_<label>.json median may rest on
 # per size in the paired mode; in A/A records 20 pairs put the median ratio 4% from 1 for
-# basis_from_graph, whose dgeev time varies from call to call, and 6% for check_assumptions, a 0.4 ms call
-PAIRS = {"basis_from_graph": 60, "check_assumptions": 200, "vertex_plan": 20, "spectral_plan": 20}
+# basis_from_graph, whose dgeev time varies from call to call
+PAIRS = {"basis_from_graph": 60, "vertex_plan": 20, "spectral_plan": 20}
 
 
 def write(checkout: Path, n: int, path: Path) -> dict:
@@ -93,7 +92,7 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
     """One run's stage times in ms, and its high-water RSS in MB, with gsptk of ``checkout``."""
     sys.path[:0] = [str(checkout / "src")]
     import scipy.linalg  # loaded before the first timed stage; see the docstring
-    from gsptk import BandSpec, GraphKind, basis_from_graph, build, check_assumptions, numkit, read_graph, sampling
+    from gsptk import BandSpec, GraphKind, basis_from_graph, build, numkit, read_graph, sampling
 
     band = BandSpec(tuple(range(k)))
     times, mb = {}, {}
@@ -128,8 +127,6 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
         numkit.eig = eig
     times["basis_less_eig"] = times["basis_from_graph"] - times.pop("eig_in_basis")
     maxrss("basis_from_graph")
-    timed("check_assumptions", check_assumptions, basis)
-    traced("check_assumptions", check_assumptions, basis)
     timed("row_reduce_vertex", numkit.row_reduce, basis.igft[::-1, :k].T)
     timed("row_reduce_spectral", numkit.row_reduce, basis.igft[:, :k].T)
     timed("vertex_plan", sampling.vertex_plan, basis, band)
@@ -160,7 +157,6 @@ def paired(parent: Path, change: Path, n: int) -> dict:
         graph, band = pkg.Graph(bg.adjacency), pkg.BandSpec(tuple(range(bg.k)))
         basis = pkg.basis_from_graph(graph)
         calls[side] = {"basis_from_graph": (pkg.basis_from_graph, graph),
-                       "check_assumptions": (pkg.check_assumptions, basis),
                        "vertex_plan": (pkg.vertex_plan, basis, band),
                        "spectral_plan": (pkg.spectral_plan, basis, band)}
     metrics, runs = {}, {}
@@ -226,8 +222,7 @@ def main(argv=None) -> int:
                      "parent and change alternate, the parent first on even runs; each run is a fresh "
                      "process with one BLAS thread that reads a graph file another process wrote and "
                      "times each stage once; maxrss_<stage> is its ru_maxrss in MB after that stage; "
-                     "tracemalloc_check_assumptions and tracemalloc_plans are the traced peaks in MB of "
-                     "one more, untimed check_assumptions and spectral_plan call")
+                     "tracemalloc_plans is the traced peak in MB of one more, untimed spectral_plan call")
                     + "; the value of a metric is the median, with the first and third quartiles "
                       "(statistics.quantiles, n=4)",
         "host": {
