@@ -155,6 +155,7 @@ def _demo_example4_spectral(n: int, seed: int) -> tuple[Checks, dict, dict]:
 def _demo_dsp_block_sampling(n: int, seed: int) -> tuple[Checks, dict, dict]:
     if n < 1:
         raise BadSizeError(f"dsp_block_sampling needs n >= 1, got {n}")
+    graphs._dense_adjacency(n)  # build's size guard, before the divisor loop walks sqrt(n) integers
     rng = np.random.default_rng(seed)
     checks = Checks()
     small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]

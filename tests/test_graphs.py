@@ -82,9 +82,9 @@ class TestBuild:
         with pytest.raises(BadSizeError):
             build(GraphKind.EXAMPLE4, 5)
 
-    # a size that is not an integer or too large, an empty graph, a kind or domain that is not its enum
-    # or an impulsive flag that is not a bool is refused with the library's own error, not numpy's TypeError, a
-    # StopIteration or a wrong answer
+    # a size that is not an integer or too large, an empty graph, a kind or domain that is not its
+    # enum or an impulsive flag that is not a bool is refused with the library's own error, not
+    # numpy's TypeError or MemoryError, a StopIteration or a wrong answer
     @pytest.mark.parametrize("call, error", [
         (lambda: Graph(np.zeros((0, 0))), BadSizeError),
         (lambda: build(GraphKind.RING, 2.5), BadSizeError),
