@@ -72,16 +72,18 @@ def apply_filter(
 
     Vertex filters act on vertex-domain signals through the adjacency;
     spectral filters act on spectral-domain signals through M, the
-    adjacency of G_s. The full filter matrix is never formed.
+    adjacency of G_s. The full filter matrix is never formed. NonFiniteError,
+    naming the filter output, when it overflows.
     """
     x = signal.require(filt.shift_domain)
     shift = graph.adjacency if filt.shift_domain is Domain.VERTEX else spectral_shift(basis)
     _check_length(x, shift.shape[0])
     coeffs = filt.coeffs
-    acc = coeffs[-1] * x
-    for c in coeffs[-2::-1]:
-        acc = shift @ acc + c * x
-    return GraphSignal(acc, signal.domain)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cvector's NonFiniteError
+        acc = coeffs[-1] * x
+        for c in coeffs[-2::-1]:
+            acc = shift @ acc + c * x
+    return GraphSignal(numkit.as_cvector(acc, "filter output"), signal.domain)
 
 
 def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
@@ -90,9 +92,12 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     A vertex filter has the spectral response P(lam); a spectral filter has
     the vertex response P(conj(lam)), P on the frequencies of G_s. Modulating
     by the response in the opposite domain is equivalent to applying it.
+    NonFiniteError, naming the filter response, when it overflows.
     """
     lam = basis.for_domain(filt.shift_domain).lam
-    return GraphSignal(np.polyval(filt.coeffs[::-1], lam), filt.shift_domain.other)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cvector's NonFiniteError
+        resp = np.polyval(filt.coeffs[::-1], lam)
+    return GraphSignal(numkit.as_cvector(resp, "filter response"), filt.shift_domain.other)
 
 
 def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:

@@ -34,10 +34,8 @@ from .spectral import SpectralBasis, spectral_shift
 __all__ = [
     "ImpulseKind",
     "ImpulseFamily",
-    "AssumptionReport",
     "impulse_family",
     "vandermonde",
-    "check_assumptions",
 ]
 
 
@@ -79,14 +77,6 @@ class ImpulseFamily:
     kind: ImpulseKind
     D: np.ndarray
     D_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    distinct: bool
-    y0_nonzero: bool
-    min_gap: float
-    min_abs_y0: float
 
 
 def _shift_stack(shift: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -140,21 +130,3 @@ def vandermonde(lam) -> np.ndarray:
         v = (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
     return numkit.as_cmatrix(v, "Vandermonde matrix")
 
-
-def check_assumptions(basis: SpectralBasis) -> AssumptionReport:
-    """Report whether the two invertibility assumptions hold for ``basis``.
-
-    distinct: no two frequencies are within ``numkit.GAP_TOL * max|lam|``
-    (``numkit._coincident``), and ``min_gap`` is the smallest distance;
-    y0_nonzero: every entry of the first GFT column y0 exceeds
-    ``numkit.PIVOT_TOL * max|y0|``. Neither verdict depends on scale.
-    """
-    min_gap, _, pairs = numkit._coincident(basis.lam)
-    y0 = basis.gft[:, 0]
-    min_abs_y0 = float(np.min(np.abs(y0)))
-    return AssumptionReport(
-        distinct=not pairs.size,
-        y0_nonzero=min_abs_y0 > numkit._zero_cut(y0),
-        min_gap=min_gap,
-        min_abs_y0=min_abs_y0,
-    )

@@ -46,7 +46,7 @@ PIVOT_TOL = 1e-10
 # eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
 EIG_RESIDUAL_TOL = 1e-9
 # distinct frequencies (``_coincident``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
-# the default of basis_from_graph and --tol, and the cut of check_assumptions and fit_filter
+# the default of basis_from_graph and --tol, and the cut of fit_filter's repeated frequencies
 GAP_TOL = 1e-8
 # eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
 LEAD_TOL = 1e-8

@@ -42,6 +42,7 @@ from . import numkit
 from .errors import (
     DimensionMismatchError,
     InfeasibleError,
+    NonFiniteError,
     NotBandlimitedError,
     ParseError,
     ReconstructionMismatchError,
@@ -52,7 +53,6 @@ from .graphs import (
     Graph,
     GraphSignal,
     _from_packed,
-    _from_pairs,
     _gc_paused,
     _packed,
     _read_json,
@@ -341,48 +341,45 @@ def upsample(x_s, delta) -> GraphSignal:
 
 
 PLAN_VERSION = 4
-# the packed layouts of ``S`` each version may hold, told apart by their length
-_S_LAYOUTS = {3: (np.complex128,), PLAN_VERSION: (np.complex128, np.float64)}
 
 
 @_gc_paused()
 def write_plan(plan: SamplingPlan, path) -> None:
     """Write a version-4 plan file: ``S`` as base64 of its little-endian
-    float64 bytes when the plan's map is real, complex128 bytes otherwise."""
+    float64 bytes when the plan's map is real, complex128 bytes otherwise.
+    NonFiniteError, before anything is written, unless ``cond`` is finite."""
+    if not math.isfinite(plan.cond):  # json.dumps would write the non-JSON token NaN or Infinity
+        raise NonFiniteError(f"plan cond must be finite, got {plan.cond!r}")
     doc = {
         "version": PLAN_VERSION,
         "domain": plan.domain.value,
         "delta": [int(v) for v in plan.delta],
         "band": list(plan.band.support),
         "S": _packed(plan.S),
-        # NaN is not JSON: a version-1 plan's unknown cond is written as null
-        "cond": plan.cond if math.isfinite(plan.cond) else None,
+        "cond": plan.cond,
     }
     _write_json(path, doc)
 
 
 @_gc_paused()
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
-    """Load and check a plan file; ParseError names what is malformed.
+    """Load and check a version-4 plan file; ParseError names what is
+    malformed, a file of another version included (``sample --delta`` with
+    its stored ``delta`` makes the same plan anew).
 
-    Version 4 stores ``S`` as base64 of its little-endian float64 bytes (8
-    per entry) when it is real, and of its complex128 bytes (16 per entry)
-    otherwise; the length tells them apart, and an empty ``S`` reads as
-    complex. Older files are read too: version 3 stores ``S`` as complex128
-    bytes only, version 2 as [re, im] pairs. Files without a ``version``
-    (version 1) hold ``S`` that way if they are vertex plans, and spectral
-    ones get it from the basis of their stored ``gft`` and ``lambda``;
-    neither recorded ``cond``, so it reads as NaN, which ``write_plan``
-    stores as null. With ``graph``, raises ReconstructionMismatchError unless
-    the range of the plan's recovery map is invariant under the graph's
-    shift, as the span of the band's eigenvectors is.
+    ``S`` is base64 of its little-endian float64 bytes (8 per entry) when it
+    is real, and of its complex128 bytes (16 per entry) otherwise; the length
+    tells them apart, and an empty ``S`` reads as complex. With ``graph``,
+    raises ReconstructionMismatchError unless the range of the plan's
+    recovery map is invariant under the graph's shift, as the span of the
+    band's eigenvectors is.
     """
     doc = _read_json(path, ("domain", "delta", "band"))
-    version = doc.get("version", 1)
-    # a bool or a float is not a version, although True == 1 and 2.0 == 2
-    if type(version) is not int or version not in (1, 2, *_S_LAYOUTS):
-        raise ParseError(f"{path}: unsupported plan version {version!r}")
-    old_spectral = version == 1 and doc["domain"] == Domain.SPECTRAL.value
+    version = doc.get("version", 1)  # the first layout had no version field
+    # a bool or a float is not a version, although 4.0 == 4
+    if type(version) is not int or version != PLAN_VERSION:
+        raise ParseError(f"{path}: unsupported plan version {version!r}; this toolkit reads version "
+                         f"{PLAN_VERSION}, and sample --delta with the stored delta makes the plan anew")
     try:
         domain = Domain(doc["domain"])
         band = BandSpec(tuple(doc["band"]))
@@ -395,22 +392,11 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: malformed plan: {exc}") from exc
     n, k = delta.shape[0], band.k
-    if old_spectral:
-        gft = _from_pairs(doc.get("gft"), (n, n), f"{path}: gft")
-        lam = _from_pairs(doc.get("lambda"), (n,), f"{path}: lambda")
-        s = _plan(SpectralBasis(gft, numkit.solve(gft, np.eye(n)), lam), band, delta, domain).S
-    elif version in _S_LAYOUTS:
-        s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", _S_LAYOUTS[version])
-    else:
-        s = _from_pairs(doc.get("S"), (n - k, k), f"{path}: S")
-    cond = doc.get("cond", "missing") if version > 1 else None
-    if cond is None:
-        cond = float("nan")
-    elif type(cond) in (int, float) and math.isfinite(cond):
-        cond = float(cond)
-    else:
-        raise ParseError(f"{path}: cond must be a finite number or null, got {cond!r}")
-    plan = SamplingPlan(domain, delta, band, s, cond)
+    s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", (np.complex128, np.float64))
+    cond = doc.get("cond", "missing")
+    if type(cond) not in (int, float) or not math.isfinite(cond):
+        raise ParseError(f"{path}: cond must be a finite number, got {cond!r}")
+    plan = SamplingPlan(domain, delta, band, s, float(cond))
     if graph is not None:
         _check_invariant(plan, graph, path)
     return plan

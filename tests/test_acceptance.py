@@ -32,6 +32,7 @@ from gsptk import (
     Domain,
     GraphKind,
     GraphSignal,
+    ImpulseKind,
     PolynomialFilter,
     apply_filter,
     build,
@@ -41,8 +42,11 @@ from gsptk import (
     dft_basis,
     dsp_sampling_operator,
     gft_apply,
+    impulse_family,
+    matrix_from_response,
     nyquist_recover,
     recovery_block,
+    rescale_basis,
     response,
     sample,
     spectral_plan,
@@ -51,6 +55,7 @@ from gsptk import (
     spectral_shift_variant,
     structural_equal,
     upsample,
+    vandermonde,
     vertex_plan,
     vertex_recover,
 )
@@ -230,6 +235,11 @@ def test_criterion07_duality_suite():
         ).values
         rhs = response(filt_m, basis).values * (basis.igft @ x)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+        # the filter matrix assembled from the response acts as the polynomial: P(A) x and P(M) x
+        for filt, domain in ((filt_a, Domain.VERTEX), (filt_m, Domain.SPECTRAL)):
+            lhs = matrix_from_response(basis, response(filt, basis)) @ x
+            rhs = apply_filter(filt, g, basis, GraphSignal(x, domain)).values
+            worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
     ok = worst <= 1e-8
     assert report(7, bool(ok), f"filtering/modulation dualities, 200 digraphs (worst {worst:.2e})")
 
@@ -408,3 +418,50 @@ def test_criterion12_recovery_block_as_stated():
     basis, _, _, _, plan = _nyquist_setup(rng, 6, 6)
     ok &= np.max(np.abs(recovery_block(basis, plan.delta, plan.band)[1] - np.eye(6))) <= 1e-10
     assert report(12, bool(ok), "recovery block equals the identity (as stated)")
+
+
+def test_criterion13_impulse_families_are_vandermonde():
+    """Shifting a delta N-1 times stacks the impulse matrix D of its family. Its transform is
+    diag(delta_hat) times the Vandermonde matrix of the frequencies (Sandryhaila & Moura, IEEE TSP
+    2013): column k is delta_hat times lam ** k. This holds for all four delta conventions, the
+    spectral-domain ones with M, the transforms of the spectral graph and its frequencies conj(lam).
+    delta_hat is the first column of the transform for the impulsive delta e_0 and 1/sqrt(N) for the
+    flat one. On the cycle the normalized Vandermonde matrix is the DFT itself."""
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(50):
+        n = int(rng.integers(3, 13))
+        g, basis = random_basis_graph(rng, n)
+        for kind in ImpulseKind:
+            b = basis.for_domain(kind.domain)
+            delta_hat = b.gft[:, 0] if kind.impulsive else np.full(n, 1 / np.sqrt(n))
+            d_hat = impulse_family(g, basis, kind).D_hat
+            want = delta_hat[:, None] * np.sqrt(n) * vandermonde(b.lam)
+            worst = max(worst, np.max(np.abs(d_hat - want)) / max(1.0, np.max(np.abs(want))))
+    ok = worst <= 1e-8
+    cycle = max(float(np.max(np.abs(vandermonde(dft_basis(n).lam) - dft_basis(n).gft))) for n in (1, 2, 4, 8, 16, 64))
+    ok &= cycle <= 1e-10
+    assert report(13, bool(ok), f"impulse families: D_hat = diag(delta_hat) sqrt(N) V, 50 digraphs x 4 kinds "
+                                f"(worst {worst:.2e}); V is the DFT on the cycle ({cycle:.2e})")
+
+
+def test_criterion14_spectral_shift_pattern_is_scale_invariant():
+    """Each eigenvector may be scaled by a nonzero c_i. That conjugates the spectral shift by a
+    diagonal, M -> diag(c)^-1 M diag(c), so the nonzero pattern of M, the edges of the spectral graph,
+    does not depend on the scaling. On the cycle M = A, so the pattern has zeros to keep."""
+    rng = np.random.default_rng(14)
+    bases = [dft_basis(n) for n in (4, 8, 16, 64)] + [bundled_basis("star5", build(GraphKind.STAR, 5))]
+    bases += [random_basis_graph(rng, int(rng.integers(3, 13)))[1] for _ in range(50)]
+    ok = all(structural_equal(spectral_shift(dft_basis(n)), build(GraphKind.RING, n).adjacency)
+             for n in (4, 8, 16, 64))
+    worst = 0.0
+    for basis in bases:
+        m = spectral_shift(basis)
+        c = np.exp(1j * rng.uniform(0, 2 * np.pi, basis.n)) * rng.uniform(0.5, 2.0, basis.n)
+        rescaled = spectral_shift(rescale_basis(basis, c))
+        want = m * c[None, :] / c[:, None]
+        worst = max(worst, float(np.max(np.abs(rescaled - want)) / np.max(np.abs(want))))
+        ok &= structural_equal(rescaled, m)
+    ok &= worst <= 1e-10
+    assert report(14, bool(ok), f"rescaled eigenvectors conjugate M by diag(c) and keep its pattern, "
+                                f"{len(bases)} bases (worst {worst:.2e})")

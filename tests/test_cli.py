@@ -525,15 +525,23 @@ def _unpacked(doc):
     return np.frombuffer(base64.b64decode(doc["S"]), dtype="<c16").reshape(n - k, k)
 
 
-def _version2(edit=lambda doc: doc):
-    """``edit`` applied to the plan rewritten as a version-2 file, whose ``S``
-    is nested [re, im] pairs."""
+def _pairs_of_s(doc):
+    """``S`` of a version-4 plan document as nested [re, im] pairs, the layout of versions 1 and 2."""
+    s = _unpacked(doc)
+    return np.stack((s.real, s.imag), -1).tolist()
 
-    def apply(doc):
-        s = _unpacked(doc)
-        return edit({**doc, "version": 2, "S": np.stack((s.real, s.imag), -1).tolist()})
 
-    return apply
+def _old_version(version):
+    """An edit that rewrites the plan in an older version's layout: ``S`` as [re, im] pairs in versions
+    1 (no version and no cond field) and 2, as base64 of complex128 bytes in version 3."""
+
+    def edit(doc):
+        if version == 3:
+            return {**doc, "version": 3}
+        old = {**doc, "version": 2, "S": _pairs_of_s(doc)}
+        return old if version == 2 else {k: v for k, v in old.items() if k not in ("version", "cond")}
+
+    return edit
 
 
 def _packed_s(first=None, drop_last=False, layout="<c16"):
@@ -561,14 +569,11 @@ _BROKEN_PLANS = {
     "missing delta": _without("delta"),
     "delta not 0/1": _with("delta", [0, 2, 0, 1]),
     "delta count differs from band": _with("delta", [1, 1, 0, 1]),
-    # version 2: S as [re, im] pairs
-    "S of the wrong shape": _version2(_with("S", [[[1.0, 0.0], [2.0, 0.0]]])),
-    "entry not a pair": _version2(_replace("S", (0, 0), [1.0])),
-    "entry not a number": _version2(_replace("S", (0, 0), ["1.0", "0.0"])),
-    "non-finite entry": _version2(_replace("S", (0, 0), [float("nan"), 0.0])),
-    "entry with a boolean": _version2(_replace("S", (0, 0), [True, 0.0])),
+    # one complex value: 16 bytes, neither the 32 of a 2 x 2 float64 S nor the 64 of a complex128 one
+    "S of the wrong shape": _with("S", base64.b64encode(np.array([1.0], "<c16").tobytes()).decode()),
+    "non-finite entry": _packed_s(first=complex(0.0, float("nan"))),
     # version 4: S packed as base64 of complex128 bytes, or of float64 bytes
-    "S not a string": lambda doc: {**doc, "S": _version2()(doc)["S"]},
+    "S not a string": lambda doc: {**doc, "S": _pairs_of_s(doc)},
     # without validation, b64decode would skip the four stars and decode the rest
     "S with non-base64 characters": lambda doc: {**doc, "S": "****" + doc["S"]},
     "S one complex value short": _packed_s(drop_last=True),
@@ -584,8 +589,9 @@ _BROKEN_PLANS = {
     "band index out of range": _with("band", [0, 4]),
     "delta with a boolean": _with("delta", [0, True, 0, 1]),
     "cond a boolean": _with("cond", True),
-    "version true": _version2(_with("version", True)),
-    "version 2.0": _version2(_with("version", 2.0)),
+    "cond null": _with("cond", None),
+    "version true": _with("version", True),
+    "version 4.0": _with("version", 4.0),
     "not an object": lambda doc: [doc],
 }
 
@@ -601,14 +607,16 @@ def test_recover_rejects_a_malformed_plan(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_recover_reads_a_version_2_plan_to_the_same_signal(tmp_path):
-    # the edits above to a version-2 file fail for their own reason, not its layout
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_recover_refuses_an_older_plan_by_its_version(tmp_path, capsys, version):
     plan_path, samples_path = _sample_example4(tmp_path, "vertex")
-    old = tmp_path / "old.plan.json"
-    old.write_text(json.dumps(_version2()(json.loads(plan_path.read_text()))))
-    for path, out in ((plan_path, "new.json"), (old, "old.json")):
-        assert run(["recover", path, samples_path, "--out", tmp_path / out]) == 0
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    plan_path.write_text(json.dumps(_old_version(version)(json.loads(plan_path.read_text()))))
+    capsys.readouterr()
+    assert run(["recover", plan_path, samples_path, "--out", tmp_path / "rec.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"unsupported plan version {version};" in err and "sample --delta" in err
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_recover_reads_a_float64_map(tmp_path):

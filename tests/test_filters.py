@@ -12,8 +12,10 @@ from gsptk import (
     GraphKind,
     GraphSignal,
     ImpulseKind,
+    NonFiniteError,
     PolynomialFilter,
     SingularMatrixError,
+    SpectralBasis,
     apply_filter,
     basis_explicit,
     basis_from_graph,
@@ -96,6 +98,18 @@ class TestApply:
         with pytest.raises(DomainMismatchError) as err:
             apply_filter(PolynomialFilter([1.0, 2.0], shift_domain), g, basis, signal)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("shift_domain", list(Domain))
+    def test_an_overflow_is_a_typed_error_naming_the_filter(self, shift_domain):
+        # the Horner loop on a ring scaled by 1e200, and the polynomial on its frequencies, overflow;
+        # under filterwarnings = error a numpy RuntimeWarning would come out first
+        g, basis = build(GraphKind.RING, 4), dft_basis(4)
+        g, basis = Graph(1e200 * g.adjacency), SpectralBasis(basis.gft, basis.igft, 1e200 * basis.lam)
+        filt = PolynomialFilter([1e300, 1e300], shift_domain)
+        with pytest.raises(NonFiniteError, match="^filter output contains non-finite entries"):
+            apply_filter(filt, g, basis, GraphSignal(np.ones(4), shift_domain))
+        with pytest.raises(NonFiniteError, match="^filter response contains non-finite entries"):
+            response(filt, basis)
 
 
 class TestResponse:

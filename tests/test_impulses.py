@@ -3,21 +3,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsptk import (
+    Domain,
     Graph,
     GraphKind,
+    GraphSignal,
     GsptkError,
     ImpulseKind,
     NonFiniteError,
+    RepeatedEigenvaluesError,
+    SingularMatrixError,
     SpectralBasis,
     basis_explicit,
+    basis_from_graph,
     build,
     bundled_basis,
-    check_assumptions,
     dft_basis,
+    fit_filter,
     impulse_family,
     spectral_shift,
     vandermonde,
 )
+from gsptk import numkit
 from gsptk.numkit import row_reduce
 
 from util import DECADES, er_digraph, random_basis_graph
@@ -156,27 +162,38 @@ class TestVandermonde:
 
 
 class TestAssumptions:
+    """The two assumptions an impulse family needs, distinct frequencies and a first GFT column y0 with
+    no zero entry, are judged by two refusals: ``basis_from_graph``'s gap refusal (and, for an explicit
+    basis, ``fit_filter``'s on a response that splits a repeated frequency), and ``fit_filter``'s on y0."""
+
     def test_ring(self):
-        report = check_assumptions(dft_basis(8))
-        assert report.distinct and report.y0_nonzero
-        assert abs(report.min_abs_y0 - 1 / np.sqrt(8)) < 1e-12
+        basis = dft_basis(8)
+        assert basis_from_graph(build(GraphKind.RING, 8)).n == 8
+        assert np.max(np.abs(np.abs(basis.gft[:, 0]) - 1 / np.sqrt(8))) < 1e-12
+        target = GraphSignal(np.arange(8.0), Domain.VERTEX)
+        for kind in ImpulseKind:
+            assert np.all(np.isfinite(fit_filter(target, kind, basis).values))
 
     @pytest.mark.parametrize("lam", ([1.0, 1.0, np.nan], [np.inf, 1.0, 2.0]))
     def test_non_finite_frequencies_raise_a_typed_error(self, lam):
-        # a hand-built basis; a NaN hides the pair (0, 1) from every comparison
+        # a hand-built basis; a NaN would hide the pair (0, 1) from every comparison
         with pytest.raises(NonFiniteError, match="lam"):
-            check_assumptions(SpectralBasis(np.eye(3), np.eye(3), np.array(lam)))
+            SpectralBasis(np.eye(3), np.eye(3), np.array(lam))
 
     def test_star_explicit_basis_fails_both(self):
-        basis = bundled_basis("star5", build(GraphKind.STAR, 5))
-        report = check_assumptions(basis)
-        assert not report.distinct
-        assert not report.y0_nonzero
-        assert report.min_gap == 0.0
+        graph = build(GraphKind.STAR, 5)
+        basis = bundled_basis("star5", graph)
+        with pytest.raises(RepeatedEigenvaluesError):
+            basis_from_graph(graph)
+        assert numkit._coincident(basis.lam)[0] == 0.0
+        target = GraphSignal(np.arange(5.0), Domain.VERTEX)
+        with pytest.raises(SingularMatrixError, match=r"min \|y0\|"):
+            fit_filter(target, ImpulseKind.VERTEX_IMPULSIVE, basis)
+        # the flat delta has no zero entry, and the response splits the repeated frequency 0
+        with pytest.raises(SingularMatrixError, match="repeated eigenvalues"):
+            fit_filter(target, ImpulseKind.SPECTRAL_FLAT, basis)
 
     def test_row_stochastic_digraph_keeps_y0_alive(self):
-        from gsptk import basis_from_graph
-
         rng = np.random.default_rng(17)
         for _ in range(50):
             g = er_digraph(rng, 6, p=0.7)
@@ -184,11 +201,10 @@ class TestAssumptions:
             np.fill_diagonal(a, 1.0)  # guarantee nonzero rows
             a = a / a.sum(axis=1, keepdims=True)
             try:
-                basis = basis_from_graph(Graph(a), tol=1e-9)
-            except Exception:
+                basis = basis_from_graph(Graph(a))
+            except GsptkError:
                 continue
-            report = check_assumptions(basis)
-            if report.distinct:
-                assert report.y0_nonzero
-                return
+            # distinct frequencies, and no refusal of y0
+            fit_filter(GraphSignal(np.ones(6), Domain.VERTEX), ImpulseKind.VERTEX_IMPULSIVE, basis)
+            return
         pytest.fail("no diagonalizable row-stochastic digraph found")

@@ -19,6 +19,7 @@ from gsptk import (
     GraphSignal,
     GsptkError,
     InfeasibleError,
+    NonFiniteError,
     NotBandlimitedError,
     ParseError,
     SizeMismatchError,
@@ -511,12 +512,11 @@ class TestPlanIO:
         rec = spectral_recover(back, np.array([0.93, -0.577]))
         assert np.max(np.abs(rec.values - X4)) < 5e-3
 
-    def test_reads_a_spectral_plan_without_version(self, tmp_path):
-        # the layout spectral plan files had before version 2
+    def test_refuses_a_spectral_plan_without_version(self, tmp_path):
+        # the layout spectral plan files had before version 2; its stored delta makes the plan anew
         g, basis = example4()
         plan = spectral_plan(basis, BandSpec((0, 1)), forced_delta=DELTA4)
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({
+        doc = {
             "domain": "spectral",
             "delta": DELTA4.tolist(),
             "band": [0, 1],
@@ -524,32 +524,25 @@ class TestPlanIO:
             "selected_rows": list(recovery_block(basis, plan.delta, plan.band)[0]),
             "gft": pairs(basis.gft),
             "lambda": pairs(basis.lam),
-        }))
-        for back in (read_plan(path), read_plan(path, g)):
-            assert back.domain is Domain.SPECTRAL
-            assert math.isnan(back.cond)
-            assert np.max(np.abs(back.S - plan.S)) < 1e-12
-            rec = spectral_recover(back, np.array([0.93, -0.577]))
-            assert np.max(np.abs(rec.values - X4)) < 5e-3
-        # its unknown cond is written back as null, not as the non-JSON NaN
-        again = tmp_path / "again.json"
-        write_plan(back, again)
-        assert json.loads(again.read_text())["cond"] is None
-        reread = read_plan(again, g)
-        assert np.array_equal(reread.delta, back.delta) and reread.band == back.band
-        assert reread.S.tobytes() == back.S.tobytes()
-        assert math.isnan(reread.cond)
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        for graph in (None, g):
+            with pytest.raises(ParseError, match=r"plan\.json: unsupported plan version 1; .* sample --delta"):
+                read_plan(path, graph)
+        assert_same_fields(spectral_plan(basis, BandSpec(tuple(doc["band"])), forced_delta=doc["delta"]), plan)
 
-    def test_a_spectral_plan_without_version_needs_its_lambda(self, tmp_path):
-        # the version-1 writer always stored lambda; the reader decides whether S is real from it
+    def test_a_spectral_plan_without_version_is_refused_by_its_version_not_its_fields(self, tmp_path):
+        # the version-1 writer always stored lambda; without it the version is still what is refused
         _, basis = example4()
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"domain": "spectral", "delta": DELTA4.tolist(), "band": [0, 1],
                                     "gft": pairs(basis.gft)}))
-        with pytest.raises(ParseError, match=r"plan\.json: lambda"):
+        with pytest.raises(ParseError, match="unsupported plan version 1") as err:
             read_plan(path)
+        assert "lambda" not in str(err.value)
 
-    def test_version_2_3_and_4_files_read_the_same_plan(self, tmp_path):
+    def test_only_version_4_files_read(self, tmp_path):
         basis = basis_from_graph(er_digraph(np.random.default_rng(1), 60))
         plan = vertex_plan(basis, BandSpec(tuple(range(30))))
         assert plan.S.dtype == np.float64  # a real graph, a band of whole conjugate pairs
@@ -559,14 +552,33 @@ class TestPlanIO:
         assert doc["version"] == 4
         # base64 of 8 bytes per real value, (N - K) * K of them
         assert len(doc["S"]) == 4 * math.ceil(8 * 30 * 30 / 3)
+        assert_same_fields(read_plan(v4), plan)
+        # version 3 stored S as complex128 bytes only, version 2 as [re, im] pairs
         packed = base64.b64encode(plan.S.astype("<c16").tobytes()).decode()
         v3.write_text(json.dumps({**doc, "version": 3, "S": packed}))
         v2.write_text(json.dumps({**doc, "version": 2, "S": pairs(plan.S)}))
-        a, b, c = read_plan(v4), read_plan(v3), read_plan(v2)
-        assert_same_fields(a, plan)
-        assert b.S.tobytes() == c.S.tobytes() == plan.S.astype(np.complex128).tobytes()
-        assert np.array_equal(a.delta, b.delta) and np.array_equal(b.delta, c.delta)
-        assert a.cond == b.cond == c.cond == plan.cond
+        for version, path in ((3, v3), (2, v2)):
+            with pytest.raises(ParseError, match=f"unsupported plan version {version};"):
+                read_plan(path)
+
+    def test_a_null_cond_is_refused(self, tmp_path):
+        # the null a version-1 plan's unknown cond was written back as
+        _, basis = example4()
+        path = tmp_path / "plan.json"
+        write_plan(vertex_plan(basis, BandSpec((0, 1))), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "cond": None}))
+        with pytest.raises(ParseError, match="cond must be a finite number, got None"):
+            read_plan(path)
+
+    @pytest.mark.parametrize("cond", [math.nan, math.inf])
+    def test_a_non_finite_cond_is_not_written(self, tmp_path, cond):
+        # json.dumps would write the non-JSON token NaN or Infinity, which read_plan refuses
+        _, basis = example4()
+        plan = dataclasses.replace(vertex_plan(basis, BandSpec((0, 1))), cond=cond)
+        path = tmp_path / "plan.json"
+        with pytest.raises(NonFiniteError, match="cond"):
+            write_plan(plan, path)
+        assert not path.exists()
 
     def test_full_band_plan_has_an_empty_map(self, tmp_path):
         _, basis = example4()
@@ -578,21 +590,17 @@ class TestPlanIO:
         assert back.S.shape == (0, 4)
         assert np.array_equal(vertex_recover(back, X4).values, X4)
 
-    @pytest.mark.parametrize("route, recover", [(vertex_plan, vertex_recover), (spectral_plan, spectral_recover)])
-    def test_old_layouts_read_a_full_band_s_of_no_rows(self, tmp_path, route, recover):
-        # versions 1 (vertex plans) and 2 store S as [re, im] pairs, a full band's as []
+    @pytest.mark.parametrize("route", [vertex_plan, spectral_plan])
+    def test_old_layouts_of_a_full_band_are_refused(self, tmp_path, route):
+        # versions 1 (vertex plans) and 2 stored S as [re, im] pairs, a full band's as []
         _, basis = example4()
         plan = route(basis, BandSpec((0, 1, 2, 3)))
         doc = {"domain": plan.domain.value, "delta": plan.delta.tolist(), "band": [0, 1, 2, 3], "S": []}
-        layouts = {2: {**doc, "version": 2, "cond": plan.cond}}
-        if plan.domain is Domain.VERTEX:  # a version-1 spectral plan stores its gft instead
-            layouts[1] = doc
-        for version, layout in layouts.items():
+        for version, layout in ((1, doc), (2, {**doc, "version": 2, "cond": plan.cond})):
             path = tmp_path / f"v{version}.json"
             path.write_text(json.dumps(layout))
-            back = read_plan(path)
-            assert back.S.shape == (0, 4) and np.array_equal(back.delta, np.ones(4))
-            assert np.array_equal(recover(back, X4).values, X4)
+            with pytest.raises(ParseError, match=f"unsupported plan version {version};"):
+                read_plan(path)
 
     def test_malformed_plan(self, tmp_path):
         from gsptk import ParseError

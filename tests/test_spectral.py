@@ -14,11 +14,13 @@ from gsptk import (
     GsptkError,
     ImpulseKind,
     NonFiniteError,
+    PolynomialFilter,
     ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
     SpectralBasis,
     ZeroScaleError,
+    apply_filter,
     basis_explicit,
     basis_from_graph,
     build,
@@ -28,6 +30,7 @@ from gsptk import (
     gft_apply,
     impulse_family,
     rescale_basis,
+    response,
     spectral_shift,
     spectral_plan,
     spectral_shift_variant,
@@ -557,8 +560,8 @@ class TestSpectralBasisChecks:
        bad=st.sampled_from([None, None, "gft", "igft", "lam"]))
 def test_a_hand_built_basis_gives_finite_values_or_a_toolkit_error(seed, n, k, bad):
     # moduli from 0 through subnormal to 1e300 (DECADES), a tenth of the entries 0; a non-finite
-    # entry is refused when the basis is built, and every reader of a built one, and a solve by its
-    # gft, returns finite values or raises GsptkError
+    # entry is refused when the basis is built, and every reader of a built one, a solve by its gft
+    # and a filter with coefficients of the same moduli return finite values or raise GsptkError
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -577,7 +580,10 @@ def test_a_hand_built_basis_gives_finite_values_or_a_toolkit_error(seed, n, k, b
     calls = [lambda: spectral_shift(basis), lambda: numkit.solve(basis.gft, x),
              *(lambda d=d: gft_apply(basis, GraphSignal(x, d)).values for d in Domain),
              *(lambda kind=kind: impulse_family(graph, basis, kind).D_hat for kind in ImpulseKind),
-             lambda: vertex_plan(basis, band).S, lambda: spectral_plan(basis, band).S]
+             lambda: vertex_plan(basis, band).S, lambda: spectral_plan(basis, band).S,
+             *(lambda f=PolynomialFilter(draw(k), d): apply_filter(f, graph, basis, GraphSignal(x, d)).values
+               for d in Domain),
+             *(lambda f=PolynomialFilter(draw(k), d): response(f, basis).values for d in Domain)]
     for call in calls:
         try:
             out = call()
