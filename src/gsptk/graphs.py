@@ -178,10 +178,10 @@ def _parse_complex(token: str, path, line_no: int, field: int) -> complex:
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause Python's cyclic garbage collector while a gsptk file is read or
-    written; usable as a decorator. The nested lists a JSON file parses to
-    and is dumped from hold no reference cycles, so a collection they trigger
-    frees nothing, yet it traverses them: the edge list of an Erdos-Renyi
+    """Pause Python's cyclic garbage collector while a graph, signal or basis
+    file is read or written; usable as a decorator. The nested lists a JSON
+    file parses to and is dumped from hold no reference cycles, so a
+    collection they trigger frees nothing, yet it traverses them: the edge list of an Erdos-Renyi
     graph at N=400 with 55% of the pairs linked parses to 88,000 lists, which
     set off about 125 young collections and a full one of the whole heap in
     every read. The collector's state is restored on the way out, and an
@@ -312,8 +312,6 @@ def _from_pairs(doc, shape: tuple, what: str) -> np.ndarray:
         pairs = np.array(doc)
     except ValueError as exc:
         raise ParseError(f"{what} is not a rectangular array: {exc}") from exc
-    if pairs.size == 0 and 0 in shape:  # an empty array is written as []
-        return np.zeros(shape, dtype=np.complex128)
     want = tuple(got if s is None else s for s, got in zip(shape, pairs.shape)) + (2,)
     bad = pairs.dtype.kind not in "iuf" or pairs.shape != want
     if bad or not np.isfinite(pairs).all() or _holds_bool(doc, pairs.ndim):
@@ -340,24 +338,24 @@ def _packed(values) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _from_packed(text, shape: tuple, what: str, dtypes: tuple) -> np.ndarray:
+def _from_packed(text, shape: tuple, what: str) -> np.ndarray:
     """Decode ``_packed`` output into a writable array of ``shape``.
 
-    Its dtype is the first of ``dtypes`` whose byte length matches, so an
-    empty array reads as the first. Raises ParseError, naming ``what`` (the
-    file and field), unless ``text`` is valid base64 of exactly that many
-    finite values of one of ``dtypes``.
+    It is complex128 when ``text`` holds 16 bytes a value and float64 when it
+    holds 8, so an empty array reads as complex128. Raises ParseError, naming
+    ``what`` (the file and field), unless ``text`` is valid base64 of exactly
+    that many finite values of one of the two.
     """
     try:
         data = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ParseError(f"{what} must be a base64 string: {exc}") from None
     count = math.prod(shape)
-    dtype = next((np.dtype(t) for t in dtypes if len(data) == np.dtype(t).itemsize * count), None)
+    dtypes = (np.dtype(np.complex128), np.dtype(np.float64))  # the two layouts _packed writes
+    dtype = next((t for t in dtypes if len(data) == t.itemsize * count), None)
     if dtype is None:
         dims = " x ".join(str(s) for s in shape)
-        want = " or ".join(f"the {np.dtype(t).itemsize * count} of a ({dims}) {np.dtype(t).name} array"
-                           for t in dtypes)
+        want = " or ".join(f"the {t.itemsize * count} of a ({dims}) {t.name} array" for t in dtypes)
         raise ParseError(f"{what} holds {len(data)} bytes, not {want}")
     values = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
     if not np.isfinite(values).all():

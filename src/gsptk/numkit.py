@@ -111,16 +111,12 @@ def _as_size(n, name: str) -> int:
 
 @dataclass(frozen=True)
 class RowReduction:
-    """The pivot pattern of Gauss elimination.
-
-    ``pivot_cols`` and ``free_cols`` are ascending and partition the column
-    index set; ``rank == len(pivot_cols)``. ``singular_values``: the leading
-    block's, when they proved the pattern (``row_reduce``); not compared.
+    """The pivot pattern of Gauss elimination: ``pivot_cols``, ascending.
+    ``singular_values``: the leading block's, when they proved the pattern
+    (``row_reduce``); not compared.
     """
 
     pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-    rank: int
     singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -146,17 +142,17 @@ def row_reduce(a) -> RowReduction:
     Partial pivoting by largest magnitude (ties to the lowest row index);
     a candidate pivot with magnitude <= PIVOT_TOL * max(|initial entries|) is
     treated as zero and its column becomes free. A zero (or empty) matrix
-    has rank 0 with every column free. Only the block below and right of
-    each pivot is eliminated: the rows above a pivot are never searched
-    again, so they cannot change the pattern.
+    has no pivot. Only the block below and right of each pivot is
+    eliminated: the rows above a pivot are never searched again, so they
+    cannot change the pattern.
 
     A matrix with ``0 < r <= n`` rows is first tested without elimination:
     when the smallest singular value of its leading block ``B = a[:, :r]``
     exceeds ``2 * sqrt(r) * cut`` (``cut`` the zero cut above), the pattern
-    is the leading columns ``0..r-1``, rank ``r``. Proof: after ``j`` pivots
-    in columns ``0..j-1`` the rows still searched hold the Schur complement
-    ``S_j`` of a ``j x j`` block of ``P B``, for whatever row permutation
-    ``P`` the pivoting chose. ``S_j^-1`` is a block of ``(P B)^-1``, so
+    is the leading columns ``0..r-1``. Proof: after ``j`` pivots in columns
+    ``0..j-1`` the rows still searched hold the Schur complement ``S_j`` of a
+    ``j x j`` block of ``P B``, for whatever row permutation ``P`` the
+    pivoting chose. ``S_j^-1`` is a block of ``(P B)^-1``, so
     ``sigma_min(S_j) >= sigma_min(B)``, and the candidate pivot, the largest
     magnitude in the first column of ``S_j``, is at least ``|S_j e_1|_2 /
     sqrt(r) >= sigma_min(B) / sqrt(r) > 2 * cut``. The factor 2 covers
@@ -170,20 +166,14 @@ def row_reduce(a) -> RowReduction:
     could call a candidate zero and return another pattern than this test.
     The factor is a proof margin, not a cut: it decides only whether the
     loop runs. Tall and empty matrices, and a block that fails the test, go
-    to the loop. Since ``sigma_min(B)`` is at most the norm of any column of
-    ``B``, a block with a column no longer than the bound fails the test
-    before its singular values are taken.
+    to the loop.
     """
     r = as_cmatrix(a)
     m, n = r.shape
     if 0 < m <= n:
-        bound = 2.0 * np.sqrt(m) * _zero_cut(r)
-        with np.errstate(over="ignore"):  # a column norm that overflows only sends the block to its SVD
-            short = np.linalg.norm(r[:, :m], axis=0).min() <= bound
-        if not short:
-            sv = np.linalg.svd(r[:, :m], compute_uv=False)
-            if sv[-1] > bound:
-                return RowReduction(tuple(range(m)), tuple(range(m, n)), m, sv)
+        sv = np.linalg.svd(r[:, :m], compute_uv=False)
+        if sv[-1] > 2.0 * np.sqrt(m) * _zero_cut(r):
+            return RowReduction(tuple(range(m)), sv)
     return _eliminate(r)
 
 
@@ -208,9 +198,7 @@ def _eliminate(r: np.ndarray) -> RowReduction:
         r[row + 1:, col + 1:] -= np.outer(r[row + 1:, col], r[row, col + 1:] / r[row, col])
         pivot_cols.append(col)
         row += 1
-    pivots = set(pivot_cols)
-    free_cols = tuple(c for c in range(n) if c not in pivots)
-    return RowReduction(tuple(pivot_cols), free_cols, len(pivot_cols))
+    return RowReduction(tuple(pivot_cols))
 
 
 def solve(a, b):

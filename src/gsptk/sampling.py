@@ -53,7 +53,6 @@ from .graphs import (
     Graph,
     GraphSignal,
     _from_packed,
-    _gc_paused,
     _packed,
     _read_json,
     _write_json,
@@ -232,8 +231,8 @@ def _plan(basis: SpectralBasis, band: BandSpec, forced_delta, domain: Domain) ->
 def _full_rank(m: np.ndarray, what: str) -> numkit.RowReduction:
     """The Gauss pivot pattern of ``m``; InfeasibleError unless its rows are independent."""
     red = numkit.row_reduce(m)
-    if red.rank < m.shape[0]:
-        raise InfeasibleError(f"{what} are rank deficient ({red.rank} < {m.shape[0]})")
+    if len(red.pivot_cols) < m.shape[0]:
+        raise InfeasibleError(f"{what} are rank deficient ({len(red.pivot_cols)} < {m.shape[0]})")
     return red
 
 
@@ -343,7 +342,6 @@ def upsample(x_s, delta) -> GraphSignal:
 PLAN_VERSION = 4
 
 
-@_gc_paused()
 def write_plan(plan: SamplingPlan, path) -> None:
     """Write a version-4 plan file: ``S`` as base64 of its little-endian
     float64 bytes when the plan's map is real, complex128 bytes otherwise.
@@ -361,7 +359,6 @@ def write_plan(plan: SamplingPlan, path) -> None:
     _write_json(path, doc)
 
 
-@_gc_paused()
 def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     """Load and check a version-4 plan file; ParseError names what is
     malformed, a file of another version included (``sample --delta`` with
@@ -392,7 +389,7 @@ def read_plan(path, graph: Graph | None = None) -> SamplingPlan:
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{path}: malformed plan: {exc}") from exc
     n, k = delta.shape[0], band.k
-    s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S", (np.complex128, np.float64))
+    s = _from_packed(doc.get("S"), (n - k, k), f"{path}: S")
     cond = doc.get("cond", "missing")
     if type(cond) not in (int, float) or not math.isfinite(cond):
         raise ParseError(f"{path}: cond must be a finite number, got {cond!r}")

@@ -8,7 +8,9 @@ would give a different verdict at one end.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from gsptk import (
     InfeasibleError,
     NonFiniteError,
     NotBandlimitedError,
+    ReconstructionMismatchError,
     RepeatedEigenvaluesError,
     SingularMatrixError,
     SpectralBasis,
@@ -36,9 +39,12 @@ from gsptk import (
     bundled_basis,
     dft_basis,
     fit_filter,
+    read_plan,
     recovery_block,
+    spectral_plan,
     structural_equal,
     write_graph,
+    write_plan,
     write_signal,
 )
 from gsptk import numkit
@@ -47,7 +53,7 @@ from gsptk.numkit import _check_close
 from gsptk.sampling import _invertible
 from gsptk.spectral import save_basis
 
-from util import forced_verdicts, random_basis_graph
+from util import er_digraph, forced_verdicts, random_basis_graph
 
 SRC = Path(numkit.__file__).parent
 SCALES = (1e-3, 1.0, 1e3)
@@ -377,3 +383,60 @@ def test_the_largest_floats_give_their_frequencies():
     assert np.max(np.abs(lam - np.sqrt(2) * np.array([1e308, -1e308]))) <= 1e-15 * np.sqrt(2) * 1e308
     with pytest.raises(NonFiniteError, match="lam scaled back"):  # its frequency 4e308 is beyond float64
         numkit.eig(np.full((4, 4), 1e308))
+
+
+# ---------------------------------------------------------------------------
+# values: a cut below lies between a planted fault about 10x above it, which is
+# refused, and a legitimate quantity about 100x below it, which passes; the
+# numbers are literals, so moving the cut 1000-fold either way fails here
+
+
+def _er8():
+    """An 8-node ER digraph; cond(W) = 9.6, and both basis checks read about 3e-15."""
+    return er_digraph(np.random.default_rng(1), 8)
+
+
+@pytest.mark.parametrize("share, refused", [(1e-7, True), (1e-10, False)])
+@pytest.mark.parametrize("check, what", [("identity", "deviates from the identity"),
+                                         ("shift", "does not reconstruct the shift")])
+def test_the_basis_checks_refuse_1e_7_and_pass_1e_10(check, what, share, refused):
+    # identity: the LU inverse of W scaled by 1 + share misses I by share; shift: the eigenbasis of A
+    # moved by share * max|A| in one entry has an exact inverse and misses A by share * max|A|
+    solve, eig = numkit.solve, numkit.eig
+    moved = np.zeros((8, 8))
+    moved[0, 1] = share
+    planted = (mock.patch.object(numkit, "solve", lambda w, b: solve(w, b) * (1 + share)) if check == "identity"
+               else mock.patch.object(numkit, "eig", lambda a: eig(a + moved * np.abs(a).max())))
+    with planted:
+        out = _outcome(lambda: basis_from_graph(_er8()))
+    assert (isinstance(out, ReconstructionMismatchError) and what in str(out)) if refused else (
+        isinstance(out, SpectralBasis))
+
+
+@pytest.mark.parametrize("share, refused", [(2e-7, True), (2e-10, False)])
+def test_read_plan_with_a_graph_refuses_1e_7_and_passes_1e_10(tmp_path, share, refused):
+    # S scaled by 1 + share: the invariance residual is 0.45 * share * ||A||_inf * ||R||_inf
+    graph = _er8()
+    plan = spectral_plan(basis_from_graph(graph), BandSpec((0, 1, 2, 3)))
+    write_plan(dataclasses.replace(plan, S=plan.S * (1 + share)), tmp_path / "p.plan.json")
+    want = "ReconstructionMismatchError" if refused else "ok"
+    assert _verdict(lambda: read_plan(tmp_path / "p.plan.json", graph)) == want
+
+
+@pytest.mark.parametrize("share, refused", [(1e-5, True), (1e-8, False)])
+def test_an_explicit_basis_is_refused_at_1e_5_and_passes_at_1e_8(share, refused):
+    # gft = I + 3 share e_0 e_1^T on diag(1, 2, 3): its inverse is exactly I - 3 share e_0 e_1^T, and
+    # the basis misses A in entry (0, 1) only, by 3 share = share * max|A|
+    gft = np.eye(3)
+    gft[0, 1] = 3 * share
+    want = "ReconstructionMismatchError" if refused else "ok"
+    assert _verdict(lambda: basis_explicit(gft, [1.0, 2.0, 3.0], Graph(np.diag([1.0, 2.0, 3.0])))) == want
+
+
+@pytest.mark.parametrize("share, leads", [(1e-7, True), (1e-10, False)])
+def test_an_entry_sets_the_phase_at_1e_7_of_its_column_and_not_at_1e_10(share, leads):
+    v = np.array([[share * np.exp(1j)], [np.exp(2j)], [0.5j]])
+    got = numkit._normalize_columns(v)[:, 0]
+    lead = 0 if leads else 1
+    assert got[lead].imag == 0 < got[lead].real
+    assert got[1 - lead].imag != 0

@@ -115,14 +115,14 @@ class TestInvertibility:
         basis = basis_explicit(np.eye(3), [1.0, 2.0, 3.0], g)
         dv = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
         ds = impulse_family(g, basis, ImpulseKind.SPECTRAL_FLAT)
-        assert row_reduce(dv.D).rank == 1
-        assert row_reduce(ds.D).rank == 3
+        assert len(row_reduce(dv.D).pivot_cols) == 1
+        assert len(row_reduce(ds.D).pivot_cols) == 3
 
     def test_star_vertex_family_rank_deficient(self):
         g = build(GraphKind.STAR, 5)
         basis = bundled_basis("star5", g)
         fam = impulse_family(g, basis, ImpulseKind.VERTEX_IMPULSIVE)
-        assert row_reduce(fam.D).rank < 5
+        assert len(row_reduce(fam.D).pivot_cols) < 5
 
 
 class TestVandermonde:
@@ -136,7 +136,7 @@ class TestVandermonde:
     def test_distinct_frequencies_full_rank(self):
         rng = np.random.default_rng(13)
         _, basis = random_basis_graph(rng, 6)
-        assert row_reduce(vandermonde(basis.lam)).rank == 6
+        assert len(row_reduce(vandermonde(basis.lam)).pivot_cols) == 6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -406,11 +406,12 @@ class TestPlanEquivalent:
 
 def paper_rules(basis, band):
     """The nodes each route keeps by the paper's rules, run by the elimination
-    loop: the free columns of the out-of-band GFT rows (vertex), and the
-    pivot columns of the band columns of the inverse GFT, transposed
-    (spectral)."""
+    loop: the free columns of the out-of-band GFT rows (vertex), the complement
+    of their pivot columns, and the pivot columns of the band columns of the
+    inverse GFT, transposed (spectral)."""
     out, inside = list(band.complement(basis.n)), list(band.support)
-    return (numkit._eliminate(numkit.as_cmatrix(basis.gft[out])).free_cols,
+    pivots = numkit._eliminate(numkit.as_cmatrix(basis.gft[out])).pivot_cols
+    return (tuple(j for j in range(basis.n) if j not in pivots),
             numkit._eliminate(numkit.as_cmatrix(basis.igft[:, inside].T)).pivot_cols)
 
 

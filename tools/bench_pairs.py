@@ -5,9 +5,12 @@
 
 PARENT and CHANGE are checkouts, each with ``perfbench/`` and ``src/gsptk``.
 The workloads and the run length are those CHANGE's ``BENCHMARK.json``
-declares. For every seed and workload, both run ``perfbench/run.py`` one
-after the other, the parent first on odd seeds and the change first on even
-ones, so a drift of the host's speed favours neither side. Runs are
+declares. Both checkouts' ``src`` and ``perfbench`` are byte-compiled first,
+with the running interpreter, so that a bytecode cache on one side only does
+not read as import time (it would under PYTHONDONTWRITEBYTECODE). For
+every seed and workload, both run ``perfbench/run.py`` one after the other,
+the parent first on odd seeds and the change first on even ones, so a drift
+of the host's speed favours neither side. Runs are
 sequential. The record holds, per workload and end-to-end metric, each
 side's median and quartiles over its runs, the change's relative difference
 of the medians, and how many pairs the change read lower or higher.
@@ -125,6 +128,8 @@ def main(argv=None) -> int:
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     names, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     trace_seed = args.seeds[-1] + 1
+    for checkout in checkouts.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
 
     runs = {w: {side: [] for side in SIDES} for w in names}
     for seed in args.seeds:

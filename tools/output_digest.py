@@ -7,10 +7,13 @@ x and y in both domains, and ``band_graph(default_rng([1, 1]), n)`` at n = 60 an
 bandlimited vertex signal. Each checkout's ``gsptk.cli.main`` then runs, in one process with one
 BLAS thread: every demo, and each fixed-size demo again with ``--n 3``; ``convolve`` in both domains
 with both ``--impulse`` values and ``gft`` on the cycles; ``sample`` on both routes, ``recover`` of its
-samples and ``gft`` on the band graphs; on the bundled bases, ``sample --delta 0,1,0,1`` and its
-``recover`` on the example4 graph, and ``convolve`` on the 5-star with both ``--impulse`` values;
-``spectral-shift`` of every graph, with and without ``--variant``. Outputs include the process's
-stdout and stderr and the exit codes; one differs when its sha256 does, or when one side lacks it.
+samples and ``gft`` on the band graphs; on the 60-node band graph, ``recover --graph --truth`` of the
+vertex plan, ``sample --band all``, ``gft`` under ``--tol``, and ``spectral-shift`` to a dense CSV
+graph that ``gft`` and ``sample --band all`` read back; on the bundled bases, ``sample --delta
+0,1,0,1`` and its ``recover`` on the example4 graph, and ``convolve`` on the 5-star with both
+``--impulse`` values; ``spectral-shift`` of every graph, with and without ``--variant``. Outputs
+include the process's stdout and stderr and the exit codes; one differs when its sha256 does, or
+when one side lacks it.
 """
 
 from __future__ import annotations
@@ -80,6 +83,14 @@ def write_inputs(change: Path, inputs: Path) -> list[list[str]]:
             cmds += [["sample", str(g), str(x), "--domain", route, "--band", ",".join(map(str, range(bg.k))),
                       "--out", out],
                      ["recover", f"{out}.plan.json", f"{out}.samples.json", "--out", f"recover_band{n}_{route}.json"]]
+    g, x = inputs / "band60.graph.json", inputs / "band60.x.json"
+    cmds += [["recover", "sample_band60_vertex.plan.json", "sample_band60_vertex.samples.json", "--graph", str(g),
+              "--truth", str(x), "--out", "recover_band60_vertex_checked.json"],
+             ["sample", str(g), str(x), "--domain", "vertex", "--band", "all", "--out", "sample_band60_all"],
+             ["--tol", "1e-6", "gft", str(g), str(x), "--out", "gft_band60_tol.json"],
+             ["spectral-shift", str(g), "--out", "shift_band60.csv"],
+             ["gft", "shift_band60.csv", str(x), "--out", "gft_shift_band60.json"],
+             ["sample", "shift_band60.csv", str(x), "--domain", "spectral", "--band", "all", "--out", "sample_shift_band60"]]
     for g in sorted(inputs.glob("*.graph.json")):
         name = g.name.removesuffix(".graph.json")
         cmds += [["spectral-shift", str(g), "--out", f"shift_{name}.json"],
