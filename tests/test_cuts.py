@@ -405,12 +405,16 @@ def test_the_basis_checks_refuse_1e_7_and_pass_1e_10(check, what, share, refused
     solve, eig = numkit.solve, numkit.eig
     moved = np.zeros((8, 8))
     moved[0, 1] = share
-    planted = (mock.patch.object(numkit, "solve", lambda w, b: solve(w, b) * (1 + share)) if check == "identity"
-               else mock.patch.object(numkit, "eig", lambda a: eig(a + moved * np.abs(a).max())))
+    if check == "identity":
+        planted = mock.patch.object(numkit, "solve", lambda w, b: solve(w, b) * (1 + share))
+    else:
+        planted = mock.patch.object(numkit, "eig", lambda a: eig(a + moved * np.abs(a).max()))
     with planted:
         out = _outcome(lambda: basis_from_graph(_er8()))
-    assert (isinstance(out, ReconstructionMismatchError) and what in str(out)) if refused else (
-        isinstance(out, SpectralBasis))
+    if refused:
+        assert isinstance(out, ReconstructionMismatchError) and what in str(out)
+    else:
+        assert isinstance(out, SpectralBasis)
 
 
 @pytest.mark.parametrize("share, refused", [(2e-7, True), (2e-10, False)])
