@@ -376,7 +376,7 @@ def _cmd_convolve(args) -> int:
         x.require(Domain(args.domain))
     basis = _load_basis_for(graph, args)
     kind = ImpulseKind.of(x.domain, impulsive=args.impulse == "vertex")
-    resp = filters.fit_filter(y, kind, basis)
+    resp = filters.fit_filter(y, kind, basis, args.tol)
     result = spectral.gft_apply(basis, filters.modulate(resp, spectral.gft_apply(basis, x)))
     signal_path, filter_path = _with_suffixes(args.out, ".signal.json", ".filter.json")
     write_signal(result, signal_path)
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=numkit.GAP_TOL,
-        help="eigenvalue-gap cut of a computed basis, relative to max|lam|",
+        help="eigenvalue-gap cut of a computed basis and of convolve's fit, relative to max|lam|",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     parser.add_argument(

@@ -83,8 +83,8 @@ def nyquist_recover(x_spl_hat: GraphSignal, k: int) -> GraphSignal:
 def circulant_convolve(x, y) -> np.ndarray:
     """Direct circular convolution sum_k y[n-k] x[k]: the brute-force oracle
     for convolution on the cycle graph (in either domain)."""
-    x = numkit.as_cvector(x, "x")
-    y = numkit.as_cvector(y, "y")
+    x = numkit._as_array(x, "x", 1)
+    y = numkit._as_array(y, "y", 1)
     if x.shape != y.shape:
         raise DimensionMismatchError("operands must have equal length")
     n = x.shape[0]

@@ -57,7 +57,7 @@ class PolynomialFilter:
     shift_domain: Domain
 
     def __post_init__(self):
-        c = numkit.as_cvector(self.coeffs, "coeffs")
+        c = numkit._as_array(self.coeffs, "coeffs", 1)
         if c.size < 1:
             raise BadSizeError("a filter needs at least one coefficient")
         if not isinstance(self.shift_domain, Domain):
@@ -79,11 +79,11 @@ def apply_filter(
     shift = graph.adjacency if filt.shift_domain is Domain.VERTEX else spectral_shift(basis)
     _check_length(x, shift.shape[0])
     coeffs = filt.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cvector's NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _as_array's NonFiniteError
         acc = coeffs[-1] * x
         for c in coeffs[-2::-1]:
             acc = shift @ acc + c * x
-    return GraphSignal(numkit.as_cvector(acc, "filter output"), signal.domain)
+    return GraphSignal(numkit._as_array(acc, "filter output", 1), signal.domain)
 
 
 def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
@@ -95,9 +95,9 @@ def response(filt: PolynomialFilter, basis: SpectralBasis) -> GraphSignal:
     NonFiniteError, naming the filter response, when it overflows.
     """
     lam = basis.for_domain(filt.shift_domain).lam
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cvector's NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _as_array's NonFiniteError
         resp = np.polyval(filt.coeffs[::-1], lam)
-    return GraphSignal(numkit.as_cvector(resp, "filter response"), filt.shift_domain.other)
+    return GraphSignal(numkit._as_array(resp, "filter response", 1), filt.shift_domain.other)
 
 
 def matrix_from_response(basis: SpectralBasis, resp: GraphSignal) -> np.ndarray:
@@ -123,16 +123,17 @@ def modulate(a: GraphSignal, b: GraphSignal) -> GraphSignal:
     return GraphSignal(a.values * b.values, a.domain)
 
 
-def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> GraphSignal:
+def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis,
+               tol: float = numkit.GAP_TOL) -> GraphSignal:
     """The frequency response of the filter whose impulse response is ``target``.
 
     The filter is a polynomial in A for a vertex ``kind`` and in M for a
     spectral one, so its response lives in the opposite domain: the
     transform of ``target`` (read from its tag) divided entrywise by the
     transform of the kind's delta, ``gft[:, 0]`` for an impulsive delta and
-    1/sqrt(N) for a flat one. Raises SingularMatrixError when the delta's
-    transform has a zero entry, and when the response takes two values on a
-    repeated eigenvalue, where no polynomial in the shift has it.
+    1/sqrt(N) for a flat one. Raises SingularMatrixError when the delta's transform has a zero entry,
+    and when the response takes two values on a repeated eigenvalue, two frequencies at most ``tol *
+    max|lam|`` apart (``basis_from_graph``'s cut), where no polynomial in the shift has it.
     """
     if not isinstance(kind, ImpulseKind):
         raise TypeError(f"kind must be an ImpulseKind, got {kind!r}")
@@ -148,14 +149,14 @@ def fit_filter(target: GraphSignal, kind: ImpulseKind, basis: SpectralBasis) -> 
             f"(min |{name}| = {min_abs:.2e}), which this impulse convention cannot tolerate"
         )
     resp = t_hat / delta_hat
-    pairs = numkit._coincident(b.lam)[2]
+    gap, cut, pairs = numkit._coincident(b.lam, tol)
     split = pairs[np.abs(resp[pairs[:, 0]] - resp[pairs[:, 1]]) > numkit._zero_cut(resp)]
     if split.size:
         idx = np.unique(split)
         values = ", ".join(f"{z:.3g}" for z in b.lam[idx])
         raise SingularMatrixError(
-            f"the response takes different values on the repeated eigenvalues "
-            f"{values} (indices {idx.tolist()}), so no polynomial in the shift has "
+            f"the response takes different values on the repeated eigenvalues {values} (indices {idx.tolist()}; "
+            f"smallest eigenvalue gap {gap:.3e} <= tolerance {cut:.3e}), so no polynomial in the shift has "
             "this impulse response"
         )
     return GraphSignal(resp, kind.domain.other)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSizeError, DimensionMismatchError, DomainMismatchError, ParseError
-from .numkit import _as_size, as_cmatrix, as_cvector
+from .numkit import _as_array, _as_size
 
 __all__ = [
     "Domain",
@@ -56,12 +56,13 @@ class GraphKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Directed weighted graph stored as a dense complex adjacency matrix."""
+    """Directed weighted graph stored as a dense complex adjacency matrix: a finite square complex128 array,
+    checked once, when the graph is built. A C-contiguous complex128 array is kept, not copied."""
 
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = as_cmatrix(self.adjacency, "adjacency")
+        a = _as_array(self.adjacency, "adjacency", 2)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"adjacency must be square, got {a.shape}")
         if not a.size:
@@ -75,13 +76,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphSignal:
-    """Length-N complex vector tagged with the domain it lives in."""
+    """Length-N complex vector tagged with the domain it lives in: a finite complex128 array, checked once,
+    when the signal is built. A contiguous complex128 array is kept, not copied."""
 
     values: np.ndarray
     domain: Domain
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_cvector(self.values, "signal"))
+        object.__setattr__(self, "values", _as_array(self.values, "signal", 1))
         if not isinstance(self.domain, Domain):
             raise TypeError("domain must be a Domain enum member")
 

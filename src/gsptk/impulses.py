@@ -103,7 +103,7 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
     b = basis.for_domain(kind.domain)
     shift = graph.adjacency if kind.domain is Domain.VERTEX else spectral_shift(basis)
     # powers of a shift whose spectral radius exceeds 1 overflow on large
-    # graphs, and so may a hand-built basis's products; as_cmatrix turns that
+    # graphs, and so may a hand-built basis's products; _as_array turns that
     # into a typed error naming D or its transform
     with np.errstate(over="ignore", invalid="ignore"):
         if kind.impulsive:
@@ -113,7 +113,8 @@ def impulse_family(graph: Graph, basis: SpectralBasis, kind: ImpulseKind) -> Imp
             start = b.igft @ np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
         d = _shift_stack(shift, start)
         d_hat = b.gft @ d
-    return ImpulseFamily(kind, numkit.as_cmatrix(d, "impulse matrix"), numkit.as_cmatrix(d_hat, "impulse transform"))
+    return ImpulseFamily(kind, numkit._as_array(d, "impulse matrix", 2),
+                         numkit._as_array(d_hat, "impulse transform", 2))
 
 
 def vandermonde(lam) -> np.ndarray:
@@ -122,11 +123,11 @@ def vandermonde(lam) -> np.ndarray:
     For the cycle graph's frequencies this is exactly the DFT matrix.
     NonFiniteError when a power overflows, as |lam|^(N-1) does on large graphs.
     """
-    lam = numkit.as_cvector(lam, "lam")
+    lam = numkit._as_array(lam, "lam", 1)
     if lam.size == 0:
         raise BadSizeError("lam must be nonempty")
     n = lam.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is as_cmatrix's NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _as_array's NonFiniteError
         v = (lam[:, None] ** np.arange(n)[None, :]) / np.sqrt(n)
-    return numkit.as_cmatrix(v, "Vandermonde matrix")
+    return numkit._as_array(v, "Vandermonde matrix", 2)
 

@@ -28,6 +28,7 @@ or a signal changes no verdict. The demos' assertion tolerances stay there.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -64,25 +65,16 @@ BAND_GUARD_REL = 5e-3
 __all__ = [
     "RowReduction",
     "EigPair",
-    "as_cmatrix",
-    "as_cvector",
     "row_reduce",
     "solve",
     "eig",
 ]
 
 
-def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and copy an array-like into a finite complex128 2-D array."""
-    return _as_array(a, name, 2, np.complex128)
-
-
-def as_cvector(v, name: str = "vector") -> np.ndarray:
-    return _as_array(v, name, 1, np.complex128)
-
-
-def _as_array(a, name: str, ndim: int, dtype, order: str = "C", copy: bool | None = True) -> np.ndarray:
-    m = np.array(a, dtype=dtype, order=order, copy=copy)
+def _as_array(a, name: str, ndim: int, dtype=np.complex128, order: str = "C") -> np.ndarray:
+    """``a`` as a finite ``ndim``-D ``dtype`` array in ``order``, else NonFiniteError or DimensionMismatchError
+    naming ``name``. An array that already is one is kept, not copied: a routine that writes into it copies it."""
+    m = np.asarray(a, dtype=dtype, order=order)
     if m.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if m.size and not _all_finite(m.ravel("K").view(np.float64)):
@@ -168,18 +160,17 @@ def row_reduce(a) -> RowReduction:
     loop runs. Tall and empty matrices, and a block that fails the test, go
     to the loop.
     """
-    r = as_cmatrix(a)
+    r = _as_array(a, "matrix", 2)
     m, n = r.shape
     if 0 < m <= n:
         sv = np.linalg.svd(r[:, :m], compute_uv=False)
         if sv[-1] > 2.0 * np.sqrt(m) * _zero_cut(r):
             return RowReduction(tuple(range(m)), sv)
-    return _eliminate(r)
+    return _eliminate(r.copy())
 
 
 def _eliminate(r: np.ndarray) -> RowReduction:
-    """``row_reduce``'s elimination loop on ``r``, a matrix from ``as_cmatrix``,
-    which it overwrites."""
+    """``row_reduce``'s elimination loop on ``r``, a C-contiguous complex128 matrix, which it overwrites."""
     m, n = r.shape
     _rescale(r)
     thresh = _zero_cut(r)
@@ -211,16 +202,16 @@ def solve(a, b):
     """
     dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
     # one copy of each operand, in the Fortran order LAPACK factors and solves in place
-    a = _as_array(a, "matrix", 2, dtype, "F")
+    a = _as_array(np.array(a, dtype, order="F"), "matrix", 2, dtype, "F")
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"coefficient matrix must be square, got {a.shape}")
     rhs = np.asarray(b)
     vector_rhs = rhs.ndim == 1
-    rhs = _as_array(rhs[:, None] if vector_rhs else rhs, "rhs", 2, dtype, "F")
+    rhs = _as_array(np.array(rhs[:, None] if vector_rhs else rhs, dtype, order="F"), "rhs", 2, dtype, "F")
     if rhs.shape[0] != n:
         raise DimensionMismatchError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
-    x = _as_array(_lu_solve(a, rhs, _zero_cut(a)), "solution", 2, dtype, "K", copy=None)
+    x = _as_array(_lu_solve(a, rhs, _zero_cut(a)), "solution", 2, dtype, "K")
     return x[:, 0] if vector_rhs else x
 
 
@@ -245,7 +236,7 @@ def _unscale(values: np.ndarray, e: int) -> np.ndarray:
     """Scale complex128 ``values`` by ``2**-e`` in place, undoing ``_rescale``; NonFiniteError on overflow."""
     with np.errstate(over="ignore"):
         np.ldexp(values.view(np.float64), -e, out=values.view(np.float64))
-    return _as_array(values, "lam scaled back", 1, np.complex128, copy=None)
+    return _as_array(values, "lam scaled back", 1)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndarray:
@@ -313,12 +304,15 @@ def eig(a) -> EigPair:
     complex128 on either path; the residual of a real shift's is ``max|(A W - W B) T|``
     on its real pair form, which the result keeps as ``pair_form``.
     """
-    a = as_cmatrix(a)
+    a = _as_array(a, "matrix", 2)
     n, n2 = a.shape
     if n != n2:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     unitary = bool(n) and _circulant(a)
-    e = _rescale(mags := np.abs(a), a)
+    mags = np.abs(a)
+    if _exponent(mags):  # scaled on a copy, not in the caller's array
+        a = a.copy()
+    e = _rescale(mags, a)
     scale = max(np.max(np.sum(mags, axis=1)), np.finfo(float).tiny) if n else 1.0
     del mags
     if unitary:
@@ -493,12 +487,15 @@ def _pair_max(e: np.ndarray, m: int, rows: bool = True) -> float:
 def _coincident(values: np.ndarray, tol: float = GAP_TOL) -> tuple[float, float, np.ndarray]:
     """``(gap, cut, pairs)``, the one verdict on which frequencies ``values`` coincide: the smallest distance
     between two entries (inf for fewer than two), the cut ``tol * max|values|``, and the index pairs
-    ``(i, j)``, ``i < j``, at most ``cut`` apart, one per row in ascending order.
+    ``(i, j)``, ``i < j``, at most ``cut`` apart, one per row in ascending order. BadSizeError unless ``tol``
+    is a finite real number >= 0.
 
     With the entries sorted by descending real part, it takes the distances of entries w places apart for
     w = 1, 2, ... and stops once every real-part gap at offset w exceeds both the gap so far and the cut: a
     pair farther apart in that order is at least as far apart in real part. Memory is O(N); equal real parts
     (a skew-symmetric shift) still take N^2 / 2 distances, one offset at a time."""
+    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        raise BadSizeError(f"tol must be finite and >= 0, got {tol}")
     cut = tol * float(np.max(np.abs(values), initial=0.0))
     order = np.argsort(-values.real, kind="stable")
     v, gap, pairs = values[order], np.inf, [np.empty((0, 2), dtype=np.intp)]

@@ -253,7 +253,7 @@ def vertex_plan(basis: SpectralBasis, band: BandSpec, forced_delta=None) -> Samp
 
 
 def _recover(plan: SamplingPlan, x_s) -> GraphSignal:
-    x_s = numkit.as_cvector(x_s, "samples")
+    x_s = numkit._as_array(x_s, "samples", 1)
     if x_s.shape[0] != plan.k:
         raise SizeMismatchError(f"expected {plan.k} samples, got {x_s.shape[0]}")
     kept = plan.delta != 0
@@ -328,7 +328,7 @@ def sample(signal: GraphSignal, delta) -> np.ndarray:
 def upsample(x_s, delta) -> GraphSignal:
     """Scatter samples back to the indicator's support, zero-filling the rest.
     SizeMismatchError unless ``delta`` is a 0/1 vector with one 1 per sample."""
-    x_s = numkit.as_cvector(x_s, "samples")
+    x_s = numkit._as_array(x_s, "samples", 1)
     d = _indicator(delta, np.size(delta), x_s.shape[0])
     x = np.zeros(d.shape[0], dtype=np.complex128)
     x[d != 0] = x_s

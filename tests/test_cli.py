@@ -15,10 +15,14 @@ import gsptk
 from gsptk import (
     BadSizeError,
     Domain,
+    Graph,
     GraphKind,
     GraphSignal,
+    ImpulseKind,
+    SingularMatrixError,
     basis_from_graph,
     build,
+    fit_filter,
     gft_apply,
     read_signal,
     write_graph,
@@ -418,6 +422,30 @@ class TestConvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "min |y0| = 0.00e+00" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.json", "g.json", "x.json", "y.json"]
+
+    @pytest.mark.parametrize("impulse", ("vertex", "flat"))
+    def test_tol_is_also_the_cut_of_the_fit(self, tmp_path, capsys, impulse):
+        # A = V diag(1, 1 + 5e-9, 2, -0.5) V^-1: the gap 5e-9 exceeds --tol 1e-10 times max|lam| = 2, so
+        # the basis has distinct frequencies and the response may take two values on the two near 1
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(4, 4))
+        graph = Graph(v @ np.diag([1.0, 1.0 + 5e-9, 2.0, -0.5]) @ np.linalg.inv(v))
+        paths = [tmp_path / name for name in ("g.json", "x.json", "y.json")]
+        write_graph(graph, paths[0])
+        for path in paths[1:]:
+            write_signal(GraphSignal(rng.normal(size=4), Domain.VERTEX), path)
+        assert run(["--tol", "1e-10", "convolve", *paths, "--impulse", impulse, "--out", tmp_path / "conv"]) == 0
+        y, kind = read_signal(paths[2]), ImpulseKind.of(Domain.VERTEX, impulse == "vertex")
+        basis = basis_from_graph(graph, tol=1e-10)
+        resp = fit_filter(y, kind, basis, 1e-10)
+        assert np.array_equal(read_signal(tmp_path / "conv.filter.json").values, resp.values)
+        # at the default cut the command refuses the basis, and the fit names its gap and cut
+        assert run(["convolve", *paths, "--impulse", impulse, "--out", tmp_path / "default"]) == 2
+        assert re.fullmatch(r"error: repeated eigenvalues: smallest eigenvalue gap 5\.\d{3}e-09 <= tolerance "
+                            r"2\.000e-08\n", capsys.readouterr().err)
+        with pytest.raises(SingularMatrixError, match=r"\(indices \[1, 2\]; smallest eigenvalue gap 5\.\d{3}e-09 "
+                                                      r"<= tolerance 2\.000e-08\)"):
+            fit_filter(y, kind, basis)
 
 
 class TestTransformCommands:

@@ -31,7 +31,7 @@ from gsptk import (
 )
 from gsptk import numkit
 from gsptk.cli import main
-from gsptk.numkit import LEAD_TOL, PIVOT_TOL, as_cmatrix, as_cvector, eig, row_reduce, solve
+from gsptk.numkit import LEAD_TOL, PIVOT_TOL, eig, row_reduce, solve
 
 from util import bits, circulant, er_digraph, node_0_sends_nothing, one_vector_off
 
@@ -102,7 +102,7 @@ class TestRowReduce:
 
 
 def _eliminated(a) -> numkit.RowReduction:
-    return numkit._eliminate(as_cmatrix(a))
+    return numkit._eliminate(np.array(a, dtype=np.complex128, order="C"))
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300, 1.5e308])
@@ -215,13 +215,13 @@ class TestSingularValueProof:
 
 def test_validation_errors_are_typed_value_errors():
     with pytest.raises(NonFiniteError, match="impulse matrix contains non-finite"):
-        as_cmatrix([[1.0, np.inf]], "impulse matrix")
+        numkit._as_array([[1.0, np.inf]], "impulse matrix", 2)
     with pytest.raises(NonFiniteError, match="lam contains non-finite"):
-        as_cvector([complex(0.0, -np.inf), 1.0], "lam")
+        numkit._as_array([complex(0.0, -np.inf), 1.0], "lam", 1)
     with pytest.raises(DimensionMismatchError, match="must be 2-D"):
-        as_cmatrix(np.ones(3))
+        numkit._as_array(np.ones(3), "matrix", 2)
     with pytest.raises(DimensionMismatchError, match="must be 1-D"):
-        as_cvector(np.ones((2, 2)))
+        numkit._as_array(np.ones((2, 2)), "vector", 1)
     with pytest.raises(DimensionMismatchError, match="adjacency must be square"):
         Graph(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError, match="coefficient matrix must be square"):
@@ -261,10 +261,10 @@ def test_the_finiteness_check_agrees_with_isfinite(x):
             z = np.empty(x.size, dtype=np.complex128)
             z.real, z.imag = re, im
             if want:
-                as_cvector(z)
+                numkit._as_array(z, "vector", 1)
             else:
                 with pytest.raises(NonFiniteError):
-                    as_cvector(z)
+                    numkit._as_array(z, "vector", 1)
 
 
 class TestSolve:
@@ -610,3 +610,42 @@ class TestCoincident:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+# ---------------------------------------------------------------------------
+# intake: a complex128 array in C order is kept, and no routine writes into an array it is handed
+
+
+def _handed(seed=12, n=12):
+    """A random n x n array as float64 and as complex128, in C and in Fortran order, at the scales 1 and
+    2**+-500, past the 2**+-400 beyond which ``eig``, ``_diagonalize`` and the elimination loop rescale."""
+    re, im = np.random.default_rng(seed).normal(size=(2, n, n))
+    for dtype, m in (("float64", re), ("complex128", re + 1j * im)):
+        for order in "CF":
+            for e in (0, 500, -500):
+                yield pytest.param(np.array(m * 2.0 ** e, order=order), id=f"{dtype}-{order}-2^{e}")
+
+
+def _routines(a):
+    """``(name, call, operands)`` for each routine handed ``a`` or a block of it."""
+    b = a[:, ::-1].copy(order="K")
+    zero_lead = a[:6].copy(order="K")
+    zero_lead[:, 0] = 0  # a singular leading block: the elimination loop runs
+    return [("eig", eig, (a,)), ("solve, as a", solve, (a, b)), ("solve, as b", solve, (b, a)),
+            ("row_reduce, proved", row_reduce, (a[:6],)), ("row_reduce, loop", row_reduce, (zero_lead,)),
+            ("basis_from_graph", lambda m: basis_from_graph(Graph(m)), (a,))]
+
+
+@pytest.mark.parametrize("a", _handed())
+def test_no_routine_writes_into_an_array_it_is_handed(a):
+    for name, call, operands in _routines(a):
+        before = [bits(m).copy() for m in operands]
+        call(*operands)
+        assert all(np.array_equal(bits(m), was) for m, was in zip(operands, before)), name
+
+
+@pytest.mark.parametrize("dtype, order, kept", [(np.complex128, "C", True), (np.complex128, "F", False),
+                                                (np.float64, "C", False), (np.float64, "F", False)])
+def test_a_graph_keeps_a_complex128_array_in_c_order(dtype, order, kept):
+    a = np.array(np.random.default_rng(12).normal(size=(12, 12)), dtype=dtype, order=order)
+    assert np.shares_memory(Graph(a).adjacency, a) is kept

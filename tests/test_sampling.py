@@ -410,9 +410,9 @@ def paper_rules(basis, band):
     of their pivot columns, and the pivot columns of the band columns of the
     inverse GFT, transposed (spectral)."""
     out, inside = list(band.complement(basis.n)), list(band.support)
-    pivots = numkit._eliminate(numkit.as_cmatrix(basis.gft[out])).pivot_cols
+    pivots = numkit._eliminate(np.array(basis.gft[out], order="C")).pivot_cols
     return (tuple(j for j in range(basis.n) if j not in pivots),
-            numkit._eliminate(numkit.as_cmatrix(basis.igft[:, inside].T)).pivot_cols)
+            numkit._eliminate(np.array(basis.igft[:, inside].T, order="C")).pivot_cols)
 
 
 def assert_paper_rules(basis, band):

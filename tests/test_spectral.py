@@ -261,7 +261,7 @@ class TestRealPairForm:
         pair = eig(a)
         perm = rng.permutation(9)  # a pair's members need not be adjacent
         values, vectors = pair.values[perm], pair.vectors[:, perm]
-        real_a, w, order, m = numkit._pair_form(numkit.as_cmatrix(a), values, vectors)
+        real_a, w, order, m = numkit._pair_form(numkit._as_array(a, "shift", 2), values, vectors)
         assert real_a.dtype == w.dtype == np.float64 and m == np.count_nonzero(values.imag > 0) > 0
         assert np.array_equal(vectors[:, order], w @ _pair_t(9, m))  # exact, up to the sign of a zero
         wb = numkit._times_b(w, values[order], m)
@@ -270,7 +270,7 @@ class TestRealPairForm:
         q = order[-1]
         vectors[0, q] = np.nextafter(vectors[0, q].real, np.inf) + 1j * vectors[0, q].imag
         for shift in (a, a + 1e-3j):
-            got_a, got_w, got_order, got_m = numkit._pair_form(numkit.as_cmatrix(shift), values, vectors)
+            got_a, got_w, got_order, got_m = numkit._pair_form(numkit._as_array(shift, "shift", 2), values, vectors)
             assert got_m == 0 and got_w is vectors and np.array_equal(got_order, np.arange(9))
 
     @pytest.mark.parametrize("seed", range(40))

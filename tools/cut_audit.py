@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FACTORS = (1000.0, 0.001)
+FACTORS = (1000.0, 10.0, 0.1, 0.001)
 # a line of the table: an upper-case name bound to a float literal
 CONSTANT = re.compile(r"^([A-Z][A-Z0-9_]*) = ([0-9.]+e-?[0-9]+)$", re.M)
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out", "BENCH_*")

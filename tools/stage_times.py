@@ -25,7 +25,9 @@ where it is used. The run also records its high-water resident set
 in another process because ``band_graph`` runs ``np.linalg.eig`` and the
 writer builds the edge lists, either of which would set that mark. After its
 timed run, ``spectral_plan`` runs once more, untimed, under ``tracemalloc``,
-whose peak is recorded as ``tracemalloc_plans`` (MB). Each checkout
+whose peak is recorded as ``tracemalloc_plans`` (MB), and after the last
+timed stage ``basis_from_graph`` of the bench graph does the same, as
+``tracemalloc_basis_from_graph``. Each checkout
 runs RUNS times per size, the two alternating, the parent first on even runs. The record is
 ``tools/bench_pairs.py``'s: per size and stage, each side's median and
 quartiles over its runs, the change's relative difference of the medians and
@@ -136,6 +138,7 @@ def stages(checkout: Path, n: int, path: Path, k: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="gsptk-stages-") as tmp:
         timed("write_plan", sampling.write_plan, plan, Path(tmp) / "plan.json")
     timed("basis_cycle", basis_from_graph, build(GraphKind.RING, n))
+    traced("basis_from_graph", basis_from_graph, graph)
     return {"metrics": {**{name: {"value": v, "unit": "ms"} for name, v in times.items()},
                         **{name: {"value": v, "unit": "MB"} for name, v in mb.items()}}}
 
