@@ -95,10 +95,7 @@ def _demo_star_m(n: int, seed: int) -> tuple[Checks, dict, dict]:
     checks = Checks()
     checks.ok("explicit_basis_reconstructs_star", recon <= 1e-9, f"error {recon:.2e}")
     checks.close("spectral_shift_matches_reference", m, _REF_STAR_M, _REF_TOL)
-    checks.ok(
-        "spectral_graph_is_fully_connected",
-        bool(np.all(np.abs(m) > 1e-9 * np.max(np.abs(m)))),
-    )
+    checks.ok("spectral_graph_is_fully_connected", bool(np.all(np.abs(m) > numkit._zero_cut(m))))
     report = {"m": _pairs(m), "reconstruction_error": float(recon)}
     return checks, report, {"m_matrix": m}
 

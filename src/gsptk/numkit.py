@@ -42,21 +42,18 @@ from .errors import (BadSizeError, DimensionMismatchError, NonFiniteError, NotCo
 # tolerances: each names the quantity it cuts and the scale it multiplies
 
 # zero (``_zero_cut``): a pivot, an entry or the smallest singular value of a
-# block, at or below PIVOT_TOL * max|a| for the matrix or vector a it is cut from
+# block, at or below PIVOT_TOL * max|a| for the matrix or vector a it is cut from;
+# an eigenvector's phase is set by its first entry above the zero cut of its column
 PIVOT_TOL = 1e-10
 # eig: max_k ||A v_k - w_k v_k||_inf must not exceed EIG_RESIDUAL_TOL * ||A||_inf
 EIG_RESIDUAL_TOL = 1e-9
 # distinct frequencies (``_coincident``): every eigenvalue gap exceeds GAP_TOL * max|lam|;
 # the default of basis_from_graph and --tol, and the cut of fit_filter's repeated frequencies
 GAP_TOL = 1e-8
-# eig: an eigenvector's phase is set by its first entry >= LEAD_TOL * max|v|
-LEAD_TOL = 1e-8
-# computed bases reconstruct I to IDENTITY_TOL * max|I| and A to IDENTITY_TOL *
-# max|A|; read_plan with a graph: R = [I; S] (scattered to N x K) has an
-# A-invariant range, ||A R - R (A R)[kept]||_inf <= IDENTITY_TOL * ||A||_inf * ||R||_inf
+# computed bases reconstruct I to IDENTITY_TOL * max|I|, and computed and explicit
+# bases A to IDENTITY_TOL * max|A|; read_plan with a graph: R = [I; S] (scattered to N x K)
+# has an A-invariant range, ||A R - R (A R)[kept]||_inf <= IDENTITY_TOL * ||A||_inf * ||R||_inf
 IDENTITY_TOL = 1e-8
-# explicit bases: the shift is reconstructed to EXPLICIT_RECON_TOL * max|A|
-EXPLICIT_RECON_TOL = 1e-6
 # cli sample: the band guard is BAND_GUARD_REL * max|xhat|, loose enough for
 # reference data stored at print precision
 BAND_GUARD_REL = 5e-3
@@ -116,9 +113,9 @@ class RowReduction:
 class EigPair:
     """Right eigendecomposition in ``eig``'s frequency order: ``values[k]`` pairs with ``vectors[:, k]``.
 
-    Columns have unit Euclidean norm with their first significant entry rotated onto the positive real
-    axis. ``unitary``: the columns are orthonormal by construction, so the inverse of ``vectors`` is
-    its conjugate transpose. ``pair_form``: ``_pair_form``'s ``(W, order, m)``,
+    Columns have unit Euclidean norm with their first entry above the zero cut of the column rotated onto
+    the positive real axis. ``unitary``: the columns are orthonormal by construction, so the inverse of
+    ``vectors`` is its conjugate transpose. ``pair_form``: ``_pair_form``'s ``(W, order, m)``,
     ``vectors[:, order] = W T``, on which ``eig`` checked its residual; not compared.
     """
 
@@ -260,8 +257,8 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, cut: float | None = None) -> np.ndar
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     """``vectors`` with each nonzero column scaled to unit norm and its first
-    entry of magnitude ``>= LEAD_TOL * max|column|`` rotated onto the positive
-    real axis; a zero column is returned as it is, signed zeros included."""
+    entry of magnitude ``> PIVOT_TOL * max|column|``, the zero cut, rotated onto
+    the positive real axis; a zero column is returned as it is, signed zeros included."""
     if not vectors.size:
         return vectors.copy()
     # np.linalg.norm of each column sums as one BLAS dot; a reduction along axis 0 would not
@@ -269,7 +266,7 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # a zero column's 0/0, undone below
         v = np.divide(vectors, nrm, order="C")
         mags = np.abs(v)
-        lead = np.argmax(mags >= LEAD_TOL * mags.max(axis=0), axis=0)
+        lead = np.argmax(mags > PIVOT_TOL * mags.max(axis=0), axis=0)
         pick = v[lead, np.arange(v.shape[1])]
         # np.hypot rounds as abs() of one entry does; np.abs of an array need not
         v /= pick / np.hypot(pick.real, pick.imag)
@@ -285,7 +282,7 @@ def eig(a) -> EigPair:
     ``(i - j) mod n``, is diagonalized in closed form by the DFT
     (``_dft_eig``); every other matrix goes to LAPACK (Hessenberg + shifted
     QR) via scipy. LAPACK's eigenvectors are then normalized to unit norm
-    with their first significant entry rotated to the positive real axis;
+    with their first entry above the zero cut rotated to the positive real axis;
     the closed form's already are. The residual contract ``max_k ||A v_k -
     w_k v_k||_inf <= EIG_RESIDUAL_TOL * ||A||_inf`` is enforced on either
     path, on the matrix scaled by a power of two (``_rescale``), which LAPACK need not scale again;
@@ -329,7 +326,9 @@ def eig(a) -> EigPair:
     freq = np.lexsort((-values.imag, -values.real))
     values, vectors = values[freq], vectors[:, freq]
     a, w, order, m = _pair_form(a, values, vectors)
-    residual = _pair_max(a @ w - _times_b(w, values[order], m), m, rows=False)
+    r = a @ w
+    r -= _times_b(w, values[order], m)
+    residual = _pair_max(r, m, rows=False)
     if not residual <= EIG_RESIDUAL_TOL * scale:
         raise NotConvergedError(
             f"eigendecomposition residual {residual:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||A||_inf"
@@ -378,9 +377,11 @@ def _diagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
 
 def _check_close(got: np.ndarray, want: np.ndarray, tol: float, what: str, m: int = 0) -> None:
     """The reconstruction check of every basis: ReconstructionMismatchError
-    unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``_pair_max``."""
-    err = _pair_max(got - want, m)
-    limit = tol * np.max(np.abs(want))
+    unless ``got`` reproduces ``want`` (A, or I) to ``tol * max|want|``, read by ``_pair_max``.
+    It overwrites ``got``, a product the caller formed for the check, with ``got - want``."""
+    got -= want
+    err = _pair_max(got, m)
+    limit = tol * _max_abs(want)
     if not err <= limit:
         raise ReconstructionMismatchError(f"{what}: error {err:.3e} > {limit:.3e}")
 
@@ -402,8 +403,8 @@ def _dft_eig(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other real value equals its partner ``n - k``, as on a symmetric
     circulant; that pair's vectors are replaced by ``sqrt(2)`` times the real
     and imaginary parts of vector ``k``, real orthonormal eigenvectors of the
-    same value. Every vector has unit norm, up to rounding, and a first
-    significant entry on the positive real axis: entry 0, or entry 1 of an
+    same value. Every vector has unit norm, up to rounding, and its first entry
+    above the zero cut on the positive real axis: entry 0, or entry 1 of an
     imaginary part, ``sqrt(2/n) sin(2 pi k / n)`` with ``0 < k < n/2``.
     """
     n = column.shape[0]

@@ -101,9 +101,9 @@ def basis_from_graph(graph: Graph, *, tol: float = numkit.GAP_TOL) -> SpectralBa
 def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
     """Build a basis from a user-supplied GFT matrix and frequency list.
 
-    The inverse transform is obtained by a linear solve, and the
-    reconstruction ``igft @ diag(lam) @ gft == A`` is validated against the
-    graph before the basis is returned. Explicit bases may carry repeated
+    The inverse transform is obtained by a linear solve, and the basis must
+    reconstruct the shift, ``igft @ diag(lam) @ gft``, to ``IDENTITY_TOL *
+    max|A|``, as a computed one must. Explicit bases may carry repeated
     eigenvalues (useful for shifts where a computed decomposition would pick
     an arbitrary eigenspace basis).
     """
@@ -115,7 +115,7 @@ def basis_explicit(gft, lam, graph: Graph) -> SpectralBasis:
             f"gft {gft.shape} / lam {lam.shape} do not match graph size {n}"
         )
     basis = SpectralBasis(gft, numkit.solve(gft, np.eye(n, dtype=np.complex128)), lam)
-    numkit._check_close(_diag(basis, lam), graph.adjacency, numkit.EXPLICIT_RECON_TOL,
+    numkit._check_close(_diag(basis, lam), graph.adjacency, numkit.IDENTITY_TOL,
                         "explicit basis does not reconstruct the shift")
     return basis
 

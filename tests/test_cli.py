@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import gsptk
 from gsptk import (
@@ -967,3 +970,78 @@ def test_readme_command_lines_parse():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+# ---------------------------------------------------------------------------
+# the argv grammar: every command on good and malformed files, bad bands, a bad --tol, demos at odd sizes
+
+_MALFORMED = {"binary.json": b"\x00\xff\xfe", "empty.json": b"", "list.json": b"[]",
+              "nan.json": b'{"n": NaN}', "huge.json": b"1e400", "deep.json": b"[" * 100_000 + b"]" * 100_000}
+_FILES = ("graph.json", "x.json", "xhat.json", "basis.json", "run.plan.json", "run.samples.json",
+          "missing.json", *_MALFORMED)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A directory with the example4 graph, a signal in each domain, its basis, a plan with its samples
+    and the malformed files of ``_MALFORMED``."""
+    d = tmp_path_factory.mktemp("argv")
+    write_graph(build(GraphKind.EXAMPLE4, 4), d / "graph.json")
+    write_signal(GraphSignal(np.arange(1.0, 5.0), Domain.VERTEX), d / "x.json")
+    write_signal(GraphSignal(np.array([1.0, 2.0, 0.0, 0.0]), Domain.SPECTRAL), d / "xhat.json")
+    _bundled_basis_file(d)
+    assert run(["sample", d / "graph.json", d / "xhat.json", "--domain", "vertex", "--band", "0,1",
+                "--basis", d / "basis.json", "--out", d / "run"]) == 0
+    for name, data in _MALFORMED.items():
+        (d / name).write_bytes(data)
+    return d
+
+
+@st.composite
+def _argv(draw, d):
+    def file(right):  # the file the position expects in about half the draws, else any of _FILES
+        return str(d / draw(st.one_of(st.just(right), st.sampled_from(_FILES))))
+
+    out = ["--out", str(d / "out")]
+    argv = ["--out-dir", str(d / "demos")]
+    tol = draw(st.sampled_from((None, "nan", "-1", "inf", "1e308", "0", "1e-8", "x")))  # argparse refuses "x"
+    if tol is not None:
+        argv += ["--tol", tol]
+    command = draw(st.sampled_from(("demo", "sample", "recover", "convolve", "gft", "spectral-shift")))
+    if command == "demo":
+        return argv + ["demo", draw(st.sampled_from(DEMO_NAMES)),
+                       "--n", draw(st.sampled_from(("0", "1", "2", "-2", "3", "7")))]
+    if command == "recover":
+        argv += ["recover", file("run.plan.json"), file("run.samples.json"), *out]
+        for flag, right in (("--graph", "graph.json"), ("--truth", "x.json")):
+            if draw(st.booleans()):
+                argv += [flag, file(right)]
+        return argv
+    argv += [command, file("graph.json")]
+    if draw(st.booleans()):
+        argv += ["--basis", file("basis.json")]
+    if command == "sample":
+        argv += [file("xhat.json"), "--domain", draw(st.sampled_from([dom.value for dom in Domain])),
+                 "--band", draw(st.sampled_from(("-1", "0,0", "9", "1e3", "0,1", "all")))]
+    elif command == "convolve":
+        argv += [file("x.json"), file("x.json"), "--impulse", draw(st.sampled_from(("vertex", "flat")))]
+    elif command == "gft":
+        argv += [file("x.json")]
+    return argv + out
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(data=st.data())
+def test_every_command_line_exits_0_or_2_without_a_traceback(argv_files, data):
+    argv = data.draw(_argv(argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            assert exc.code == 2
+            code = None
+    assert code in (None, 0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in out.getvalue() + err.getvalue()

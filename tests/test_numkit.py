@@ -31,7 +31,7 @@ from gsptk import (
 )
 from gsptk import numkit
 from gsptk.cli import main
-from gsptk.numkit import LEAD_TOL, PIVOT_TOL, eig, row_reduce, solve
+from gsptk.numkit import PIVOT_TOL, eig, row_reduce, solve
 
 from util import bits, circulant, er_digraph, node_0_sends_nothing, one_vector_off
 
@@ -436,9 +436,9 @@ class TestNormalizeColumns:
         for k, rows in ((2, 1), (3, 3), (6, 8)):  # the first `rows` entries sit just under the cut
             v[:, k] /= np.abs(v[:, k]).max()
             v[-1, k] = 2.0
-            v[:rows, k] *= LEAD_TOL * (1 - 1e-6) * 2.0 / np.abs(v[:rows, k]).max()
+            v[:rows, k] *= PIVOT_TOL * (1 - 1e-6) * 2.0 / np.abs(v[:rows, k]).max()
         v[:, 7] /= np.abs(v[:, 7]).max()
-        v[0, 7] = LEAD_TOL  # exactly at the cut: it leads
+        v[0, 7] = PIVOT_TOL * (1 + 1e-6)  # just above the cut: it leads
         got = numkit._normalize_columns(v)
         assert got.flags.c_contiguous and got.dtype == np.complex128
         assert got[:, [1, 5]].tobytes() == v[:, [1, 5]].tobytes()
@@ -458,7 +458,7 @@ def _normalize_columns_loop(vectors):
             continue
         col = col / nrm
         mags = np.abs(col)
-        lead = int(np.argmax(mags >= LEAD_TOL * mags.max()))
+        lead = int(np.argmax(mags > PIVOT_TOL * mags.max()))
         v[:, k] = col / (col[lead] / abs(col[lead]))
     return v
 
@@ -478,7 +478,7 @@ class TestNormalizeColumnsMatchesTheLoop:
         rng = np.random.default_rng(4)
         planted = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
         planted[:, 1] = complex(-0.0, -0.0)
-        planted[2, 3] = LEAD_TOL * np.abs(planted[:, 3]).max()
+        planted[2, 3] = PIVOT_TOL * np.abs(planted[:, 3]).max()
         cycle = numkit._dft_eig(build(GraphKind.RING, 256).adjacency[:, 0])[1]
         lapack = scipy.linalg.eig(er_digraph(np.random.default_rng(1), 256).adjacency.real)[1]
         for v in (planted, cycle, lapack.astype(np.complex128), np.zeros((0, 0), np.complex128)):
@@ -538,7 +538,7 @@ class TestCirculantEig:
         for column in [*self._columns(), *symmetric]:
             with mock.patch.object(numkit, "_normalize_columns", side_effect=AssertionError("normalized")):
                 v = eig(circulant(column)).vectors
-            lead = v[np.argmax(np.abs(v) >= LEAD_TOL * np.abs(v).max(axis=0), axis=0), np.arange(v.shape[1])]
+            lead = v[np.argmax(np.abs(v) > PIVOT_TOL * np.abs(v).max(axis=0), axis=0), np.arange(v.shape[1])]
             assert np.all(lead.real > 0) and not lead.imag.any()
             assert np.max(np.abs(numkit._normalize_columns(v) - v)) <= 4 * np.finfo(float).eps
 

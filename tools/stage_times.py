@@ -40,10 +40,11 @@ run's values.
 not: one process per size, with one BLAS thread, imports each checkout's
 package under its own name, builds the bench graph once (CHANGE's
 workloads) and each side's basis once, and times ``basis_from_graph``,
-``vertex_plan`` and ``spectral_plan``, each in its
-PAIRS pairs, the parent first on even pairs, ``gc.collect()`` before each call. Per
-stage it records the median and quartiles of the ratios change / parent,
-each side's times in ms and a verdict: ``faster`` when the median ratio is
+``vertex_plan``, ``spectral_plan`` and ``basis_cycle`` (as above; the
+closed-form eigenbasis of the cycle leaves most of its time to the basis
+checks), each in its PAIRS pairs, the parent first on even pairs,
+``gc.collect()`` before each call. Per stage it records the median and
+quartiles of the ratios change / parent, each side's times in ms and a verdict: ``faster`` when the median ratio is
 below 0.98 and its third quartile below 1, ``slower`` when the median is
 above 1.02 and its first quartile above 1, else ``no change``. An A/A record
 (one commit on both sides) must read ``no change`` on every stage. RSS and
@@ -76,7 +77,7 @@ SIZES = (400, 1600)  # the benchmark's size and the north star's
 RUNS = 5  # per side and size: the fewest a BENCH_<label>.json median may rest on
 # per size in the paired mode; in A/A records 20 pairs put the median ratio 4% from 1 for
 # basis_from_graph, whose dgeev time varies from call to call
-PAIRS = {"basis_from_graph": 60, "vertex_plan": 20, "spectral_plan": 20}
+PAIRS = {"basis_from_graph": 60, "vertex_plan": 20, "spectral_plan": 20, "basis_cycle": 20}
 
 
 def write(checkout: Path, n: int, path: Path) -> dict:
@@ -161,7 +162,8 @@ def paired(parent: Path, change: Path, n: int) -> dict:
         basis = pkg.basis_from_graph(graph)
         calls[side] = {"basis_from_graph": (pkg.basis_from_graph, graph),
                        "vertex_plan": (pkg.vertex_plan, basis, band),
-                       "spectral_plan": (pkg.spectral_plan, basis, band)}
+                       "spectral_plan": (pkg.spectral_plan, basis, band),
+                       "basis_cycle": (pkg.basis_from_graph, pkg.build(pkg.GraphKind.RING, n))}
     metrics, runs = {}, {}
     for name in calls["change"]:
         times = {side: [] for side in SIDES}
